@@ -9,9 +9,9 @@ built-in residual error estimator that drives adaptive refinement.
 
 from .driver import (ConvergenceRecord, ExperimentConfig, dorfler_mark, eoc,
                      run_experiment, solve_problem)
-from .dpg import (EstimatorField, GlobalSystem, LocalSystem, Solution,
-                  assemble, condense, estimate, local_b, local_gram,
-                  local_load)
+from .dpg import (ElementSystems, EstimatorField, GlobalSystem, Solution,
+                  assemble, condense, element_matrices, estimate, local_b,
+                  local_gram, local_load)
 from .errors import (ConfigurationError, MeshStructureError, SPDError,
                      SolverConvergenceError)
 from .linalg import SolveReport, dense_cholesky, spd_solve
@@ -19,7 +19,7 @@ from .mesh import (Mesh, mesh_from_arrays, mesh_from_text, mesh_to_text,
                    nvb_refine, reference_triangle_mesh, uniform_refine,
                    unit_square_mesh, vertex_patch)
 from .polyquad import (QuadRuleEdge, QuadRuleTri, ScalarBasis, TensorBasis,
-                       edge_rule, eval_scalar, eval_tensor, tri_rule)
+                       edge_rule, tri_rule)
 from .problems import (ExactSolution, MaterialLaw, ProblemSpec,
                        builtin_square_problem, builtin_zshape_problem,
                        c_apply, cinv_apply, fourier_eval, l2_errors,

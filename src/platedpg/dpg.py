@@ -1,4 +1,5 @@
-"""Element-local DPG computations and global assembly.
+"""Element-local DPG computations and global assembly, batched over all
+triangles of a mesh.
 
 Per element the enriched test space is P3 scalars (10 functions) times
 symmetric P2 tensors (18 functions).  The local trial-to-test matrix B is
@@ -7,23 +8,29 @@ symmetric P2 tensors (18 functions).  The local trial-to-test matrix B is
     u | M11 M12 M22 | uhat (3 per CCW vertex) | per edge (alpha, beta) |
     gamma (per CCW vertex)
 
-The Gram matrix of the broken test norm is block diagonal; one dense
-Cholesky factorization per element serves both the Schur condensation
-``A_T = B^T G^{-1} B`` and the residual estimator
-``eta_T^2 = r_T^T G^{-1} r_T``.
+The Gram matrix G of the broken test norm is block diagonal.
+:func:`element_matrices` stacks B (nT, 28, 22), G (nT, 28, 28) and the
+load (nT, 28) of all triangles at once; :func:`condense` factors every
+``G_T = L L^T`` and keeps only ``W = L^{-1} B`` and ``v = L^{-1} load``.
+These serve both the condensed blocks
+``A_T = B^T G^{-1} B = W^T W`` and the residual estimator
+``eta_T = ||v - W x_T||``.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional
+from types import SimpleNamespace
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
+from .errors import SPDError
 from .linalg import dense_cholesky, sparse_from_triplets
 from .mesh import Mesh
-from .polyquad import ASSEMBLY_DEGREE, EDGE_POINTS, edge_rule, tri_rule
-from .problems import cinv_apply
+from .polyquad import (ASSEMBLY_DEGREE, EDGE_POINTS, SLOTS, edge_rule,
+                       tri_rule)
+from .problems import MaterialLaw, cinv_apply
 from .spaces import DofMap, ElementGeometry, uhat_pair_matrix
 
 N_SCALAR = 10
@@ -31,139 +38,148 @@ N_TENSOR = 18
 N_TEST = N_SCALAR + N_TENSOR
 N_TRIAL = 22
 
-
-@dataclass
-class LocalSystem:
-    """Trial-to-test matrix, test Gram matrix and load of one element."""
-    B: np.ndarray          # (28, 22)
-    G: np.ndarray          # (28, 28) SPD, block diagonal
-    load: np.ndarray       # (28,)
+def _sym(A):
+    return 0.5 * (A + np.swapaxes(A, -1, -2))
 
 
-class ElementContext:
-    """Geometry, bases and quadrature data of one element."""
-
-    def __init__(self, mesh: Mesh, t: int):
-        self.geom = ElementGeometry(mesh, t)
-        self.sbasis = self.geom.scalar_basis(3)
-        self.tbasis = self.geom.tensor_basis(2)
-        rule = tri_rule(ASSEMBLY_DEGREE)
-        self.qpts, self.qw = rule.map_to(self.geom.P)
-        self.scalar = self.sbasis.eval(self.qpts)
-        self.tensor = self.tbasis.eval(self.qpts)
-
-
-def element_context(mesh, t):
-    return ElementContext(mesh, t)
+def element_matrices(geom: ElementGeometry, material, f):
+    """B (n, 28, 22), G (n, 28, 28) and load (n, 28) of the n triangles of
+    a stacked :class:`ElementGeometry`."""
+    n = geom.area.shape[0]
+    B = np.zeros((n, N_TEST, N_TRIAL))
+    G = np.zeros((n, N_TEST, N_TEST))
+    load = np.zeros((n, N_TEST))
+    _volume_terms(geom, material, f, B, G, load)
+    _skeleton_terms(geom, B)
+    return B, G, load
 
 
-def _local_gram(ctx):
-    w = ctx.qw
-    vals, _, hess = ctx.scalar
-    tvals, _, divdiv = ctx.tensor
-    G = np.zeros((N_TEST, N_TEST))
-    Gz = (np.einsum("q,qi,qj->ij", w, vals, vals)
-          + np.einsum("q,qiab,qjab->ij", w, hess, hess))
-    Gt = (np.einsum("q,qiab,qjab->ij", w, tvals, tvals)
-          + np.einsum("q,qi,qj->ij", w, divdiv, divdiv))
-    G[:N_SCALAR, :N_SCALAR] = 0.5 * (Gz + Gz.T)
-    G[N_SCALAR:, N_SCALAR:] = 0.5 * (Gt + Gt.T)
-    return G
+def _volume_terms(geom, material, f, B, G, load):
+    """G, the load and the columns of B that are volume integrals."""
+    n = B.shape[0]
+    qpts, w = tri_rule(ASSEMBLY_DEGREE).map_to(geom.P)
+    table = geom.scalar_basis(3).eval(qpts)
+    vals, hess = table.values, table.hessians
+    # the tensor test functions are the scalar P2 functions phi_a (the
+    # first six scaled P3 monomials) times the slots S_k, index 3 a + k;
+    # divdiv(phi S) = Hess(phi) : S
+    phi = vals[..., :6]
+    divdiv = np.einsum("tqaij,kij->tqak", hess[..., :6, :, :],
+                       SLOTS).reshape(n, -1, N_TENSOR)
+    slot_products = np.einsum("kij,lij->kl", SLOTS, SLOTS)
 
-
-def _local_b(ctx, material):
-    geom = ctx.geom
-    w = ctx.qw
-    _, _, hess = ctx.scalar
-    tvals, _, divdiv = ctx.tensor
-    B = np.zeros((N_TEST, N_TRIAL))
+    G[:, :N_SCALAR, :N_SCALAR] = _sym(
+        np.einsum("tq,tqi,tqj->tij", w, vals, vals)
+        + np.einsum("tq,tqiab,tqjab->tij", w, hess, hess))
+    mass2 = np.einsum("tq,tqa,tqb->tab", w, phi, phi)
+    G[:, N_SCALAR:, N_SCALAR:] = _sym(
+        np.einsum("tab,kl->takbl", mass2, slot_products).reshape(
+            n, N_TENSOR, N_TENSOR)
+        + np.einsum("tq,tqi,tqj->tij", w, divdiv, divdiv))
 
     # scalar test rows: moment columns (M_j, Hess z_i)_T
-    hints = np.einsum("q,qiab->iab", w, hess)
-    B[:N_SCALAR, 1] = hints[:, 0, 0]
-    B[:N_SCALAR, 2] = 2.0 * hints[:, 0, 1]
-    B[:N_SCALAR, 3] = hints[:, 1, 1]
-
-    # scalar test rows: qhat columns through the skeleton duality
-    rule = edge_rule(EDGE_POINTS)
-    for k in range(3):
-        pts = geom.edge_points(k, rule.points)
-        vals_e, grads_e, _ = ctx.sbasis.eval(pts)
-        s = geom.sign[k]
-        B[:N_SCALAR, 13 + 2 * k] = s * (rule.weights @ vals_e)
-        B[:N_SCALAR, 14 + 2 * k] = -s * (rule.weights
-                                         @ (grads_e @ geom.nrm[k]))
-    corner_vals, _, _ = ctx.sbasis.eval(geom.P)
-    B[:N_SCALAR, 19:22] = -corner_vals.T
+    hints = np.einsum("tq,tqiab->tiab", w, hess)
+    B[:, :N_SCALAR, 1:4] = np.einsum("tiab,kab->tik", hints, SLOTS)
 
     # tensor test rows: u column (1, divdiv Theta_i)_T
-    B[N_SCALAR:, 0] = w @ divdiv
+    B[:, N_SCALAR:, 0] = np.einsum("tq,tqi->ti", w, divdiv)
 
-    # tensor test rows: moment columns (M_j, C^{-1} Theta_i)_T
-    ct = cinv_apply(material, tvals)
-    cints = np.einsum("q,qiab->iab", w, ct)
-    B[N_SCALAR:, 1] = cints[:, 0, 0]
-    B[N_SCALAR:, 2] = 2.0 * cints[:, 0, 1]
-    B[N_SCALAR:, 3] = cints[:, 1, 1]
+    # tensor test rows: moment columns (M_j, C^{-1} Theta_i)_T; C^{-1} is
+    # linear, so it acts on the slots of the integrated phi_a
+    cinv_slots = np.einsum("kab,lab->kl", cinv_apply(material, SLOTS), SLOTS)
+    B[:, N_SCALAR:, 1:4] = np.einsum("tqa,tq,kl->takl", phi, w,
+                                     cinv_slots).reshape(n, N_TENSOR, 3)
+
+    if f is not None:
+        fq = np.asarray(f(qpts.reshape(-1, 2)), dtype=float).reshape(w.shape)
+        load[:, :N_SCALAR] = -np.einsum("tq,tq,tqi->ti", w, fq, vals)
+
+
+def _skeleton_terms(geom, B):
+    """The columns of B that pair test functions with the trace unknowns."""
+    n = B.shape[0]
+    # scalar test rows: qhat columns through the skeleton duality, from
+    # the edge quadrature points of the three edges and the corners
+    rule = edge_rule(EDGE_POINTS)
+    ne = len(rule.points)
+    pts = np.concatenate([geom.edge_points(k, rule.points) for k in range(3)]
+                         + [geom.P], axis=1)
+    table = geom.scalar_basis(3).eval(pts)
+    evals = table.values[:, :3 * ne].reshape(n, 3, ne, N_SCALAR)
+    egrads = table.gradients[:, :3 * ne].reshape(n, 3, ne, N_SCALAR, 2)
+    s = geom.sign[:, None, :]
+    B[:, :N_SCALAR, 13:19:2] = s * np.einsum("e,tkei->tik", rule.weights,
+                                             evals)
+    B[:, :N_SCALAR, 14:19:2] = -s * np.einsum("e,tkeid,tkd->tik",
+                                              rule.weights, egrads, geom.nrm)
+    B[:, :N_SCALAR, 19:22] = -np.swapaxes(table.values[:, 3 * ne:], 1, 2)
 
     # tensor test rows: uhat columns, -<uhat, Theta>
-    B[N_SCALAR:, 4:13] = -uhat_pair_matrix(geom, ctx.tbasis)
-    return B
+    B[:, N_SCALAR:, 4:13] = -uhat_pair_matrix(geom, geom.tensor_basis(2))
 
 
-def _local_load(ctx, f):
-    load = np.zeros(N_TEST)
-    if f is not None:
-        vals, _, _ = ctx.scalar
-        fq = np.asarray(f(ctx.qpts), dtype=float)
-        load[:N_SCALAR] = -np.einsum("q,q,qi->i", ctx.qw, fq, vals)
-    return load
+def _one_element(mesh, t, material, f):
+    B, G, load = element_matrices(ElementGeometry(mesh, np.array([t])),
+                                  material, f)
+    return B[0], G[0], load[0]
 
 
 def local_b(mesh, t, material):
-    return _local_b(ElementContext(mesh, t), material)
+    return _one_element(mesh, t, material, None)[0]
 
 
 def local_gram(mesh, t):
-    return _local_gram(ElementContext(mesh, t))
+    # G does not depend on the material law
+    return _one_element(mesh, t, MaterialLaw(1.0, 0.0), None)[1]
 
 
 def local_load(mesh, t, f):
-    return _local_load(ElementContext(mesh, t), f)
+    return _one_element(mesh, t, MaterialLaw(1.0, 0.0), f)[2]
 
 
-def local_system(mesh, t, material, f):
-    ctx = ElementContext(mesh, t)
-    return LocalSystem(B=_local_b(ctx, material), G=_local_gram(ctx),
-                       load=_local_load(ctx, f))
+def condense(B, G, load):
+    """Stacked ``W = L^{-1} B`` and ``v = L^{-1} load`` with ``G = L L^T``,
+    so that ``B^T G^{-1} B = W^T W`` and ``B^T G^{-1} load = W^T v``.
 
+    The factors come from :func:`dense_cholesky`.  LAPACK's Cholesky is as
+    accurate, but on the smallest adaptive elements (cond(G) up to 1e15)
+    its other rounding moves ``A_T`` by about 1e-10 relative, which is
+    enough to flip a near tie in the bulk marking and so change the
+    adaptive mesh sequence.
 
-def condense(local: LocalSystem):
-    """Schur-condensed normal-equation contribution
-    ``A_T = B^T G^{-1} B`` and ``b_T = B^T G^{-1} load``."""
-    L = dense_cholesky(local.G)
-    W = scipy.linalg.solve_triangular(L, local.B, lower=True)
-    v = scipy.linalg.solve_triangular(L, local.load, lower=True)
-    A_T = W.T @ W
-    return 0.5 * (A_T + A_T.T), W.T @ v
+    Raises :class:`SPDError` naming the element and the pivot.
+    """
+    try:
+        L = dense_cholesky(G)
+    except SPDError as exc:
+        raise SPDError(f"element Gram {exc}", pivot=exc.pivot) from None
+    W = scipy.linalg.solve_triangular(L, B, lower=True)
+    v = scipy.linalg.solve_triangular(L, load[..., None], lower=True)
+    return W, v[..., 0]
 
 
 @dataclass
 class ElementSystems:
-    """Local systems, their Gram Cholesky factors and scatter indices."""
-    locals: List[LocalSystem]
-    chol: List[np.ndarray]
-    scatter: List[np.ndarray]
+    """Condensed element data of a whole mesh (``G_T = L L^T``)."""
+    W: np.ndarray          # (nT, 28, 22) L^{-1} B
+    v: np.ndarray          # (nT, 28)     L^{-1} load
+    scatter: np.ndarray    # (nT, 22)     full-vector indices of the DOFs
+    G: np.ndarray          # (nT, 28, 28) read only
+
+    @property
+    def locals(self):
+        """Per-element views exposing ``G``: the hook through which
+        perfbench/tracing.py reports the worst Gram conditioning."""
+        return [SimpleNamespace(G=g) for g in self.G]
 
 
 def build_element_systems(mesh, dofmap, material, f):
-    locs, chols, scats = [], [], []
-    for t in range(mesh.num_triangles):
-        loc = local_system(mesh, t, material, f)
-        locs.append(loc)
-        chols.append(dense_cholesky(loc.G))
-        scats.append(dofmap.element_scatter(t))
-    return ElementSystems(locs, chols, scats)
+    elements = np.arange(mesh.num_triangles)
+    B, G, load = element_matrices(ElementGeometry(mesh, elements),
+                                  material, f)
+    W, v = condense(B, G, load)
+    G.flags.writeable = False
+    return ElementSystems(W, v, dofmap.element_scatter(elements), G)
 
 
 @dataclass
@@ -193,25 +209,14 @@ def assemble(mesh, dofmap, problem, systems: Optional[ElementSystems] = None):
     if systems is None:
         systems = build_element_systems(mesh, dofmap, problem.material,
                                         problem.f)
-    nT = mesh.num_triangles
-    rows = np.empty(nT * N_TRIAL * N_TRIAL, dtype=np.int64)
-    cols = np.empty_like(rows)
-    vals = np.empty(rows.shape[0])
-    b_full = np.zeros(dofmap.full_dim)
-    for t in range(nT):
-        loc = systems.locals[t]
-        L = systems.chol[t]
-        W = scipy.linalg.solve_triangular(L, loc.B, lower=True)
-        v = scipy.linalg.solve_triangular(L, loc.load, lower=True)
-        A_T = W.T @ W
-        A_T = 0.5 * (A_T + A_T.T)
-        idx = systems.scatter[t]
-        sl = slice(t * N_TRIAL * N_TRIAL, (t + 1) * N_TRIAL * N_TRIAL)
-        rows[sl] = np.repeat(idx, N_TRIAL)
-        cols[sl] = np.tile(idx, N_TRIAL)
-        vals[sl] = A_T.ravel()
-        b_full[idx] += W.T @ v
-    A_full = sparse_from_triplets(rows, cols, vals, dofmap.full_dim)
+    W, idx = systems.W, systems.scatter
+    A_T = _sym(np.swapaxes(W, 1, 2) @ W)
+    b_T = np.einsum("tij,ti->tj", W, systems.v)
+    rows = np.repeat(idx, N_TRIAL, axis=1).ravel()
+    cols = np.tile(idx, N_TRIAL).ravel()
+    A_full = sparse_from_triplets(rows, cols, A_T.ravel(), dofmap.full_dim)
+    b_full = np.bincount(idx.ravel(), weights=b_T.ravel(),
+                         minlength=dofmap.full_dim)
     R = dofmap.R
     A = (R.T @ A_full @ R).tocsr()
     rhs = np.asarray(R.T @ (b_full - A_full @ dofmap.x_prescribed)).ravel()
@@ -272,23 +277,14 @@ class EstimatorField:
         return float(np.sqrt(np.sum(self.per_element ** 2)))
 
 
-def element_residuals(systems: ElementSystems, x_full):
-    """Local residual vectors ``r_T = load_T - B_T x_T``."""
-    out = []
-    for loc, idx in zip(systems.locals, systems.scatter):
-        out.append(loc.load - loc.B @ x_full[idx])
-    return out
-
-
 def estimate(mesh, dofmap, problem, solution,
              systems: Optional[ElementSystems] = None):
     """DPG error estimator: per element the dual norm of the residual in
-    the discrete test space, ``eta_T^2 = r_T^T G_T^{-1} r_T``."""
+    the discrete test space, ``eta_T^2 = r_T^T G_T^{-1} r_T`` with
+    ``r_T = load_T - B_T x_T``, i.e. ``eta_T = ||v_T - W_T x_T||``."""
     if systems is None:
         systems = build_element_systems(mesh, dofmap, problem.material,
                                         problem.f)
-    etas = np.empty(mesh.num_triangles)
-    for t, r in enumerate(element_residuals(systems, solution.x_full)):
-        y = scipy.linalg.solve_triangular(systems.chol[t], r, lower=True)
-        etas[t] = np.linalg.norm(y)
-    return EstimatorField(per_element=etas)
+    x = solution.x_full[systems.scatter]
+    r = systems.v - (systems.W @ x[..., None])[..., 0]
+    return EstimatorField(per_element=np.linalg.norm(r, axis=1))

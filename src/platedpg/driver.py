@@ -10,7 +10,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import dpg
-from .errors import ConfigurationError, SolverConvergenceError
+from .errors import ConfigurationError, SolverConvergenceError, SPDError
 from .linalg import spd_solve
 from .mesh import mesh_to_text, nvb_refine, uniform_refine
 from .problems import builtin_problem, l2_errors
@@ -31,7 +31,6 @@ class ExperimentConfig:
     max_dofs: Optional[int] = None
     out: Optional[str] = None
     tol: float = 1e-12
-    seed: Optional[int] = None         # reproducibility stamp, unused
     dump_mesh: Optional[str] = None
 
     def __post_init__(self):
@@ -150,7 +149,8 @@ def read_records_csv(path):
 def run_experiment(config: ExperimentConfig, problem=None):
     """SOLVE -> ESTIMATE -> MARK -> REFINE loop with per-level records.
 
-    On solver failure the records collected so far are flushed to the CSV
+    On solver failure (:class:`SolverConvergenceError` or
+    :class:`SPDError`) the records collected so far are flushed to the CSV
     before the exception propagates.
     """
     problem = problem or builtin_problem(config.problem)
@@ -168,7 +168,7 @@ def run_experiment(config: ExperimentConfig, problem=None):
         try:
             solution, estimator, report, ndofs = solve_problem(
                 problem, mesh, tol=config.tol)
-        except SolverConvergenceError:
+        except (SolverConvergenceError, SPDError):
             flush()
             raise
         err_u, err_M = l2_errors(mesh, solution, problem.exact,
@@ -230,7 +230,7 @@ def main(argv=None):
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except SolverConvergenceError as exc:
+    except (SolverConvergenceError, SPDError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
     last = records[-1]

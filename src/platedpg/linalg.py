@@ -24,22 +24,33 @@ class SolveReport:
 
 
 def dense_cholesky(A):
-    """Lower Cholesky factor of a symmetric positive definite matrix.
+    """Lower Cholesky factor of a symmetric positive definite matrix, or
+    of every matrix of a stack (..., n, n).
 
-    Raises :class:`SPDError` naming the first nonpositive pivot.
+    Raises :class:`SPDError` naming the first nonpositive pivot and, for a
+    stack, the matrix it belongs to.  A stack runs the same BLAS dot and
+    matrix-vector products per matrix as a single matrix does, so each
+    factor is the same to the last bit either way.
     """
     A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError("dense_cholesky expects a square matrix")
+    n = A.shape[-1]
+    if A.ndim < 2 or A.shape[-2] != n:
+        raise ValueError("dense_cholesky expects square matrices")
     L = np.zeros_like(A)
     for k in range(n):
-        d = A[k, k] - L[k, :k] @ L[k, :k]
-        if d <= 0.0 or not np.isfinite(d):
-            raise SPDError(f"matrix is not SPD: pivot {k} = {d:.3e}", pivot=k)
-        L[k, k] = np.sqrt(d)
+        col = L[..., k, :k, None]
+        d = A[..., k, k] - (L[..., k, None, :k] @ col)[..., 0, 0]
+        ok = np.isfinite(d) & (d > 0.0)
+        if not np.all(ok):
+            at = tuple(np.argwhere(~ok)[0])      # () for a single matrix
+            name = "matrix" + "".join(f" {i}" for i in at)
+            raise SPDError(f"{name} is not SPD: pivot {k} = {d[at]:.3e}",
+                           pivot=k)
+        L[..., k, k] = np.sqrt(d)
         if k + 1 < n:
-            L[k + 1:, k] = (A[k + 1:, k] - L[k + 1:, :k] @ L[k, :k]) / L[k, k]
+            L[..., k + 1:, k] = ((A[..., k + 1:, k]
+                                  - (L[..., k + 1:, :k] @ col)[..., 0])
+                                 / L[..., k, k, None])
     return L
 
 

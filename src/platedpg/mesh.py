@@ -10,7 +10,6 @@ Orientation conventions used throughout the package:
   and its canonical normal is the tangent rotated by -90 degrees.
 """
 
-from dataclasses import dataclass
 import logging
 
 import numpy as np
@@ -18,32 +17,6 @@ import numpy as np
 from .errors import MeshStructureError
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class Vertex:
-    id: int
-    coords: np.ndarray
-    on_boundary: bool
-
-
-@dataclass(frozen=True)
-class Edge:
-    id: int
-    endpoints: tuple          # (v_lo, v_hi), v_lo < v_hi
-    tangent: np.ndarray       # unit, v_lo -> v_hi
-    normal: np.ndarray        # tangent rotated by -90 degrees
-    adjacent: tuple           # one or two triangle ids
-    on_boundary: bool
-
-
-@dataclass(frozen=True)
-class Triangle:
-    id: int
-    vertices: tuple           # counterclockwise vertex ids
-    edges: tuple              # edge k opposite vertex k
-    refinement_edge: int      # local edge index in {0, 1, 2}
-    generation: int
 
 
 def _rot_minus90(v):
@@ -190,19 +163,6 @@ class Mesh:
     def boundary_edges(self):
         return np.nonzero(self.edge_on_boundary)[0]
 
-    def vertex(self, i):
-        return Vertex(int(i), self.coords[i], bool(self.vertex_on_boundary[i]))
-
-    def edge(self, i):
-        return Edge(int(i), tuple(int(v) for v in self.edge_vertices[i]),
-                    self.edge_tangent[i], self.edge_normal[i],
-                    self.edge_adjacent[i], bool(self.edge_on_boundary[i]))
-
-    def triangle(self, i):
-        return Triangle(int(i), tuple(int(v) for v in self.tri_vertices[i]),
-                        tuple(int(e) for e in self.tri_edges[i]),
-                        int(self.refinement_edge[i]), int(self.generation[i]))
-
     def __repr__(self):
         return (f"Mesh(#N={self.num_vertices}, #E={self.num_edges}, "
                 f"#T={self.num_triangles})")
@@ -304,7 +264,8 @@ def nvb_refine(mesh, marked):
         stack = [t0]
         while stack:
             budget -= 1
-            assert budget > 0, "NVB closure failed to terminate"
+            if budget <= 0:
+                raise MeshStructureError("NVB closure failed to terminate")
             t = stack[-1]
             if not alive[t]:
                 stack.pop()

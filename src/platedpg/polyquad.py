@@ -49,13 +49,13 @@ class QuadRuleTri:
 
     def map_to(self, tri_coords):
         """Physical points and weights for a triangle given by its three
-        vertex coordinates (rows)."""
+        vertex coordinates (rows), or for a stack of them (..., 3, 2)."""
         tri_coords = np.asarray(tri_coords, dtype=float)
         pts = self.bary @ tri_coords
-        d1 = tri_coords[1] - tri_coords[0]
-        d2 = tri_coords[2] - tri_coords[0]
-        area = 0.5 * abs(d1[0] * d2[1] - d1[1] * d2[0])
-        return pts, self.weights * (2.0 * area)
+        d1 = tri_coords[..., 1, :] - tri_coords[..., 0, :]
+        d2 = tri_coords[..., 2, :] - tri_coords[..., 0, :]
+        area = 0.5 * abs(d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0])
+        return pts, self.weights * (2.0 * area)[..., None]
 
 
 @dataclass(frozen=True)
@@ -96,63 +96,56 @@ def edge_rule(n_points=EDGE_POINTS):
 
 
 class ScalarTable(NamedTuple):
-    values: np.ndarray       # (npts, ndim)
-    gradients: np.ndarray    # (npts, ndim, 2)
-    hessians: np.ndarray     # (npts, ndim, 2, 2)
+    values: np.ndarray       # (..., npts, ndim)
+    gradients: np.ndarray    # (..., npts, ndim, 2)
+    hessians: np.ndarray     # (..., npts, ndim, 2, 2)
 
 
 class TensorTable(NamedTuple):
-    values: np.ndarray       # (npts, ndim, 2, 2)
-    div: np.ndarray          # (npts, ndim, 2)
-    divdiv: np.ndarray       # (npts, ndim)
-
-
-class EdgeTraces(NamedTuple):
-    Tn: np.ndarray           # (npts, ndim, 2)   Theta n
-    tTn: np.ndarray          # (npts, ndim)      t . Theta n
-    nTn: np.ndarray          # (npts, ndim)      n . Theta n
-    ndivT: np.ndarray        # (npts, ndim)      n . div Theta
-
-
-def _pw(base, expo):
-    """base**expo with expo < 0 treated as exponent 0 (the factor in front
-    is zero in that case)."""
-    return base[:, None] ** np.maximum(expo, 0)[None, :]
+    values: np.ndarray       # (..., npts, ndim, 2, 2)
+    div: np.ndarray          # (..., npts, ndim, 2)
+    divdiv: np.ndarray       # (..., npts, ndim)
 
 
 class ScalarBasis:
-    """Scaled monomials of total degree <= p on one triangle."""
+    """Scaled monomials of total degree <= p on one triangle, or on a
+    stack of triangles when ``centroid`` is (..., 2) and ``scale`` (...)."""
 
     def __init__(self, p, centroid, scale):
         self.p = int(p)
         self.centroid = np.asarray(centroid, dtype=float)
-        self.scale = float(scale)
+        self.scale = np.asarray(scale, dtype=float)
         expo = _grlex_exponents(self.p)
         self.exp_i = np.array([e[0] for e in expo])
         self.exp_j = np.array([e[1] for e in expo])
         self.dim = len(expo)
 
     def eval(self, points):
+        """Tables at ``points`` (npts, 2); a stacked basis takes points
+        (..., npts, 2) with its own leading axes."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        xi = (points[:, 0] - self.centroid[0]) / self.scale
-        ps = (points[:, 1] - self.centroid[1]) / self.scale
+        h = self.scale[..., None]
+        xi = (points[..., 0] - self.centroid[..., 0, None]) / h
+        ps = (points[..., 1] - self.centroid[..., 1, None]) / h
+        h = h[..., None, None]
+        # powers 0..p; a negative exponent reads power 0, the factor in
+        # front of it is zero then
+        X = xi[..., None] ** np.arange(self.p + 1)
+        Y = ps[..., None] ** np.arange(self.p + 1)
         i, j = self.exp_i, self.exp_j
-        xi_i = _pw(xi, i)
-        ps_j = _pw(ps, j)
-        xi_im1 = _pw(xi, i - 1)
-        ps_jm1 = _pw(ps, j - 1)
-        vals = xi_i * ps_j
-        grads = np.stack([i * xi_im1 * ps_j, j * xi_i * ps_jm1],
-                         axis=2) / self.scale
-        hxx = i * (i - 1) * _pw(xi, i - 2) * ps_j
-        hxy = i * j * xi_im1 * ps_jm1
-        hyy = j * (j - 1) * xi_i * _pw(ps, j - 2)
+        im1, jm1 = np.maximum(i - 1, 0), np.maximum(j - 1, 0)
+        im2, jm2 = np.maximum(i - 2, 0), np.maximum(j - 2, 0)
+        vals = X[..., i] * Y[..., j]
+        grads = np.empty(vals.shape + (2,))
+        grads[..., 0] = i * X[..., im1] * Y[..., j]
+        grads[..., 1] = j * X[..., i] * Y[..., jm1]
+        grads /= h
         hess = np.empty(vals.shape + (2, 2))
-        hess[..., 0, 0] = hxx
-        hess[..., 0, 1] = hxy
-        hess[..., 1, 0] = hxy
-        hess[..., 1, 1] = hyy
-        hess /= self.scale ** 2
+        hess[..., 0, 0] = i * (i - 1) * X[..., im2] * Y[..., j]
+        hess[..., 0, 1] = i * j * X[..., im1] * Y[..., jm1]
+        hess[..., 1, 0] = hess[..., 0, 1]
+        hess[..., 1, 1] = j * (j - 1) * X[..., i] * Y[..., jm2]
+        hess /= (h ** 2)[..., None]
         return ScalarTable(vals, grads, hess)
 
 
@@ -167,40 +160,19 @@ class TensorBasis:
 
     def eval(self, points):
         vals, grads, hess = self.scalar.eval(points)
-        npts, nsc = vals.shape
-        values = np.einsum("qa,kij->qakij", vals, SLOTS)
-        values = values.reshape(npts, self.dim, 2, 2)
+        lead = vals.shape[:-1]
+        values = np.einsum("...a,kij->...akij", vals, SLOTS)
+        values = values.reshape(lead + (self.dim, 2, 2))
 
-        div = np.zeros((npts, nsc, 3, 2))
-        div[:, :, 0, 0] = grads[:, :, 0]                    # E11
-        div[:, :, 1, 0] = grads[:, :, 1]                    # E12
-        div[:, :, 1, 1] = grads[:, :, 0]
-        div[:, :, 2, 1] = grads[:, :, 1]                    # E22
-        div = div.reshape(npts, self.dim, 2)
+        div = np.zeros(vals.shape + (3, 2))
+        div[..., 0, 0] = grads[..., 0]                      # E11
+        div[..., 1, 0] = grads[..., 1]                      # E12
+        div[..., 1, 1] = grads[..., 0]
+        div[..., 2, 1] = grads[..., 1]                      # E22
+        div = div.reshape(lead + (self.dim, 2))
 
-        divdiv = np.stack([hess[:, :, 0, 0],
-                           2.0 * hess[:, :, 0, 1],
-                           hess[:, :, 1, 1]], axis=2)
-        divdiv = divdiv.reshape(npts, self.dim)
+        divdiv = np.stack([hess[..., 0, 0],
+                           2.0 * hess[..., 0, 1],
+                           hess[..., 1, 1]], axis=-1)
+        divdiv = divdiv.reshape(lead + (self.dim,))
         return TensorTable(values, div, divdiv)
-
-    def edge_traces(self, points, tangent, normal):
-        """Traces on an edge with the given unit tangent/normal."""
-        values, div, _ = self.eval(points)
-        Tn = np.einsum("qaij,j->qai", values, normal)
-        return EdgeTraces(Tn,
-                          Tn @ tangent,
-                          Tn @ normal,
-                          div @ normal)
-
-
-def eval_scalar(basis, points):
-    """Values, gradients and symmetric Hessians of each basis function at
-    each point (exact, no finite differences)."""
-    return basis.eval(points)
-
-
-def eval_tensor(basis, points):
-    """Tensor values, row-wise divergences and twice-iterated divergences
-    of each tensor basis function at each point."""
-    return basis.eval(points)

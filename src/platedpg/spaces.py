@@ -28,7 +28,8 @@ import scipy.sparse as sp
 
 from .errors import ConfigurationError
 from .mesh import Mesh, vertex_patch
-from .polyquad import (EDGE_POINTS, ScalarBasis, TensorBasis, edge_rule)
+from .polyquad import (EDGE_POINTS, SLOTS, ScalarBasis, TensorBasis,
+                       edge_rule)
 
 
 # ---------------------------------------------------------------------------
@@ -36,42 +37,39 @@ from .polyquad import (EDGE_POINTS, ScalarBasis, TensorBasis, edge_rule)
 # ---------------------------------------------------------------------------
 
 class ElementGeometry:
-    """Per-triangle frame shared by the pairing and assembly routines."""
+    """Frame of triangle ``t``, shared by the pairing and assembly
+    routines.  An index array ``t`` gives the frames of those triangles
+    stacked: every attribute gains a leading element axis."""
 
-    def __init__(self, mesh: Mesh, t: int):
-        self.t = int(t)
+    def __init__(self, mesh: Mesh, t):
         self.vids = mesh.tri_vertices[t]
         self.P = mesh.coords[self.vids]
-        self.area = float(mesh.tri_area[t])
+        self.area = mesh.tri_area[t]
         self.centroid = mesh.tri_centroid[t]
-        self.diam = float(mesh.tri_diam[t])
+        self.diam = mesh.tri_diam[t]
         self.eids = mesh.tri_edges[t]
         self.length = mesh.edge_length[self.eids]
         self.tau = mesh.edge_tangent[self.eids]       # canonical tangents
         self.nrm = mesh.edge_normal[self.eids]        # canonical normals
         self.sign = mesh.edge_sign[t].astype(float)   # s_{T,E}
         # canonical endpoints of local edge k as local vertex indices
+        nxt, prv = (np.arange(3) + 1) % 3, (np.arange(3) + 2) % 3
         lo_vid = mesh.edge_vertices[self.eids, 0]
-        self.lo_local = np.where(self.vids[(np.arange(3) + 1) % 3] == lo_vid,
-                                 (np.arange(3) + 1) % 3, (np.arange(3) + 2) % 3)
-        self.hi_local = np.where(self.lo_local == (np.arange(3) + 1) % 3,
-                                 (np.arange(3) + 2) % 3, (np.arange(3) + 1) % 3)
+        self.lo_local = np.where(self.vids[..., nxt] == lo_vid, nxt, prv)
+        self.hi_local = np.where(self.lo_local == nxt, prv, nxt)
 
     def edge_points(self, k, s):
-        """Points on local edge k at canonical parameters s in [0, 1]."""
-        a = self.P[self.lo_local[k]]
-        b = self.P[self.hi_local[k]]
-        return a[None, :] + np.outer(s, b - a)
+        """Points (..., len(s), 2) on local edge k at canonical parameters
+        s in [0, 1]."""
+        a = np.take_along_axis(self.P, self.lo_local[..., k, None, None], -2)
+        b = np.take_along_axis(self.P, self.hi_local[..., k, None, None], -2)
+        return a + np.reshape(s, (-1, 1)) * (b - a)
 
     def scalar_basis(self, p):
         return ScalarBasis(p, self.centroid, self.diam)
 
     def tensor_basis(self, p):
         return TensorBasis(p, self.centroid, self.diam)
-
-
-def element_geometry(mesh, t):
-    return ElementGeometry(mesh, t)
 
 
 # ---------------------------------------------------------------------------
@@ -96,30 +94,24 @@ def uhat_edge_data(geom: ElementGeometry, k: int):
     """Maps from the 9 local uhat DOFs to the edge-trace data of local
     edge k.
 
-    Returns a (6, 9) matrix picking (z_lo, dz_lo, z_hi, dz_hi, gn_lo,
+    Returns a (..., 6, 9) matrix picking (z_lo, dz_lo, z_hi, dz_hi, gn_lo,
     gn_hi): endpoint values, endpoint tangential derivatives with respect
     to the arc parameter, and endpoint normal derivatives along the
     canonical normal.  Local uhat DOF order: per counterclockwise vertex
     (value, d/dx, d/dy).
     """
-    L = geom.length[k]
-    tau = geom.tau[k]
-    nrm = geom.nrm[k]
-    D = np.zeros((6, 9))
-    for row, (loc, vec) in enumerate((
-            (geom.lo_local[k], None),
-            (geom.lo_local[k], L * tau),
-            (geom.hi_local[k], None),
-            (geom.hi_local[k], L * tau),
-            (geom.lo_local[k], nrm),
-            (geom.hi_local[k], nrm))):
-        base = 3 * loc
-        if vec is None:
-            D[row, base] = 1.0
-        else:
-            D[row, base + 1] = vec[0]
-            D[row, base + 2] = vec[1]
-    return D
+    lo = (np.arange(3) == geom.lo_local[..., k, None])[..., None]
+    hi = (np.arange(3) == geom.hi_local[..., k, None])[..., None]
+    Ltau = (geom.length[..., k, None] * geom.tau[..., k, :])[..., None, :]
+    nrm = geom.nrm[..., k, None, :]
+    D = np.zeros(lo.shape[:-2] + (6, 3, 3))     # (row, vertex, component)
+    D[..., 0, :, :1] = lo
+    D[..., 1, :, 1:] = lo * Ltau
+    D[..., 2, :, :1] = hi
+    D[..., 3, :, 1:] = hi * Ltau
+    D[..., 4, :, 1:] = lo * nrm
+    D[..., 5, :, 1:] = hi * nrm
+    return D.reshape(D.shape[:-2] + (9,))
 
 
 def uhat_trace_on_edge(geom, k, udofs, s):
@@ -169,41 +161,42 @@ def qhat_pair_local(geom, qdofs, zcoeffs):
 
 def uhat_pair_matrix(geom, tensor_basis):
     """Skeleton pairing of every tensor test function against every local
-    uhat unit DOF; shape (tensor dim, 9).
+    uhat unit DOF; shape (..., tensor dim, 9).
 
     Entry (i, j) is the boundary duality of tensor basis function i with
     the edge traces induced by uhat unit DOF j: the integral over each
     edge of ``(n.div Theta) z - (Theta n) . grad z`` with the element's
-    outward normal n.
+    outward normal n.  For ``Theta = phi S`` (scalar phi, symmetric slot
+    S) the integrand is ``(S n) . (z grad phi - phi grad z)``, so only the
+    scalar basis is evaluated on the edges.
     """
     rule = edge_rule(EDGE_POINTS)
-    h, dh = _hermite(rule.points)
-    out = np.zeros((tensor_basis.dim, 9))
+    s, w = rule.points, rule.weights
+    h, dh = _hermite(s)
+    zero2 = np.zeros((len(s), 2))
+    # value, arc derivative and normal derivative of the edge trace as
+    # combinations of the six edge data of uhat_edge_data
+    pick_z = np.concatenate([h, zero2], axis=1)
+    pick_dz = np.concatenate([dh, zero2], axis=1)
+    pick_gn = np.concatenate([np.zeros((len(s), 4)),
+                              np.stack([1.0 - s, s], axis=1)], axis=1)
+    out = 0.0
     for k in range(3):
-        L = geom.length[k]
-        pts = geom.edge_points(k, rule.points)
-        traces = tensor_basis.edge_traces(pts, geom.tau[k], geom.nrm[k])
         D = uhat_edge_data(geom, k)
-        # value/gradient traces of each unit DOF at the quadrature points
-        zq = np.stack([h[:, 0], h[:, 1], h[:, 2], h[:, 3],
-                       np.zeros_like(rule.points),
-                       np.zeros_like(rule.points)], axis=1) @ D
-        dzq = np.stack([dh[:, 0], dh[:, 1], dh[:, 2], dh[:, 3],
-                        np.zeros_like(rule.points),
-                        np.zeros_like(rule.points)], axis=1) @ D
-        gnq = np.stack([np.zeros_like(rule.points),
-                        np.zeros_like(rule.points),
-                        np.zeros_like(rule.points),
-                        np.zeros_like(rule.points),
-                        1.0 - rule.points, rule.points], axis=1) @ D
-        # grad z on the edge in the canonical frame
-        gradq = (dzq[:, None, :] / L * geom.tau[k][None, :, None]
-                 + gnq[:, None, :] * geom.nrm[k][None, :, None])  # (q, 2, 9)
-        ndiv = geom.sign[k] * traces.ndivT                         # (q, dim)
-        Tn = geom.sign[k] * traces.Tn                              # (q, dim, 2)
-        integrand = (np.einsum("qa,qj->qaj", ndiv, zq)
-                     - np.einsum("qai,qij->qaj", Tn, gradq))
-        out += L * np.einsum("q,qaj->aj", rule.weights, integrand)
+        zq = pick_z @ D                                         # (..., q, 9)
+        gradq = ((pick_dz @ D)[..., None, :]
+                 / geom.length[..., k, None, None, None]
+                 * geom.tau[..., k, None, :, None]
+                 + (pick_gn @ D)[..., None, :]
+                 * geom.nrm[..., k, None, :, None])            # (..., q, 2, 9)
+        phi, gphi, _ = tensor_basis.scalar.eval(geom.edge_points(k, s))
+        X = (np.einsum("q,...qai,...qj->...aij", w, gphi, zq)
+             - np.einsum("q,...qa,...qij->...aij", w, phi, gradq))
+        n_out = geom.sign[..., k, None] * geom.nrm[..., k, :]
+        Sn = np.einsum("kij,...j->...ki", SLOTS, n_out)
+        pair = np.einsum("...ki,...aij->...akj", Sn, X)
+        out = out + (geom.length[..., k, None, None, None] * pair).reshape(
+            pair.shape[:-3] + (tensor_basis.dim, 9))
     return out
 
 
@@ -480,12 +473,6 @@ class DofMap:
     n_uhat_free: int
     n_qhat_free: int
 
-    def iu(self, t):
-        return self.off_u + t
-
-    def im(self, t, c):
-        return self.off_m + 3 * t + c
-
     def iuhat(self, v, c):
         return self.off_uhat + 3 * v + c
 
@@ -501,16 +488,18 @@ class DofMap:
     def element_scatter(self, t):
         """Full-vector indices of the 22 local trial DOFs of triangle t in
         the fixed local order: u, (M11, M12, M22), per-vertex uhat
-        triples, per-edge (alpha, beta), per-vertex gamma."""
-        mesh = self.mesh
-        idx = [self.iu(t)]
-        idx += [self.im(t, c) for c in range(3)]
-        for v in mesh.tri_vertices[t]:
-            idx += [self.iuhat(int(v), c) for c in range(3)]
-        for e in mesh.tri_edges[t]:
-            idx += [self.ialpha(int(e)), self.ibeta(int(e))]
-        idx += [self.igamma(t, c) for c in range(3)]
-        return np.array(idx, dtype=np.int64)
+        triples, per-edge (alpha, beta), per-vertex gamma.  An index array
+        t gives one row per triangle."""
+        t = np.asarray(t, dtype=np.int64)
+        c = np.arange(3)
+        uhat = self.off_uhat + 3 * self.mesh.tri_vertices[t][..., None] + c
+        e = self.mesh.tri_edges[t]
+        qhat = np.stack([self.off_alpha + e, self.off_beta + e], axis=-1)
+        t = t[..., None]
+        return np.concatenate([self.off_u + t, self.off_m + 3 * t + c,
+                               uhat.reshape(t.shape[:-1] + (9,)),
+                               qhat.reshape(t.shape[:-1] + (6,)),
+                               self.off_gamma + 3 * t + c], axis=-1)
 
     def recover_full(self, x_free):
         return self.R @ x_free + self.x_prescribed

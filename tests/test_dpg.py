@@ -9,8 +9,8 @@ from platedpg.mesh import (mesh_from_arrays, reference_triangle_mesh,
                            unit_square_mesh)
 from platedpg.polyquad import tri_rule
 from platedpg.problems import (MaterialLaw, ProblemSpec,
-                               builtin_square_problem)
-from platedpg.spaces import build_dofmap, interpolate_uhat_bc
+                               builtin_square_problem, builtin_zshape_problem)
+from platedpg.spaces import ElementGeometry, build_dofmap, interpolate_uhat_bc
 
 
 def clamped_zero_bc(mesh):
@@ -36,11 +36,12 @@ def test_gram_quadratic_entry_against_oracle():
     terms, checked against an independent dense quadrature."""
     mesh = mesh_from_arrays([(0.2, 0.1), (1.1, 0.3), (0.4, 1.0)], [(0, 1, 2)])
     G = dpg.local_gram(mesh, 0)
-    ctx = dpg.element_context(mesh, 0)
-    i = int(np.nonzero((ctx.sbasis.exp_i == 2) & (ctx.sbasis.exp_j == 0))[0][0])
-    pts, w = tri_rule(12).map_to(ctx.geom.P)
-    xi = (pts[:, 0] - ctx.geom.centroid[0]) / ctx.geom.diam
-    oracle = w @ xi ** 4 + (2.0 / ctx.geom.diam ** 2) ** 2 * ctx.geom.area
+    geom = ElementGeometry(mesh, 0)
+    sbasis = geom.scalar_basis(3)
+    i = int(np.nonzero((sbasis.exp_i == 2) & (sbasis.exp_j == 0))[0][0])
+    pts, w = tri_rule(12).map_to(geom.P)
+    xi = (pts[:, 0] - geom.centroid[0]) / geom.diam
+    oracle = w @ xi ** 4 + (2.0 / geom.diam ** 2) ** 2 * geom.area
     assert abs(G[i, i] - oracle) < 1e-13 * oracle
 
 
@@ -73,12 +74,13 @@ def test_local_b_moment_column_against_area():
     """The M11 column against the test whose Hessian is the constant
     e1 x e1 equals the element area (scaled frame factors cancel)."""
     mesh = reference_triangle_mesh()
-    ctx = dpg.element_context(mesh, 0)
+    geom = ElementGeometry(mesh, 0)
+    sbasis = geom.scalar_basis(3)
     B = dpg.local_b(mesh, 0, MaterialLaw(1.0, 0.0))
-    i = int(np.nonzero((ctx.sbasis.exp_i == 2) & (ctx.sbasis.exp_j == 0))[0][0])
+    i = int(np.nonzero((sbasis.exp_i == 2) & (sbasis.exp_j == 0))[0][0])
     # test function: xi^2 with Hessian 2/h^2 e1e1; scale back to h^2/2 Hess
-    h = ctx.geom.diam
-    assert abs((h ** 2 / 2.0) * B[i, 1] - ctx.geom.area) < 1e-13
+    h = geom.diam
+    assert abs((h ** 2 / 2.0) * B[i, 1] - geom.area) < 1e-13
 
 
 def test_local_load():
@@ -89,44 +91,110 @@ def test_local_load():
     assert abs(load1[0] - (-0.5)) < 1e-14
     np.testing.assert_allclose(load1[10:], 0.0)
     # against the test function x (fitted in the scaled basis):
-    ctx = dpg.element_context(mesh, 0)
-    pts, _ = tri_rule(8).map_to(ctx.geom.P)
-    table = ctx.sbasis.eval(pts)
+    geom = ElementGeometry(mesh, 0)
+    pts, _ = tri_rule(8).map_to(geom.P)
+    table = geom.scalar_basis(3).eval(pts)
     coeffs, *_ = np.linalg.lstsq(table.values, pts[:, 0], rcond=None)
     assert abs(load1[:10] @ coeffs - (-1.0 / 6.0)) < 1e-13
 
 
 def test_condense_degenerate_and_identity_gram():
-    loc = dpg.LocalSystem(B=np.zeros((4, 3)), G=np.eye(4), load=np.zeros(4))
-    A, b = dpg.condense(loc)
-    np.testing.assert_allclose(A, 0.0)
-    np.testing.assert_allclose(b, 0.0)
+    W, v = dpg.condense(np.zeros((1, 4, 3)), np.eye(4)[None],
+                        np.zeros((1, 4)))
+    np.testing.assert_allclose(W[0].T @ W[0], 0.0)
+    np.testing.assert_allclose(W[0].T @ v[0], 0.0)
     rng = np.random.default_rng(2)
     B = rng.normal(size=(4, 3))
     load = rng.normal(size=4)
-    A, b = dpg.condense(dpg.LocalSystem(B=B, G=np.eye(4), load=load))
-    np.testing.assert_allclose(A, B.T @ B, atol=1e-14)
-    np.testing.assert_allclose(b, B.T @ load, atol=1e-14)
+    W, v = dpg.condense(B[None], np.eye(4)[None], load[None])
+    np.testing.assert_allclose(W[0].T @ W[0], B.T @ B, atol=1e-14)
+    np.testing.assert_allclose(W[0].T @ v[0], B.T @ load, atol=1e-14)
 
 
 def test_condense_against_dense_inverse_oracle():
     rng = np.random.default_rng(4)
-    B = rng.normal(size=(4, 3))
-    load = rng.normal(size=4)
-    X = rng.normal(size=(4, 4))
-    G = X @ X.T + 4.0 * np.eye(4)
-    A, b = dpg.condense(dpg.LocalSystem(B=B, G=G, load=load))
-    Ginv = np.linalg.inv(G)
-    np.testing.assert_allclose(A, B.T @ Ginv @ B, atol=1e-12)
-    np.testing.assert_allclose(b, B.T @ Ginv @ load, atol=1e-12)
+    B = rng.normal(size=(3, 4, 3))
+    load = rng.normal(size=(3, 4))
+    X = rng.normal(size=(3, 4, 4))
+    G = X @ np.swapaxes(X, 1, 2) + 4.0 * np.eye(4)
+    W, v = dpg.condense(B, G, load)
+    for t in range(3):
+        Ginv = np.linalg.inv(G[t])
+        np.testing.assert_allclose(W[t].T @ W[t], B[t].T @ Ginv @ B[t],
+                                   atol=1e-12)
+        np.testing.assert_allclose(W[t].T @ v[t], B[t].T @ Ginv @ load[t],
+                                   atol=1e-12)
 
 
 def test_condense_propagates_spd_failure():
-    loc = dpg.LocalSystem(B=np.zeros((2, 2)),
-                          G=np.array([[1.0, 2.0], [2.0, 1.0]]),
-                          load=np.zeros(2))
-    with pytest.raises(SPDError):
-        dpg.condense(loc)
+    G = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])])
+    with pytest.raises(SPDError,
+                       match="element Gram matrix 1 is not SPD") as err:
+        dpg.condense(np.zeros((2, 2, 2)), G, np.zeros((2, 2)))
+    assert err.value.pivot == 1
+
+
+# ---------------------------------------------------------------------------
+# batched element path against single elements and dense oracles
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def graded_zshape():
+    """Adaptive Z-shape mesh with more than 100 triangles, graded towards
+    the reentrant corner by the estimator-driven loop, and its stacked
+    element matrices."""
+    from platedpg.driver import dorfler_mark, solve_problem
+    from platedpg.mesh import nvb_refine
+    prob = builtin_zshape_problem()
+    mesh = prob.initial_mesh
+    while mesh.num_triangles < 100:
+        _, est, _, _ = solve_problem(prob, mesh)
+        mesh = nvb_refine(mesh, dorfler_mark(est.per_element, 0.5))
+    geom = ElementGeometry(mesh, np.arange(mesh.num_triangles))
+    B, G, load = dpg.element_matrices(geom, prob.material, prob.f)
+    return prob, mesh, B, G, load
+
+
+def test_batched_matches_single_element_path(graded_zshape):
+    prob, mesh, B, G, load = graded_zshape
+    f = lambda p: 1.0 + p[:, 0] ** 2
+    _, _, load_f = dpg.element_matrices(
+        ElementGeometry(mesh, np.arange(mesh.num_triangles)), prob.material,
+        f)
+    for t in (0, mesh.num_triangles // 2, mesh.num_triangles - 1):
+        for batched, single in ((B[t], dpg.local_b(mesh, t, prob.material)),
+                                (G[t], dpg.local_gram(mesh, t)),
+                                (load_f[t], dpg.local_load(mesh, t, f))):
+            assert np.abs(batched - single).max() <= 1e-12 * np.abs(
+                single).max()
+
+
+def test_estimate_equals_dense_dual_norm(graded_zshape):
+    """eta_T = ||v - W x_T|| equals sqrt(r^T G^{-1} r) from a dense solve.
+
+    The trial vector is random: at the discrete solution the residual
+    cancels, and the dense oracle itself then carries errors near 1e-10
+    on the smallest elements.
+    """
+    prob, mesh, B, G, load = graded_zshape
+    dm = build_dofmap(mesh, prob.bc_builder(mesh))
+    x = np.random.default_rng(0).normal(size=dm.full_dim)
+    est = dpg.estimate(mesh, dm, prob, dpg.Solution(mesh, dm, x))
+    r = load - (B @ x[dm.element_scatter(np.arange(mesh.num_triangles)),
+                      None])[..., 0]
+    oracle = np.sqrt(np.einsum("ti,ti->t", r,
+                               np.linalg.solve(G, r[..., None])[..., 0]))
+    np.testing.assert_allclose(est.per_element, oracle, rtol=1e-10)
+
+
+def test_condensed_blocks_equal_dense_schur_complement(graded_zshape):
+    prob, mesh, B, G, load = graded_zshape
+    dm = build_dofmap(mesh, prob.bc_builder(mesh))
+    systems = dpg.build_element_systems(mesh, dm, prob.material, prob.f)
+    A = np.swapaxes(systems.W, 1, 2) @ systems.W
+    oracle = np.swapaxes(B, 1, 2) @ np.linalg.solve(G, B)
+    err = np.abs(A - oracle).max(axis=(1, 2))
+    assert (err <= 1e-10 * np.abs(oracle).max(axis=(1, 2))).all()
 
 
 # ---------------------------------------------------------------------------

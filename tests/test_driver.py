@@ -205,3 +205,26 @@ def test_solver_failure_flushes_partial_records(tmp_path, monkeypatch):
                  "--levels", "4", "--out", str(out)])
     assert code == 3
     assert len(read_records_csv(out)) == 1
+
+
+def test_spd_failure_flushes_partial_records(tmp_path, monkeypatch):
+    """An element Gram that is not SPD mid-run also writes the records
+    collected so far and surfaces exit code 3 through the CLI."""
+    import platedpg.dpg as dpg
+
+    real = dpg.condense
+    calls = {"n": 0}
+
+    def breaking(B, G, load):
+        calls["n"] += 1
+        if calls["n"] >= 2:
+            G = G.copy()
+            G[-1] = -np.eye(G.shape[-1])
+        return real(B, G, load)
+
+    monkeypatch.setattr(dpg, "condense", breaking)
+    out = tmp_path / "partial.csv"
+    code = main(["run", "--problem", "square", "--mode", "uniform",
+                 "--levels", "4", "--out", str(out)])
+    assert code == 3
+    assert len(read_records_csv(out)) == 1

@@ -34,6 +34,19 @@ def test_dense_cholesky_roundtrip(n):
     assert np.allclose(L, np.tril(L))
 
 
+def test_dense_cholesky_stack_matches_single_and_names_matrix():
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(5, 28, 28))
+    A = X @ np.swapaxes(X, 1, 2) + 28 * np.eye(28)
+    L = dense_cholesky(A)
+    for a, l in zip(A, L):
+        np.testing.assert_array_equal(l, dense_cholesky(a))
+    A[3] = -A[3]
+    with pytest.raises(SPDError, match="matrix 3 is not SPD: pivot 0") as err:
+        dense_cholesky(A)
+    assert err.value.pivot == 0
+
+
 def test_sparse_triplets_sum_duplicates():
     A = sparse_from_triplets([0, 0, 1], [0, 0, 1], [1.0, 2.0, 5.0], 2)
     np.testing.assert_allclose(A.toarray(), [[3.0, 0.0], [0.0, 5.0]])

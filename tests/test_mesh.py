@@ -190,3 +190,17 @@ def test_refinement_edge_seeding_longest_edge():
         k = m.refinement_edge[t]
         lengths = m.edge_length[m.tri_edges[t]]
         assert lengths[k] == lengths.max()
+
+
+def test_nvb_closure_cycle_raises_typed_error():
+    """Refinement edges that chase each other around a vertex never close;
+    the closure budget turns that into a MeshStructureError."""
+    from platedpg.mesh import Mesh
+    ring = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
+    coords = np.array([(0.0, 0.0)] + ring)
+    tris = np.array([(0, 1 + i, 1 + (i + 1) % 4) for i in range(4)])
+    # local edge 1 of triangle i is the spoke it shares with triangle i+1
+    mesh = Mesh(coords, tris, np.ones(4, dtype=np.int64),
+                np.zeros(4, dtype=np.int64))
+    with pytest.raises(MeshStructureError, match="terminate"):
+        nvb_refine(mesh, [0])

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from platedpg.errors import ConfigurationError
-from platedpg.polyquad import (ScalarBasis, TensorBasis, edge_rule,
-                               eval_scalar, eval_tensor, tri_rule)
+from platedpg.polyquad import ScalarBasis, TensorBasis, edge_rule, tri_rule
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -90,7 +89,7 @@ def test_scalar_hessians_of_plain_monomials():
     # frame with centroid 0 and scale 1 makes basis functions plain x^i y^j
     basis = ScalarBasis(3, (0.0, 0.0), 1.0)
     pts = np.array([[0.3, 0.4], [0.9, 0.1]])
-    table = eval_scalar(basis, pts)
+    table = basis.eval(pts)
     idx = {(i, j): n for n, (i, j) in
            enumerate(zip(basis.exp_i, basis.exp_j))}
     h_x2 = table.hessians[:, idx[(2, 0)]]
@@ -133,7 +132,7 @@ def test_tensor_divdiv_examples():
     basis = TensorBasis(2, (0.0, 0.0), 1.0)
     sb = basis.scalar
     pts = np.array([[0.3, 0.2], [0.1, 0.7]])
-    table = eval_tensor(basis, pts)
+    table = basis.eval(pts)
     idx = {(i, j): n for n, (i, j) in enumerate(zip(sb.exp_i, sb.exp_j))}
     # Theta = [[x^2, 0], [0, y^2]] -> divdiv = 4
     dd = (table.divdiv[:, 3 * idx[(2, 0)] + 0]
@@ -150,17 +149,6 @@ def test_tensor_divdiv_constant_for_p2():
     table = basis.eval(pts)
     spread = table.divdiv.max(axis=0) - table.divdiv.min(axis=0)
     np.testing.assert_allclose(spread, 0.0, atol=1e-12)
-
-
-def test_tensor_edge_traces_constant():
-    basis = TensorBasis(2, (0.0, 0.0), 1.0)
-    pts = np.array([[0.5, 0.0]])
-    # constant E11 slot is tensor index 0
-    tr = basis.edge_traces(pts, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    assert abs(tr.nTn[0, 0]) < 1e-15
-    assert abs(tr.tTn[0, 0]) < 1e-15
-    tr = basis.edge_traces(pts, np.array([0.0, 1.0]), np.array([1.0, 0.0]))
-    assert abs(tr.nTn[0, 0] - 1.0) < 1e-15
 
 
 def test_biharmonic_consistency():
@@ -211,3 +199,17 @@ def test_mass_matrices_spd_and_conditioned(seed):
         eig = np.linalg.eigvalsh(mass)
         assert eig.min() > 0
         assert eig.max() / eig.min() < 1e8
+
+
+def test_stacked_bases_match_single_triangle_evaluation():
+    rng = np.random.default_rng(3)
+    centroids = rng.uniform(-1, 1, size=(4, 2))
+    scales = 10.0 ** rng.uniform(-3, 1, size=4)
+    pts = centroids[:, None, :] + scales[:, None, None] * rng.uniform(
+        -0.5, 0.5, size=(4, 6, 2))
+    for cls, p in ((ScalarBasis, 3), (TensorBasis, 2)):
+        stacked = cls(p, centroids, scales).eval(pts)
+        for t in range(4):
+            single = cls(p, centroids[t], scales[t]).eval(pts[t])
+            for a, b in zip(stacked, single):
+                np.testing.assert_array_equal(a[t], b)
