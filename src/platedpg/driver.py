@@ -30,7 +30,7 @@ class ExperimentConfig:
     max_levels: Optional[int] = None
     max_dofs: Optional[int] = None
     out: Optional[str] = None
-    tol: float = 1e-12
+    tol: float = 1e-12                 # bound on the solve's backward error
     dump_mesh: Optional[str] = None
 
     def __post_init__(self):
@@ -211,7 +211,9 @@ def _build_parser():
     run.add_argument("--theta", type=float, default=0.5)
     run.add_argument("--levels", type=int, default=None)
     run.add_argument("--max-dofs", type=int, default=None)
-    run.add_argument("--tol", type=float, default=1e-12)
+    run.add_argument("--tol", type=float, default=1e-12,
+                     help="bound on the normwise backward error of each "
+                          "linear solve")
     run.add_argument("--out", required=True)
     run.add_argument("--dump-mesh", default=None,
                      help="per-level mesh dump file prefix")

@@ -86,12 +86,16 @@ def fourier_eval(x, y, n_max=15):
     sx, cx = np.sin(np.outer(xf, k)), np.cos(np.outer(xf, k))
     sy, cy = np.sin(np.outer(yf, k)), np.cos(np.outer(yf, k))
 
-    u = np.einsum("qa,qb,ab->q", sx, sy, amp)
-    ux = np.einsum("qa,qb,ab->q", cx * k, sy, amp)
-    uy = np.einsum("qa,qb,ab->q", sx, cy * k, amp)
-    uxx = -np.einsum("qa,qb,ab->q", sx * k ** 2, sy, amp)
-    uyy = -np.einsum("qa,qb,ab->q", sx, sy * k ** 2, amp)
-    uxy = np.einsum("qa,qb,ab->q", cx * k, cy * k, amp)
+    def rows(X, a, Y):                 # sum_ab X_qa a_ab Y_qb
+        return np.einsum("qb,qb->q", X @ a, Y)
+
+    kc, kr = k[:, None], k[None, :]
+    u = rows(sx, amp, sy)
+    ux = rows(cx, kc * amp, sy)
+    uy = rows(sx, amp * kr, cy)
+    uxx = -rows(sx, kc ** 2 * amp, sy)
+    uyy = -rows(sx, amp * kr ** 2, sy)
+    uxy = rows(cx, kc * amp * kr, cy)
 
     grad = np.stack([ux, uy], axis=-1)
     M = np.empty(xf.shape + (2, 2))
@@ -161,29 +165,29 @@ def singular_eval(x, y):
 
 @dataclass(frozen=True)
 class ExactSolution:
-    """Point evaluators over (n, 2) point arrays; missing fields are None."""
+    """Point evaluators over (n, 2) point arrays; missing fields are None.
+    ``fields``, when set, returns (u, grad, M) from one evaluation."""
     u: Optional[Callable] = None
     grad: Optional[Callable] = None
     M: Optional[Callable] = None
+    fields: Optional[Callable] = None
 
 
-def _wrap_xy(eval_xy, component):
-    def call(points):
+def _from_xy(eval_xy):
+    """Exact solution from ``eval_xy(x, y) -> (u, grad, M)``."""
+    def fields(points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        return eval_xy(points[:, 0], points[:, 1])[component]
-    return call
+        return eval_xy(points[:, 0], points[:, 1])
+    return ExactSolution(u=lambda p: fields(p)[0], grad=lambda p: fields(p)[1],
+                         M=lambda p: fields(p)[2], fields=fields)
 
 
 def fourier_solution(n_max=15):
-    ev = lambda x, y: fourier_eval(x, y, n_max)
-    return ExactSolution(u=_wrap_xy(ev, 0), grad=_wrap_xy(ev, 1),
-                         M=_wrap_xy(ev, 2))
+    return _from_xy(lambda x, y: fourier_eval(x, y, n_max))
 
 
 def singular_solution():
-    return ExactSolution(u=_wrap_xy(singular_eval, 0),
-                         grad=_wrap_xy(singular_eval, 1),
-                         M=_wrap_xy(singular_eval, 2))
+    return _from_xy(singular_eval)
 
 
 # ---------------------------------------------------------------------------
@@ -262,18 +266,16 @@ def project_fields(mesh, u_fn, M_fn, degree=ASSEMBLY_DEGREE):
     return u_mean, M_mean
 
 
-def _subdivide(tri_coords, levels):
-    """Dyadic quadrisection of one triangle, ``levels`` deep."""
-    tris = [np.asarray(tri_coords, dtype=float)]
+def _subdivide(cells, levels):
+    """Dyadic quadrisection of stacked triangles (m, 3, 2), ``levels``
+    deep; the 4**levels children of cell i follow one another."""
     for _ in range(levels):
-        nxt = []
-        for p in tris:
-            m01, m12, m02 = 0.5 * (p[0] + p[1]), 0.5 * (p[1] + p[2]), \
-                0.5 * (p[0] + p[2])
-            nxt += [np.array([p[0], m01, m02]), np.array([m01, p[1], m12]),
-                    np.array([m02, m12, p[2]]), np.array([m01, m12, m02])]
-        tris = nxt
-    return tris
+        p0, p1, p2 = cells[:, 0], cells[:, 1], cells[:, 2]
+        m01, m12, m02 = 0.5 * (p0 + p1), 0.5 * (p1 + p2), 0.5 * (p0 + p2)
+        cells = np.stack([np.stack(c, axis=1) for c in
+                          ((p0, m01, m02), (m01, p1, m12), (m02, m12, p2),
+                           (m01, m12, m02))], axis=1).reshape(-1, 3, 2)
+    return cells
 
 
 def l2_errors(mesh, solution, exact, singular_point=None,
@@ -284,45 +286,33 @@ def l2_errors(mesh, solution, exact, singular_point=None,
     rule = tri_rule(ERROR_DEGREE)
     u_field = np.asarray(solution.u, dtype=float)
     M_field = np.asarray(solution.M, dtype=float)
+    fields = exact.fields or (lambda p: (exact.u(p), None, exact.M(p)))
 
-    singular_elems = set()
+    corner = np.zeros(mesh.num_triangles, dtype=bool)
     if singular_point is not None:
-        corner = np.asarray(singular_point, dtype=float)
-        dist = np.linalg.norm(mesh.coords - corner, axis=1)
-        for v in np.nonzero(dist < 1e-12)[0]:
-            singular_elems.update(
-                np.nonzero(np.any(mesh.tri_vertices == v, axis=1))[0])
+        dist = np.linalg.norm(mesh.coords - np.asarray(singular_point), axis=1)
+        corner = np.any(dist[mesh.tri_vertices] < 1e-12, axis=1)
+    regular, singular = np.nonzero(~corner)[0], np.nonzero(corner)[0]
+    owner = np.concatenate(
+        [regular, np.repeat(singular, 4 ** subdivision_levels)])
+    cells = np.concatenate(
+        [mesh.coords[mesh.tri_vertices[regular]],
+         _subdivide(mesh.coords[mesh.tri_vertices[singular]],
+                    subdivision_levels)])
 
-    def batch_error(cells, u_c, M_c):
-        """cells (m, 3, 2) with per-cell field values u_c (m,), M_c (m, 3)."""
-        pts = np.einsum("qc,mcd->mqd", rule.bary, cells)
-        d1 = cells[:, 1] - cells[:, 0]
-        d2 = cells[:, 2] - cells[:, 0]
-        area = 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-        w = np.outer(2.0 * area, rule.weights)              # (m, q)
-        flat = pts.reshape(-1, 2)
-        du = (np.asarray(exact.u(flat), dtype=float).reshape(w.shape)
-              - u_c[:, None])
-        dM = np.array(exact.M(flat), dtype=float).reshape(w.shape + (2, 2))
-        dM[..., 0, 0] -= M_c[:, None, 0]
-        dM[..., 0, 1] -= M_c[:, None, 1]
-        dM[..., 1, 0] -= M_c[:, None, 1]
-        dM[..., 1, 1] -= M_c[:, None, 2]
-        frob = np.einsum("mqij,mqij->mq", dM, dM)
-        return np.sum(w * du ** 2), np.sum(w * frob)
-
-    regular = np.array(sorted(set(range(mesh.num_triangles))
-                              - singular_elems), dtype=np.int64)
+    d1 = cells[:, 1] - cells[:, 0]
+    d2 = cells[:, 2] - cells[:, 0]
+    area = 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
     eu2 = em2 = 0.0
-    if regular.size:
-        eu2, em2 = batch_error(mesh.coords[mesh.tri_vertices[regular]],
-                               u_field[regular], M_field[regular])
-    for t in sorted(singular_elems):
-        cells = np.stack(_subdivide(mesh.coords[mesh.tri_vertices[t]],
-                                    subdivision_levels))
-        a, b = batch_error(cells,
-                           np.full(len(cells), u_field[t]),
-                           np.tile(M_field[t], (len(cells), 1)))
-        eu2 += a
-        em2 += b
+    for lo in range(0, len(cells), 4096):            # bounds the memory
+        c = slice(lo, lo + 4096)
+        pts = np.einsum("qc,mcd->mqd", rule.bary, cells[c])
+        w = np.outer(2.0 * area[c], rule.weights)           # (m, q)
+        u, _, M = fields(pts.reshape(-1, 2))
+        du = (np.asarray(u, dtype=float).reshape(w.shape)
+              - u_field[owner[c], None])
+        dM = (np.asarray(M, dtype=float).reshape(w.shape + (2, 2))
+              - M_field[owner[c]][:, [0, 1, 1, 2]].reshape(-1, 1, 2, 2))
+        eu2 += np.sum(w * du ** 2)
+        em2 += np.sum(w * np.einsum("mqij,mqij->mq", dM, dM))
     return float(np.sqrt(eu2)), float(np.sqrt(em2))

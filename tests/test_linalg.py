@@ -1,3 +1,6 @@
+import logging
+
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -95,3 +98,60 @@ def test_spd_solve_unreachable_tolerance_raises_with_report():
         spd_solve(A, rng.normal(size=12), tol=1e-30)
     assert isinstance(err.value.report, SolveReport)
     assert err.value.report.iterations == 10 * 12
+
+
+def test_spd_solve_meets_backward_error_above_residual_floor():
+    """The smoothest mode of the 1-D Laplacian: ||b|| is 4e5 times smaller
+    than ||A|| ||x||, so rounding alone keeps ||Ax-b|| / ||b|| near 5e-11,
+    while the backward error of the factorization is at rounding level."""
+    import scipy.sparse as sp
+    n = 2000
+    A = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
+                 [-1, 0, 1], format="csr")
+    x_true = np.sin(np.pi * np.arange(1, n + 1) / (n + 1))
+    x, report = spd_solve(A, A @ x_true)
+    assert report.iterations == 0
+    assert report.relative_residual > 1e-12
+    assert report.backward_error <= 1e-15
+    assert report.fill > 0
+    assert np.linalg.norm(x - x_true) <= 1e-10 * np.linalg.norm(x_true)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 40), density=st.floats(0.05, 0.5),
+       seed=st.integers(0, 2 ** 32 - 1),
+       exponents=st.lists(st.floats(-8.0, 8.0), min_size=40, max_size=40))
+def test_spd_solve_badly_scaled_random_spd(n, density, seed, exponents):
+    """A = D S D with S a random sparse SPD matrix and D a diagonal scaling
+    from 1e-8 to 1e8.  The solution must meet the backward-error bound and,
+    in the scaled unknowns D x, agree with a dense solve of S y = D^{-1} b
+    to within the condition number of S times the rounding of both."""
+    import scipy.sparse as sp
+    rng = np.random.default_rng(seed)
+    R = sp.random(n, n, density=density, random_state=rng, format="csr")
+    S = R + R.T
+    S = S + sp.diags(abs(S).sum(axis=1).A1 + 1.0)
+    d = 10.0 ** np.asarray(exponents[:n])
+    A = (sp.diags(d) @ S @ sp.diags(d)).tocsr()
+    b = d * rng.normal(size=n)
+    tol = 1e-12
+    x, report = spd_solve(A, b, tol=tol)
+    assert report.backward_error <= tol
+    assert report.fill > 0
+    y_ref = np.linalg.solve(S.toarray(), b / d)
+    cond_S = np.linalg.cond(S.toarray(), np.inf)
+    err = np.abs(d * x - y_ref).max() / np.abs(y_ref).max()
+    assert err <= 2.0 * cond_S * (tol + n * np.finfo(float).eps)
+
+
+def test_spd_solve_logs_one_debug_record(caplog):
+    import scipy.sparse as sp
+    A = sp.diags([1.0, 2.0, 3.0]).tocsr()
+    with caplog.at_level(logging.DEBUG, logger="platedpg.linalg"):
+        spd_solve(A, np.ones(3))
+    records = [r for r in caplog.records if r.name == "platedpg.linalg"]
+    assert len(records) == 1
+    message = records[0].getMessage()
+    for key in ("LU", "n=3", "nnz=3", "fill=", "refinement_steps=0",
+                "backward_error=", "relative_residual="):
+        assert key in message

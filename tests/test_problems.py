@@ -335,3 +335,53 @@ def test_l2_errors_singular_subdivision_improves():
                        subdivision_levels=0)
     assert abs(em4 - em_ref) < abs(em0 - em_ref)
     assert abs(em4 - em_ref) <= 1e-4 * em_ref
+
+
+def _l2_errors_per_element(mesh, sol, exact, singular_point=None, levels=4):
+    """Reference: one triangle and one quadrisected cell at a time, with u
+    and M evaluated by separate calls."""
+    from platedpg.polyquad import ERROR_DEGREE, tri_rule
+    rule = tri_rule(ERROR_DEGREE)
+    eu2 = em2 = 0.0
+    for t in range(mesh.num_triangles):
+        tri = mesh.coords[mesh.tri_vertices[t]]
+        cells = [tri]
+        if singular_point is not None and np.any(
+                np.linalg.norm(tri - singular_point, axis=1) < 1e-12):
+            for _ in range(levels):
+                cells = [np.array(c) for p in cells for c in (
+                    (p[0], (p[0] + p[1]) / 2, (p[0] + p[2]) / 2),
+                    ((p[0] + p[1]) / 2, p[1], (p[1] + p[2]) / 2),
+                    ((p[0] + p[2]) / 2, (p[1] + p[2]) / 2, p[2]),
+                    ((p[0] + p[1]) / 2, (p[1] + p[2]) / 2,
+                     (p[0] + p[2]) / 2))]
+        a, b, c = sol.M[t]
+        M_t = np.array([[a, b], [b, c]])
+        for cell in cells:
+            e1, e2 = cell[1] - cell[0], cell[2] - cell[0]
+            area = 0.5 * abs(e1[0] * e2[1] - e1[1] * e2[0])
+            pts = rule.bary @ cell
+            eu2 += 2 * area * rule.weights @ (exact.u(pts) - sol.u[t]) ** 2
+            em2 += 2 * area * rule.weights @ np.sum(
+                (exact.M(pts) - M_t) ** 2, axis=(1, 2))
+    return np.sqrt(eu2), np.sqrt(em2)
+
+
+def test_l2_errors_match_per_element_reference():
+    from platedpg.mesh import nvb_refine, uniform_refine
+    rng = np.random.default_rng(5)
+    square = builtin_square_problem()
+    mesh = uniform_refine(uniform_refine(square.initial_mesh))
+    zshape = builtin_zshape_problem()
+    zmesh = zshape.initial_mesh
+    for _ in range(3):
+        at_corner = np.all(zmesh.coords[zmesh.tri_vertices] == 0.0, axis=2)
+        zmesh = nvb_refine(zmesh, set(np.nonzero(at_corner.any(axis=1))[0]))
+    at_corner = np.all(zmesh.coords[zmesh.tri_vertices] == 0.0, axis=2)
+    assert at_corner.any(axis=1).sum() >= 5
+    for m, prob in ((mesh, square), (zmesh, zshape)):
+        nT = m.num_triangles
+        sol = FieldStub(rng.normal(size=nT), rng.normal(size=(nT, 3)))
+        got = l2_errors(m, sol, prob.exact, singular_point=prob.singular_point)
+        ref = _l2_errors_per_element(m, sol, prob.exact, prob.singular_point)
+        np.testing.assert_allclose(got, ref, rtol=1e-12)
