@@ -2,9 +2,7 @@
 
 ``spd_solve`` factors A once with SuperLU in symmetric mode (minimum-degree
 ordering on the pattern of A^T + A, diagonal pivots: Cholesky in all but
-name), refines the solution while its normwise backward error still
-improves, and falls back to Jacobi-preconditioned conjugate gradients only
-if the factorization fails or misses the bound.
+name) and refines the solution while its normwise backward error improves.
 """
 
 from dataclasses import dataclass
@@ -22,11 +20,11 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class SolveReport:
-    iterations: int                  # CG steps, 0 on the LU path
+    iterations: int                  # iterative refinement steps
     relative_residual: float         # ||Ax-b||_2 / ||b||_2
     wall_time: float
     backward_error: float = 0.0      # ||Ax-b||_inf / (||A|| ||x|| + ||b||)
-    fill: int = 0                    # nnz(L) + nnz(U), 0 on the CG path
+    fill: int = 0                    # nnz(L) + nnz(U)
 
 
 def dense_cholesky(A):
@@ -72,10 +70,10 @@ def spd_solve(A, b, tol=1e-12):
     """Solve A x = b for sparse SPD A to a normwise backward error
     ``||Ax-b||_inf / (||A||_inf ||x||_inf + ||b||_inf) <= tol``.
 
-    One factorization, refined while the backward error improves; the
-    conjugate-gradient fallback stops on the same bound.  Raises
-    :class:`SolverConvergenceError` with the attached report if the
-    iteration cap (10 n) is exceeded.
+    One factorization, refined while the backward error improves (at most
+    30 steps).  Raises :class:`SPDError` if A is exactly singular and
+    :class:`SolverConvergenceError`, with the report attached, if the
+    bound is missed.
     """
     t0 = time.perf_counter()
     b = np.asarray(b, dtype=float)
@@ -88,69 +86,31 @@ def spd_solve(A, b, tol=1e-12):
     def berr(x, r):
         return np.abs(r).max() / (norm_A * np.abs(x).max() + scale_b)
 
-    def finish(x, path, iterations, steps=0, fill=0):
-        r = b - A @ x
-        report = SolveReport(iterations, np.linalg.norm(r) / norm_b,
-                             time.perf_counter() - t0, berr(x, r), fill)
-        logger.debug("spd_solve %s: n=%d nnz=%d fill=%d refinement_steps=%d "
-                     "backward_error=%.2e relative_residual=%.2e", path, n,
-                     A.nnz, fill, steps, report.backward_error,
-                     report.relative_residual)
-        return report
-
-    x = np.zeros(n)
     try:
         lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
                        diag_pivot_thresh=0.0,
                        options=dict(SymmetricMode=True))
-        x = lu.solve(b)
-        r = b - A @ x
-        best, steps = berr(x, r), 0
-        while best > tol and steps < 30:
-            x_new = x + lu.solve(r)
-            r_new = b - A @ x_new
-            err = berr(x_new, r_new)
-            if not err < best:
-                break
-            x, r, best, steps = x_new, r_new, err, steps + 1
-        if best <= tol:
-            return x, finish(x, "LU", 0, steps, lu.L.nnz + lu.U.nnz)
-    except RuntimeError:
-        pass
-
-    # conjugate gradients with Jacobi scaling
-    diag = A.diagonal()
-    if np.any(diag <= 0.0):
-        raise SPDError("assembled matrix has a nonpositive diagonal entry",
-                       pivot=int(np.argmin(diag)))
-    inv_diag = 1.0 / diag
+    except RuntimeError as exc:
+        raise SPDError(f"sparse factorization failed: {exc}") from None
+    x = lu.solve(b)
     r = b - A @ x
-    z = inv_diag * r
-    p = z.copy()
-    rz = r @ z
-    max_iter = 10 * n
-    it = 0
-    while it < max_iter:
-        it += 1
-        Ap = A @ p
-        alpha = rz / (p @ Ap)
-        x = x + alpha * p
-        r = r - alpha * Ap
-        if berr(x, r) <= tol:
-            r = b - A @ x
-            if berr(x, r) <= tol:
-                return x, finish(x, "CG", it)
-            # the recurrence drifted; restart from the true residual
-            z = inv_diag * r
-            p = z.copy()
-            rz = r @ z
-            continue
-        z = inv_diag * r
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    report = finish(x, "CG", max_iter)
-    raise SolverConvergenceError(
-        f"CG did not reach backward error tol={tol:g} within {max_iter} "
-        f"iterations (backward error {report.backward_error:.3e})",
-        report=report)
+    best, steps = berr(x, r), 0
+    while best > tol and steps < 30:
+        x_new = x + lu.solve(r)
+        r_new = b - A @ x_new
+        err = berr(x_new, r_new)
+        if not err < best:
+            break
+        x, r, best, steps = x_new, r_new, err, steps + 1
+
+    fill = lu.L.nnz + lu.U.nnz
+    report = SolveReport(steps, np.linalg.norm(r) / norm_b,
+                         time.perf_counter() - t0, best, fill)
+    logger.debug("spd_solve LU: n=%d nnz=%d fill=%d refinement_steps=%d "
+                 "backward_error=%.2e relative_residual=%.2e", n, A.nnz,
+                 fill, steps, best, report.relative_residual)
+    if not best <= tol:
+        raise SolverConvergenceError(
+            f"LU with {steps} refinement steps did not reach backward error "
+            f"tol={tol:g} (backward error {best:.3e})", report=report)
+    return x, report

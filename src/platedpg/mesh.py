@@ -50,46 +50,37 @@ class Mesh:
             raise MeshStructureError("non-finite vertex coordinates")
         if tris.min(initial=0) < 0 or tris.max(initial=-1) >= n_vert:
             raise MeshStructureError("triangle references an invalid vertex id")
-        if np.any(tris[:, 0] == tris[:, 1]) or np.any(tris[:, 1] == tris[:, 2]) \
-                or np.any(tris[:, 0] == tris[:, 2]):
-            bad = [int(t) for t in range(n_tri)
-                   if len(set(tris[t])) < 3]
-            raise MeshStructureError(f"degenerate triangles (repeated vertex): {bad}")
+        degenerate = ((tris[:, 0] == tris[:, 1]) | (tris[:, 1] == tris[:, 2])
+                      | (tris[:, 0] == tris[:, 2]))
+        if degenerate.any():
+            raise MeshStructureError("degenerate triangles (repeated vertex): "
+                                     f"{np.nonzero(degenerate)[0].tolist()}")
 
-        edge_lookup = {}
-        edge_vertices = []
-        edge_adjacent = []
-        tri_edges = np.empty((n_tri, 3), dtype=np.int64)
-        for t in range(n_tri):
-            v = tris[t]
-            for k in range(3):
-                a, b = int(v[(k + 1) % 3]), int(v[(k + 2) % 3])
-                key = (a, b) if a < b else (b, a)
-                e = edge_lookup.get(key)
-                if e is None:
-                    e = len(edge_vertices)
-                    edge_lookup[key] = e
-                    edge_vertices.append(key)
-                    edge_adjacent.append([t])
-                else:
-                    edge_adjacent[e].append(t)
-                    if len(edge_adjacent[e]) > 2:
-                        raise MeshStructureError(
-                            f"edge {key} shared by more than two triangles: "
-                            f"{edge_adjacent[e]}")
-                tri_edges[t, k] = e
+        # local edge k joins local vertices k+1 and k+2; edges are numbered
+        # in the order they are first met, triangle by triangle, local edge k
+        ends = tris[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2)
+        lo, hi = ends.min(axis=1), ends.max(axis=1)
+        _, first, inverse, count = np.unique(
+            lo * n_vert + hi, return_index=True, return_inverse=True,
+            return_counts=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        self.tri_edges = rank[inverse].reshape(n_tri, 3)
+        self.edge_vertices = np.stack([lo[first[order]], hi[first[order]]],
+                                      axis=1)
+        count = count[order]
+        if np.any(count > 2):
+            e = int(np.argmax(count > 2))
+            raise MeshStructureError(
+                f"edge {tuple(self.edge_vertices[e].tolist())} shared by more "
+                "than two triangles: "
+                f"{np.nonzero((self.tri_edges == e).any(axis=1))[0].tolist()}")
+        n_edge = count.size
 
-        self.edge_lookup = edge_lookup
-        self.edge_vertices = np.array(edge_vertices, dtype=np.int64)
-        self.tri_edges = tri_edges
-        self.edge_adjacent = [tuple(a) for a in edge_adjacent]
-        n_edge = len(edge_vertices)
-
-        self.edge_on_boundary = np.array(
-            [len(a) == 1 for a in edge_adjacent], dtype=bool)
+        self.edge_on_boundary = count == 1
         self.vertex_on_boundary = np.zeros(n_vert, dtype=bool)
-        for e in np.nonzero(self.edge_on_boundary)[0]:
-            self.vertex_on_boundary[self.edge_vertices[e]] = True
+        self.vertex_on_boundary[self.edge_vertices[self.edge_on_boundary]] = True
 
         used = np.zeros(n_vert, dtype=bool)
         used[tris] = True
@@ -100,13 +91,6 @@ class Mesh:
             raise MeshStructureError(
                 "triangulation is not a simply connected polygon "
                 f"(Euler characteristic {n_vert - n_edge + n_tri} != 1)")
-
-        # triangles around each vertex
-        patches = [[] for _ in range(n_vert)]
-        for t in range(n_tri):
-            for v in tris[t]:
-                patches[v].append(t)
-        self._vertex_tris = [tuple(p) for p in patches]
 
     def _build_geometry(self):
         coords, tris = self.coords, self.tri_vertices
@@ -304,7 +288,8 @@ def uniform_refine(mesh):
 
 def vertex_patch(mesh, vertex):
     """Ids of all triangles whose closure contains the given vertex."""
-    return set(mesh._vertex_tris[int(vertex)])
+    return set(np.nonzero((mesh.tri_vertices == vertex).any(axis=1))[0]
+               .tolist())
 
 
 def mesh_to_text(mesh):

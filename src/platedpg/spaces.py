@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigurationError
-from .mesh import Mesh, vertex_patch
+from .mesh import Mesh
 from .polyquad import (EDGE_POINTS, SLOTS, ScalarBasis, TensorBasis,
                        edge_rule)
 
@@ -293,27 +293,9 @@ def extract_qhat(mesh, M_fn, divM_fn):
     gamma = np.empty((mesh.num_triangles, 3))
     for t in range(mesh.num_triangles):
         geom = ElementGeometry(mesh, t)
-        gamma[t] = corner_jumps(geom, M_fn) - _correction_jumps(geom, corr)
+        gamma[t] = (corner_jumps(geom, M_fn)
+                    - _endpoint_jumps(geom.lo_local, corr[geom.eids]))
     return alpha, beta, gamma
-
-
-def _correction_jumps(geom, corr):
-    """Corner jumps of the per-edge projection remainders, in the same
-    incoming/outgoing convention as :func:`corner_jumps`.
-
-    ``corr[e]`` holds the remainder at the canonical endpoints (v_lo,
-    v_hi) of edge e; the remainder function is frame-independent, so each
-    element reads the same values.
-    """
-    jumps = np.empty(3)
-    for c in range(3):
-        val = 0.0
-        for kk, orient in (((c + 1) % 3, 1.0), ((c + 2) % 3, -1.0)):
-            e = geom.eids[kk]
-            at_lo = geom.lo_local[kk] == c
-            val += orient * corr[e][0 if at_lo else 1]
-        jumps[c] = val
-    return jumps
 
 
 def local_qhat(mesh, t, alpha, beta, gamma):
@@ -355,30 +337,36 @@ def extract_qhat_local(mesh, t, M_fn, divM_fn):
         beta[k] = s * be
         corr[k] = co
 
-    jumps = np.empty(3)
-    for c in range(3):
-        val = 0.0
-        for kk, orient in (((c + 1) % 3, 1.0), ((c + 2) % 3, -1.0)):
-            at_start = start_local[kk] == c
-            val += orient * corr[kk][0 if at_start else 1]
-        jumps[c] = val
-    gamma = corner_jumps(geom, M_fn) - jumps
+    gamma = corner_jumps(geom, M_fn) - _endpoint_jumps(start_local, corr)
     return alpha, beta, gamma
+
+
+def _incoming_minus_outgoing(at_corner):
+    """Corner jumps ``f_in - f_out`` around one element boundary traversed
+    counterclockwise.  ``at_corner[c, k]`` is the value at corner c of a
+    quantity carried by local edge k; edge (c+1) % 3 arrives at corner c
+    and edge (c+2) % 3 leaves it."""
+    c = np.arange(3)
+    return at_corner[c, (c + 1) % 3] - at_corner[c, (c + 2) % 3]
+
+
+def _endpoint_jumps(first_local, ends):
+    """Corner jumps of per-edge values ``ends[k]`` given at the first and
+    second endpoint of local edge k; ``first_local[k]`` is the local
+    vertex of the first endpoint.  The projection remainders are
+    frame-independent, so either endpoint order reads the same values."""
+    at_first = first_local == np.arange(3)[:, None]
+    return _incoming_minus_outgoing(np.where(at_first, ends[:, 0], ends[:, 1]))
 
 
 def corner_jumps(geom, M_fn):
     """Corner jumps of ``t.M n`` between the incoming and outgoing edges
     at each corner of one element boundary."""
     corner_M = np.asarray(M_fn(geom.P), dtype=float)
-    gamma = np.empty(3)
-    for c in range(3):
-        val = 0.0
-        for kk, orient in (((c + 1) % 3, 1.0), ((c + 2) % 3, -1.0)):
-            t_ccw = geom.sign[kk] * geom.tau[kk]
-            n_out = geom.sign[kk] * geom.nrm[kk]
-            val += orient * np.einsum("ij,i,j->", corner_M[c], t_ccw, n_out)
-        gamma[c] = val
-    return gamma
+    t_ccw = geom.sign[:, None] * geom.tau
+    n_out = geom.sign[:, None] * geom.nrm
+    return _incoming_minus_outgoing(
+        np.einsum("cij,ki,kj->ck", corner_M, t_ccw, n_out))
 
 
 # ---------------------------------------------------------------------------
@@ -523,9 +511,50 @@ def _reduce_block(C, d, tag):
     return x_p, null
 
 
+def _reduce_blocks(rows, bc, kind, col0):
+    """Reduction of one family of small DOF blocks (vertex uhat triples or
+    edge (alpha, beta) pairs) whose full-vector indices are ``rows``.
+
+    Every block has a basis of its free columns, the identity unless its
+    constraints (grouped by block, in the order given) replace it by
+    their nullspace; the blocks' free columns are numbered consecutively
+    from ``col0``.  Returns the COO entries of R, the prescribed values of
+    the rows and the number of free columns.
+    """
+    n, width = rows.shape
+    cons = [c for c in bc.constraints if c.kind == kind]
+    index = np.array([c.index for c in cons], dtype=np.int64)
+    bad = index[(index < 0) | (index >= n)]
+    if bad.size:
+        raise ConfigurationError(
+            f"{kind} constraint on a nonexistent {kind}: {bad.tolist()}")
+    order = np.argsort(index, kind="stable")
+    C = np.array([c.coeffs for c in cons], dtype=float).reshape(-1, width)
+    d = np.array([c.value for c in cons], dtype=float)
+    blocks, starts = np.unique(index[order], return_index=True)
+
+    basis = np.tile(np.eye(width), (n, 1, 1))
+    n_free = np.full(n, width)
+    x_p = np.zeros((n, width))
+    for b, Cb, db in zip(blocks.tolist(), np.split(C[order], starts[1:]),
+                         np.split(d[order], starts[1:])):
+        x_p[b], null = _reduce_block(Cb, db, f"{kind} {b}")
+        basis[b] = 0.0
+        basis[b, :, :null.shape[1]] = null
+        n_free[b] = null.shape[1]
+    start = col0 + np.cumsum(n_free) - n_free
+    b, i, j = np.nonzero(basis)
+    return (rows[b, i], start[b] + j, basis[b, i, j]), x_p, int(n_free.sum())
+
+
 def build_dofmap(mesh, bc: Optional[BCSpec] = None) -> DofMap:
     """Number the four trial blocks and assemble the affine reduction for
-    the essential constraints and the gamma patch sums."""
+    the essential constraints and the gamma patch sums.
+
+    Free columns follow the full layout block by block: u and M, the
+    vertex uhat blocks, the edge (alpha, beta) blocks, then the gamma
+    corners that are not eliminated.
+    """
     bc = bc or BCSpec()
     nT, nN, nE = mesh.num_triangles, mesh.num_vertices, mesh.num_edges
     off_u = 0
@@ -535,96 +564,42 @@ def build_dofmap(mesh, bc: Optional[BCSpec] = None) -> DofMap:
     off_beta = off_alpha + nE
     off_gamma = off_beta + nE
     full_dim = off_gamma + 3 * nT
-
-    vertex_cons = {}
-    edge_cons = {}
-    for c in bc.constraints:
-        store = vertex_cons if c.kind == "vertex" else edge_cons
-        store.setdefault(c.index, []).append(c)
-
-    cols = [[] for _ in range(full_dim)]   # (free column, weight) pairs
     x_p = np.zeros(full_dim)
-    free = 0
 
-    def new_col():
-        nonlocal free
-        free += 1
-        return free - 1
+    u_m = np.arange(off_uhat)
+    uhat_rows = off_uhat + np.arange(3 * nN).reshape(nN, 3)
+    uhat, x_p[uhat_rows], n_uhat_free = _reduce_blocks(
+        uhat_rows, bc, "vertex", off_uhat)
+    edge_rows = off_alpha + np.arange(nE)[:, None] + np.array([0, nE])
+    edge, x_p[edge_rows], n_edge_free = _reduce_blocks(
+        edge_rows, bc, "edge", off_uhat + n_uhat_free)
 
-    for i in range(off_uhat):
-        cols[i].append((new_col(), 1.0))
+    # gamma: the patch triangle with the largest id carries the dependent
+    # corner at every interior vertex, minus the sum of the other corners
+    tris = mesh.tri_vertices
+    owner = np.full(nN, -1)
+    np.maximum.at(owner, tris, np.arange(nT)[:, None])
+    at_interior = ~mesh.vertex_on_boundary[tris]
+    dependent = at_interior & (owner[tris] == np.arange(nT)[:, None])
+    free = ~dependent
+    n_gamma_free = int(np.count_nonzero(free))
+    col0 = off_uhat + n_uhat_free + n_edge_free
+    col = (col0 + np.cumsum(free) - 1).reshape(nT, 3)
+    corner = off_gamma + np.arange(3 * nT).reshape(nT, 3)
+    dependent_row = np.empty(nN, dtype=np.int64)
+    dependent_row[tris[dependent]] = corner[dependent]
+    others = free & at_interior
 
-    n_uhat_free = 0
-    for v in range(nN):
-        base = off_uhat + 3 * v
-        cons = vertex_cons.get(v)
-        if not cons:
-            for c in range(3):
-                cols[base + c].append((new_col(), 1.0))
-            n_uhat_free += 3
-            continue
-        C = np.array([c.coeffs for c in cons])
-        d = np.array([c.value for c in cons])
-        xp, null = _reduce_block(C, d, f"vertex {v}")
-        x_p[base:base + 3] = xp
-        for j in range(null.shape[1]):
-            col = new_col()
-            n_uhat_free += 1
-            for c in range(3):
-                if null[c, j] != 0.0:
-                    cols[base + c].append((col, null[c, j]))
-
-    n_qhat_free = 0
-    for e in range(nE):
-        cons = edge_cons.get(e)
-        if not cons:
-            cols[off_alpha + e].append((new_col(), 1.0))
-            cols[off_beta + e].append((new_col(), 1.0))
-            n_qhat_free += 2
-            continue
-        C = np.array([c.coeffs for c in cons])
-        d = np.array([c.value for c in cons])
-        xp, null = _reduce_block(C, d, f"edge {e}")
-        x_p[off_alpha + e] = xp[0]
-        x_p[off_beta + e] = xp[1]
-        for j in range(null.shape[1]):
-            col = new_col()
-            n_qhat_free += 1
-            if null[0, j] != 0.0:
-                cols[off_alpha + e].append((col, null[0, j]))
-            if null[1, j] != 0.0:
-                cols[off_beta + e].append((col, null[1, j]))
-
-    # gamma block: eliminate one corner unknown per interior vertex
-    eliminated = {}
-    for v in mesh.interior_vertices():
-        patch = sorted(vertex_patch(mesh, v))
-        rep = patch[-1]
-        eliminated[(rep, int(v))] = [t for t in patch if t != rep]
-    gamma_col = {}
-    for t in range(nT):
-        for c in range(3):
-            v = int(mesh.tri_vertices[t, c])
-            if (t, v) in eliminated:
-                continue
-            col = new_col()
-            n_qhat_free += 1
-            gamma_col[(t, v)] = col
-            cols[off_gamma + 3 * t + c].append((col, 1.0))
-    for (rep, v), others in eliminated.items():
-        c = int(np.nonzero(mesh.tri_vertices[rep] == v)[0][0])
-        for t in others:
-            cols[off_gamma + 3 * rep + c].append((gamma_col[(t, v)], -1.0))
-
-    rows, ccols, vals = [], [], []
-    for i, entries in enumerate(cols):
-        for col, w in entries:
-            rows.append(i)
-            ccols.append(col)
-            vals.append(w)
-    R = sp.csr_matrix((vals, (rows, ccols)), shape=(full_dim, free))
+    entries = [(u_m, u_m, np.ones(off_uhat)), uhat, edge,
+               (corner[free], col[free], np.ones(n_gamma_free)),
+               (dependent_row[tris[others]], col[others],
+                np.full(np.count_nonzero(others), -1.0))]
+    rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
+    free_dim = col0 + n_gamma_free
+    R = sp.csr_matrix((vals, (rows, cols)), shape=(full_dim, free_dim))
 
     return DofMap(mesh=mesh, off_u=off_u, off_m=off_m, off_uhat=off_uhat,
                   off_alpha=off_alpha, off_beta=off_beta, off_gamma=off_gamma,
-                  full_dim=full_dim, free_dim=free, R=R, x_prescribed=x_p,
-                  n_uhat_free=n_uhat_free, n_qhat_free=n_qhat_free)
+                  full_dim=full_dim, free_dim=free_dim, R=R, x_prescribed=x_p,
+                  n_uhat_free=n_uhat_free,
+                  n_qhat_free=n_edge_free + n_gamma_free)

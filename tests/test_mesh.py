@@ -66,10 +66,8 @@ def test_interior_edge_has_one_plus_side():
     for e in range(m.num_edges):
         if m.edge_on_boundary[e]:
             continue
-        signs = []
-        for t in m.edge_adjacent[e]:
-            k = int(np.nonzero(m.tri_edges[t] == e)[0][0])
-            signs.append(int(m.edge_sign[t, k]))
+        signs = [int(m.edge_sign[t, k])
+                 for t, k in zip(*np.nonzero(m.tri_edges == e))]
         assert sorted(signs) == [-1, 1]
 
 
@@ -163,7 +161,7 @@ def test_interior_patch_is_closed_fan():
         edges_at_v = [e for e in range(m.num_edges)
                       if v in m.edge_vertices[e]]
         for e in edges_at_v:
-            adj = set(m.edge_adjacent[e])
+            adj = set(np.nonzero((m.tri_edges == e).any(axis=1))[0].tolist())
             assert len(adj & patch) == 2
 
 

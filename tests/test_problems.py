@@ -249,7 +249,7 @@ def test_singular_biharmonic():
 
 def test_zshape_geometry():
     mesh = zshape_mesh()
-    lookup = mesh.edge_lookup
+    lookup = {tuple(ev) for ev in mesh.edge_vertices.tolist()}
     origin = int(np.nonzero((mesh.coords == 0.0).all(axis=1))[0][0])
     x1 = int(np.nonzero((mesh.coords == [1.0, 0.0]).all(axis=1))[0][0])
     mm = int(np.nonzero((mesh.coords == [-1.0, -1.0]).all(axis=1))[0][0])

@@ -317,6 +317,19 @@ def test_overconstrained_vertex_rejected():
         build_dofmap(mesh, bc)
 
 
+@pytest.mark.parametrize("kind, index", [("vertex", 4), ("vertex", -1),
+                                         ("edge", 5)])
+def test_constraint_on_nonexistent_block_rejected(kind, index):
+    mesh = unit_square_mesh()          # 4 vertices, 5 edges
+    bc = BCSpec()
+    if kind == "vertex":
+        bc.fix_vertex(index, (1.0, 0.0, 0.0), 0.0)
+    else:
+        bc.fix_edge(index, (0.0, 1.0), 0.0)
+    with pytest.raises(ConfigurationError, match="nonexistent"):
+        build_dofmap(mesh, bc)
+
+
 def test_reconstruction_satisfies_constraints():
     mesh = uniform_refine(uniform_refine(unit_square_mesh()))
     bc = simply_supported_bc(mesh)
