@@ -71,13 +71,12 @@ def dorfler_mark(etas, theta):
     etas = np.asarray(etas, dtype=float)
     if np.any(etas < 0.0):
         raise ConfigurationError("negative estimator values")
-    order = sorted(range(len(etas)), key=lambda i: (-etas[i], i))
-    sq = etas[order] ** 2
-    cum = np.cumsum(sq)
+    order = np.argsort(-etas, kind="stable")
+    cum = np.cumsum(etas[order] ** 2)
     if cum.size == 0 or cum[-1] == 0.0:
         return set()
     k = int(np.searchsorted(cum, theta * cum[-1]))
-    return set(order[:k + 1])
+    return set(order[:k + 1].tolist())
 
 
 def eoc(records: List[ConvergenceRecord]):

@@ -63,13 +63,14 @@ class Mesh:
         _, first, inverse, count = np.unique(
             lo * n_vert + hi, return_index=True, return_inverse=True,
             return_counts=True)
+        last = np.zeros_like(first)
+        np.maximum.at(last, inverse, np.arange(inverse.size))
         order = np.argsort(first)
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)
         self.tri_edges = rank[inverse].reshape(n_tri, 3)
-        self.edge_vertices = np.stack([lo[first[order]], hi[first[order]]],
-                                      axis=1)
-        count = count[order]
+        first, last, count = first[order], last[order], count[order]
+        self.edge_vertices = np.stack([lo[first], hi[first]], axis=1)
         if np.any(count > 2):
             e = int(np.argmax(count > 2))
             raise MeshStructureError(
@@ -77,6 +78,9 @@ class Mesh:
                 "than two triangles: "
                 f"{np.nonzero((self.tri_edges == e).any(axis=1))[0].tolist()}")
         n_edge = count.size
+        # the one or two triangles on each edge, -1 off the boundary
+        self.edge_triangles = np.stack(
+            [first // 3, np.where(count == 2, last // 3, -1)], axis=1)
 
         self.edge_on_boundary = count == 1
         self.vertex_on_boundary = np.zeros(n_vert, dtype=bool)
@@ -157,13 +161,9 @@ def _seed_refinement_edges(coords, tris):
     opposite-vertex id."""
     p = coords[tris]
     # local edge k connects local vertices k+1, k+2
-    len2 = np.stack([np.sum((p[:, (k + 1) % 3] - p[:, (k + 2) % 3]) ** 2, axis=1)
-                     for k in range(3)], axis=1)
-    ref = np.empty(tris.shape[0], dtype=np.int64)
-    for t in range(tris.shape[0]):
-        best = max(range(3), key=lambda k: (len2[t, k], -int(tris[t, k])))
-        ref[t] = best
-    return ref
+    len2 = np.sum((p[:, [1, 2, 0]] - p[:, [2, 0, 1]]) ** 2, axis=2)
+    longest = len2 == len2.max(axis=1, keepdims=True)
+    return np.argmin(np.where(longest, tris, np.iinfo(np.int64).max), axis=1)
 
 
 def mesh_from_arrays(vertex_coords, triangle_vertex_triples):
@@ -200,51 +200,43 @@ def mesh_from_arrays(vertex_coords, triangle_vertex_triples):
 
 def nvb_refine(mesh, marked):
     """Bisect every marked triangle at least once, with recursive
-    newest-vertex-bisection closure keeping the mesh conforming."""
-    marked = set(int(t) for t in marked)
-    if not marked:
+    newest-vertex-bisection closure keeping the mesh conforming.  The
+    closure walks the mesh's own edges: a split appends two children and
+    three edges (two halves, the bisector) and re-points the old ones."""
+    marked = np.unique(np.fromiter(marked, dtype=np.int64))
+    if marked.size == 0:
         return mesh
-    if not marked <= set(range(mesh.num_triangles)):
+    if marked[0] < 0 or marked[-1] >= mesh.num_triangles:
         raise MeshStructureError("marked set contains invalid triangle ids")
 
-    verts = [tuple(c) for c in mesh.coords]
-    tris = [list(v) for v in mesh.tri_vertices]
-    ref = list(mesh.refinement_edge)
-    gen = list(mesh.generation)
+    tris = mesh.tri_vertices.tolist()
+    edges = mesh.tri_edges.tolist()
+    sides = mesh.edge_triangles.tolist()
+    ref = mesh.refinement_edge.tolist()
+    gen = mesh.generation.tolist()
     alive = [True] * len(tris)
-    edge_tris = {}
-    for t, tv in enumerate(tris):
-        for k in range(3):
-            a, b = tv[(k + 1) % 3], tv[(k + 2) % 3]
-            edge_tris.setdefault((min(a, b), max(a, b)), set()).add(t)
-    midpoint = {}
+    ends = []                           # the bisected edge of each new vertex
 
-    def ref_key(t):
-        i = ref[t]
-        a, b = tris[t][(i + 1) % 3], tris[t][(i + 2) % 3]
-        return (min(a, b), max(a, b))
-
-    def split(t, m):
+    def split(t, m, h1, h2):
+        """Children [p1, m, p0] and [m, p2, p0]; h1 and h2 are the halves
+        of the refinement edge at p1 and at p2."""
         i = ref[t]
         p0, p1, p2 = tris[t][i], tris[t][(i + 1) % 3], tris[t][(i + 2) % 3]
+        e1, e2 = edges[t][(i + 2) % 3], edges[t][(i + 1) % 3]  # p0p1, p2p0
+        c, d = len(tris), len(sides)
+        tris.extend(([p1, m, p0], [m, p2, p0]))
+        edges.extend(([d, e1, h1], [e2, d, h2]))
+        sides.append([c, c + 1])
+        ref.extend((1, 0))
+        gen.extend((gen[t] + 1, gen[t] + 1))
         alive[t] = False
-        for k in range(3):
-            a, b = tris[t][(k + 1) % 3], tris[t][(k + 2) % 3]
-            edge_tris[(min(a, b), max(a, b))].discard(t)
-        for child, child_ref in (([p1, m, p0], 1), ([m, p2, p0], 0)):
-            c = len(tris)
-            tris.append(child)
-            ref.append(child_ref)
-            gen.append(gen[t] + 1)
-            alive.append(True)
-            for k in range(3):
-                a, b = child[(k + 1) % 3], child[(k + 2) % 3]
-                edge_tris.setdefault((min(a, b), max(a, b)), set()).add(c)
+        alive.extend((True, True))
+        for e, old, new in ((e1, t, c), (h1, -1, c), (e2, t, c + 1),
+                            (h2, -1, c + 1)):
+            sides[e][sides[e].index(old)] = new
 
-    budget = 200 * (len(tris) + len(marked))
-    for t0 in sorted(marked):
-        if not alive[t0]:
-            continue
+    budget = 200 * (len(tris) + marked.size)
+    for t0 in marked.tolist():
         stack = [t0]
         while stack:
             budget -= 1
@@ -254,29 +246,29 @@ def nvb_refine(mesh, marked):
             if not alive[t]:
                 stack.pop()
                 continue
-            key = ref_key(t)
-            others = [s for s in edge_tris[key] if s != t and alive[s]]
-            nb = others[0] if others else None
-            if nb is not None and ref_key(nb) != key:
+            i = ref[t]
+            a, b = sides[edges[t][i]]
+            nb = b if a == t else a
+            if nb >= 0 and edges[nb][ref[nb]] != edges[t][i]:
                 stack.append(nb)
                 continue
-            m = midpoint.get(key)
-            if m is None:
-                m = len(verts)
-                midpoint[key] = m
-                pa, pb = verts[key[0]], verts[key[1]]
-                verts.append((0.5 * (pa[0] + pb[0]), 0.5 * (pa[1] + pb[1])))
-            split(t, m)
-            if nb is not None:
-                split(nb, m)
+            m = mesh.num_vertices + len(ends)
+            ends.append((tris[t][(i + 1) % 3], tris[t][(i + 2) % 3]))
+            h = len(sides)
+            sides += [[-1, -1], [-1, -1]]
+            split(t, m, h, h + 1)
+            if nb >= 0:
+                split(nb, m, h + 1, h)
             stack.pop()
 
-    keep = [t for t in range(len(tris)) if alive[t]]
-    coords = np.array(verts, dtype=float)
-    return Mesh(coords,
-                np.array([tris[t] for t in keep], dtype=np.int64),
-                np.array([ref[t] for t in keep], dtype=np.int64),
-                np.array([gen[t] for t in keep], dtype=np.int64))
+    # only edges of the given mesh are bisected: a child's refinement edge
+    # is one of its parent's edges, and a grandchild has no edge of the
+    # given mesh, so no refinement edge on the stack leads to it
+    coords = np.concatenate([mesh.coords,
+                             0.5 * mesh.coords[ends].sum(axis=1)])
+    keep = np.flatnonzero(alive)
+    return Mesh(coords, np.array(tris)[keep], np.array(ref)[keep],
+                np.array(gen)[keep])
 
 
 def uniform_refine(mesh):

@@ -1,3 +1,4 @@
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -27,19 +28,28 @@ def test_dorfler_order_independence():
     assert dorfler_mark([1.0, 3.0, 2.0], 0.5) == {1}
 
 
-def test_dorfler_minimality():
-    rng = np.random.default_rng(0)
-    for trial in range(20):
-        etas = rng.uniform(0.0, 1.0, size=17)
-        theta = rng.uniform(0.05, 0.95)
-        marked = dorfler_mark(etas, theta)
-        total = np.sum(etas ** 2)
-        got = np.sum(etas[list(marked)] ** 2)
-        assert got >= theta * total - 1e-12
-        if marked:
-            smallest = min(marked, key=lambda i: (etas[i], -i))
-            rest = np.sum(etas[list(marked - {smallest})] ** 2)
-            assert rest < theta * total
+@settings(max_examples=200, deadline=None)
+@given(etas=st.lists(st.sampled_from([0.0, 0.25, 1.0])
+                     | st.floats(0.0, 1.0), min_size=1, max_size=30),
+       theta=st.floats(0.05, 0.95))
+def test_dorfler_minimality(etas, theta):
+    """The marked set is the shortest prefix, in the order eta descending
+    with ties by id ascending, that reaches the bulk; repeated values and
+    zeros make the ties."""
+    marked = dorfler_mark(etas, theta)
+    assert all(type(i) is int for i in marked)
+    order = sorted(range(len(etas)), key=lambda i: (-etas[i], i))
+    assert marked == set(order[:len(marked)])
+    etas = np.array(etas)
+    total = np.sum(etas ** 2)
+    if total == 0.0:
+        assert marked == set()
+        return
+    got = np.sum(etas[list(marked)] ** 2)
+    assert got >= theta * total * (1.0 - 1e-12)
+    last = order[len(marked) - 1]
+    rest = np.sum(etas[list(marked - {last})] ** 2)
+    assert rest < theta * total * (1.0 + 1e-12)
 
 
 def test_dorfler_theta_validation():

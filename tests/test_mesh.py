@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,11 @@ def test_refinement_edge_seeding_longest_edge():
         k = m.refinement_edge[t]
         lengths = m.edge_length[m.tri_edges[t]]
         assert lengths[k] == lengths.max()
+    # local edges 0 and 1 tie as the longest: the one opposite the smaller
+    # vertex id wins, whatever its local position
+    coords = [(0.0, 0.0), (2.0, 0.0), (1.0, 3.0)]
+    assert mesh_from_arrays(coords, [(0, 1, 2)]).refinement_edge[0] == 0
+    assert mesh_from_arrays(coords, [(1, 2, 0)]).refinement_edge[0] == 2
 
 
 def test_nvb_closure_cycle_raises_typed_error():
@@ -202,3 +209,44 @@ def test_nvb_closure_cycle_raises_typed_error():
                 np.zeros(4, dtype=np.int64))
     with pytest.raises(MeshStructureError, match="terminate"):
         nvb_refine(mesh, [0])
+
+
+def test_nvb_accepts_any_iterable_of_ids_and_rejects_invalid_ones():
+    m = unit_square_mesh()
+    expected = nvb_refine(m, [1, 0])
+    for marked in ({0, 1}, range(2), np.array([1, 0, 1]), (0, 1)):
+        got = nvb_refine(m, marked)
+        np.testing.assert_array_equal(got.tri_vertices, expected.tri_vertices)
+        np.testing.assert_array_equal(got.coords, expected.coords)
+    for empty in (set(), range(0), np.array([], dtype=np.int64), []):
+        assert nvb_refine(m, empty) is m
+    for bad in ({-1}, [m.num_triangles], np.array([0, -1]), range(3)):
+        with pytest.raises(MeshStructureError, match="invalid triangle ids"):
+            nvb_refine(m, bad)
+
+
+def test_nvb_triangle_and_vertex_order_pinned():
+    """Five seeded rounds of 20 % random marking from a uniformly refined
+    Z-shape give a mesh whose bytes are pinned: the benchmark marks random
+    triangle ids, so reordering children or new vertices changes its
+    meshes."""
+    from platedpg.problems import zshape_mesh
+    rng = np.random.default_rng(0)
+    m = uniform_refine(zshape_mesh())
+    for _ in range(5):
+        n = m.num_triangles
+        m = nvb_refine(m, rng.choice(n, size=round(0.2 * n), replace=False))
+    assert (m.num_triangles, m.num_vertices) == (136, 82)
+    digests = {name: hashlib.sha256(getattr(m, name).tobytes()).hexdigest()
+               for name in ("coords", "tri_vertices", "refinement_edge",
+                            "generation")}
+    assert digests == {
+        "coords": "197b8a4bc3901ebda670d8dc3b492142"
+                  "b8e5107d72141f0847f44a9660f75be9",
+        "tri_vertices": "c73ef7ce5639fc2dad2280ba8abac9a2"
+                        "40fb155dcb6dc5ec648a12c39ecbac4a",
+        "refinement_edge": "464a9acfb01d5cb7d09a33a4cf9cc497"
+                           "02435c9b2a69ff933a11501e5fc232fd",
+        "generation": "4044de523054251af32567c18b73ba42"
+                      "1c50186ad8f907e881c86fb432ee2ff3",
+    }

@@ -1,8 +1,10 @@
-"""Property tests of the edge numbering and the DOF reduction on random
-newest-vertex-bisection meshes of the unit square and the Z-shape."""
+"""Property tests of the edge numbering, of newest-vertex bisection and
+of the DOF reduction on random newest-vertex-bisection meshes of the unit
+square and the Z-shape."""
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
+import pytest
 
 from platedpg.mesh import nvb_refine, unit_square_mesh, vertex_patch
 from platedpg.problems import zshape_mesh
@@ -20,6 +22,21 @@ def refined_meshes(draw):
                                max_size=max(1, n // 3)))
         mesh = nvb_refine(mesh, marked)
     return mesh
+
+
+@st.composite
+def refinement_steps(draw):
+    """(initial mesh, mesh, marked ids, refined mesh): a square or Z-shape
+    mesh after up to three rounds of random marking, then one more."""
+    initial = draw(st.sampled_from([unit_square_mesh, zshape_mesh]))()
+    mesh = initial
+    for _ in range(draw(st.integers(0, 3))):
+        marked = draw(st.lists(st.integers(0, mesh.num_triangles - 1),
+                               min_size=1))
+        mesh = nvb_refine(mesh, marked)
+    marked = draw(st.lists(st.integers(0, mesh.num_triangles - 1),
+                           min_size=1))
+    return initial, mesh, marked, nvb_refine(mesh, marked)
 
 
 def clamped_bc(mesh):
@@ -54,6 +71,67 @@ def test_boundary_edges_are_those_referenced_once(mesh):
     on_boundary = np.zeros(mesh.num_vertices, dtype=bool)
     on_boundary[mesh.edge_vertices[refs == 1]] = True
     np.testing.assert_array_equal(mesh.vertex_on_boundary, on_boundary)
+
+
+@settings(max_examples=30, deadline=None)
+@given(mesh=refined_meshes())
+def test_edge_triangles_match_brute_force(mesh):
+    for e in range(mesh.num_edges):
+        on = np.nonzero((mesh.tri_edges == e).any(axis=1))[0].tolist()
+        assert mesh.edge_triangles[e].tolist() == (on + [-1])[:2]
+
+
+@settings(max_examples=30, deadline=None)
+@given(step=refinement_steps())
+def test_marked_triangles_are_bisected(step):
+    _, mesh, marked, refined = step
+    before = {tuple(sorted(v)) for v in mesh.tri_vertices[marked].tolist()}
+    after = {tuple(sorted(v)) for v in refined.tri_vertices.tolist()}
+    assert not before & after
+    # every new vertex halves an edge of the mesh it was refined from
+    ends = mesh.coords[mesh.edge_vertices]
+    midpoints = {tuple(p) for p in (0.5 * ends.sum(axis=1)).tolist()}
+    assert {tuple(p) for p in refined.coords[mesh.num_vertices:].tolist()} \
+        <= midpoints
+    np.testing.assert_array_equal(refined.coords[:mesh.num_vertices],
+                                  mesh.coords)
+
+
+@settings(max_examples=30, deadline=None)
+@given(step=refinement_steps())
+def test_generation_counts_bisections_from_parent(step):
+    """Each triangle lies in one triangle of the mesh it was refined from,
+    its parent; the generation grows by the number of halvings between
+    them, and is the parent's when the triangle is kept."""
+    _, mesh, _, refined = step
+    # barycentric coordinates of every new centroid in every old triangle
+    p = mesh.coords[mesh.tri_vertices]                     # (nT, 3, 2)
+    jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
+    rel = refined.tri_centroid[:, None, :] - p[None, :, 0]
+    lam = np.linalg.solve(jac[None], rel[..., None])[..., 0]
+    inside = (lam.min(axis=2) > 1e-9) & (lam.sum(axis=2) < 1.0 - 1e-9)
+    assert np.all(inside.sum(axis=1) == 1)
+    parent = np.argmax(inside, axis=1)
+    halvings = np.log2(mesh.tri_area[parent] / refined.tri_area)
+    np.testing.assert_allclose(halvings, np.round(halvings), atol=1e-9)
+    step_up = refined.generation - mesh.generation[parent]
+    np.testing.assert_array_equal(step_up, np.round(halvings))
+    assert np.all(step_up >= 0)
+    kept = np.all(np.sort(refined.tri_vertices, axis=1)
+                  == np.sort(mesh.tri_vertices[parent], axis=1), axis=1)
+    np.testing.assert_array_equal(kept, step_up == 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(step=refinement_steps())
+def test_area_and_shape_regularity_preserved(step):
+    """Newest-vertex bisection of these right isosceles triangles creates
+    only right isosceles triangles, so the shape bound never moves."""
+    initial, _, _, refined = step
+    total = initial.tri_area.sum()
+    assert abs(refined.tri_area.sum() - total) <= 1e-13 * total
+    assert refined.shape_bound == pytest.approx(initial.shape_bound,
+                                                rel=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
