@@ -10,8 +10,7 @@ built-in residual error estimator that drives adaptive refinement.
 from .driver import (ConvergenceRecord, ExperimentConfig, dorfler_mark, eoc,
                      run_experiment, solve_problem)
 from .dpg import (ElementSystems, EstimatorField, GlobalSystem, Solution,
-                  assemble, condense, element_matrices, estimate, local_b,
-                  local_gram, local_load)
+                  assemble, condense, element_matrices, estimate)
 from .errors import (ConfigurationError, MeshStructureError, SPDError,
                      SolverConvergenceError)
 from .linalg import SolveReport, dense_cholesky, spd_solve
@@ -24,9 +23,8 @@ from .problems import (ExactSolution, MaterialLaw, ProblemSpec,
                        builtin_square_problem, builtin_zshape_problem,
                        c_apply, cinv_apply, fourier_eval, l2_errors,
                        singular_eval, zshape_mesh)
-from .spaces import (BCSpec, DofMap, build_dofmap, extract_qhat,
-                     extract_uhat, interpolate_uhat_bc, qhat_pair_local,
-                     simply_supported_bc, uhat_pair_local)
+from .spaces import (BCSpec, DofMap, build_dofmap, interpolate_uhat_bc,
+                     simply_supported_bc)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -9,12 +9,21 @@ symmetric P2 tensors (18 functions).  The local trial-to-test matrix B is
     gamma (per CCW vertex)
 
 The Gram matrix G of the broken test norm is block diagonal.
-:func:`element_matrices` stacks B (nT, 28, 22), G (nT, 28, 28) and the
-load (nT, 28) of all triangles at once; :func:`condense` factors every
-``G_T = L L^T`` and keeps only ``W = L^{-1} B`` and ``v = L^{-1} load``.
+:func:`element_matrices` stacks B (n, 28, 22), G (n, 28, 28) and the
+load (n, 28) of n triangles at once; :func:`condense` factors every
+``G = L L^T`` and keeps only ``W = L^{-1} B`` and ``v = L^{-1} load``.
 These serve both the condensed blocks
 ``A_T = B^T G^{-1} B = W^T W`` and the residual estimator
 ``eta_T = ||v - W x_T||``.
+
+B and G depend only on the congruence class of a triangle, and newest-
+vertex bisection makes few classes.  :func:`build_element_systems` keys a
+triangle by ``(P - c) / h_T`` of its vertices in ``tri_vertices`` order
+and ``log2(h_T)``, rounded to the quantum ``2**-32``, and by ``lo_local``
+(which fixes the edge signs), and builds B and G for the first triangle
+of each class only.  Triangles whose normalized coordinates differ by
+less than the quantum share matrices; a class split at a rounding
+boundary costs one more triangle to build and no accuracy.
 """
 
 from dataclasses import dataclass
@@ -30,7 +39,7 @@ from .linalg import dense_cholesky, sparse_from_triplets
 from .mesh import Mesh
 from .polyquad import (ASSEMBLY_DEGREE, EDGE_POINTS, SLOTS, edge_rule,
                        tri_rule)
-from .problems import MaterialLaw, cinv_apply
+from .problems import cinv_apply
 from .spaces import DofMap, ElementGeometry, uhat_pair_matrix
 
 N_SCALAR = 10
@@ -48,14 +57,13 @@ def element_matrices(geom: ElementGeometry, material, f):
     n = geom.area.shape[0]
     B = np.zeros((n, N_TEST, N_TRIAL))
     G = np.zeros((n, N_TEST, N_TEST))
-    load = np.zeros((n, N_TEST))
-    _volume_terms(geom, material, f, B, G, load)
+    load = _volume_terms(geom, material, f, B, G)
     _skeleton_terms(geom, B)
     return B, G, load
 
 
-def _volume_terms(geom, material, f, B, G, load):
-    """G, the load and the columns of B that are volume integrals."""
+def _volume_terms(geom, material, f, B, G):
+    """G and the volume-integral columns of B; returns the load."""
     n = B.shape[0]
     qpts, w = tri_rule(ASSEMBLY_DEGREE).map_to(geom.P)
     table = geom.scalar_basis(3).eval(qpts)
@@ -90,9 +98,17 @@ def _volume_terms(geom, material, f, B, G, load):
     B[:, N_SCALAR:, 1:4] = np.einsum("tqa,tq,kl->takl", phi, w,
                                      cinv_slots).reshape(n, N_TENSOR, 3)
 
+    return _load(f, qpts, w, vals)
+
+
+def _load(f, qpts, w, vals):
+    """Load rows ``-(f, z_i)_T`` (n, 28) from the P3 value table (n, nq,
+    10) at the quadrature points; zero in the tensor rows."""
+    load = np.zeros(w.shape[:1] + (N_TEST,))
     if f is not None:
         fq = np.asarray(f(qpts.reshape(-1, 2)), dtype=float).reshape(w.shape)
         load[:, :N_SCALAR] = -np.einsum("tq,tq,tqi->ti", w, fq, vals)
+    return load
 
 
 def _skeleton_terms(geom, B):
@@ -118,28 +134,11 @@ def _skeleton_terms(geom, B):
     B[:, N_SCALAR:, 4:13] = -uhat_pair_matrix(geom, geom.tensor_basis(2))
 
 
-def _one_element(mesh, t, material, f):
-    B, G, load = element_matrices(ElementGeometry(mesh, np.array([t])),
-                                  material, f)
-    return B[0], G[0], load[0]
-
-
-def local_b(mesh, t, material):
-    return _one_element(mesh, t, material, None)[0]
-
-
-def local_gram(mesh, t):
-    # G does not depend on the material law
-    return _one_element(mesh, t, MaterialLaw(1.0, 0.0), None)[1]
-
-
-def local_load(mesh, t, f):
-    return _one_element(mesh, t, MaterialLaw(1.0, 0.0), f)[2]
-
-
-def condense(B, G, load):
-    """Stacked ``W = L^{-1} B`` and ``v = L^{-1} load`` with ``G = L L^T``,
-    so that ``B^T G^{-1} B = W^T W`` and ``B^T G^{-1} load = W^T v``.
+def condense(B, G, load, cls=None):
+    """Factor each Gram ``G_c = L_c L_c^T`` of a stack; return
+    ``W_c = L_c^{-1} B_c`` and ``v_t = L_c^{-1} load_t`` for each load row
+    t, ``c = cls[t]`` (default c = t), from one triangular solve per Gram.
+    Then ``B^T G^{-1} B = W^T W`` and ``B^T G^{-1} load = W^T v``.
 
     The factors come from :func:`dense_cholesky`.  LAPACK's Cholesky is as
     accurate, but on the smallest adaptive elements (cond(G) up to 1e15)
@@ -147,39 +146,64 @@ def condense(B, G, load):
     enough to flip a near tie in the bulk marking and so change the
     adaptive mesh sequence.
 
-    Raises :class:`SPDError` naming the element and the pivot.
+    Raises :class:`SPDError` naming the Gram and the pivot.
     """
     try:
         L = dense_cholesky(G)
     except SPDError as exc:
-        raise SPDError(f"element Gram {exc}", pivot=exc.pivot) from None
-    W = scipy.linalg.solve_triangular(L, B, lower=True)
-    v = scipy.linalg.solve_triangular(L, load[..., None], lower=True)
-    return W, v[..., 0]
+        raise SPDError(f"element Gram {exc}", pivot=exc.pivot,
+                       index=exc.index) from None
+    cls = np.arange(len(G)) if cls is None else cls
+    bounds = np.cumsum(np.bincount(cls, minlength=len(G)))[:-1]
+    W, v, nb = np.empty_like(B), np.empty_like(load), B.shape[-1]
+    for c, rows in enumerate(np.split(np.argsort(cls, kind="stable"),
+                                      bounds)):
+        X = scipy.linalg.solve_triangular(
+            L[c], np.column_stack([B[c], load[rows].T]), lower=True)
+        W[c], v[rows] = X[:, :nb], X[:, nb:].T
+    return W, v
 
 
 @dataclass
 class ElementSystems:
-    """Condensed element data of a whole mesh (``G_T = L L^T``)."""
-    W: np.ndarray          # (nT, 28, 22) L^{-1} B
+    """Condensed element data of a mesh; W and G per congruence class."""
+    W: np.ndarray          # (nC, 28, 22) L^{-1} B
     v: np.ndarray          # (nT, 28)     L^{-1} load
     scatter: np.ndarray    # (nT, 22)     full-vector indices of the DOFs
-    G: np.ndarray          # (nT, 28, 28) read only
+    G: np.ndarray          # (nC, 28, 28) read only
+    cls: np.ndarray        # (nT,)        class of each triangle
 
     @property
     def locals(self):
-        """Per-element views exposing ``G``: the hook through which
+        """One view exposing ``G`` per class: the hook through which
         perfbench/tracing.py reports the worst Gram conditioning."""
         return [SimpleNamespace(G=g) for g in self.G]
 
 
 def build_element_systems(mesh, dofmap, material, f):
     elements = np.arange(mesh.num_triangles)
-    B, G, load = element_matrices(ElementGeometry(mesh, elements),
-                                  material, f)
-    W, v = condense(B, G, load)
+    geom = ElementGeometry(mesh, elements)
+    shape = (geom.P - geom.centroid[:, None, :]) / geom.diam[:, None, None]
+    key = np.column_stack([np.rint(shape.reshape(-1, 6) * 2.0 ** 32),
+                           np.rint(np.log2(geom.diam) * 2.0 ** 32),
+                           geom.lo_local]).astype(np.int64)
+    _, first, cls = np.unique(key, axis=0, return_index=True,
+                              return_inverse=True)
+    cls = cls.reshape(-1)
+    reps = ElementGeometry(mesh, first)
+    B, G, _ = element_matrices(reps, material, None)
+    # (x_q - c) / h, and so the P3 value table, depends only on the class
+    rule = tri_rule(ASSEMBLY_DEGREE)
+    vals = reps.scalar_basis(3).eval(rule.map_to(reps.P)[0]).values
+    qpts, w = rule.map_to(geom.P)
+    try:
+        W, v = condense(B, G, _load(f, qpts, w, vals[cls]), cls)
+    except SPDError as exc:
+        t = first[exc.index[0]]
+        raise SPDError(f"element Gram matrix {t} is not SPD: pivot "
+                       f"{exc.pivot}", pivot=exc.pivot, index=(t,)) from None
     G.flags.writeable = False
-    return ElementSystems(W, v, dofmap.element_scatter(elements), G)
+    return ElementSystems(W, v, dofmap.element_scatter(elements), G, cls)
 
 
 @dataclass
@@ -209,9 +233,9 @@ def assemble(mesh, dofmap, problem, systems: Optional[ElementSystems] = None):
     if systems is None:
         systems = build_element_systems(mesh, dofmap, problem.material,
                                         problem.f)
-    W, idx = systems.W, systems.scatter
-    A_T = _sym(np.swapaxes(W, 1, 2) @ W)
-    b_T = np.einsum("tij,ti->tj", W, systems.v)
+    W, idx, cls = systems.W, systems.scatter, systems.cls
+    A_T = _sym(np.swapaxes(W, 1, 2) @ W)[cls]
+    b_T = np.einsum("tij,ti->tj", W[cls], systems.v)
     rows = np.repeat(idx, N_TRIAL, axis=1).ravel()
     cols = np.tile(idx, N_TRIAL).ravel()
     A_full = sparse_from_triplets(rows, cols, A_T.ravel(), dofmap.full_dim)
@@ -267,6 +291,7 @@ class Solution:
         return self.x_full[d.off_gamma:].reshape(-1, 3)
 
 
+
 @dataclass
 class EstimatorField:
     """Per-element residual estimator contributions."""
@@ -286,5 +311,5 @@ def estimate(mesh, dofmap, problem, solution,
         systems = build_element_systems(mesh, dofmap, problem.material,
                                         problem.f)
     x = solution.x_full[systems.scatter]
-    r = systems.v - (systems.W @ x[..., None])[..., 0]
+    r = systems.v - (systems.W[systems.cls] @ x[..., None])[..., 0]
     return EstimatorField(per_element=np.linalg.norm(r, axis=1))

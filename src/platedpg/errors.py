@@ -14,12 +14,14 @@ class ConfigurationError(Exception):
 class SPDError(Exception):
     """A matrix expected to be symmetric positive definite is not.
 
-    Carries the index of the offending pivot when known.
+    Carries the index of the offending pivot and, for a stack of
+    matrices, the stack index (a tuple) of the offending matrix, when known.
     """
 
-    def __init__(self, message, pivot=None):
+    def __init__(self, message, pivot=None, index=None):
         super().__init__(message)
         self.pivot = pivot
+        self.index = index
 
 
 class SolverConvergenceError(Exception):

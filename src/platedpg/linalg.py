@@ -49,7 +49,7 @@ def dense_cholesky(A):
             at = tuple(np.argwhere(~ok)[0])      # () for a single matrix
             name = "matrix" + "".join(f" {i}" for i in at)
             raise SPDError(f"{name} is not SPD: pivot {k} = {d[at]:.3e}",
-                           pivot=k)
+                           pivot=k, index=at or None)
         L[..., k, k] = np.sqrt(d)
         if k + 1 < n:
             L[..., k + 1:, k] = ((A[..., k + 1:, k]

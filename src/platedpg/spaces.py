@@ -114,50 +114,9 @@ def uhat_edge_data(geom: ElementGeometry, k: int):
     return D.reshape(D.shape[:-2] + (9,))
 
 
-def uhat_trace_on_edge(geom, k, udofs, s):
-    """Hermite value trace, full gradient and normal-derivative trace of a
-    local uhat coefficient vector on edge k at parameters s."""
-    D = uhat_edge_data(geom, k)
-    data = D @ np.asarray(udofs, dtype=float).ravel()
-    z_lo, d_lo, z_hi, d_hi, gn_lo, gn_hi = data
-    h, dh = _hermite(s)
-    z = h @ np.array([z_lo, d_lo, z_hi, d_hi])
-    dz_ds = dh @ np.array([z_lo, d_lo, z_hi, d_hi])
-    gn = (1.0 - s) * gn_lo + s * gn_hi
-    grad = (np.outer(dz_ds / geom.length[k], geom.tau[k])
-            + np.outer(gn, geom.nrm[k]))
-    return z, grad, gn
-
-
 # ---------------------------------------------------------------------------
 # skeleton pairings
 # ---------------------------------------------------------------------------
-
-def qhat_pair_local(geom, qdofs, zcoeffs):
-    """Pair signed local qhat values against a local cubic test function.
-
-    ``qdofs`` is ``(alpha, beta, gamma)`` where alpha/beta are the three
-    edge moments already carrying the element-side sign and gamma the
-    three corner jumps (counterclockwise vertex order).  ``zcoeffs`` holds
-    the 10 coefficients of the test function in the element's scaled
-    monomial P3 basis.  Edge integrals use the canonical edge normal.
-    """
-    alpha, beta, gamma = (np.asarray(q, dtype=float) for q in qdofs)
-    basis = geom.scalar_basis(3)
-    rule = edge_rule(EDGE_POINTS)
-    zc = np.asarray(zcoeffs, dtype=float)
-    total = 0.0
-    for k in range(3):
-        pts = geom.edge_points(k, rule.points)
-        vals, grads, _ = basis.eval(pts)
-        z_mean = rule.weights @ (vals @ zc)
-        gn_mean = rule.weights @ np.einsum("qid,i,d->q", grads, zc,
-                                           geom.nrm[k])
-        total += alpha[k] * z_mean - beta[k] * gn_mean
-    corner_vals, _, _ = basis.eval(geom.P)
-    total -= gamma @ (corner_vals @ zc)
-    return float(total)
-
 
 def uhat_pair_matrix(geom, tensor_basis):
     """Skeleton pairing of every tensor test function against every local
@@ -198,175 +157,6 @@ def uhat_pair_matrix(geom, tensor_basis):
         out = out + (geom.length[..., k, None, None, None] * pair).reshape(
             pair.shape[:-3] + (tensor_basis.dim, 9))
     return out
-
-
-def uhat_pair_local(geom, udofs, theta_coeffs):
-    """Skeleton duality of a local uhat coefficient vector (three
-    (value, gradient) vertex triples) with a symmetric P2 tensor given by
-    its coefficients in the element's tensor basis."""
-    basis = geom.tensor_basis(2)
-    mat = uhat_pair_matrix(geom, basis)
-    return float(np.asarray(theta_coeffs, dtype=float)
-                 @ mat @ np.asarray(udofs, dtype=float).ravel())
-
-
-# ---------------------------------------------------------------------------
-# DOF extraction from smooth fields
-# ---------------------------------------------------------------------------
-
-def extract_uhat(mesh, u_fn, grad_fn):
-    """Nodal uhat DOFs (value and gradient at every vertex) of a smooth
-    deflection field."""
-    out = np.empty((mesh.num_vertices, 3))
-    pts = mesh.coords
-    out[:, 0] = np.asarray(u_fn(pts), dtype=float)
-    out[:, 1:] = np.asarray(grad_fn(pts), dtype=float)
-    return out
-
-
-def _edge_trace_dofs(points_of, L, tau, nrm, M_fn, divM_fn):
-    """(alpha, beta, correction endpoints) of one edge in a given frame.
-
-    ``points_of(s)`` maps arc parameters in [0, 1] to coordinates along
-    the traversal.  The effective-shear trace ``phi = n.div M +
-    d_t(t.M n)`` is represented through its tangential antiderivative
-    ``g``: alpha is the slope of the L2-projection of ``g`` onto affine
-    functions, and the endpoint values of ``g - P1 g`` are returned so
-    the caller can fold them into the corner jumps.  This projected form
-    makes the moment replacement orthogonal to affine edge data, which is
-    what gives the O(h) trace approximation order.  beta is the plain
-    moment of ``n.M n``.
-    """
-    rule = edge_rule(6)
-    s = rule.points
-    pts = points_of(s)
-    Mq = np.asarray(M_fn(pts), dtype=float)
-    beta = L * (rule.weights @ np.einsum("qij,i,j->q", Mq, nrm, nrm))
-
-    # g(s) = t.M n + integral of n.div M along the arc
-    tMn = np.einsum("qij,i,j->q", Mq, tau, nrm)
-    acc = np.empty_like(s)
-    for i, si in enumerate(s):
-        sub = np.asarray(divM_fn(points_of(si * rule.points)), dtype=float)
-        acc[i] = L * si * (rule.weights @ (sub @ nrm))
-    gq = tMn + acc
-
-    # affine projection a + b s on [0, 1]: moments against {1, s}
-    m0 = rule.weights @ gq
-    m1 = rule.weights @ (gq * s)
-    b = 12.0 * m1 - 6.0 * m0
-    a = m0 - 0.5 * b
-    alpha = b
-
-    ends = points_of(np.array([0.0, 1.0]))
-    Mends = np.asarray(M_fn(ends), dtype=float)
-    tMn_ends = np.einsum("qij,i,j->q", Mends, tau, nrm)
-    g0 = tMn_ends[0]
-    sub = np.asarray(divM_fn(points_of(rule.points)), dtype=float)
-    g1 = tMn_ends[1] + L * (rule.weights @ (sub @ nrm))
-    corr = np.array([g0 - a, g1 - (a + b)])
-    return alpha, beta, corr
-
-
-def extract_qhat(mesh, M_fn, divM_fn):
-    """Canonical qhat DOFs of a smooth symmetric tensor field.
-
-    alpha_E is the projected moment of the effective shear
-    ``n.div M + d_t(t.M n)`` (canonical tangent/normal), beta_E the edge
-    moment of ``n.M n``, and gamma[t, c] the corner jump of ``t.M n``
-    between the incoming and outgoing edges of corner c, corrected by the
-    endpoint values of the projection remainder so that the represented
-    trace stays consistent (the corrections telescope, so the patch sums
-    at interior vertices still vanish).
-    """
-    nE = mesh.num_edges
-    alpha = np.empty(nE)
-    beta = np.empty(nE)
-    corr = np.empty((nE, 2))               # g - P1 g at (v_lo, v_hi)
-    for e in range(nE):
-        a, b = mesh.coords[mesh.edge_vertices[e]]
-        points_of = lambda s, a=a, b=b: a[None, :] + np.outer(s, b - a)
-        alpha[e], beta[e], corr[e] = _edge_trace_dofs(
-            points_of, mesh.edge_length[e], mesh.edge_tangent[e],
-            mesh.edge_normal[e], M_fn, divM_fn)
-
-    gamma = np.empty((mesh.num_triangles, 3))
-    for t in range(mesh.num_triangles):
-        geom = ElementGeometry(mesh, t)
-        gamma[t] = (corner_jumps(geom, M_fn)
-                    - _endpoint_jumps(geom.lo_local, corr[geom.eids]))
-    return alpha, beta, gamma
-
-
-def local_qhat(mesh, t, alpha, beta, gamma):
-    """Signed local (alpha, beta, gamma) values of triangle t from the
-    canonical global DOF arrays."""
-    geom = ElementGeometry(mesh, t)
-    s = geom.sign
-    return s * alpha[geom.eids], s * beta[geom.eids], gamma[t]
-
-
-def extract_qhat_local(mesh, t, M_fn, divM_fn):
-    """Signed local qhat values of one element extracted from a smooth
-    tensor field seen purely from that element's side.
-
-    Uses the same projected-antiderivative construction as
-    :func:`extract_qhat` but in the element frame (outward normal,
-    counterclockwise traversal).  The alpha value is then already odd
-    across an interior edge; the even ``n.M n`` moment gets the
-    element-side sign attached to orient it with the canonical edge
-    normal used by :func:`qhat_pair_local`.  Multiplying alpha and beta
-    by the element-side sign recovers the canonical global DOFs from
-    either side.
-    """
-    geom = ElementGeometry(mesh, t)
-    alpha = np.empty(3)
-    beta = np.empty(3)
-    corr = np.empty((3, 2))               # remainder at (start, end)
-    start_local = np.where(geom.sign > 0, geom.lo_local, geom.hi_local)
-    end_local = np.where(geom.sign > 0, geom.hi_local, geom.lo_local)
-    for k in range(3):
-        s = geom.sign[k]
-        a = geom.P[start_local[k]]
-        b = geom.P[end_local[k]]
-        points_of = lambda sig, a=a, b=b: a[None, :] + np.outer(sig, b - a)
-        al, be, co = _edge_trace_dofs(points_of, geom.length[k],
-                                      s * geom.tau[k], s * geom.nrm[k],
-                                      M_fn, divM_fn)
-        alpha[k] = al
-        beta[k] = s * be
-        corr[k] = co
-
-    gamma = corner_jumps(geom, M_fn) - _endpoint_jumps(start_local, corr)
-    return alpha, beta, gamma
-
-
-def _incoming_minus_outgoing(at_corner):
-    """Corner jumps ``f_in - f_out`` around one element boundary traversed
-    counterclockwise.  ``at_corner[c, k]`` is the value at corner c of a
-    quantity carried by local edge k; edge (c+1) % 3 arrives at corner c
-    and edge (c+2) % 3 leaves it."""
-    c = np.arange(3)
-    return at_corner[c, (c + 1) % 3] - at_corner[c, (c + 2) % 3]
-
-
-def _endpoint_jumps(first_local, ends):
-    """Corner jumps of per-edge values ``ends[k]`` given at the first and
-    second endpoint of local edge k; ``first_local[k]`` is the local
-    vertex of the first endpoint.  The projection remainders are
-    frame-independent, so either endpoint order reads the same values."""
-    at_first = first_local == np.arange(3)[:, None]
-    return _incoming_minus_outgoing(np.where(at_first, ends[:, 0], ends[:, 1]))
-
-
-def corner_jumps(geom, M_fn):
-    """Corner jumps of ``t.M n`` between the incoming and outgoing edges
-    at each corner of one element boundary."""
-    corner_M = np.asarray(M_fn(geom.P), dtype=float)
-    t_ccw = geom.sign[:, None] * geom.tau
-    n_out = geom.sign[:, None] * geom.nrm
-    return _incoming_minus_outgoing(
-        np.einsum("cij,ki,kj->ck", corner_M, t_ccw, n_out))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from conftest import random_shape_regular_triangle
@@ -13,6 +15,14 @@ from platedpg.problems import (MaterialLaw, ProblemSpec,
 from platedpg.spaces import ElementGeometry, build_dofmap, interpolate_uhat_bc
 
 
+def one_element(mesh, t, material=MaterialLaw(1.0, 0.0), f=None):
+    """B, G and load of triangle t alone; G does not depend on the
+    material law."""
+    B, G, load = dpg.element_matrices(ElementGeometry(mesh, np.array([t])),
+                                      material, f)
+    return B[0], G[0], load[0]
+
+
 def clamped_zero_bc(mesh):
     return interpolate_uhat_bc(lambda p: np.zeros(len(p)),
                                lambda p: np.zeros((len(p), 2)), mesh)
@@ -24,7 +34,7 @@ def clamped_zero_bc(mesh):
 
 def test_gram_constant_entries():
     mesh = reference_triangle_mesh()
-    G = dpg.local_gram(mesh, 0)
+    G = one_element(mesh, 0)[1]
     # constant scalar test pair and constant E11 tensor pair see the area
     assert abs(G[0, 0] - 0.5) < 1e-14
     assert abs(G[10, 10] - 0.5) < 1e-14
@@ -35,7 +45,7 @@ def test_gram_quadratic_entry_against_oracle():
     """Diagonal entry of the scaled quadratic: mass plus squared-Hessian
     terms, checked against an independent dense quadrature."""
     mesh = mesh_from_arrays([(0.2, 0.1), (1.1, 0.3), (0.4, 1.0)], [(0, 1, 2)])
-    G = dpg.local_gram(mesh, 0)
+    G = one_element(mesh, 0)[1]
     geom = ElementGeometry(mesh, 0)
     sbasis = geom.scalar_basis(3)
     i = int(np.nonzero((sbasis.exp_i == 2) & (sbasis.exp_j == 0))[0][0])
@@ -50,13 +60,13 @@ def test_gram_spd_on_random_triangles(seed):
     rng = np.random.default_rng(seed)
     tri = random_shape_regular_triangle(rng)
     mesh = mesh_from_arrays(tri, [(0, 1, 2)])
-    G = dpg.local_gram(mesh, 0)
+    G = one_element(mesh, 0)[1]
     dense_cholesky(G)          # raises on failure
 
 
 def test_local_b_constant_test_rows():
     mesh = mesh_from_arrays([(0.1, 0.2), (1.3, 0.1), (0.4, 1.2)], [(0, 1, 2)])
-    B = dpg.local_b(mesh, 0, MaterialLaw(1.0, 0.0))
+    B = one_element(mesh, 0)[0]
     s = mesh.edge_sign[0]
     # z == 1 row: alpha columns carry the element-side signs, beta columns
     # vanish, gamma columns are -1
@@ -76,7 +86,7 @@ def test_local_b_moment_column_against_area():
     mesh = reference_triangle_mesh()
     geom = ElementGeometry(mesh, 0)
     sbasis = geom.scalar_basis(3)
-    B = dpg.local_b(mesh, 0, MaterialLaw(1.0, 0.0))
+    B = one_element(mesh, 0)[0]
     i = int(np.nonzero((sbasis.exp_i == 2) & (sbasis.exp_j == 0))[0][0])
     # test function: xi^2 with Hessian 2/h^2 e1e1; scale back to h^2/2 Hess
     h = geom.diam
@@ -85,9 +95,9 @@ def test_local_b_moment_column_against_area():
 
 def test_local_load():
     mesh = reference_triangle_mesh()
-    load0 = dpg.local_load(mesh, 0, None)
+    load0 = one_element(mesh, 0)[2]
     np.testing.assert_allclose(load0, 0.0)
-    load1 = dpg.local_load(mesh, 0, lambda p: np.ones(len(p)))
+    load1 = one_element(mesh, 0, f=lambda p: np.ones(len(p)))[2]
     assert abs(load1[0] - (-0.5)) < 1e-14
     np.testing.assert_allclose(load1[10:], 0.0)
     # against the test function x (fitted in the scaled basis):
@@ -138,18 +148,24 @@ def test_condense_propagates_spd_failure():
 # batched element path against single elements and dense oracles
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def graded_zshape():
-    """Adaptive Z-shape mesh with more than 100 triangles, graded towards
-    the reentrant corner by the estimator-driven loop, and its stacked
-    element matrices."""
+def adaptive_zshape(prob, min_triangles):
+    """Z-shape mesh with at least ``min_triangles`` triangles, graded
+    towards the reentrant corner by the estimator-driven loop."""
     from platedpg.driver import dorfler_mark, solve_problem
     from platedpg.mesh import nvb_refine
-    prob = builtin_zshape_problem()
     mesh = prob.initial_mesh
-    while mesh.num_triangles < 100:
+    while mesh.num_triangles < min_triangles:
         _, est, _, _ = solve_problem(prob, mesh)
         mesh = nvb_refine(mesh, dorfler_mark(est.per_element, 0.5))
+    return mesh
+
+
+@pytest.fixture(scope="module")
+def graded_zshape():
+    """Adaptive Z-shape mesh with more than 100 triangles and its stacked
+    element matrices."""
+    prob = builtin_zshape_problem()
+    mesh = adaptive_zshape(prob, 100)
     geom = ElementGeometry(mesh, np.arange(mesh.num_triangles))
     B, G, load = dpg.element_matrices(geom, prob.material, prob.f)
     return prob, mesh, B, G, load
@@ -162,9 +178,8 @@ def test_batched_matches_single_element_path(graded_zshape):
         ElementGeometry(mesh, np.arange(mesh.num_triangles)), prob.material,
         f)
     for t in (0, mesh.num_triangles // 2, mesh.num_triangles - 1):
-        for batched, single in ((B[t], dpg.local_b(mesh, t, prob.material)),
-                                (G[t], dpg.local_gram(mesh, t)),
-                                (load_f[t], dpg.local_load(mesh, t, f))):
+        for batched, single in zip((B[t], G[t], load_f[t]),
+                                   one_element(mesh, t, prob.material, f)):
             assert np.abs(batched - single).max() <= 1e-12 * np.abs(
                 single).max()
 
@@ -191,10 +206,147 @@ def test_condensed_blocks_equal_dense_schur_complement(graded_zshape):
     prob, mesh, B, G, load = graded_zshape
     dm = build_dofmap(mesh, prob.bc_builder(mesh))
     systems = dpg.build_element_systems(mesh, dm, prob.material, prob.f)
-    A = np.swapaxes(systems.W, 1, 2) @ systems.W
+    W = systems.W[systems.cls]
+    A = np.swapaxes(W, 1, 2) @ W
     oracle = np.swapaxes(B, 1, 2) @ np.linalg.solve(G, B)
     err = np.abs(A - oracle).max(axis=(1, 2))
     assert (err <= 1e-10 * np.abs(oracle).max(axis=(1, 2))).all()
+
+
+# ---------------------------------------------------------------------------
+# one element system per congruence class
+# ---------------------------------------------------------------------------
+
+def rel_per_element(a, b):
+    """Normwise relative difference of each element's block."""
+    axes = tuple(range(1, a.ndim))
+    return np.linalg.norm(a - b, axis=axes) / np.linalg.norm(b, axis=axes)
+
+
+def class_and_element_paths(mesh, material, f):
+    """(W, v, A_T) per triangle from the class path and from element
+    matrices and condensation run on every triangle, plus the classes."""
+    dm = build_dofmap(mesh, clamped_zero_bc(mesh))
+    systems = dpg.build_element_systems(mesh, dm, material, f)
+    W_c = systems.W[systems.cls]
+    W, v = dpg.condense(*dpg.element_matrices(
+        ElementGeometry(mesh, np.arange(mesh.num_triangles)), material, f))
+    gram = lambda X: np.swapaxes(X, 1, 2) @ X
+    return ((W_c, systems.v, gram(W_c)), (W, v, gram(W)), systems.cls)
+
+
+def square_mesh(levels):
+    from platedpg.mesh import uniform_refine
+    mesh = builtin_square_problem().initial_mesh
+    for _ in range(levels):
+        mesh = uniform_refine(mesh)
+    return mesh
+
+
+def jittered_square():
+    """A square mesh whose interior vertices are moved at random, so no
+    two triangles are congruent."""
+    mesh = square_mesh(3)
+    coords = mesh.coords.copy()
+    inner = ~mesh.vertex_on_boundary
+    rng = np.random.default_rng(7)
+    coords[inner] += rng.uniform(-0.02, 0.02, size=(inner.sum(), 2))
+    return mesh_from_arrays(coords, mesh.tri_vertices)
+
+
+def relabelled_square():
+    """The square mesh with its vertices and triangles renumbered at
+    random: congruent triangles in the same local vertex order then differ
+    in edge orientation and edge signs."""
+    mesh = square_mesh(3)
+    rng = np.random.default_rng(3)
+    new_id = rng.permutation(mesh.num_vertices)
+    coords = np.empty_like(mesh.coords)
+    coords[new_id] = mesh.coords
+    tris = new_id[mesh.tri_vertices][rng.permutation(mesh.num_triangles)]
+    return mesh_from_arrays(coords, tris)
+
+
+@pytest.mark.parametrize("case", ["square", "relabelled_square",
+                                  "graded_zshape", "jittered"])
+def test_class_path_matches_per_element_path(case, request):
+    f = lambda p: 1.0 + p[:, 0] ** 2
+    if case == "square":
+        mesh, material = square_mesh(3), MaterialLaw(1.0, 0.0)
+    elif case == "relabelled_square":
+        mesh, material = relabelled_square(), MaterialLaw(1.0, 0.0)
+    elif case == "graded_zshape":
+        prob, mesh = request.getfixturevalue("graded_zshape")[:2]
+        material = prob.material
+    else:
+        mesh, material = jittered_square(), MaterialLaw(1.0, 0.3)
+    by_class, by_element, cls = class_and_element_paths(mesh, material, f)
+    for a, b in zip(by_class, by_element):
+        assert rel_per_element(a, b).max() <= 1e-13
+    if case == "jittered":
+        assert cls.max() + 1 == mesh.num_triangles
+    else:
+        assert cls.max() + 1 < mesh.num_triangles / 2
+
+
+def test_translation_neither_merges_shapes_nor_costs_accuracy(
+        graded_zshape):
+    """Shifted by (1e3, -1e3), the coordinates carry rounding of about
+    1e-13, which moves the per-element matrices themselves by some 1e-12
+    relative.  The shifted mesh must fall into the same classes as the
+    original, and the class path must stay as close to the per-element
+    matrices of the original mesh as the per-element path on the shifted
+    mesh does."""
+    prob, mesh = graded_zshape[:2]
+    shift = np.array([1e3, -1e3])
+    moved = mesh_from_arrays(mesh.coords + shift, mesh.tri_vertices)
+    f = lambda p: 1.0 + p[:, 0] ** 2
+    _, at_origin, cls = class_and_element_paths(mesh, prob.material, f)
+    by_class, by_element, moved_cls = class_and_element_paths(
+        moved, prob.material, lambda p: f(p - shift))
+    pairs = np.unique(np.column_stack([cls, moved_cls]), axis=0)
+    assert len(pairs) == cls.max() + 1 == moved_cls.max() + 1
+    for c, e, o in zip(by_class, by_element, at_origin):
+        assert (rel_per_element(c, o).max()
+                <= rel_per_element(e, o).max() + 1e-13)
+
+
+def test_class_counts_on_nvb_meshes():
+    """Uniform refinement of the square keeps 8 shapes; an adaptive
+    Z-shape mesh has at least ten triangles per class.  A key that saw
+    absolute position would give one class per triangle."""
+    def classes(mesh):
+        dm = build_dofmap(mesh, clamped_zero_bc(mesh))
+        material = MaterialLaw(1.0, 0.0)
+        return len(dpg.build_element_systems(mesh, dm, material, None).W)
+
+    square = square_mesh(5)
+    assert square.num_triangles == 2048
+    assert classes(square) == 8
+    zshape = adaptive_zshape(builtin_zshape_problem(), 2000)
+    assert classes(zshape) <= zshape.num_triangles / 10
+
+
+def test_gram_failure_names_a_triangle_of_the_class(monkeypatch):
+    mesh = square_mesh(2)
+    prob = builtin_square_problem()
+    dm = build_dofmap(mesh, prob.bc_builder(mesh))
+    cls = dpg.build_element_systems(mesh, dm, prob.material, prob.f).cls
+    bad = cls.max()
+    real = dpg.element_matrices
+
+    def breaking(geom, material, f):
+        B, G, load = real(geom, material, f)
+        G[bad, 23, 23] = -1.0
+        return B, G, load
+
+    monkeypatch.setattr(dpg, "element_matrices", breaking)
+    with pytest.raises(SPDError, match=r"element Gram matrix (\d+) is not "
+                       r"SPD: pivot 23") as err:
+        dpg.build_element_systems(mesh, dm, prob.material, prob.f)
+    t = int(re.search(r"matrix (\d+)", str(err.value)).group(1))
+    assert cls[t] == bad
+    assert err.value.pivot == 23
 
 
 # ---------------------------------------------------------------------------

@@ -217,24 +217,27 @@ def test_solver_failure_flushes_partial_records(tmp_path, monkeypatch):
     assert len(read_records_csv(out)) == 1
 
 
-def test_spd_failure_flushes_partial_records(tmp_path, monkeypatch):
+def test_spd_failure_flushes_partial_records(tmp_path, monkeypatch,
+                                            capsys):
     """An element Gram that is not SPD mid-run also writes the records
-    collected so far and surfaces exit code 3 through the CLI."""
+    collected so far and surfaces exit code 3 through the CLI, naming a
+    triangle."""
     import platedpg.dpg as dpg
 
-    real = dpg.condense
+    real = dpg.element_matrices
     calls = {"n": 0}
 
-    def breaking(B, G, load):
+    def breaking(geom, material, f):
+        B, G, load = real(geom, material, f)
         calls["n"] += 1
         if calls["n"] >= 2:
-            G = G.copy()
             G[-1] = -np.eye(G.shape[-1])
-        return real(B, G, load)
+        return B, G, load
 
-    monkeypatch.setattr(dpg, "condense", breaking)
+    monkeypatch.setattr(dpg, "element_matrices", breaking)
     out = tmp_path / "partial.csv"
     code = main(["run", "--problem", "square", "--mode", "uniform",
                  "--levels", "4", "--out", str(out)])
     assert code == 3
     assert len(read_records_csv(out)) == 1
+    assert "element Gram matrix" in capsys.readouterr().err

@@ -154,6 +154,34 @@ def test_clamped_free_dimension(mesh):
         + dm.n_qhat_free
 
 
+@st.composite
+def refined_squares(draw):
+    """The unit square after up to four rounds of random marking."""
+    mesh = unit_square_mesh()
+    for _ in range(draw(st.integers(0, 4))):
+        marked = draw(st.lists(st.integers(0, mesh.num_triangles - 1),
+                               min_size=1))
+        mesh = nvb_refine(mesh, marked)
+    return mesh
+
+
+@settings(max_examples=30, deadline=None)
+@given(mesh=refined_squares())
+def test_simply_supported_free_dimension(mesh):
+    """A boundary vertex keeps its normal slope unless it is a corner,
+    and a boundary edge loses beta."""
+    boundary_vertices = int(mesh.vertex_on_boundary.sum())
+    corners = int(np.all(np.isin(mesh.coords, (0.0, 1.0)), axis=1).sum())
+    boundary_edges = int(mesh.edge_on_boundary.sum())
+    dm = build_dofmap(mesh, simply_supported_bc(mesh))
+    base = (7 * mesh.num_triangles + 2 * mesh.num_interior_vertices
+            + 2 * mesh.num_edges)
+    assert corners == 4
+    assert dm.free_dim == (base + boundary_vertices - corners
+                           - boundary_edges)
+    assert dm.free_dim == base - 4
+
+
 @settings(max_examples=30, deadline=None)
 @given(mesh=refined_meshes(), clamped=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))

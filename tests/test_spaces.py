@@ -8,10 +8,10 @@ from platedpg.mesh import (mesh_from_arrays, reference_triangle_mesh,
                            uniform_refine, unit_square_mesh, vertex_patch)
 from platedpg.polyquad import tri_rule
 from platedpg.spaces import (BCSpec, ElementGeometry, build_dofmap,
-                             extract_qhat, extract_qhat_local, extract_uhat,
-                             interpolate_uhat_bc, local_qhat, qhat_pair_local,
-                             simply_supported_bc, uhat_pair_local,
-                             uhat_trace_on_edge)
+                             interpolate_uhat_bc, simply_supported_bc)
+from trace_oracles import (extract_qhat, extract_qhat_local, extract_uhat,
+                           local_qhat, qhat_pair_local, uhat_pair_local,
+                           uhat_trace_on_edge)
 
 SKEW_TRI = mesh_from_arrays([(0.1, 0.2), (1.3, 0.1), (0.4, 1.2)], [(0, 1, 2)])
 
