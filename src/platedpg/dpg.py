@@ -32,7 +32,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from .errors import SPDError
 from .linalg import dense_cholesky, sparse_from_triplets
@@ -192,12 +191,13 @@ def build_element_systems(mesh, dofmap, material, f):
     cls = cls.reshape(-1)
     reps = ElementGeometry(mesh, first)
     B, G, _ = element_matrices(reps, material, None)
-    # (x_q - c) / h, and so the P3 value table, depends only on the class
-    rule = tri_rule(ASSEMBLY_DEGREE)
-    vals = reps.scalar_basis(3).eval(rule.map_to(reps.P)[0]).values
-    qpts, w = rule.map_to(geom.P)
+    load = np.zeros((len(cls), N_TEST))
+    if f is not None:  # P3 values at (x_q - c) / h depend only on the class
+        rule = tri_rule(ASSEMBLY_DEGREE)
+        vals = reps.scalar_basis(3).eval(rule.map_to(reps.P)[0]).values
+        load = _load(f, *rule.map_to(geom.P), vals[cls])
     try:
-        W, v = condense(B, G, _load(f, qpts, w, vals[cls]), cls)
+        W, v = condense(B, G, load, cls)
     except SPDError as exc:
         t = first[exc.index[0]]
         raise SPDError(f"element Gram matrix {t} is not SPD: pivot "
@@ -241,13 +241,15 @@ def assemble(mesh, dofmap, problem, systems: Optional[ElementSystems] = None):
     A_full = sparse_from_triplets(rows, cols, A_T.ravel(), dofmap.full_dim)
     b_full = np.bincount(idx.ravel(), weights=b_T.ravel(),
                          minlength=dofmap.full_dim)
-    R = dofmap.R
-    A = (R.T @ A_full @ R).tocsr()
-    rhs = np.asarray(R.T @ (b_full - A_full @ dofmap.x_prescribed)).ravel()
+    RT = dofmap.R.T.tocsr()        # CSR @ CSR: A_full is not converted
+    A = RT @ A_full @ dofmap.R
+    A.sort_indices()               # so that A + A.T below is canonical
+    rhs = RT @ (b_full - A_full @ dofmap.x_prescribed)
     diag = A.diagonal()
     scale = np.where(diag > 0.0, 1.0 / np.sqrt(np.maximum(diag, 1e-300)), 1.0)
-    D = sp.diags(scale)
-    A = (D @ A @ D).tocsr()
+    # D A D in place, entry by entry (a_ij d_i) d_j
+    A.data *= np.repeat(scale, np.diff(A.indptr))
+    A.data *= scale[A.indices]
     A = 0.5 * (A + A.T)
     return GlobalSystem(A=A, rhs=scale * rhs, dofmap=dofmap,
                         systems=systems, scale=scale)

@@ -197,10 +197,10 @@ def interpolate_uhat_bc(exact_u, exact_grad_u, mesh):
     """Clamped-plate essential data: prescribe (u, grad u) at every
     boundary vertex by nodal interpolation."""
     bc = BCSpec()
-    bpts = mesh.coords[mesh.boundary_vertices()]
-    vals = np.asarray(exact_u(bpts), dtype=float)
-    grads = np.asarray(exact_grad_u(bpts), dtype=float)
-    for i, v in enumerate(mesh.boundary_vertices()):
+    bverts = mesh.boundary_vertices()
+    vals = np.asarray(exact_u(mesh.coords[bverts]), dtype=float)
+    grads = np.asarray(exact_grad_u(mesh.coords[bverts]), dtype=float)
+    for i, v in enumerate(bverts):
         bc.clamp_vertex(int(v), vals[i], grads[i])
     return bc
 

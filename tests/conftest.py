@@ -1,6 +1,19 @@
 """Shared manufactured fields and acceptance reporting hooks."""
 
-import numpy as np
+import os
+import sys
+import warnings
+
+# One BLAS thread, set before numpy loads OpenBLAS: with its default of one
+# thread per core, the many small triangular solves of the element path run
+# up to 200 times slower while another process keeps a core busy.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+if "numpy" in sys.modules:
+    warnings.warn("numpy was imported before tests/conftest.py; the BLAS "
+                  "thread count set there has no effect")
+
+import numpy as np  # noqa: E402
 
 ACCEPTANCE_LINES = []
 

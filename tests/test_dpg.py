@@ -2,11 +2,12 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from conftest import random_shape_regular_triangle
 
 from platedpg import dpg
 from platedpg.errors import SPDError
-from platedpg.linalg import dense_cholesky, spd_solve
+from platedpg.linalg import dense_cholesky, sparse_from_triplets, spd_solve
 from platedpg.mesh import (mesh_from_arrays, reference_triangle_mesh,
                            unit_square_mesh)
 from platedpg.polyquad import tri_rule
@@ -213,6 +214,18 @@ def test_condensed_blocks_equal_dense_schur_complement(graded_zshape):
     assert (err <= 1e-10 * np.abs(oracle).max(axis=(1, 2))).all()
 
 
+def test_without_load_v_is_zero_and_W_unchanged(graded_zshape):
+    """f = None skips the load table; v is then exactly zero and W is the
+    same as with a load that evaluates to zero."""
+    prob, mesh = graded_zshape[:2]
+    dm = build_dofmap(mesh, prob.bc_builder(mesh))
+    none = dpg.build_element_systems(mesh, dm, prob.material, None)
+    zero = dpg.build_element_systems(mesh, dm, prob.material,
+                                     lambda p: np.zeros(len(p)))
+    assert not none.v.any()
+    assert np.array_equal(none.W, zero.W)
+
+
 # ---------------------------------------------------------------------------
 # one element system per congruence class
 # ---------------------------------------------------------------------------
@@ -386,6 +399,48 @@ def test_assemble_symmetry_on_square_problem():
     system = dpg.assemble(mesh, dm, prob)
     A = system.A
     assert abs(A - A.T).max() <= 1e-12 * abs(A).max()
+
+
+def diagonal_product_reference(dm, systems):
+    """A and rhs of the condensed system formed with explicit diagonal
+    matrices: ``sym(D (R^T A_full R) D)`` and ``D R^T (b - A_full x_p)``."""
+    W, idx, cls = systems.W, systems.scatter, systems.cls
+    A_T = dpg._sym(np.swapaxes(W, 1, 2) @ W)[cls]
+    b_T = np.einsum("tij,ti->tj", W[cls], systems.v)
+    A_full = sparse_from_triplets(np.repeat(idx, dpg.N_TRIAL, axis=1).ravel(),
+                                  np.tile(idx, dpg.N_TRIAL).ravel(),
+                                  A_T.ravel(), dm.full_dim)
+    b_full = np.bincount(idx.ravel(), weights=b_T.ravel(),
+                         minlength=dm.full_dim)
+    A = (dm.R.T @ A_full @ dm.R).tocsr()
+    rhs = np.asarray(dm.R.T @ (b_full - A_full @ dm.x_prescribed)).ravel()
+    diag = A.diagonal()
+    scale = np.where(diag > 0.0, 1.0 / np.sqrt(np.maximum(diag, 1e-300)), 1.0)
+    D = sp.diags(scale)
+    A = (D @ A @ D).tocsr()
+    return 0.5 * (A + A.T), scale * rhs
+
+
+@pytest.mark.parametrize("case", ["graded_zshape", "square_L3"])
+def test_assemble_equals_diagonal_product_reference_bitwise(case, request):
+    """In-place equilibration computes each entry as (a_ij d_i) d_j, as the
+    product with diagonal matrices does: the same bits, and A is canonical
+    CSR and exactly symmetric.  The Z-shape carries inhomogeneous clamped
+    data, the square a load and simply supported BCs."""
+    if case == "graded_zshape":
+        prob, mesh = request.getfixturevalue("graded_zshape")[:2]
+    else:
+        prob, mesh = builtin_square_problem(), square_mesh(3)
+    dm = build_dofmap(mesh, prob.bc_builder(mesh))
+    system = dpg.assemble(mesh, dm, prob)
+    A_ref, rhs_ref = diagonal_product_reference(dm, system.systems)
+    A = system.A
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(A, name), getattr(A_ref, name)), name
+    assert np.array_equal(system.rhs, rhs_ref)
+    assert np.abs(system.rhs).max() > 0.0
+    assert A.format == "csr" and A.has_canonical_format
+    assert (A - A.T).nnz == 0
 
 
 def test_estimator_positive_with_load():
