@@ -72,6 +72,9 @@ def dorfler_mark(etas, theta):
     if np.any(etas < 0.0):
         raise ConfigurationError("negative estimator values")
     order = np.argsort(-etas, kind="stable")
+    # an exact power-of-two scale keeps the squares from under- or
+    # overflowing and leaves every comparison below as it was
+    etas = np.ldexp(etas, -np.frexp(etas.max(initial=0.0))[1])
     cum = np.cumsum(etas[order] ** 2)
     if cum.size == 0 or cum[-1] == 0.0:
         return set()

@@ -209,33 +209,36 @@ def nvb_refine(mesh, marked):
     if marked[0] < 0 or marked[-1] >= mesh.num_triangles:
         raise MeshStructureError("marked set contains invalid triangle ids")
 
-    tris = mesh.tri_vertices.tolist()
-    edges = mesh.tri_edges.tolist()
-    sides = mesh.edge_triangles.tolist()
-    ref = mesh.refinement_edge.tolist()
+    # flat slot lists, three per triangle, turned so that slot 0 holds the
+    # newest vertex p0 and the refinement edge p1p2 opposite it
+    n0, ref0 = mesh.num_triangles, mesh.refinement_edge[:, None]
+    turn = (ref0 + np.arange(3)) % 3
+    verts = np.take_along_axis(mesh.tri_vertices, turn, 1).ravel().tolist()
+    edges = np.take_along_axis(mesh.tri_edges, turn, 1).ravel().tolist()
+    side0, side1 = mesh.edge_triangles.T.tolist()
     gen = mesh.generation.tolist()
-    alive = [True] * len(tris)
+    alive = [True] * n0
     ends = []                           # the bisected edge of each new vertex
 
     def split(t, m, h1, h2):
-        """Children [p1, m, p0] and [m, p2, p0]; h1 and h2 are the halves
-        of the refinement edge at p1 and at p2."""
-        i = ref[t]
-        p0, p1, p2 = tris[t][i], tris[t][(i + 1) % 3], tris[t][(i + 2) % 3]
-        e1, e2 = edges[t][(i + 2) % 3], edges[t][(i + 1) % 3]  # p0p1, p2p0
-        c, d = len(tris), len(sides)
-        tris.extend(([p1, m, p0], [m, p2, p0]))
-        edges.extend(([d, e1, h1], [e2, d, h2]))
-        sides.append([c, c + 1])
-        ref.extend((1, 0))
+        """Children [m, p0, p1] and [m, p2, p0] in slot order; h1 and h2
+        are the halves of the refinement edge at p1 and at p2."""
+        p0, p1, p2 = verts[3 * t:3 * t + 3]
+        e2, e1 = edges[3 * t + 1], edges[3 * t + 2]          # p2p0, p0p1
+        c, d = len(alive), len(side0)
+        verts.extend((m, p0, p1, m, p2, p0))
+        edges.extend((e1, h1, d, e2, d, h2))
+        side0.append(c)
+        side1.append(c + 1)
         gen.extend((gen[t] + 1, gen[t] + 1))
         alive[t] = False
         alive.extend((True, True))
-        for e, old, new in ((e1, t, c), (h1, -1, c), (e2, t, c + 1),
-                            (h2, -1, c + 1)):
-            sides[e][sides[e].index(old)] = new
+        (side0 if side0[e1] == t else side1)[e1] = c
+        (side0 if side0[h1] == -1 else side1)[h1] = c
+        (side0 if side0[e2] == t else side1)[e2] = c + 1
+        (side0 if side0[h2] == -1 else side1)[h2] = c + 1
 
-    budget = 200 * (len(tris) + marked.size)
+    budget = 200 * (n0 + marked.size)
     for t0 in marked.tolist():
         stack = [t0]
         while stack:
@@ -246,16 +249,16 @@ def nvb_refine(mesh, marked):
             if not alive[t]:
                 stack.pop()
                 continue
-            i = ref[t]
-            a, b = sides[edges[t][i]]
-            nb = b if a == t else a
-            if nb >= 0 and edges[nb][ref[nb]] != edges[t][i]:
+            e = edges[3 * t]
+            nb = side1[e] if side0[e] == t else side0[e]
+            if nb >= 0 and edges[3 * nb] != e:
                 stack.append(nb)
                 continue
-            m = mesh.num_vertices + len(ends)
-            ends.append((tris[t][(i + 1) % 3], tris[t][(i + 2) % 3]))
-            h = len(sides)
-            sides += [[-1, -1], [-1, -1]]
+            m = mesh.num_vertices + len(ends) // 2
+            ends += verts[3 * t + 1:3 * t + 3]
+            h = len(side0)
+            side0 += (-1, -1)
+            side1 += (-1, -1)
             split(t, m, h, h + 1)
             if nb >= 0:
                 split(nb, m, h + 1, h)
@@ -264,11 +267,18 @@ def nvb_refine(mesh, marked):
     # only edges of the given mesh are bisected: a child's refinement edge
     # is one of its parent's edges, and a grandchild has no edge of the
     # given mesh, so no refinement edge on the stack leads to it
-    coords = np.concatenate([mesh.coords,
-                             0.5 * mesh.coords[ends].sum(axis=1)])
+    coords = np.concatenate([
+        mesh.coords, 0.5 * mesh.coords[np.reshape(ends, (-1, 2))].sum(axis=1)])
+    # undo the turn: the given triangles keep their layout, and children
+    # come out as [p1, m, p0] with ref 1 and [m, p2, p0] with ref 0
+    slots = np.array(verts).reshape(-1, 3)
+    kids = slots[n0:].reshape(-1, 2, 3)
+    kids[:, 0] = kids[:, 0, [2, 0, 1]]
+    tris = np.concatenate([np.take_along_axis(
+        slots[:n0], (np.arange(3) - ref0) % 3, 1), kids.reshape(-1, 3)])
+    ref = np.concatenate([ref0[:, 0], np.tile([1, 0], len(kids))])
     keep = np.flatnonzero(alive)
-    return Mesh(coords, np.array(tris)[keep], np.array(ref)[keep],
-                np.array(gen)[keep])
+    return Mesh(coords, tris[keep], ref[keep], np.array(gen)[keep])
 
 
 def uniform_refine(mesh):

@@ -283,24 +283,6 @@ class DofMap:
         return self.R @ x_free + self.x_prescribed
 
 
-def _reduce_block(C, d, tag):
-    """Particular solution and nullspace basis of a small constraint block
-    C x = d; raises when the constraint functionals are dependent."""
-    C = np.asarray(C, dtype=float)
-    d = np.asarray(d, dtype=float)
-    n = C.shape[1]
-    U, s, Vt = np.linalg.svd(C, full_matrices=True)
-    tol = max(C.shape) * np.finfo(float).eps * max(s[0], 1.0)
-    rank = int(np.count_nonzero(s > tol))
-    if rank < C.shape[0]:
-        raise ConfigurationError(
-            f"over-constrained boundary block at {tag}: "
-            f"{C.shape[0]} constraints of rank {rank}")
-    x_p = Vt[:rank].T @ ((U.T @ d)[:rank] / s[:rank])
-    null = Vt[rank:].T.copy() if rank < n else np.zeros((n, 0))
-    return x_p, null
-
-
 def _reduce_blocks(rows, bc, kind, col0):
     """Reduction of one family of small DOF blocks (vertex uhat triples or
     edge (alpha, beta) pairs) whose full-vector indices are ``rows``.
@@ -308,8 +290,11 @@ def _reduce_blocks(rows, bc, kind, col0):
     Every block has a basis of its free columns, the identity unless its
     constraints (grouped by block, in the order given) replace it by
     their nullspace; the blocks' free columns are numbered consecutively
-    from ``col0``.  Returns the COO entries of R, the prescribed values of
-    the rows and the number of free columns.
+    from ``col0``.  The blocks with k constraints are reduced by one
+    stacked SVD, whose LAPACK call per block is the one a single SVD
+    makes.  Returns the COO entries of R, the prescribed values of the
+    rows and the number of free columns; dependent constraints raise
+    for the lowest such block id.
     """
     n, width = rows.shape
     cons = [c for c in bc.constraints if c.kind == kind]
@@ -321,17 +306,33 @@ def _reduce_blocks(rows, bc, kind, col0):
     order = np.argsort(index, kind="stable")
     C = np.array([c.coeffs for c in cons], dtype=float).reshape(-1, width)
     d = np.array([c.value for c in cons], dtype=float)
-    blocks, starts = np.unique(index[order], return_index=True)
+    blocks, starts, counts = np.unique(index[order], return_index=True,
+                                       return_counts=True)
 
     basis = np.tile(np.eye(width), (n, 1, 1))
     n_free = np.full(n, width)
     x_p = np.zeros((n, width))
-    for b, Cb, db in zip(blocks.tolist(), np.split(C[order], starts[1:]),
-                         np.split(d[order], starts[1:])):
-        x_p[b], null = _reduce_block(Cb, db, f"{kind} {b}")
+    over = []
+    for k in np.unique(counts).tolist():
+        b = blocks[counts == k]
+        at = order[starts[counts == k, None] + np.arange(k)]
+        U, s, Vt = np.linalg.svd(C[at], full_matrices=True)
+        tol = max(k, width) * np.finfo(float).eps * np.maximum(s[:, 0], 1.0)
+        rank = np.count_nonzero(s > tol[:, None], axis=1)
+        if np.any(rank < k):
+            i = np.argmax(rank < k)
+            over.append((int(b[i]), k, int(rank[i])))
+            continue
+        y = (np.swapaxes(U, 1, 2) @ d[at, None])[:, :, 0] / s[:, :k]
+        x_p[b] = (np.swapaxes(Vt[:, :k], 1, 2) @ y[:, :, None])[:, :, 0]
         basis[b] = 0.0
-        basis[b, :, :null.shape[1]] = null
-        n_free[b] = null.shape[1]
+        basis[b, :, :width - k] = np.swapaxes(Vt[:, k:], 1, 2)
+        n_free[b] = width - k
+    if over:
+        b, k, rank = min(over)
+        raise ConfigurationError(
+            f"over-constrained boundary block at {kind} {b}: "
+            f"{k} constraints of rank {rank}")
     start = col0 + np.cumsum(n_free) - n_free
     b, i, j = np.nonzero(basis)
     return (rows[b, i], start[b] + j, basis[b, i, j]), x_p, int(n_free.sum())

@@ -1,4 +1,6 @@
-from hypothesis import given, settings, strategies as st
+import warnings
+
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -32,15 +34,19 @@ def test_dorfler_order_independence():
 @given(etas=st.lists(st.sampled_from([0.0, 0.25, 1.0])
                      | st.floats(0.0, 1.0), min_size=1, max_size=30),
        theta=st.floats(0.05, 0.95))
+@example(etas=[3.4036451192112416e-162], theta=0.25)
 def test_dorfler_minimality(etas, theta):
     """The marked set is the shortest prefix, in the order eta descending
     with ties by id ascending, that reaches the bulk; repeated values and
-    zeros make the ties."""
+    zeros make the ties.  The sums are formed on etas scaled by the same
+    exact power of two as in ``dorfler_mark``, so tiny etas whose squares
+    underflow are judged too."""
     marked = dorfler_mark(etas, theta)
     assert all(type(i) is int for i in marked)
     order = sorted(range(len(etas)), key=lambda i: (-etas[i], i))
     assert marked == set(order[:len(marked)])
     etas = np.array(etas)
+    etas = np.ldexp(etas, -np.frexp(etas.max())[1])
     total = np.sum(etas ** 2)
     if total == 0.0:
         assert marked == set()
@@ -50,6 +56,16 @@ def test_dorfler_minimality(etas, theta):
     last = order[len(marked) - 1]
     rest = np.sum(etas[list(marked - {last})] ** 2)
     assert rest < theta * total * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("etas, marked", [([1e-170, 1e-170], {0}),
+                                           ([1e200, 1e200, 1.0], {0})])
+def test_dorfler_tiny_and_huge_estimators(etas, marked):
+    """Squares of 1e-170 underflow to 0 and of 1e200 overflow; marking
+    still reaches the bulk, without a floating-point warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dorfler_mark(etas, 0.5) == marked
 
 
 def test_dorfler_theta_validation():

@@ -225,22 +225,8 @@ def test_nvb_accepts_any_iterable_of_ids_and_rejects_invalid_ones():
             nvb_refine(m, bad)
 
 
-def test_nvb_triangle_and_vertex_order_pinned():
-    """Five seeded rounds of 20 % random marking from a uniformly refined
-    Z-shape give a mesh whose bytes are pinned: the benchmark marks random
-    triangle ids, so reordering children or new vertices changes its
-    meshes."""
-    from platedpg.problems import zshape_mesh
-    rng = np.random.default_rng(0)
-    m = uniform_refine(zshape_mesh())
-    for _ in range(5):
-        n = m.num_triangles
-        m = nvb_refine(m, rng.choice(n, size=round(0.2 * n), replace=False))
-    assert (m.num_triangles, m.num_vertices) == (136, 82)
-    digests = {name: hashlib.sha256(getattr(m, name).tobytes()).hexdigest()
-               for name in ("coords", "tri_vertices", "refinement_edge",
-                            "generation")}
-    assert digests == {
+@pytest.mark.parametrize("uniform, rounds, counts, pinned", [
+    (1, 5, (136, 82), {
         "coords": "197b8a4bc3901ebda670d8dc3b492142"
                   "b8e5107d72141f0847f44a9660f75be9",
         "tri_vertices": "c73ef7ce5639fc2dad2280ba8abac9a2"
@@ -248,5 +234,34 @@ def test_nvb_triangle_and_vertex_order_pinned():
         "refinement_edge": "464a9acfb01d5cb7d09a33a4cf9cc497"
                            "02435c9b2a69ff933a11501e5fc232fd",
         "generation": "4044de523054251af32567c18b73ba42"
-                      "1c50186ad8f907e881c86fb432ee2ff3",
-    }
+                      "1c50186ad8f907e881c86fb432ee2ff3"}),
+    (3, 8, (7396, 3781), {
+        "coords": "878e5de95577f1033e85fee5dce0fc7b"
+                  "f4c682a5357df87b37dba3e8e34546eb",
+        "tri_vertices": "3f6090823cf564cf61bdfe0f30fdc26e"
+                        "4b05ed132ed19906dd58051ed97e262d",
+        "refinement_edge": "aa26c5d18773200e26a7dc6f6f690fa6"
+                           "0fdcaa1c1dd50a63ee9a8fc5eb27fd91",
+        "generation": "c454d9c1087e20570efa7875216ac273"
+                      "afbc1cf3f8ee032d5415f8f680c467ac"}),
+], ids=["5-rounds", "8-rounds-deep"])
+def test_nvb_triangle_and_vertex_order_pinned(uniform, rounds, counts,
+                                              pinned):
+    """Seeded rounds of 20 % random marking from a uniformly refined
+    Z-shape give a mesh whose bytes are pinned: the benchmark marks random
+    triangle ids, so reordering children or new vertices changes its
+    meshes.  The deeper case grows to thousands of triangles, where
+    closure chains run long."""
+    from platedpg.problems import zshape_mesh
+    rng = np.random.default_rng(0)
+    m = zshape_mesh()
+    for _ in range(uniform):
+        m = uniform_refine(m)
+    for _ in range(rounds):
+        n = m.num_triangles
+        m = nvb_refine(m, rng.choice(n, size=round(0.2 * n), replace=False))
+    assert (m.num_triangles, m.num_vertices) == counts
+    digests = {name: hashlib.sha256(getattr(m, name).tobytes()).hexdigest()
+               for name in ("coords", "tri_vertices", "refinement_edge",
+                            "generation")}
+    assert digests == pinned

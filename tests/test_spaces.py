@@ -1,3 +1,6 @@
+import hashlib
+
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 from conftest import (manufactured_M, manufactured_divM, smooth_tensor,
@@ -7,8 +10,9 @@ from platedpg.errors import ConfigurationError
 from platedpg.mesh import (mesh_from_arrays, reference_triangle_mesh,
                            uniform_refine, unit_square_mesh, vertex_patch)
 from platedpg.polyquad import tri_rule
-from platedpg.spaces import (BCSpec, ElementGeometry, build_dofmap,
-                             interpolate_uhat_bc, simply_supported_bc)
+from platedpg.spaces import (BCSpec, ElementGeometry, _reduce_blocks,
+                             build_dofmap, interpolate_uhat_bc,
+                             simply_supported_bc)
 from trace_oracles import (extract_qhat, extract_qhat_local, extract_uhat,
                            local_qhat, qhat_pair_local, uhat_pair_local,
                            uhat_trace_on_edge)
@@ -306,6 +310,147 @@ def test_dofmap_unconstrained_count_formula():
         assert dm.n_qhat_free == (2 * mesh.num_edges + 3 * mesh.num_triangles
                                   - mesh.num_interior_vertices)
         assert dm.n_uhat_free == 3 * mesh.num_vertices
+
+
+def _reduce_block(C, d, tag):
+    """Oracle: one SVD per constraint block, the reduction the stacked
+    SVD in ``_reduce_blocks`` replaces."""
+    C = np.asarray(C, dtype=float)
+    d = np.asarray(d, dtype=float)
+    n = C.shape[1]
+    U, s, Vt = np.linalg.svd(C, full_matrices=True)
+    tol = max(C.shape) * np.finfo(float).eps * max(s[0], 1.0)
+    rank = int(np.count_nonzero(s > tol))
+    if rank < C.shape[0]:
+        raise ConfigurationError(
+            f"over-constrained boundary block at {tag}: "
+            f"{C.shape[0]} constraints of rank {rank}")
+    x_p = Vt[:rank].T @ ((U.T @ d)[:rank] / s[:rank])
+    null = Vt[rank:].T.copy() if rank < n else np.zeros((n, 0))
+    return x_p, null
+
+
+def _reduce_blocks_per_block(rows, bc, kind, col0):
+    """Oracle for ``_reduce_blocks``: the blocks in ascending id, one
+    ``_reduce_block`` each."""
+    n, width = rows.shape
+    cons = [c for c in bc.constraints if c.kind == kind]
+    index = np.array([c.index for c in cons], dtype=np.int64)
+    order = np.argsort(index, kind="stable")
+    C = np.array([c.coeffs for c in cons], dtype=float).reshape(-1, width)
+    d = np.array([c.value for c in cons], dtype=float)
+    blocks, starts = np.unique(index[order], return_index=True)
+    basis = np.tile(np.eye(width), (n, 1, 1))
+    n_free = np.full(n, width)
+    x_p = np.zeros((n, width))
+    for b, Cb, db in zip(blocks.tolist(), np.split(C[order], starts[1:]),
+                         np.split(d[order], starts[1:])):
+        x_p[b], null = _reduce_block(Cb, db, f"{kind} {b}")
+        basis[b] = 0.0
+        basis[b, :, :null.shape[1]] = null
+        n_free[b] = null.shape[1]
+    start = col0 + np.cumsum(n_free) - n_free
+    b, i, j = np.nonzero(basis)
+    return (rows[b, i], start[b] + j, basis[b, i, j]), x_p, int(n_free.sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(vertex_k=st.lists(st.integers(0, 3), min_size=1, max_size=8),
+       edge_k=st.lists(st.integers(0, 2), min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_reduction_matches_per_block_oracle(vertex_k, edge_k, seed):
+    """Random full-rank vertex (width 3) and edge (width 2) blocks with
+    every constraint count, mixed in one BCSpec in shuffled order: the
+    stacked reduction is bit for bit the per-block one."""
+    rng = np.random.default_rng(seed)
+    cons = [(fix, b, row)
+            for fix, ks, width in ((BCSpec.fix_vertex, vertex_k, 3),
+                                   (BCSpec.fix_edge, edge_k, 2))
+            for b, k in enumerate(ks)
+            for row in rng.standard_normal((k, width))
+            * 10.0 ** rng.uniform(-3, 3)]
+    bc = BCSpec()
+    for i in rng.permutation(len(cons)):
+        fix, b, row = cons[i]
+        fix(bc, b, row, rng.standard_normal())
+    nV, nE = len(vertex_k), len(edge_k)
+    for kind, rows in (
+            ("vertex", 5 + np.arange(3 * nV).reshape(nV, 3)),
+            ("edge", 7 + np.arange(nE)[:, None] + np.array([0, nE]))):
+        (r, c, v), x_p, n_free = _reduce_blocks(rows, bc, kind, 11)
+        (r0, c0, v0), x_p0, n_free0 = _reduce_blocks_per_block(
+            rows, bc, kind, 11)
+        for got, want in ((r, r0), (c, c0), (v, v0), (x_p, x_p0)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        assert n_free == n_free0
+
+
+def test_overconstrained_error_names_lowest_block():
+    """Vertex 1 fails with 3 constraints and vertex 2 with 2: the error
+    names vertex 1, as a walk over the blocks in id order would."""
+    mesh = unit_square_mesh()
+    bc = BCSpec()
+    for coeffs in ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.0, 2.0, 0.0)):
+        bc.fix_vertex(1, coeffs, 0.0)
+    bc.fix_vertex(2, (1.0, 0.0, 0.0), 0.0)
+    bc.fix_vertex(2, (-1.0, 0.0, 0.0), 1.0)
+    bc.fix_vertex(3, (1.0, 0.0, 0.0), 0.0)
+    with pytest.raises(ConfigurationError, match=(
+            "over-constrained boundary block at vertex 1: "
+            "3 constraints of rank 2")):
+        build_dofmap(mesh, bc)
+
+
+def _sha256(a):
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", ["zshape-clamped", "square-supported"])
+def test_dofmap_pinned(case):
+    """The reduction R and the prescribed values are pinned byte for byte
+    on two meshes: the clamped Z-shape after the five seeded NVB rounds of
+    ``test_nvb_triangle_and_vertex_order_pinned`` and the simply supported
+    square refined uniformly three times."""
+    if case == "zshape-clamped":
+        from platedpg.mesh import nvb_refine
+        from platedpg.problems import builtin_problem
+        problem = builtin_problem("zshape")
+        rng = np.random.default_rng(0)
+        mesh = uniform_refine(problem.initial_mesh)
+        for _ in range(5):
+            n = mesh.num_triangles
+            mesh = nvb_refine(mesh, rng.choice(n, size=round(0.2 * n),
+                                               replace=False))
+        dm = build_dofmap(mesh, problem.bc_builder(mesh))
+    else:
+        mesh = unit_square_mesh()
+        for _ in range(3):
+            mesh = uniform_refine(mesh)
+        dm = build_dofmap(mesh, simply_supported_bc(mesh))
+    digests = {name: _sha256(a) for name, a in (
+        ("indptr", dm.R.indptr), ("indices", dm.R.indices),
+        ("data", dm.R.data), ("x_prescribed", dm.x_prescribed))}
+    assert digests == {
+        "zshape-clamped": {
+            "indptr": "6d3cd27a183aa185f074cc819b4628e6"
+                      "d15f43e02e9b5073c317f35d782d609b",
+            "indices": "7eb85acdd47ef9620ec67acc4253d59d"
+                       "fe5f611e81035aea9d722eb4352ffaf3",
+            "data": "d128f9554605a66bd772c57984c36e50"
+                    "d488db8f46d2034c864f2528f6a874cc",
+            "x_prescribed": "166f891fbc06d74885b89a69800c4840"
+                            "0e17bdb11a413cda4253679a136423d7"},
+        "square-supported": {
+            "indptr": "af3d89ba99d92b307a13dc9086ca2f2f"
+                      "f4d2063559b2ef9b657459cceecd6abd",
+            "indices": "c609f293b065d64d1c6e72ddeb262e22"
+                       "6e115ca3411662eadca9ba81fe5e5228",
+            "data": "9268c1bf5ded04406882b09ec11caede"
+                    "2ba5727f61a6128bc38837f00c974bd5",
+            "x_prescribed": "efd48581206f117c01247d249962e11e"
+                            "7e50f17c9ee14956373dc66e8a2da3d3"},
+    }[case]
 
 
 def test_overconstrained_vertex_rejected():
