@@ -9,10 +9,10 @@ symmetric P2 tensors (18 functions).  The local trial-to-test matrix B is
     gamma (per CCW vertex)
 
 The Gram matrix G of the broken test norm is block diagonal.
-:func:`element_matrices` stacks B (n, 28, 22), G (n, 28, 28) and the
-load (n, 28) of n triangles at once; :func:`condense` factors every
-``G = L L^T`` and keeps only ``W = L^{-1} B`` and ``v = L^{-1} load``.
-These serve both the condensed blocks
+:func:`element_matrices` stacks B (n, 28, 22) and G (n, 28, 28) of n
+triangles at once; :func:`condense` factors every ``G = L L^T`` and keeps
+only ``W = L^{-1} B`` and ``v = L^{-1} load``.  These serve both the
+condensed blocks
 ``A_T = B^T G^{-1} B = W^T W`` and the residual estimator
 ``eta_T = ||v - W x_T||``.
 
@@ -28,7 +28,6 @@ boundary costs one more triangle to build and no accuracy.
 
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -50,19 +49,19 @@ def _sym(A):
     return 0.5 * (A + np.swapaxes(A, -1, -2))
 
 
-def element_matrices(geom: ElementGeometry, material, f):
-    """B (n, 28, 22), G (n, 28, 28) and load (n, 28) of the n triangles of
-    a stacked :class:`ElementGeometry`."""
+def element_matrices(geom: ElementGeometry, material):
+    """B (n, 28, 22) and G (n, 28, 28) of the n triangles of a stacked
+    :class:`ElementGeometry`."""
     n = geom.area.shape[0]
     B = np.zeros((n, N_TEST, N_TRIAL))
     G = np.zeros((n, N_TEST, N_TEST))
-    load = _volume_terms(geom, material, f, B, G)
+    _volume_terms(geom, material, B, G)
     _skeleton_terms(geom, B)
-    return B, G, load
+    return B, G
 
 
-def _volume_terms(geom, material, f, B, G):
-    """G and the volume-integral columns of B; returns the load."""
+def _volume_terms(geom, material, B, G):
+    """G and the volume-integral columns of B."""
     n = B.shape[0]
     qpts, w = tri_rule(ASSEMBLY_DEGREE).map_to(geom.P)
     table = geom.scalar_basis(3).eval(qpts)
@@ -97,16 +96,13 @@ def _volume_terms(geom, material, f, B, G):
     B[:, N_SCALAR:, 1:4] = np.einsum("tqa,tq,kl->takl", phi, w,
                                      cinv_slots).reshape(n, N_TENSOR, 3)
 
-    return _load(f, qpts, w, vals)
-
 
 def _load(f, qpts, w, vals):
     """Load rows ``-(f, z_i)_T`` (n, 28) from the P3 value table (n, nq,
     10) at the quadrature points; zero in the tensor rows."""
     load = np.zeros(w.shape[:1] + (N_TEST,))
-    if f is not None:
-        fq = np.asarray(f(qpts.reshape(-1, 2)), dtype=float).reshape(w.shape)
-        load[:, :N_SCALAR] = -np.einsum("tq,tq,tqi->ti", w, fq, vals)
+    fq = np.asarray(f(qpts.reshape(-1, 2)), dtype=float).reshape(w.shape)
+    load[:, :N_SCALAR] = -np.einsum("tq,tq,tqi->ti", w, fq, vals)
     return load
 
 
@@ -133,10 +129,10 @@ def _skeleton_terms(geom, B):
     B[:, N_SCALAR:, 4:13] = -uhat_pair_matrix(geom, geom.tensor_basis(2))
 
 
-def condense(B, G, load, cls=None):
+def condense(B, G, load, cls):
     """Factor each Gram ``G_c = L_c L_c^T`` of a stack; return
     ``W_c = L_c^{-1} B_c`` and ``v_t = L_c^{-1} load_t`` for each load row
-    t, ``c = cls[t]`` (default c = t), from one triangular solve per Gram.
+    t, ``c = cls[t]``, from one triangular solve per Gram.
     Then ``B^T G^{-1} B = W^T W`` and ``B^T G^{-1} load = W^T v``.
 
     The factors come from :func:`dense_cholesky`.  LAPACK's Cholesky is as
@@ -145,14 +141,10 @@ def condense(B, G, load, cls=None):
     enough to flip a near tie in the bulk marking and so change the
     adaptive mesh sequence.
 
-    Raises :class:`SPDError` naming the Gram and the pivot.
+    The :class:`SPDError` of :func:`dense_cholesky`, which names the
+    stack index and the pivot, passes through unchanged.
     """
-    try:
-        L = dense_cholesky(G)
-    except SPDError as exc:
-        raise SPDError(f"element Gram {exc}", pivot=exc.pivot,
-                       index=exc.index) from None
-    cls = np.arange(len(G)) if cls is None else cls
+    L = dense_cholesky(G)
     bounds = np.cumsum(np.bincount(cls, minlength=len(G)))[:-1]
     W, v, nb = np.empty_like(B), np.empty_like(load), B.shape[-1]
     for c, rows in enumerate(np.split(np.argsort(cls, kind="stable"),
@@ -180,6 +172,8 @@ class ElementSystems:
 
 
 def build_element_systems(mesh, dofmap, material, f):
+    """B and G per congruence class, the load of every triangle (none for
+    ``f = None``), condensed into :class:`ElementSystems`."""
     elements = np.arange(mesh.num_triangles)
     geom = ElementGeometry(mesh, elements)
     shape = (geom.P - geom.centroid[:, None, :]) / geom.diam[:, None, None]
@@ -190,7 +184,7 @@ def build_element_systems(mesh, dofmap, material, f):
                               return_inverse=True)
     cls = cls.reshape(-1)
     reps = ElementGeometry(mesh, first)
-    B, G, _ = element_matrices(reps, material, None)
+    B, G = element_matrices(reps, material)
     load = np.zeros((len(cls), N_TEST))
     if f is not None:  # P3 values at (x_q - c) / h depend only on the class
         rule = tri_rule(ASSEMBLY_DEGREE)
@@ -219,7 +213,6 @@ class GlobalSystem:
     """
     A: "scipy.sparse.csr_matrix"
     rhs: np.ndarray
-    dofmap: DofMap
     systems: ElementSystems
     scale: np.ndarray
 
@@ -227,12 +220,12 @@ class GlobalSystem:
         return self.scale * y
 
 
-def assemble(mesh, dofmap, problem, systems: Optional[ElementSystems] = None):
-    """Assemble the condensed SPD system on the free DOFs; the right-hand
-    side carries the essential-BC shift ``-A x_prescribed``."""
-    if systems is None:
-        systems = build_element_systems(mesh, dofmap, problem.material,
-                                        problem.f)
+def assemble(mesh, dofmap, problem):
+    """Build the element systems of the mesh and assemble the condensed SPD
+    system on the free DOFs; the right-hand side carries the essential-BC
+    shift ``-A x_prescribed``."""
+    systems = build_element_systems(mesh, dofmap, problem.material,
+                                    problem.f)
     W, idx, cls = systems.W, systems.scatter, systems.cls
     A_T = _sym(np.swapaxes(W, 1, 2) @ W)[cls]
     b_T = np.einsum("tij,ti->tj", W[cls], systems.v)
@@ -251,8 +244,7 @@ def assemble(mesh, dofmap, problem, systems: Optional[ElementSystems] = None):
     A.data *= np.repeat(scale, np.diff(A.indptr))
     A.data *= scale[A.indices]
     A = 0.5 * (A + A.T)
-    return GlobalSystem(A=A, rhs=scale * rhs, dofmap=dofmap,
-                        systems=systems, scale=scale)
+    return GlobalSystem(A=A, rhs=scale * rhs, systems=systems, scale=scale)
 
 
 @dataclass
@@ -304,14 +296,11 @@ class EstimatorField:
         return float(np.sqrt(np.sum(self.per_element ** 2)))
 
 
-def estimate(mesh, dofmap, problem, solution,
-             systems: Optional[ElementSystems] = None):
+def estimate(systems: ElementSystems, x_full):
     """DPG error estimator: per element the dual norm of the residual in
     the discrete test space, ``eta_T^2 = r_T^T G_T^{-1} r_T`` with
-    ``r_T = load_T - B_T x_T``, i.e. ``eta_T = ||v_T - W_T x_T||``."""
-    if systems is None:
-        systems = build_element_systems(mesh, dofmap, problem.material,
-                                        problem.f)
-    x = solution.x_full[systems.scatter]
+    ``r_T = load_T - B_T x_T``, i.e. ``eta_T = ||v_T - W_T x_T||``, for the
+    full coefficient vector ``x_full``."""
+    x = x_full[systems.scatter]
     r = systems.v - (systems.W[systems.cls] @ x[..., None])[..., 0]
     return EstimatorField(per_element=np.linalg.norm(r, axis=1))

@@ -2,7 +2,7 @@
 
 import argparse
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 import logging
 import sys
 from typing import List, Optional
@@ -17,10 +17,6 @@ from .problems import builtin_problem, l2_errors
 from .spaces import build_dofmap
 
 logger = logging.getLogger(__name__)
-
-CSV_COLUMNS = ["level", "ntriangles", "ndofs", "eta", "err_u", "err_M",
-               "eoc_eta", "eoc_u", "eoc_M"]
-
 
 @dataclass
 class ExperimentConfig:
@@ -109,43 +105,39 @@ def solve_problem(problem, mesh, tol=1e-12):
     dofmap = build_dofmap(mesh, problem.bc_builder(mesh))
     system = dpg.assemble(mesh, dofmap, problem)
     y, report = spd_solve(system.A, system.rhs, tol=tol)
-    solution = dpg.Solution(mesh=mesh, dofmap=dofmap,
-                            x_full=dofmap.recover_full(system.recover_free(y)))
-    estimator = dpg.estimate(mesh, dofmap, problem, solution,
-                             systems=system.systems)
-    return solution, estimator, report, dofmap.free_dim
+    x_full = dofmap.recover_full(system.recover_free(y))
+    estimator = dpg.estimate(system.systems, x_full)
+    return (dpg.Solution(mesh, dofmap, x_full), estimator, report,
+            dofmap.free_dim)
 
 
-def _fmt(x):
-    return "" if x is None else format(x, ".17g")
+def _cell(field, value):
+    if value is None:
+        return ""
+    return format(value, "d" if field.type is int else ".17g")
+
+
+def _parse(field, text):
+    if field.type is int:
+        return int(text)
+    return float(text) if text else None
 
 
 def write_records_csv(records, path):
+    columns = fields(ConvergenceRecord)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(CSV_COLUMNS)
-        for r in records:
-            writer.writerow([r.level, r.ntriangles, r.ndofs,
-                             _fmt(r.eta), _fmt(r.err_u), _fmt(r.err_M),
-                             _fmt(r.eoc_eta), _fmt(r.eoc_u), _fmt(r.eoc_M)])
+        writer.writerow([f.name for f in columns])
+        writer.writerows([_cell(f, getattr(r, f.name)) for f in columns]
+                         for r in records)
 
 
 def read_records_csv(path):
-    records = []
+    columns = fields(ConvergenceRecord)
     with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
-            records.append(ConvergenceRecord(
-                level=int(row["level"]),
-                ntriangles=int(row["ntriangles"]),
-                ndofs=int(row["ndofs"]),
-                eta=float(row["eta"]),
-                err_u=float(row["err_u"]),
-                err_M=float(row["err_M"]),
-                eoc_eta=float(row["eoc_eta"]) if row["eoc_eta"] else None,
-                eoc_u=float(row["eoc_u"]) if row["eoc_u"] else None,
-                eoc_M=float(row["eoc_M"]) if row["eoc_M"] else None))
-    return records
+        return [ConvergenceRecord(**{f.name: _parse(f, row[f.name])
+                                     for f in columns})
+                for row in csv.DictReader(handle)]
 
 
 def run_experiment(config: ExperimentConfig, problem=None):
@@ -185,7 +177,7 @@ def run_experiment(config: ExperimentConfig, problem=None):
             with open(f"{config.dump_mesh}{level:03d}.txt", "w") as handle:
                 handle.write(mesh_to_text(mesh))
 
-        if config.max_levels is not None and level + 1 >= config.max_levels:
+        if level + 1 >= config.max_levels:
             break
         if config.max_dofs is not None and ndofs >= config.max_dofs:
             break
@@ -205,31 +197,32 @@ def _build_parser():
         prog="plate-dpg",
         description="Ultraweak DPG solver for Kirchhoff-Love plate bending")
     sub = parser.add_subparsers(dest="command", required=True)
-    run = sub.add_parser("run", help="run a convergence experiment")
+    # the dests are ExperimentConfig fields; a flag left out is not set,
+    # so the config's own default applies
+    run = sub.add_parser("run", help="run a convergence experiment",
+                         argument_default=argparse.SUPPRESS)
     run.add_argument("--problem", required=True,
                      choices=["square", "zshape"])
     run.add_argument("--mode", required=True,
                      choices=["uniform", "adaptive"])
-    run.add_argument("--theta", type=float, default=0.5)
-    run.add_argument("--levels", type=int, default=None)
-    run.add_argument("--max-dofs", type=int, default=None)
-    run.add_argument("--tol", type=float, default=1e-12,
+    run.add_argument("--theta", type=float)
+    run.add_argument("--levels", dest="max_levels", type=int)
+    run.add_argument("--max-dofs", type=int)
+    run.add_argument("--tol", type=float,
                      help="bound on the normwise backward error of each "
                           "linear solve")
     run.add_argument("--out", required=True)
-    run.add_argument("--dump-mesh", default=None,
+    run.add_argument("--dump-mesh",
                      help="per-level mesh dump file prefix")
     return parser
 
 
 def main(argv=None):
     logging.basicConfig(level=logging.INFO, format="%(message)s")
-    args = _build_parser().parse_args(argv)
+    flags = vars(_build_parser().parse_args(argv))
+    del flags["command"]
     try:
-        config = ExperimentConfig(
-            problem=args.problem, mode=args.mode, theta=args.theta,
-            max_levels=args.levels, max_dofs=args.max_dofs,
-            tol=args.tol, out=args.out, dump_mesh=args.dump_mesh)
+        config = ExperimentConfig(**flags)
         records = run_experiment(config)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -10,18 +10,26 @@ from platedpg.errors import SPDError
 from platedpg.linalg import dense_cholesky, sparse_from_triplets, spd_solve
 from platedpg.mesh import (mesh_from_arrays, reference_triangle_mesh,
                            unit_square_mesh)
-from platedpg.polyquad import tri_rule
+from platedpg.polyquad import ASSEMBLY_DEGREE, tri_rule
 from platedpg.problems import (MaterialLaw, ProblemSpec,
                                builtin_square_problem, builtin_zshape_problem)
 from platedpg.spaces import ElementGeometry, build_dofmap, interpolate_uhat_bc
 
 
-def one_element(mesh, t, material=MaterialLaw(1.0, 0.0), f=None):
+def triangle_loads(geom, f):
+    """Load rows (n, 28) of a stack of triangles, each from its own
+    quadrature points and P3 value table."""
+    qpts, w = tri_rule(ASSEMBLY_DEGREE).map_to(geom.P)
+    return dpg._load(f, qpts, w, geom.scalar_basis(3).eval(qpts).values)
+
+
+def one_element(mesh, t, material=MaterialLaw(1.0, 0.0),
+                f=lambda p: np.zeros(len(p))):
     """B, G and load of triangle t alone; G does not depend on the
     material law."""
-    B, G, load = dpg.element_matrices(ElementGeometry(mesh, np.array([t])),
-                                      material, f)
-    return B[0], G[0], load[0]
+    geom = ElementGeometry(mesh, np.array([t]))
+    B, G = dpg.element_matrices(geom, material)
+    return B[0], G[0], triangle_loads(geom, f)[0]
 
 
 def clamped_zero_bc(mesh):
@@ -111,13 +119,13 @@ def test_local_load():
 
 def test_condense_degenerate_and_identity_gram():
     W, v = dpg.condense(np.zeros((1, 4, 3)), np.eye(4)[None],
-                        np.zeros((1, 4)))
+                        np.zeros((1, 4)), np.arange(1))
     np.testing.assert_allclose(W[0].T @ W[0], 0.0)
     np.testing.assert_allclose(W[0].T @ v[0], 0.0)
     rng = np.random.default_rng(2)
     B = rng.normal(size=(4, 3))
     load = rng.normal(size=4)
-    W, v = dpg.condense(B[None], np.eye(4)[None], load[None])
+    W, v = dpg.condense(B[None], np.eye(4)[None], load[None], np.arange(1))
     np.testing.assert_allclose(W[0].T @ W[0], B.T @ B, atol=1e-14)
     np.testing.assert_allclose(W[0].T @ v[0], B.T @ load, atol=1e-14)
 
@@ -128,7 +136,7 @@ def test_condense_against_dense_inverse_oracle():
     load = rng.normal(size=(3, 4))
     X = rng.normal(size=(3, 4, 4))
     G = X @ np.swapaxes(X, 1, 2) + 4.0 * np.eye(4)
-    W, v = dpg.condense(B, G, load)
+    W, v = dpg.condense(B, G, load, np.arange(3))
     for t in range(3):
         Ginv = np.linalg.inv(G[t])
         np.testing.assert_allclose(W[t].T @ W[t], B[t].T @ Ginv @ B[t],
@@ -140,8 +148,9 @@ def test_condense_against_dense_inverse_oracle():
 def test_condense_propagates_spd_failure():
     G = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])])
     with pytest.raises(SPDError,
-                       match="element Gram matrix 1 is not SPD") as err:
-        dpg.condense(np.zeros((2, 2, 2)), G, np.zeros((2, 2)))
+                       match=r"^matrix 1 is not SPD: pivot 1 ") as err:
+        dpg.condense(np.zeros((2, 2, 2)), G, np.zeros((2, 2)), np.arange(2))
+    assert err.value.index == (1,)
     assert err.value.pivot == 1
 
 
@@ -168,16 +177,16 @@ def graded_zshape():
     prob = builtin_zshape_problem()
     mesh = adaptive_zshape(prob, 100)
     geom = ElementGeometry(mesh, np.arange(mesh.num_triangles))
-    B, G, load = dpg.element_matrices(geom, prob.material, prob.f)
-    return prob, mesh, B, G, load
+    B, G = dpg.element_matrices(geom, prob.material)
+    assert prob.f is None          # so the load is zero
+    return prob, mesh, B, G, np.zeros((mesh.num_triangles, dpg.N_TEST))
 
 
 def test_batched_matches_single_element_path(graded_zshape):
     prob, mesh, B, G, load = graded_zshape
     f = lambda p: 1.0 + p[:, 0] ** 2
-    _, _, load_f = dpg.element_matrices(
-        ElementGeometry(mesh, np.arange(mesh.num_triangles)), prob.material,
-        f)
+    load_f = triangle_loads(
+        ElementGeometry(mesh, np.arange(mesh.num_triangles)), f)
     for t in (0, mesh.num_triangles // 2, mesh.num_triangles - 1):
         for batched, single in zip((B[t], G[t], load_f[t]),
                                    one_element(mesh, t, prob.material, f)):
@@ -195,7 +204,8 @@ def test_estimate_equals_dense_dual_norm(graded_zshape):
     prob, mesh, B, G, load = graded_zshape
     dm = build_dofmap(mesh, prob.bc_builder(mesh))
     x = np.random.default_rng(0).normal(size=dm.full_dim)
-    est = dpg.estimate(mesh, dm, prob, dpg.Solution(mesh, dm, x))
+    est = dpg.estimate(
+        dpg.build_element_systems(mesh, dm, prob.material, prob.f), x)
     r = load - (B @ x[dm.element_scatter(np.arange(mesh.num_triangles)),
                       None])[..., 0]
     oracle = np.sqrt(np.einsum("ti,ti->t", r,
@@ -242,8 +252,10 @@ def class_and_element_paths(mesh, material, f):
     dm = build_dofmap(mesh, clamped_zero_bc(mesh))
     systems = dpg.build_element_systems(mesh, dm, material, f)
     W_c = systems.W[systems.cls]
-    W, v = dpg.condense(*dpg.element_matrices(
-        ElementGeometry(mesh, np.arange(mesh.num_triangles)), material, f))
+    geom = ElementGeometry(mesh, np.arange(mesh.num_triangles))
+    W, v = dpg.condense(*dpg.element_matrices(geom, material),
+                        triangle_loads(geom, f),
+                        np.arange(mesh.num_triangles))
     gram = lambda X: np.swapaxes(X, 1, 2) @ X
     return ((W_c, systems.v, gram(W_c)), (W, v, gram(W)), systems.cls)
 
@@ -348,10 +360,10 @@ def test_gram_failure_names_a_triangle_of_the_class(monkeypatch):
     bad = cls.max()
     real = dpg.element_matrices
 
-    def breaking(geom, material, f):
-        B, G, load = real(geom, material, f)
+    def breaking(geom, material):
+        B, G = real(geom, material)
         G[bad, 23, 23] = -1.0
-        return B, G, load
+        return B, G
 
     monkeypatch.setattr(dpg, "element_matrices", breaking)
     with pytest.raises(SPDError, match=r"element Gram matrix (\d+) is not "
@@ -375,8 +387,8 @@ def test_assemble_zero_data_gives_zero_solution():
     np.testing.assert_allclose(system.rhs, 0.0, atol=1e-15)
     x, _ = spd_solve(system.A, system.rhs)
     np.testing.assert_allclose(x, 0.0)
-    sol = dpg.Solution(mesh, dm, dm.recover_full(system.recover_free(x)))
-    est = dpg.estimate(mesh, dm, prob, sol, systems=system.systems)
+    est = dpg.estimate(system.systems,
+                       dm.recover_full(system.recover_free(x)))
     np.testing.assert_allclose(est.per_element, 0.0, atol=1e-15)
 
 
@@ -449,8 +461,8 @@ def test_estimator_positive_with_load():
     dm = build_dofmap(mesh, prob.bc_builder(mesh))
     system = dpg.assemble(mesh, dm, prob)
     x, _ = spd_solve(system.A, system.rhs)
-    sol = dpg.Solution(mesh, dm, dm.recover_full(system.recover_free(x)))
-    est = dpg.estimate(mesh, dm, prob, sol, systems=system.systems)
+    est = dpg.estimate(system.systems,
+                       dm.recover_full(system.recover_free(x)))
     assert est.total > 0
     assert (est.per_element >= 0).all()
 

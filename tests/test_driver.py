@@ -176,6 +176,28 @@ def test_run_experiment_adaptive_smoke(tmp_path):
     assert all(r.eta > 0 for r in records)
 
 
+@pytest.mark.parametrize("problem, mode", [("square", "uniform"),
+                                           ("zshape", "adaptive")])
+def test_each_level_builds_its_element_systems_once(problem, mode,
+                                                    monkeypatch):
+    """One ElementSystems per level feeds both assembly and the
+    estimator: no step rebuilds the element matrices."""
+    import platedpg.dpg as dpg
+
+    real = dpg.build_element_systems
+    calls = {"n": 0}
+
+    def counting(*args, **kwargs):
+        calls["n"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dpg, "build_element_systems", counting)
+    records = run_experiment(ExperimentConfig(problem=problem, mode=mode,
+                                              max_levels=3))
+    assert len(records) == 3
+    assert calls["n"] == len(records)
+
+
 def test_solve_problem_returns_consistent_report():
     prob = builtin_square_problem()
     sol, est, report, ndofs = solve_problem(prob, prob.initial_mesh)
@@ -195,6 +217,26 @@ def test_cli_run(tmp_path, capsys):
     assert code == 0
     assert out.exists()
     assert len(read_records_csv(out)) == 2
+
+
+def test_cli_builds_config_from_the_given_flags(tmp_path, monkeypatch):
+    """Flags left out take ExperimentConfig's defaults, not copies of
+    them kept in the parser."""
+    import platedpg.driver as driver
+
+    seen = []
+
+    def fake_run(config):
+        seen.append(config)
+        return [_rec(0, 2, 1.0)]
+
+    monkeypatch.setattr(driver, "run_experiment", fake_run)
+    p = str(tmp_path / "x.csv")
+    code = main(["run", "--problem", "square", "--mode", "uniform",
+                 "--levels", "1", "--out", p])
+    assert code == 0
+    assert seen == [ExperimentConfig("square", "uniform", max_levels=1,
+                                     out=p)]
 
 
 def test_cli_bad_theta_exits_2(tmp_path):
@@ -243,12 +285,12 @@ def test_spd_failure_flushes_partial_records(tmp_path, monkeypatch,
     real = dpg.element_matrices
     calls = {"n": 0}
 
-    def breaking(geom, material, f):
-        B, G, load = real(geom, material, f)
+    def breaking(geom, material):
+        B, G = real(geom, material)
         calls["n"] += 1
         if calls["n"] >= 2:
             G[-1] = -np.eye(G.shape[-1])
-        return B, G, load
+        return B, G
 
     monkeypatch.setattr(dpg, "element_matrices", breaking)
     out = tmp_path / "partial.csv"
