@@ -97,7 +97,7 @@ def eoc(records: List[ConvergenceRecord]):
     return out
 
 
-def solve_problem(problem, mesh, tol=1e-12):
+def solve_problem(problem, mesh, tol=ExperimentConfig.tol):
     """One SOLVE + ESTIMATE pass on a given mesh.
 
     Returns (solution, estimator, report, free_dofs).

@@ -24,7 +24,7 @@ class SolveReport:
     relative_residual: float         # ||Ax-b||_2 / ||b||_2
     wall_time: float
     backward_error: float = 0.0      # ||Ax-b||_inf / (||A|| ||x|| + ||b||)
-    fill: int = 0                    # nnz(L) + nnz(U)
+    fill: int = 0                    # entries SuperLU stores for L and U
 
 
 def dense_cholesky(A):
@@ -70,8 +70,10 @@ def spd_solve(A, b, tol=1e-12):
     """Solve A x = b for sparse SPD A to a normwise backward error
     ``||Ax-b||_inf / (||A||_inf ||x||_inf + ||b||_inf) <= tol``.
 
-    One factorization, refined while the backward error improves (at most
-    30 steps).  Raises :class:`SPDError` if A is exactly singular and
+    A must be exactly symmetric: SuperLU factors ``A.T`` in CSC form, which
+    for a CSR matrix is A's own arrays, not a copy.  One factorization,
+    refined while the backward error improves (at most 30 steps).  Raises
+    :class:`SPDError` if A is exactly singular and
     :class:`SolverConvergenceError`, with the report attached, if the
     bound is missed.
     """
@@ -87,7 +89,7 @@ def spd_solve(A, b, tol=1e-12):
         return np.abs(r).max() / (norm_A * np.abs(x).max() + scale_b)
 
     try:
-        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+        lu = spla.splu(A.T.tocsc(), permc_spec="MMD_AT_PLUS_A",
                        diag_pivot_thresh=0.0,
                        options=dict(SymmetricMode=True))
     except RuntimeError as exc:
@@ -103,7 +105,7 @@ def spd_solve(A, b, tol=1e-12):
             break
         x, r, best, steps = x_new, r_new, err, steps + 1
 
-    fill = lu.L.nnz + lu.U.nnz
+    fill = lu.nnz            # lu.L and lu.U would each build a CSC copy
     report = SolveReport(steps, np.linalg.norm(r) / norm_b,
                          time.perf_counter() - t0, best, fill)
     logger.debug("spd_solve LU: n=%d nnz=%d fill=%d refinement_steps=%d "

@@ -6,7 +6,7 @@ reported for errors is the negative (scaled) Hessian of the exact
 deflection.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -175,20 +175,29 @@ def singular_eval(x, y):
 @dataclass(frozen=True)
 class ExactSolution:
     """Point evaluators over (n, 2) point arrays; missing fields are None.
-    ``fields``, when set, returns (u, grad, M) from one evaluation."""
+    ``fields``, when set, returns (u, grad, M) from one evaluation.
+
+    ``degree``, when set, declares u positively homogeneous of that degree
+    about the problem's singular point s: ``u(s + lam q) = lam**degree
+    u(s + q)``, hence ``M(s + lam q) = lam**(degree - 2) M(s + q)``, for
+    every lam > 0.  ``l2_errors`` keeps its corner-cell moments here."""
     u: Optional[Callable] = None
     grad: Optional[Callable] = None
     M: Optional[Callable] = None
     fields: Optional[Callable] = None
+    degree: Optional[float] = None
+    _corner_moments: dict = field(default_factory=dict, init=False,
+                                 repr=False, compare=False)
 
 
-def _from_xy(eval_xy):
+def _from_xy(eval_xy, degree=None):
     """Exact solution from ``eval_xy(x, y) -> (u, grad, M)``."""
     def fields(points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         return eval_xy(points[:, 0], points[:, 1])
     return ExactSolution(u=lambda p: fields(p)[0], grad=lambda p: fields(p)[1],
-                         M=lambda p: fields(p)[2], fields=fields)
+                         M=lambda p: fields(p)[2], fields=fields,
+                         degree=degree)
 
 
 def fourier_solution(n_max=15):
@@ -196,7 +205,7 @@ def fourier_solution(n_max=15):
 
 
 def singular_solution():
-    return _from_xy(singular_eval)
+    return _from_xy(singular_eval, degree=1.0 + SINGULAR_ALPHA)
 
 
 # ---------------------------------------------------------------------------
@@ -290,41 +299,95 @@ def _subdivide(cells, levels):
     return cells
 
 
+def _cell_values(cells, fields):
+    """Quadrature weights (m, q) and the exact u (m, q) and moment
+    components M_xx, M_xy, M_yy (m, q, 3), chunk by chunk of cells, with
+    the slice of cells each chunk covers."""
+    rule = tri_rule(ERROR_DEGREE)
+    d1 = cells[:, 1] - cells[:, 0]
+    d2 = cells[:, 2] - cells[:, 0]
+    area = 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    for lo in range(0, len(cells), L2_CHUNK):
+        c = slice(lo, lo + L2_CHUNK)
+        pts = rule.bary @ cells[c]                          # (m, q, 2)
+        w = np.outer(2.0 * area[c], rule.weights)           # (m, q)
+        u, _, M = fields(pts.reshape(-1, 2))
+        yield (c, w, np.reshape(u, w.shape),
+               np.reshape(M, w.shape + (4,))[..., [0, 1, 3]])
+
+
+def _frobenius_sq(M):
+    """|M|^2 of symmetric tensors given as components (xx, xy, yy)."""
+    return M[..., 0] ** 2 + 2.0 * M[..., 1] ** 2 + M[..., 2] ** 2
+
+
+def _corner_moments(shapes, s, fields, levels):
+    """Seven moments ``sum w [1, u, u^2, M_xx, M_xy, M_yy, |M|^2]`` of the
+    exact solution over the ``4**levels`` dyadic cells of each shape
+    ``s + shapes[i]``; returns (k, 7)."""
+    per_cell = np.concatenate([
+        np.stack([w, w * u, w * u * u, *np.moveaxis(w[..., None] * M, -1, 0),
+                  w * _frobenius_sq(M)], axis=-1).sum(axis=1)
+        for _, w, u, M in _cell_values(_subdivide(shapes + s, levels), fields)])
+    return per_cell.reshape(len(shapes), -1, 7).sum(axis=1)
+
+
 def l2_errors(mesh, solution, exact, singular_point=None,
               subdivision_levels=4):
     """L2 errors of the piecewise-constant fields against an exact
-    solution, with dyadic subdivision of elements touching the singular
-    corner."""
-    rule = tri_rule(ERROR_DEGREE)
+    solution.
+
+    A triangle touching ``singular_point`` s is integrated on
+    ``4**subdivision_levels`` dyadic cells, once per similarity class:
+    written as ``T = s + lam T'`` with lam a power of two and the vertices
+    of T' in the order of T (the rule is not symmetric), its cell sums
+    follow from seven moments of T' by the homogeneity ``exact.degree``.
+    The moments are computed the first time T' is seen and kept on
+    ``exact``.  Raises
+    :class:`ConfigurationError` for a singular point when ``exact``
+    declares no degree.
+    """
     u_field = np.asarray(solution.u, dtype=float)
     M_field = np.asarray(solution.M, dtype=float)
     fields = exact.fields or (lambda p: (exact.u(p), None, exact.M(p)))
 
     corner = np.zeros(mesh.num_triangles, dtype=bool)
     if singular_point is not None:
-        dist = np.linalg.norm(mesh.coords - np.asarray(singular_point), axis=1)
+        if exact.degree is None:
+            raise ConfigurationError(
+                "a singular point needs an exact solution that declares its "
+                "homogeneity degree")
+        s = np.asarray(singular_point, dtype=float)
+        dist = np.linalg.norm(mesh.coords - s, axis=1)
         corner = np.any(dist[mesh.tri_vertices] < 1e-12, axis=1)
     regular, singular = np.nonzero(~corner)[0], np.nonzero(corner)[0]
-    owner = np.concatenate(
-        [regular, np.repeat(singular, 4 ** subdivision_levels)])
-    cells = np.concatenate(
-        [mesh.coords[mesh.tri_vertices[regular]],
-         _subdivide(mesh.coords[mesh.tri_vertices[singular]],
-                    subdivision_levels)])
 
-    d1 = cells[:, 1] - cells[:, 0]
-    d2 = cells[:, 2] - cells[:, 0]
-    area = 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
     eu2 = em2 = 0.0
-    for lo in range(0, len(cells), L2_CHUNK):
-        c = slice(lo, lo + L2_CHUNK)
-        pts = rule.bary @ cells[c]                          # (m, q, 2)
-        w = np.outer(2.0 * area[c], rule.weights)           # (m, q)
-        u, _, M = fields(pts.reshape(-1, 2))
-        du = np.reshape(u, w.shape) - u_field[owner[c], None]
-        dM = (np.reshape(M, w.shape + (4,))[..., [0, 1, 3]]
-              - M_field[owner[c], None])                     # (m, q, 3)
-        eu2 += np.sum(w * du ** 2)
-        em2 += np.sum(w * (dM[..., 0] ** 2 + 2.0 * dM[..., 1] ** 2
-                           + dM[..., 2] ** 2))
+    for c, w, u, M in _cell_values(mesh.coords[mesh.tri_vertices[regular]],
+                                   fields):
+        eu2 += np.sum(w * (u - u_field[regular[c], None]) ** 2)
+        em2 += np.sum(w * _frobenius_sq(M - M_field[regular[c], None]))
+
+    if singular.size:
+        P = mesh.coords[mesh.tri_vertices[singular]] - s        # (k, 3, 2)
+        lam = np.ldexp(1.0, np.frexp(
+            np.linalg.norm(P, axis=2).max(axis=1))[1])
+        Q = P / lam[:, None, None]
+        keys = [(subdivision_levels, s.tobytes(), q.tobytes()) for q in Q]
+        cache = exact._corner_moments
+        new = {k: q for k, q in zip(keys, Q) if k not in cache}
+        if new:
+            cache.update(zip(new, _corner_moments(
+                np.array(list(new.values())), s, fields, subdivision_levels)))
+        m = np.array([cache[k] for k in keys])                   # (k, 7)
+        a, b = lam ** exact.degree, lam ** (exact.degree - 2.0)
+        # expanded squares: on a corner triangle u - c and M - C are as
+        # large as u and M (u vanishes at s, M is unbounded), so the
+        # expansion cancels no leading digits
+        c, C = u_field[singular], M_field[singular]
+        CM = np.sum(C * m[:, 3:6] * [1.0, 2.0, 1.0], axis=1)
+        eu2 += np.sum(lam ** 2 * (a * a * m[:, 2] - 2.0 * a * c * m[:, 1]
+                                  + c * c * m[:, 0]))
+        em2 += np.sum(lam ** 2 * (b * b * m[:, 6] - 2.0 * b * CM
+                                  + _frobenius_sq(C) * m[:, 0]))
     return float(np.sqrt(eu2)), float(np.sqrt(em2))

@@ -89,6 +89,28 @@ def test_spd_solve_against_dense_oracle():
     assert np.linalg.norm(x - dense) <= 1e-8 * np.linalg.norm(dense)
 
 
+def test_spd_solve_factors_a_as_is():
+    """On an assembled DPG system, x is bit for bit the solution from a
+    factorization of ``A.tocsc()``: A is exactly symmetric, so the
+    ``A.T`` that SuperLU gets holds the same CSC arrays."""
+    import scipy.sparse.linalg as spla
+    from platedpg.mesh import uniform_refine
+    prob = builtin_square_problem()
+    mesh = uniform_refine(prob.initial_mesh)
+    system = dpg.assemble(mesh, build_dofmap(mesh, prob.bc_builder(mesh)),
+                          prob)
+    A, b = system.A, system.rhs
+    ref = A.tocsc()
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(A.T, name), getattr(ref, name))
+    x, report = spd_solve(A, b)
+    lu = spla.splu(ref, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options=dict(SymmetricMode=True))
+    assert report.iterations == 0
+    np.testing.assert_array_equal(x, lu.solve(b))
+    assert report.fill == lu.nnz
+
+
 def test_spd_solve_unreachable_tolerance_raises_with_report():
     import scipy.sparse as sp
     rng = np.random.default_rng(1)

@@ -338,6 +338,25 @@ def test_singular_biharmonic():
         assert abs(val) <= 1e-6 * r ** (SINGULAR_ALPHA - 3.0)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.floats(1e-6, 1e2), st.floats(0.0, ZSHAPE_OPENING),
+       st.integers(-40, 40))
+def test_singular_eval_is_homogeneous_under_dyadic_scaling(r, phi, k):
+    """u(lam p) = lam^mu u(p) and M(lam p) = lam^(mu-2) M(p) for lam = 2^k,
+    mu = 1 + alpha: the degree ``singular_solution`` declares, to 1e-14
+    of the size of each field at that radius."""
+    mu = builtin_zshape_problem().exact.degree
+    assert mu == 1.0 + SINGULAR_ALPHA
+    lam = 2.0 ** k
+    x, y = r * np.cos(phi), r * np.sin(phi)
+    u, _, M = singular_eval(x, y)
+    u_s, _, M_s = singular_eval(lam * x, lam * y)
+    np.testing.assert_allclose(u_s, lam ** mu * u, rtol=1e-14,
+                               atol=1e-14 * (lam * r) ** mu)
+    np.testing.assert_allclose(M_s, lam ** (mu - 2.0) * M, rtol=1e-14,
+                               atol=1e-14 * (lam * r) ** (mu - 2.0))
+
+
 # ---------------------------------------------------------------------------
 # problems and errors
 # ---------------------------------------------------------------------------
@@ -462,16 +481,22 @@ def _l2_errors_per_element(mesh, sol, exact, singular_point=None, levels=4):
     return np.sqrt(eu2), np.sqrt(em2)
 
 
+def _corner_refined_zshape(times=3):
+    from platedpg.mesh import nvb_refine
+    mesh = zshape_mesh()
+    for _ in range(times):
+        at_corner = np.all(mesh.coords[mesh.tri_vertices] == 0.0, axis=2)
+        mesh = nvb_refine(mesh, set(np.nonzero(at_corner.any(axis=1))[0]))
+    return mesh
+
+
 def test_l2_errors_match_per_element_reference():
-    from platedpg.mesh import nvb_refine, uniform_refine
+    from platedpg.mesh import uniform_refine
     rng = np.random.default_rng(5)
     square = builtin_square_problem()
     mesh = uniform_refine(uniform_refine(square.initial_mesh))
     zshape = builtin_zshape_problem()
-    zmesh = zshape.initial_mesh
-    for _ in range(3):
-        at_corner = np.all(zmesh.coords[zmesh.tri_vertices] == 0.0, axis=2)
-        zmesh = nvb_refine(zmesh, set(np.nonzero(at_corner.any(axis=1))[0]))
+    zmesh = _corner_refined_zshape()
     at_corner = np.all(zmesh.coords[zmesh.tri_vertices] == 0.0, axis=2)
     n_corner = at_corner.any(axis=1).sum()
     assert n_corner >= 5
@@ -483,3 +508,48 @@ def test_l2_errors_match_per_element_reference():
         got = l2_errors(m, sol, prob.exact, singular_point=prob.singular_point)
         ref = _l2_errors_per_element(m, sol, prob.exact, prob.singular_point)
         np.testing.assert_allclose(got, ref, rtol=1e-12)
+
+
+def test_l2_errors_integrates_each_corner_shape_once():
+    """The uniform refinement of a corner-refined Z-shape mesh has only
+    corner triangles similar, by powers of two, to those of the mesh
+    itself: its error pass evaluates the exact solution at the regular
+    cells alone, and both passes match the per-element reference."""
+    from platedpg.mesh import uniform_refine
+    from platedpg.polyquad import ERROR_DEGREE, tri_rule
+    rng = np.random.default_rng(11)
+    prob = builtin_zshape_problem()
+    evaluated = []
+
+    def counting(points):
+        evaluated.append(len(points))
+        return prob.exact.fields(points)
+
+    exact = ExactSolution(fields=counting, degree=prob.exact.degree)
+    coarse = _corner_refined_zshape()
+    q = len(tri_rule(ERROR_DEGREE).weights)
+    counts = []
+    for mesh in (coarse, uniform_refine(coarse)):
+        nT = mesh.num_triangles
+        at_corner = np.all(mesh.coords[mesh.tri_vertices] == 0.0, axis=2)
+        sol = FieldStub(rng.normal(size=nT), rng.normal(size=(nT, 3)))
+        evaluated.clear()
+        got = l2_errors(mesh, sol, exact, singular_point=prob.singular_point)
+        ref = _l2_errors_per_element(mesh, sol, prob.exact,
+                                     prob.singular_point)
+        np.testing.assert_allclose(got, ref, rtol=1e-12)
+        counts.append((sum(evaluated),
+                       (nT - at_corner.any(axis=1).sum()) * q))
+    (first, first_regular), (second, second_regular) = counts
+    assert first > first_regular        # the coarse pass builds the shapes
+    assert second == second_regular     # the fine pass reuses all of them
+
+
+def test_l2_errors_singular_point_needs_a_degree():
+    sol = FieldStub(np.zeros(5), np.zeros((5, 3)))
+    exact = builtin_zshape_problem().exact
+    undeclared = ExactSolution(fields=exact.fields)
+    with pytest.raises(ConfigurationError, match="homogeneity degree"):
+        l2_errors(zshape_mesh(), sol, undeclared, singular_point=(0.0, 0.0))
+    # without a singular point no degree is needed
+    l2_errors(zshape_mesh(), sol, undeclared)
