@@ -20,8 +20,7 @@ def study(mode, stop_dofs=12_000):
     rows = []
     while True:
         solution, estimator, _, ndofs = solve_problem(problem, mesh)
-        _, err_M = l2_errors(mesh, solution, problem.exact,
-                             singular_point=problem.singular_point)
+        _, err_M = l2_errors(mesh, solution, problem.exact)
         rows.append((ndofs, estimator.total, err_M))
         if ndofs >= stop_dofs:
             break

@@ -19,12 +19,12 @@ from .mesh import (Mesh, mesh_from_arrays, mesh_from_text, mesh_to_text,
                    unit_square_mesh, vertex_patch)
 from .polyquad import (QuadRuleEdge, QuadRuleTri, ScalarBasis, TensorBasis,
                        edge_rule, tri_rule)
-from .problems import (ExactSolution, MaterialLaw, ProblemSpec,
+from .problems import (ExactSolution, MaterialLaw, ProblemSpec, Singularity,
                        builtin_square_problem, builtin_zshape_problem,
                        c_apply, cinv_apply, fourier_eval, l2_errors,
                        singular_eval, zshape_mesh)
-from .spaces import (BCSpec, DofMap, build_dofmap, interpolate_uhat_bc,
-                     simply_supported_bc)
+from .spaces import (BCSpec, Constraints, DofMap, build_dofmap,
+                     interpolate_uhat_bc, simply_supported_bc)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -209,15 +209,12 @@ class GlobalSystem:
     ``(D A D) y = D rhs`` with ``D = diag(A)^{-1/2}``, which balances the
     vastly different natural scales of field, trace and moment unknowns
     (the raw diagonal spans many orders of magnitude already on moderate
-    meshes).  ``recover_free`` undoes the scaling.
+    meshes).  ``scale * y`` undoes the scaling.
     """
     A: "scipy.sparse.csr_matrix"
     rhs: np.ndarray
     systems: ElementSystems
     scale: np.ndarray
-
-    def recover_free(self, y):
-        return self.scale * y
 
 
 def assemble(mesh, dofmap, problem):
@@ -263,27 +260,6 @@ class Solution:
     def M(self):
         d = self.dofmap
         return self.x_full[d.off_m:d.off_uhat].reshape(-1, 3)
-
-    @property
-    def uhat(self):
-        d = self.dofmap
-        return self.x_full[d.off_uhat:d.off_alpha].reshape(-1, 3)
-
-    @property
-    def qhat_alpha(self):
-        d = self.dofmap
-        return self.x_full[d.off_alpha:d.off_beta]
-
-    @property
-    def qhat_beta(self):
-        d = self.dofmap
-        return self.x_full[d.off_beta:d.off_gamma]
-
-    @property
-    def qhat_gamma(self):
-        d = self.dofmap
-        return self.x_full[d.off_gamma:].reshape(-1, 3)
-
 
 
 @dataclass

@@ -105,7 +105,7 @@ def solve_problem(problem, mesh, tol=ExperimentConfig.tol):
     dofmap = build_dofmap(mesh, problem.bc_builder(mesh))
     system = dpg.assemble(mesh, dofmap, problem)
     y, report = spd_solve(system.A, system.rhs, tol=tol)
-    x_full = dofmap.recover_full(system.recover_free(y))
+    x_full = dofmap.recover_full(system.scale * y)
     estimator = dpg.estimate(system.systems, x_full)
     return (dpg.Solution(mesh, dofmap, x_full), estimator, report,
             dofmap.free_dim)
@@ -126,7 +126,7 @@ def _parse(field, text):
 def write_records_csv(records, path):
     columns = fields(ConvergenceRecord)
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
+        writer = csv.writer(handle, lineterminator="\n")
         writer.writerow([f.name for f in columns])
         writer.writerows([_cell(f, getattr(r, f.name)) for f in columns]
                          for r in records)
@@ -165,8 +165,7 @@ def run_experiment(config: ExperimentConfig, problem=None):
         except (SolverConvergenceError, SPDError):
             flush()
             raise
-        err_u, err_M = l2_errors(mesh, solution, problem.exact,
-                                 singular_point=problem.singular_point)
+        err_u, err_M = l2_errors(mesh, solution, problem.exact)
         records.append(ConvergenceRecord(
             level=level, ntriangles=mesh.num_triangles, ndofs=ndofs,
             eta=estimator.total, err_u=err_u, err_M=err_M))

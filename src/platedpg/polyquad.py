@@ -32,10 +32,6 @@ def _grlex_exponents(p):
     return [(d - j, j) for d in range(p + 1) for j in range(d + 1)]
 
 
-def scalar_dim(p):
-    return (p + 1) * (p + 2) // 2
-
-
 @dataclass(frozen=True)
 class QuadRuleTri:
     """Quadrature on the reference triangle (0,0),(1,0),(0,1).

@@ -7,7 +7,7 @@ deflection.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -172,32 +172,32 @@ def singular_eval(x, y):
     return _pack_fields(shape, u, grad, uxx, uxy, uyy)
 
 
+class Singularity(NamedTuple):
+    """Declares u positively homogeneous of ``degree`` about ``point`` s:
+    ``u(s + lam q) = lam**degree u(s + q)``, hence ``M(s + lam q) =
+    lam**(degree - 2) M(s + q)``, for every lam > 0."""
+    point: tuple
+    degree: float
+
+
 @dataclass(frozen=True)
 class ExactSolution:
-    """Point evaluators over (n, 2) point arrays; missing fields are None.
-    ``fields``, when set, returns (u, grad, M) from one evaluation.
-
-    ``degree``, when set, declares u positively homogeneous of that degree
-    about the problem's singular point s: ``u(s + lam q) = lam**degree
-    u(s + q)``, hence ``M(s + lam q) = lam**(degree - 2) M(s + q)``, for
-    every lam > 0.  ``l2_errors`` keeps its corner-cell moments here."""
-    u: Optional[Callable] = None
-    grad: Optional[Callable] = None
-    M: Optional[Callable] = None
-    fields: Optional[Callable] = None
-    degree: Optional[float] = None
+    """``fields`` maps (n, 2) points to (u, grad, M) from one evaluation.
+    ``singularity``, when set, names the point where M is unbounded and
+    the homogeneity about it; ``l2_errors`` keeps its corner-cell moments
+    here."""
+    fields: Callable
+    singularity: Optional[Singularity] = None
     _corner_moments: dict = field(default_factory=dict, init=False,
                                  repr=False, compare=False)
 
 
-def _from_xy(eval_xy, degree=None):
+def _from_xy(eval_xy, singularity=None):
     """Exact solution from ``eval_xy(x, y) -> (u, grad, M)``."""
     def fields(points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         return eval_xy(points[:, 0], points[:, 1])
-    return ExactSolution(u=lambda p: fields(p)[0], grad=lambda p: fields(p)[1],
-                         M=lambda p: fields(p)[2], fields=fields,
-                         degree=degree)
+    return ExactSolution(fields, singularity)
 
 
 def fourier_solution(n_max=15):
@@ -205,7 +205,8 @@ def fourier_solution(n_max=15):
 
 
 def singular_solution():
-    return _from_xy(singular_eval, degree=1.0 + SINGULAR_ALPHA)
+    return _from_xy(singular_eval,
+                    Singularity((0.0, 0.0), 1.0 + SINGULAR_ALPHA))
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +221,6 @@ class ProblemSpec:
     f: Optional[Callable]                    # load over (n, 2) points, or None
     bc_builder: Callable[[Mesh], BCSpec]
     exact: Optional[ExactSolution] = None
-    singular_point: Optional[tuple] = None
 
 
 def zshape_mesh():
@@ -256,8 +256,7 @@ def builtin_zshape_problem():
         material=MaterialLaw(D=1.0, nu=0.0),
         f=None,
         bc_builder=clamped_bc,
-        exact=exact,
-        singular_point=(0.0, 0.0))
+        exact=exact)
 
 
 def builtin_problem(name):
@@ -304,13 +303,9 @@ def _cell_values(cells, fields):
     components M_xx, M_xy, M_yy (m, q, 3), chunk by chunk of cells, with
     the slice of cells each chunk covers."""
     rule = tri_rule(ERROR_DEGREE)
-    d1 = cells[:, 1] - cells[:, 0]
-    d2 = cells[:, 2] - cells[:, 0]
-    area = 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
     for lo in range(0, len(cells), L2_CHUNK):
         c = slice(lo, lo + L2_CHUNK)
-        pts = rule.bary @ cells[c]                          # (m, q, 2)
-        w = np.outer(2.0 * area[c], rule.weights)           # (m, q)
+        pts, w = rule.map_to(cells[c])                # (m, q, 2), (m, q)
         u, _, M = fields(pts.reshape(-1, 2))
         yield (c, w, np.reshape(u, w.shape),
                np.reshape(M, w.shape + (4,))[..., [0, 1, 3]])
@@ -332,39 +327,31 @@ def _corner_moments(shapes, s, fields, levels):
     return per_cell.reshape(len(shapes), -1, 7).sum(axis=1)
 
 
-def l2_errors(mesh, solution, exact, singular_point=None,
-              subdivision_levels=4):
+def l2_errors(mesh, solution, exact, subdivision_levels=4):
     """L2 errors of the piecewise-constant fields against an exact
     solution.
 
-    A triangle touching ``singular_point`` s is integrated on
-    ``4**subdivision_levels`` dyadic cells, once per similarity class:
-    written as ``T = s + lam T'`` with lam a power of two and the vertices
-    of T' in the order of T (the rule is not symmetric), its cell sums
-    follow from seven moments of T' by the homogeneity ``exact.degree``.
-    The moments are computed the first time T' is seen and kept on
-    ``exact``.  Raises
-    :class:`ConfigurationError` for a singular point when ``exact``
-    declares no degree.
+    A triangle touching the singular point s of ``exact.singularity`` is
+    integrated on ``4**subdivision_levels`` dyadic cells, once per
+    similarity class: written as ``T = s + lam T'`` with lam a power of
+    two and the vertices of T' in the order of T (the rule is not
+    symmetric), its cell sums follow from seven moments of T' by the
+    homogeneity degree.  The moments are computed the first time T' is
+    seen and kept on ``exact``.
     """
     u_field = np.asarray(solution.u, dtype=float)
     M_field = np.asarray(solution.M, dtype=float)
-    fields = exact.fields or (lambda p: (exact.u(p), None, exact.M(p)))
 
     corner = np.zeros(mesh.num_triangles, dtype=bool)
-    if singular_point is not None:
-        if exact.degree is None:
-            raise ConfigurationError(
-                "a singular point needs an exact solution that declares its "
-                "homogeneity degree")
-        s = np.asarray(singular_point, dtype=float)
+    if exact.singularity is not None:
+        s = np.asarray(exact.singularity.point, dtype=float)
         dist = np.linalg.norm(mesh.coords - s, axis=1)
         corner = np.any(dist[mesh.tri_vertices] < 1e-12, axis=1)
     regular, singular = np.nonzero(~corner)[0], np.nonzero(corner)[0]
 
     eu2 = em2 = 0.0
     for c, w, u, M in _cell_values(mesh.coords[mesh.tri_vertices[regular]],
-                                   fields):
+                                   exact.fields):
         eu2 += np.sum(w * (u - u_field[regular[c], None]) ** 2)
         em2 += np.sum(w * _frobenius_sq(M - M_field[regular[c], None]))
 
@@ -373,14 +360,16 @@ def l2_errors(mesh, solution, exact, singular_point=None,
         lam = np.ldexp(1.0, np.frexp(
             np.linalg.norm(P, axis=2).max(axis=1))[1])
         Q = P / lam[:, None, None]
-        keys = [(subdivision_levels, s.tobytes(), q.tobytes()) for q in Q]
+        keys = [(subdivision_levels, q.tobytes()) for q in Q]
         cache = exact._corner_moments
         new = {k: q for k, q in zip(keys, Q) if k not in cache}
         if new:
             cache.update(zip(new, _corner_moments(
-                np.array(list(new.values())), s, fields, subdivision_levels)))
+                np.array(list(new.values())), s, exact.fields,
+                subdivision_levels)))
         m = np.array([cache[k] for k in keys])                   # (k, 7)
-        a, b = lam ** exact.degree, lam ** (exact.degree - 2.0)
+        mu = exact.singularity.degree
+        a, b = lam ** mu, lam ** (mu - 2.0)
         # expanded squares: on a corner triangle u - c and M - C are as
         # large as u and M (u vanishes at s, M is unbounded), so the
         # expansion cancels no leading digits

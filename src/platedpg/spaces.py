@@ -21,7 +21,7 @@ condensed system symmetric positive definite.
 """
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -163,69 +163,66 @@ def uhat_pair_matrix(geom, tensor_basis):
 # boundary conditions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BCConstraint:
-    """One affine constraint on a vertex uhat block (3 coefficients over
-    (value, d/dx, d/dy)) or an edge (alpha, beta) block (2 coefficients)."""
-    kind: str                  # "vertex" or "edge"
-    index: int
-    coeffs: tuple
-    value: float
+class Constraints(NamedTuple):
+    """Affine constraints ``coeffs[i] . x_b = value[i]`` on the DOF block
+    ``b = index[i]`` of one kind: a vertex uhat triple (value, d/dx, d/dy)
+    or an edge (alpha, beta) pair.  A block's constraints apply in the
+    order given."""
+    index: np.ndarray          # (k,) int64
+    coeffs: np.ndarray         # (k, width)
+    value: np.ndarray          # (k,)
+
+
+def _no_constraints(width):
+    return Constraints(np.zeros(0, dtype=np.int64), np.zeros((0, width)),
+                       np.zeros(0))
 
 
 @dataclass
 class BCSpec:
-    constraints: List[BCConstraint] = field(default_factory=list)
-
-    def fix_vertex(self, v, coeffs, value):
-        self.constraints.append(
-            BCConstraint("vertex", int(v), tuple(float(c) for c in coeffs),
-                         float(value)))
-
-    def fix_edge(self, e, coeffs, value):
-        self.constraints.append(
-            BCConstraint("edge", int(e), tuple(float(c) for c in coeffs),
-                         float(value)))
-
-    def clamp_vertex(self, v, value, grad):
-        self.fix_vertex(v, (1.0, 0.0, 0.0), value)
-        self.fix_vertex(v, (0.0, 1.0, 0.0), grad[0])
-        self.fix_vertex(v, (0.0, 0.0, 1.0), grad[1])
+    vertex: Constraints = field(default_factory=lambda: _no_constraints(3))
+    edge: Constraints = field(default_factory=lambda: _no_constraints(2))
 
 
 def interpolate_uhat_bc(exact_u, exact_grad_u, mesh):
     """Clamped-plate essential data: prescribe (u, grad u) at every
     boundary vertex by nodal interpolation."""
-    bc = BCSpec()
     bverts = mesh.boundary_vertices()
     vals = np.asarray(exact_u(mesh.coords[bverts]), dtype=float)
     grads = np.asarray(exact_grad_u(mesh.coords[bverts]), dtype=float)
-    for i, v in enumerate(bverts):
-        bc.clamp_vertex(int(v), vals[i], grads[i])
-    return bc
+    return BCSpec(vertex=Constraints(
+        np.repeat(bverts, 3), np.tile(np.eye(3), (len(bverts), 1)),
+        np.column_stack([vals, grads]).ravel()))
 
 
 def simply_supported_bc(mesh):
     """Essential constraints for ``u = 0`` and ``n.M n = 0`` on the whole
     boundary: vertex values and boundary-tangential slopes vanish, corners
-    clamp the full gradient, and beta vanishes on boundary edges."""
-    bc = BCSpec()
-    btangents = {}
-    for e in mesh.boundary_edges():
-        bc.fix_edge(int(e), (0.0, 1.0), 0.0)
-        for v in mesh.edge_vertices[e]:
-            btangents.setdefault(int(v), []).append(mesh.edge_tangent[e])
-    for v, tans in btangents.items():
-        bc.fix_vertex(v, (1.0, 0.0, 0.0), 0.0)
-        cross = abs(tans[0][0] * tans[1][1] - tans[0][1] * tans[1][0])
-        if cross > 1e-12:
-            # corner: two independent tangential directions pin the gradient
-            bc.fix_vertex(v, (0.0, 1.0, 0.0), 0.0)
-            bc.fix_vertex(v, (0.0, 0.0, 1.0), 0.0)
-        else:
-            t = tans[0]
-            bc.fix_vertex(v, (0.0, t[0], t[1]), 0.0)
-    return bc
+    clamp the full gradient, and beta vanishes on boundary edges.
+
+    A boundary vertex's tangents are those of its two lowest-numbered
+    boundary edges; a straight-side vertex constrains its slope along the
+    lowest-numbered one."""
+    bedges = mesh.boundary_edges()
+    ends = mesh.edge_vertices[bedges].ravel()
+    order = np.argsort(ends, kind="stable")   # by vertex, then edge id
+    bverts, first = np.unique(ends[order], return_index=True)
+    edge = bedges[order // 2]
+    t0 = mesh.edge_tangent[edge[first]]
+    t1 = mesh.edge_tangent[edge[first + 1]]
+    # corner: two independent tangential directions pin the gradient
+    corner = np.abs(t0[:, 0] * t1[:, 1] - t0[:, 1] * t1[:, 0]) > 1e-12
+    rows = np.zeros((len(bverts), 3, 3))      # value, slope(s) per vertex
+    rows[:, 0, 0] = 1.0
+    rows[:, 1, 1:] = np.where(corner[:, None], [1.0, 0.0], t0)
+    rows[:, 2, 2] = 1.0
+    used = np.ones((len(bverts), 3), dtype=bool)
+    used[:, 2] = corner
+    return BCSpec(
+        vertex=Constraints(np.repeat(bverts, 3).reshape(-1, 3)[used],
+                           rows[used], np.zeros(np.count_nonzero(used))),
+        edge=Constraints(bedges, np.tile([0.0, 1.0], (len(bedges), 1)),
+                         np.zeros(len(bedges))))
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +280,10 @@ class DofMap:
         return self.R @ x_free + self.x_prescribed
 
 
-def _reduce_blocks(rows, bc, kind, col0):
+def _reduce_blocks(rows, constraints, kind, col0):
     """Reduction of one family of small DOF blocks (vertex uhat triples or
-    edge (alpha, beta) pairs) whose full-vector indices are ``rows``.
+    edge (alpha, beta) pairs) whose full-vector indices are ``rows``, under
+    the :class:`Constraints` of that kind.
 
     Every block has a basis of its free columns, the identity unless its
     constraints (grouped by block, in the order given) replace it by
@@ -297,15 +295,12 @@ def _reduce_blocks(rows, bc, kind, col0):
     for the lowest such block id.
     """
     n, width = rows.shape
-    cons = [c for c in bc.constraints if c.kind == kind]
-    index = np.array([c.index for c in cons], dtype=np.int64)
+    index, C, d = constraints
     bad = index[(index < 0) | (index >= n)]
     if bad.size:
         raise ConfigurationError(
             f"{kind} constraint on a nonexistent {kind}: {bad.tolist()}")
     order = np.argsort(index, kind="stable")
-    C = np.array([c.coeffs for c in cons], dtype=float).reshape(-1, width)
-    d = np.array([c.value for c in cons], dtype=float)
     blocks, starts, counts = np.unique(index[order], return_index=True,
                                        return_counts=True)
 
@@ -360,10 +355,10 @@ def build_dofmap(mesh, bc: Optional[BCSpec] = None) -> DofMap:
     u_m = np.arange(off_uhat)
     uhat_rows = off_uhat + np.arange(3 * nN).reshape(nN, 3)
     uhat, x_p[uhat_rows], n_uhat_free = _reduce_blocks(
-        uhat_rows, bc, "vertex", off_uhat)
+        uhat_rows, bc.vertex, "vertex", off_uhat)
     edge_rows = off_alpha + np.arange(nE)[:, None] + np.array([0, nE])
     edge, x_p[edge_rows], n_edge_free = _reduce_blocks(
-        edge_rows, bc, "edge", off_uhat + n_uhat_free)
+        edge_rows, bc.edge, "edge", off_uhat + n_uhat_free)
 
     # gamma: the patch triangle with the largest id carries the dependent
     # corner at every interior vertex, minus the sum of the other corners

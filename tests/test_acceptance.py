@@ -45,8 +45,7 @@ def run_refinement_study(problem, mode, theta=0.5, max_levels=None,
     level = 0
     while True:
         sol, est, rep, ndofs = solve_problem(problem, mesh)
-        eu, em = l2_errors(mesh, sol, problem.exact,
-                           singular_point=problem.singular_point)
+        eu, em = l2_errors(mesh, sol, problem.exact)
         records.append(ConvergenceRecord(level, mesh.num_triangles, ndofs,
                                          est.total, eu, em))
         reports.append(rep)

@@ -123,6 +123,7 @@ def test_csv_header(tmp_path):
     header = path.read_text().splitlines()[0]
     assert header == "level,ntriangles,ndofs,eta,err_u,err_M,eoc_eta,eoc_u,eoc_M"
     assert path.read_text().splitlines()[1].endswith(",,,")
+    assert b"\r" not in path.read_bytes()
 
 
 # ---------------------------------------------------------------------------

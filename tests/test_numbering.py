@@ -1,21 +1,23 @@
-"""Property tests of the edge numbering, of newest-vertex bisection and
-of the DOF reduction on random newest-vertex-bisection meshes of the unit
-square and the Z-shape."""
+"""Property tests of the edge numbering, of newest-vertex bisection, of
+the boundary-condition builders and of the DOF reduction on random
+newest-vertex-bisection meshes of the unit square and the Z-shape."""
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
 from platedpg.mesh import nvb_refine, unit_square_mesh, vertex_patch
-from platedpg.problems import zshape_mesh
+from platedpg.problems import builtin_zshape_problem, zshape_mesh
 from platedpg.spaces import (build_dofmap, interpolate_uhat_bc,
                              simply_supported_bc)
+import bc_oracles
 
 
 @st.composite
-def refined_meshes(draw):
-    """A square or Z-shape mesh after up to four rounds of random marking."""
-    mesh = draw(st.sampled_from([unit_square_mesh, zshape_mesh]))()
+def refined_meshes(draw, initials=(unit_square_mesh, zshape_mesh)):
+    """A square or Z-shape mesh (one of ``initials``) after up to four
+    rounds of random marking."""
+    mesh = draw(st.sampled_from(initials))()
     for _ in range(draw(st.integers(0, 4))):
         n = mesh.num_triangles
         marked = draw(st.lists(st.integers(0, n - 1), min_size=1,
@@ -190,13 +192,38 @@ def test_recovered_vector_meets_all_constraints(mesh, clamped, seed):
     dm = build_dofmap(mesh, bc)
     x = dm.recover_full(np.random.default_rng(seed).normal(size=dm.free_dim))
     tol = 1e-12 * max(1.0, np.abs(x).max())
-    for c in bc.constraints:
-        if c.kind == "vertex":
-            block = x[dm.iuhat(c.index, 0) + np.arange(3)]
-        else:
-            block = x[[dm.ialpha(c.index), dm.ibeta(c.index)]]
-        assert abs(np.dot(c.coeffs, block) - c.value) <= tol
+    residuals = bc_oracles.constraint_residuals(bc, dm, x)
+    assert np.abs(residuals).max(initial=0.0) <= tol
     gamma = x[dm.off_gamma:].reshape(-1, 3)
     sums = np.zeros(mesh.num_vertices)
     np.add.at(sums, mesh.tri_vertices, gamma)
     assert np.abs(sums[mesh.interior_vertices()]).max(initial=0.0) <= tol
+
+
+def _assert_same_reduction(mesh, bc, oracle_bc):
+    got, want = build_dofmap(mesh, bc), build_dofmap(mesh, oracle_bc)
+    for a, b in ((got.R.indptr, want.R.indptr),
+                 (got.R.indices, want.R.indices), (got.R.data, want.R.data),
+                 (got.x_prescribed, want.x_prescribed)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(mesh=refined_meshes())
+def test_simply_supported_bc_matches_object_oracle(mesh):
+    """Straight-side vertices, square corners and the reentrant corner:
+    the array builder gives the per-constraint builder's R and
+    x_prescribed byte for byte."""
+    _assert_same_reduction(mesh, simply_supported_bc(mesh),
+                           bc_oracles.simply_supported_bc(mesh))
+
+
+@settings(max_examples=30, deadline=None)
+@given(mesh=refined_meshes(initials=(zshape_mesh,)))
+def test_clamped_bc_matches_object_oracle(mesh):
+    """The Z-shape's own clamped data, interpolated from the singular
+    solution: R and x_prescribed byte for byte."""
+    problem = builtin_zshape_problem()
+    u, grad, _ = problem.exact.fields(mesh.coords[mesh.boundary_vertices()])
+    oracle = bc_oracles.interpolate_uhat_bc(lambda _: u, lambda _: grad, mesh)
+    _assert_same_reduction(mesh, problem.bc_builder(mesh), oracle)

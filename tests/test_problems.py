@@ -345,7 +345,7 @@ def test_singular_eval_is_homogeneous_under_dyadic_scaling(r, phi, k):
     """u(lam p) = lam^mu u(p) and M(lam p) = lam^(mu-2) M(p) for lam = 2^k,
     mu = 1 + alpha: the degree ``singular_solution`` declares, to 1e-14
     of the size of each field at that radius."""
-    mu = builtin_zshape_problem().exact.degree
+    mu = builtin_zshape_problem().exact.singularity.degree
     assert mu == 1.0 + SINGULAR_ALPHA
     lam = 2.0 ** k
     x, y = r * np.cos(phi), r * np.sin(phi)
@@ -375,17 +375,16 @@ def test_zshape_geometry():
 def test_zshape_problem_spec():
     prob = builtin_zshape_problem()
     assert prob.f is None
-    assert prob.singular_point == (0.0, 0.0)
+    assert prob.exact.singularity.point == (0.0, 0.0)
     bc = prob.bc_builder(prob.initial_mesh)
     # every boundary vertex fully prescribed
-    assert len(bc.constraints) == 3 * len(prob.initial_mesh.boundary_vertices())
+    assert len(bc.vertex.index) == 3 * len(
+        prob.initial_mesh.boundary_vertices())
+    assert len(bc.edge.index) == 0
     # data vanishes on the two corner edges' vertices
-    by_vertex = {}
-    for c in bc.constraints:
-        by_vertex.setdefault(c.index, []).append(abs(c.value))
     origin = int(np.nonzero((prob.initial_mesh.coords == 0.0)
                             .all(axis=1))[0][0])
-    assert max(by_vertex[origin]) <= 1e-12
+    assert np.abs(bc.vertex.value[bc.vertex.index == origin]).max() <= 1e-12
 
 
 def test_square_problem_spec():
@@ -393,8 +392,7 @@ def test_square_problem_spec():
     assert prob.exact is not None
     np.testing.assert_allclose(prob.f(np.zeros((3, 2))), 1.0)
     bc = prob.bc_builder(prob.initial_mesh)
-    kinds = {c.kind for c in bc.constraints}
-    assert kinds == {"vertex", "edge"}
+    assert len(bc.vertex.index) > 0 and len(bc.edge.index) > 0
 
 
 def test_project_fields_means():
@@ -415,9 +413,9 @@ class FieldStub:
 
 def test_l2_errors_exact_constants():
     mesh = zshape_mesh()
-    exact = ExactSolution(
-        u=lambda p: np.full(len(p), 2.0),
-        M=lambda p: np.broadcast_to(np.diag([1.0, -1.0]), (len(p), 2, 2)))
+    exact = ExactSolution(lambda p: (
+        np.full(len(p), 2.0), None,
+        np.broadcast_to(np.diag([1.0, -1.0]), (len(p), 2, 2))))
     sol = FieldStub(np.full(5, 2.0), np.tile([1.0, 0.0, -1.0], (5, 1)))
     eu, em = l2_errors(mesh, sol, exact)
     assert eu < 1e-14 and em < 1e-14
@@ -426,8 +424,8 @@ def test_l2_errors_exact_constants():
 def test_l2_errors_unit_mismatch():
     from platedpg.mesh import unit_square_mesh
     mesh = unit_square_mesh()
-    exact = ExactSolution(u=lambda p: np.ones(len(p)),
-                          M=lambda p: np.zeros((len(p), 2, 2)))
+    exact = ExactSolution(lambda p: (np.ones(len(p)), None,
+                                     np.zeros((len(p), 2, 2))))
     sol = FieldStub(np.zeros(2), np.zeros((2, 3)))
     eu, em = l2_errors(mesh, sol, exact)
     assert abs(eu - 1.0) < 1e-14
@@ -441,21 +439,19 @@ def test_l2_errors_singular_subdivision_improves():
     exact = builtin_zshape_problem().exact
     sol = FieldStub(np.zeros(5), np.zeros((5, 3)))
     # reference with very deep subdivision
-    _, em_ref = l2_errors(mesh, sol, exact, singular_point=(0.0, 0.0),
-                          subdivision_levels=8)
-    _, em4 = l2_errors(mesh, sol, exact, singular_point=(0.0, 0.0),
-                       subdivision_levels=4)
-    _, em0 = l2_errors(mesh, sol, exact, singular_point=(0.0, 0.0),
-                       subdivision_levels=0)
+    _, em_ref = l2_errors(mesh, sol, exact, subdivision_levels=8)
+    _, em4 = l2_errors(mesh, sol, exact, subdivision_levels=4)
+    _, em0 = l2_errors(mesh, sol, exact, subdivision_levels=0)
     assert abs(em4 - em_ref) < abs(em0 - em_ref)
     assert abs(em4 - em_ref) <= 1e-4 * em_ref
 
 
-def _l2_errors_per_element(mesh, sol, exact, singular_point=None, levels=4):
+def _l2_errors_per_element(mesh, sol, exact, levels=4):
     """Reference: one triangle and one quadrisected cell at a time, with u
     and M evaluated by separate calls."""
     from platedpg.polyquad import ERROR_DEGREE, tri_rule
     rule = tri_rule(ERROR_DEGREE)
+    singular_point = exact.singularity and exact.singularity.point
     eu2 = em2 = 0.0
     for t in range(mesh.num_triangles):
         tri = mesh.coords[mesh.tri_vertices[t]]
@@ -475,9 +471,10 @@ def _l2_errors_per_element(mesh, sol, exact, singular_point=None, levels=4):
             e1, e2 = cell[1] - cell[0], cell[2] - cell[0]
             area = 0.5 * abs(e1[0] * e2[1] - e1[1] * e2[0])
             pts = rule.bary @ cell
-            eu2 += 2 * area * rule.weights @ (exact.u(pts) - sol.u[t]) ** 2
+            eu2 += 2 * area * rule.weights @ (
+                exact.fields(pts)[0] - sol.u[t]) ** 2
             em2 += 2 * area * rule.weights @ np.sum(
-                (exact.M(pts) - M_t) ** 2, axis=(1, 2))
+                (exact.fields(pts)[2] - M_t) ** 2, axis=(1, 2))
     return np.sqrt(eu2), np.sqrt(em2)
 
 
@@ -505,8 +502,8 @@ def test_l2_errors_match_per_element_reference():
     for m, prob in ((mesh, square), (zmesh, zshape)):
         nT = m.num_triangles
         sol = FieldStub(rng.normal(size=nT), rng.normal(size=(nT, 3)))
-        got = l2_errors(m, sol, prob.exact, singular_point=prob.singular_point)
-        ref = _l2_errors_per_element(m, sol, prob.exact, prob.singular_point)
+        got = l2_errors(m, sol, prob.exact)
+        ref = _l2_errors_per_element(m, sol, prob.exact)
         np.testing.assert_allclose(got, ref, rtol=1e-12)
 
 
@@ -525,7 +522,7 @@ def test_l2_errors_integrates_each_corner_shape_once():
         evaluated.append(len(points))
         return prob.exact.fields(points)
 
-    exact = ExactSolution(fields=counting, degree=prob.exact.degree)
+    exact = ExactSolution(counting, prob.exact.singularity)
     coarse = _corner_refined_zshape()
     q = len(tri_rule(ERROR_DEGREE).weights)
     counts = []
@@ -534,22 +531,11 @@ def test_l2_errors_integrates_each_corner_shape_once():
         at_corner = np.all(mesh.coords[mesh.tri_vertices] == 0.0, axis=2)
         sol = FieldStub(rng.normal(size=nT), rng.normal(size=(nT, 3)))
         evaluated.clear()
-        got = l2_errors(mesh, sol, exact, singular_point=prob.singular_point)
-        ref = _l2_errors_per_element(mesh, sol, prob.exact,
-                                     prob.singular_point)
+        got = l2_errors(mesh, sol, exact)
+        ref = _l2_errors_per_element(mesh, sol, prob.exact)
         np.testing.assert_allclose(got, ref, rtol=1e-12)
         counts.append((sum(evaluated),
                        (nT - at_corner.any(axis=1).sum()) * q))
     (first, first_regular), (second, second_regular) = counts
     assert first > first_regular        # the coarse pass builds the shapes
     assert second == second_regular     # the fine pass reuses all of them
-
-
-def test_l2_errors_singular_point_needs_a_degree():
-    sol = FieldStub(np.zeros(5), np.zeros((5, 3)))
-    exact = builtin_zshape_problem().exact
-    undeclared = ExactSolution(fields=exact.fields)
-    with pytest.raises(ConfigurationError, match="homogeneity degree"):
-        l2_errors(zshape_mesh(), sol, undeclared, singular_point=(0.0, 0.0))
-    # without a singular point no degree is needed
-    l2_errors(zshape_mesh(), sol, undeclared)

@@ -10,9 +10,10 @@ from platedpg.errors import ConfigurationError
 from platedpg.mesh import (mesh_from_arrays, reference_triangle_mesh,
                            uniform_refine, unit_square_mesh, vertex_patch)
 from platedpg.polyquad import tri_rule
-from platedpg.spaces import (BCSpec, ElementGeometry, _reduce_blocks,
-                             build_dofmap, interpolate_uhat_bc,
-                             simply_supported_bc)
+from platedpg.spaces import (BCSpec, Constraints, ElementGeometry,
+                             _reduce_blocks, build_dofmap,
+                             interpolate_uhat_bc, simply_supported_bc)
+from bc_oracles import BCConstraint, constraint_residuals, to_bcspec
 from trace_oracles import (extract_qhat, extract_qhat_local, extract_uhat,
                            local_qhat, qhat_pair_local, uhat_pair_local,
                            uhat_trace_on_edge)
@@ -259,19 +260,15 @@ def test_interpolate_uhat_bc_values():
     mesh = unit_square_mesh()
     bc = interpolate_uhat_bc(lambda p: np.zeros(len(p)),
                              lambda p: np.zeros((len(p), 2)), mesh)
-    assert all(c.value == 0.0 for c in bc.constraints)
+    assert np.all(bc.vertex.value == 0.0) and bc.edge.index.size == 0
     bc = interpolate_uhat_bc(lambda p: p[:, 0],
                              lambda p: np.stack([np.ones(len(p)),
                                                  np.zeros(len(p))], axis=1),
                              mesh)
-    by_vertex = {}
-    for c in bc.constraints:
-        by_vertex.setdefault(c.index, []).append(c)
     vid = int(np.nonzero((mesh.coords == [1.0, 0.0]).all(axis=1))[0][0])
-    vals = {tuple(c.coeffs): c.value for c in by_vertex[vid]}
-    assert vals[(1.0, 0.0, 0.0)] == 1.0
-    assert vals[(0.0, 1.0, 0.0)] == 1.0
-    assert vals[(0.0, 0.0, 1.0)] == 0.0
+    at = bc.vertex.index == vid
+    np.testing.assert_array_equal(bc.vertex.coeffs[at], np.eye(3))
+    np.testing.assert_array_equal(bc.vertex.value[at], [1.0, 1.0, 0.0])
 
 
 def test_dofmap_counts_clamped():
@@ -330,15 +327,12 @@ def _reduce_block(C, d, tag):
     return x_p, null
 
 
-def _reduce_blocks_per_block(rows, bc, kind, col0):
+def _reduce_blocks_per_block(rows, constraints, kind, col0):
     """Oracle for ``_reduce_blocks``: the blocks in ascending id, one
     ``_reduce_block`` each."""
     n, width = rows.shape
-    cons = [c for c in bc.constraints if c.kind == kind]
-    index = np.array([c.index for c in cons], dtype=np.int64)
+    index, C, d = constraints
     order = np.argsort(index, kind="stable")
-    C = np.array([c.coeffs for c in cons], dtype=float).reshape(-1, width)
-    d = np.array([c.value for c in cons], dtype=float)
     blocks, starts = np.unique(index[order], return_index=True)
     basis = np.tile(np.eye(width), (n, 1, 1))
     n_free = np.full(n, width)
@@ -360,26 +354,23 @@ def _reduce_blocks_per_block(rows, bc, kind, col0):
        seed=st.integers(0, 2**32 - 1))
 def test_stacked_reduction_matches_per_block_oracle(vertex_k, edge_k, seed):
     """Random full-rank vertex (width 3) and edge (width 2) blocks with
-    every constraint count, mixed in one BCSpec in shuffled order: the
+    every constraint count, each kind's rows in shuffled order: the
     stacked reduction is bit for bit the per-block one."""
     rng = np.random.default_rng(seed)
-    cons = [(fix, b, row)
-            for fix, ks, width in ((BCSpec.fix_vertex, vertex_k, 3),
-                                   (BCSpec.fix_edge, edge_k, 2))
-            for b, k in enumerate(ks)
-            for row in rng.standard_normal((k, width))
-            * 10.0 ** rng.uniform(-3, 3)]
-    bc = BCSpec()
-    for i in rng.permutation(len(cons)):
-        fix, b, row = cons[i]
-        fix(bc, b, row, rng.standard_normal())
     nV, nE = len(vertex_k), len(edge_k)
-    for kind, rows in (
-            ("vertex", 5 + np.arange(3 * nV).reshape(nV, 3)),
-            ("edge", 7 + np.arange(nE)[:, None] + np.array([0, nE]))):
-        (r, c, v), x_p, n_free = _reduce_blocks(rows, bc, kind, 11)
+    for kind, ks, rows in (
+            ("vertex", vertex_k, 5 + np.arange(3 * nV).reshape(nV, 3)),
+            ("edge", edge_k, 7 + np.arange(nE)[:, None] + np.array([0, nE]))):
+        index = np.repeat(np.arange(len(ks)), ks)
+        scale = 10.0 ** rng.uniform(-3, 3, len(ks))
+        C = rng.standard_normal((len(index), rows.shape[1]))
+        C *= scale[index, None]
+        shuffle = rng.permutation(len(index))
+        cons = Constraints(index[shuffle], C[shuffle],
+                           rng.standard_normal(len(index)))
+        (r, c, v), x_p, n_free = _reduce_blocks(rows, cons, kind, 11)
         (r0, c0, v0), x_p0, n_free0 = _reduce_blocks_per_block(
-            rows, bc, kind, 11)
+            rows, cons, kind, 11)
         for got, want in ((r, r0), (c, c0), (v, v0), (x_p, x_p0)):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
@@ -390,12 +381,12 @@ def test_overconstrained_error_names_lowest_block():
     """Vertex 1 fails with 3 constraints and vertex 2 with 2: the error
     names vertex 1, as a walk over the blocks in id order would."""
     mesh = unit_square_mesh()
-    bc = BCSpec()
-    for coeffs in ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.0, 2.0, 0.0)):
-        bc.fix_vertex(1, coeffs, 0.0)
-    bc.fix_vertex(2, (1.0, 0.0, 0.0), 0.0)
-    bc.fix_vertex(2, (-1.0, 0.0, 0.0), 1.0)
-    bc.fix_vertex(3, (1.0, 0.0, 0.0), 0.0)
+    bc = to_bcspec([BCConstraint("vertex", v, coeffs, value)
+                    for v, coeffs, value in (
+                        (1, (0.0, 1.0, 0.0), 0.0), (1, (0.0, 0.0, 1.0), 0.0),
+                        (1, (0.0, 2.0, 0.0), 0.0), (2, (1.0, 0.0, 0.0), 0.0),
+                        (2, (-1.0, 0.0, 0.0), 1.0),
+                        (3, (1.0, 0.0, 0.0), 0.0))])
     with pytest.raises(ConfigurationError, match=(
             "over-constrained boundary block at vertex 1: "
             "3 constraints of rank 2")):
@@ -455,9 +446,8 @@ def test_dofmap_pinned(case):
 
 def test_overconstrained_vertex_rejected():
     mesh = unit_square_mesh()
-    bc = BCSpec()
-    bc.fix_vertex(0, (1.0, 0.0, 0.0), 0.0)
-    bc.fix_vertex(0, (1.0, 0.0, 0.0), 1.0)
+    bc = to_bcspec([BCConstraint("vertex", 0, (1.0, 0.0, 0.0), 0.0),
+                    BCConstraint("vertex", 0, (1.0, 0.0, 0.0), 1.0)])
     with pytest.raises(ConfigurationError):
         build_dofmap(mesh, bc)
 
@@ -466,11 +456,8 @@ def test_overconstrained_vertex_rejected():
                                          ("edge", 5)])
 def test_constraint_on_nonexistent_block_rejected(kind, index):
     mesh = unit_square_mesh()          # 4 vertices, 5 edges
-    bc = BCSpec()
-    if kind == "vertex":
-        bc.fix_vertex(index, (1.0, 0.0, 0.0), 0.0)
-    else:
-        bc.fix_edge(index, (0.0, 1.0), 0.0)
+    coeffs = (1.0, 0.0, 0.0) if kind == "vertex" else (0.0, 1.0)
+    bc = to_bcspec([BCConstraint(kind, index, coeffs, 0.0)])
     with pytest.raises(ConfigurationError, match="nonexistent"):
         build_dofmap(mesh, bc)
 
@@ -482,12 +469,7 @@ def test_reconstruction_satisfies_constraints():
     rng = np.random.default_rng(11)
     x = dm.recover_full(rng.normal(size=dm.free_dim))
     # essential constraints hold exactly
-    for c in bc.constraints:
-        if c.kind == "vertex":
-            block = x[dm.iuhat(c.index, 0):dm.iuhat(c.index, 0) + 3]
-        else:
-            block = np.array([x[dm.ialpha(c.index)], x[dm.ibeta(c.index)]])
-        assert abs(np.dot(c.coeffs, block) - c.value) < 1e-12
+    assert np.abs(constraint_residuals(bc, dm, x)).max() < 1e-12
     # gamma patch sums vanish exactly at interior vertices
     for v in mesh.interior_vertices():
         total = 0.0
@@ -502,7 +484,7 @@ def test_free_count_matches_eliminations():
     bc = interpolate_uhat_bc(lambda p: np.zeros(len(p)),
                              lambda p: np.zeros((len(p), 2)), mesh)
     dm = build_dofmap(mesh, bc)
-    n_essential = len(bc.constraints)
+    n_essential = len(bc.vertex.index) + len(bc.edge.index)
     assert dm.free_dim == (dm.full_dim - n_essential
                            - mesh.num_interior_vertices)
 
