@@ -18,12 +18,9 @@ condensed blocks
 
 B and G depend only on the congruence class of a triangle, and newest-
 vertex bisection makes few classes.  :func:`build_element_systems` keys a
-triangle by ``(P - c) / h_T`` of its vertices in ``tri_vertices`` order
-and ``log2(h_T)``, rounded to the quantum ``2**-32``, and by ``lo_local``
-(which fixes the edge signs), and builds B and G for the first triangle
-of each class only.  Triangles whose normalized coordinates differ by
-less than the quantum share matrices; a class split at a rounding
-boundary costs one more triangle to build and no accuracy.
+triangle by its vertex offsets ``P - P_0 = 2**e Q`` in ``tri_vertices``
+order, exact (:func:`~platedpg.mesh.dyadic_shape`), and by its edge signs,
+and builds B and G for the first triangle of each class only.
 """
 
 from dataclasses import dataclass
@@ -34,7 +31,7 @@ import scipy.linalg
 
 from .errors import SPDError
 from .linalg import dense_cholesky, sparse_from_triplets
-from .mesh import Mesh
+from .mesh import Mesh, dyadic_shape
 from .polyquad import (ASSEMBLY_DEGREE, EDGE_POINTS, SLOTS, edge_rule,
                        tri_rule)
 from .problems import cinv_apply
@@ -174,22 +171,19 @@ class ElementSystems:
 def build_element_systems(mesh, dofmap, material, f):
     """B and G per congruence class, the load of every triangle (none for
     ``f = None``), condensed into :class:`ElementSystems`."""
-    elements = np.arange(mesh.num_triangles)
-    geom = ElementGeometry(mesh, elements)
-    shape = (geom.P - geom.centroid[:, None, :]) / geom.diam[:, None, None]
-    key = np.column_stack([np.rint(shape.reshape(-1, 6) * 2.0 ** 32),
-                           np.rint(np.log2(geom.diam) * 2.0 ** 32),
-                           geom.lo_local]).astype(np.int64)
-    _, first, cls = np.unique(key, axis=0, return_index=True,
-                              return_inverse=True)
-    cls = cls.reshape(-1)
+    P = mesh.coords[mesh.tri_vertices]
+    Q, e = dyadic_shape(P - P[:, :1])
+    key = np.column_stack([Q.reshape(-1, 6), e, mesh.edge_sign])
+    # rows compared as bytes: exact values, and no -0.0 since x - x = +0.0
+    _, first, cls = np.unique(key.view(f"V{key[0].nbytes}")[:, 0],
+                              return_index=True, return_inverse=True)
     reps = ElementGeometry(mesh, first)
     B, G = element_matrices(reps, material)
     load = np.zeros((len(cls), N_TEST))
     if f is not None:  # P3 values at (x_q - c) / h depend only on the class
         rule = tri_rule(ASSEMBLY_DEGREE)
         vals = reps.scalar_basis(3).eval(rule.map_to(reps.P)[0]).values
-        load = _load(f, *rule.map_to(geom.P), vals[cls])
+        load = _load(f, *rule.map_to(P), vals[cls])
     try:
         W, v = condense(B, G, load, cls)
     except SPDError as exc:
@@ -197,7 +191,8 @@ def build_element_systems(mesh, dofmap, material, f):
         raise SPDError(f"element Gram matrix {t} is not SPD: pivot "
                        f"{exc.pivot}", pivot=exc.pivot, index=(t,)) from None
     G.flags.writeable = False
-    return ElementSystems(W, v, dofmap.element_scatter(elements), G, cls)
+    return ElementSystems(W, v, dofmap.element_scatter(np.arange(len(cls))),
+                          G, cls)
 
 
 @dataclass

@@ -148,6 +148,9 @@ def run_experiment(config: ExperimentConfig, problem=None):
     before the exception propagates.
     """
     problem = problem or builtin_problem(config.problem)
+    if problem.exact is None:
+        raise ConfigurationError(
+            f"problem {problem.name!r} has no exact solution for the errors")
     mesh = problem.initial_mesh
     records: List[ConvergenceRecord] = []
 

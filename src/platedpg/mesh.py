@@ -83,8 +83,9 @@ class Mesh:
             [first // 3, np.where(count == 2, last // 3, -1)], axis=1)
 
         self.edge_on_boundary = count == 1
-        self.vertex_on_boundary = np.zeros(n_vert, dtype=bool)
-        self.vertex_on_boundary[self.edge_vertices[self.edge_on_boundary]] = True
+        n_bedges = np.bincount(self.edge_vertices[count == 1].ravel(),
+                               minlength=n_vert)
+        self.vertex_on_boundary = n_bedges > 0
 
         used = np.zeros(n_vert, dtype=bool)
         used[tris] = True
@@ -95,6 +96,10 @@ class Mesh:
             raise MeshStructureError(
                 "triangulation is not a simply connected polygon "
                 f"(Euler characteristic {n_vert - n_edge + n_tri} != 1)")
+        if np.any(n_bedges > 2):
+            v = int(np.argmax(n_bedges > 2))
+            raise MeshStructureError(
+                f"pinched vertex {v}: on {n_bedges[v]} boundary edges")
 
     def _build_geometry(self):
         coords, tris = self.coords, self.tri_vertices
@@ -154,6 +159,14 @@ class Mesh:
     def __repr__(self):
         return (f"Mesh(#N={self.num_vertices}, #E={self.num_edges}, "
                 f"#T={self.num_triangles})")
+
+
+def dyadic_shape(D):
+    """(Q, e) with ``D = 2**e * Q`` exactly for stacked vertex offsets D
+    (..., 3, 2); e is the frexp exponent of the largest ``|D_i|``.  Equal Q
+    means similar by a power of two, equal (Q, e) means equal D."""
+    e = np.frexp(np.linalg.norm(D, axis=-1).max(axis=-1))[1]
+    return np.ldexp(D, -e[..., None, None]), e
 
 
 def _seed_refinement_edges(coords, tris):

@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .mesh import Mesh, mesh_from_arrays, unit_square_mesh
+from .mesh import Mesh, dyadic_shape, mesh_from_arrays, unit_square_mesh
 from .polyquad import ASSEMBLY_DEGREE, ERROR_DEGREE, tri_rule
 from .spaces import BCSpec, interpolate_uhat_bc, simply_supported_bc
 
@@ -23,6 +23,7 @@ SINGULAR_ALPHA = 0.673583432147380
 SINGULAR_C = 1.234587795273723
 ZSHAPE_OPENING = 5.0 * np.pi / 4.0
 L2_CHUNK = 256        # cells per chunk of the L2 error pass: 12.5k points
+L2_SUBDIVISIONS = 4   # dyadic quadrisections of a corner triangle
 
 
 @dataclass(frozen=True)
@@ -200,8 +201,8 @@ def _from_xy(eval_xy, singularity=None):
     return ExactSolution(fields, singularity)
 
 
-def fourier_solution(n_max=15):
-    return _from_xy(lambda x, y: fourier_eval(x, y, n_max))
+def fourier_solution():
+    return _from_xy(fourier_eval)
 
 
 def singular_solution():
@@ -316,28 +317,29 @@ def _frobenius_sq(M):
     return M[..., 0] ** 2 + 2.0 * M[..., 1] ** 2 + M[..., 2] ** 2
 
 
-def _corner_moments(shapes, s, fields, levels):
+def _corner_moments(shapes, s, fields):
     """Seven moments ``sum w [1, u, u^2, M_xx, M_xy, M_yy, |M|^2]`` of the
-    exact solution over the ``4**levels`` dyadic cells of each shape
-    ``s + shapes[i]``; returns (k, 7)."""
+    exact solution over the ``4**L2_SUBDIVISIONS`` dyadic cells of each
+    shape ``s + shapes[i]``; returns (k, 7)."""
+    cells = _subdivide(shapes + s, L2_SUBDIVISIONS)
     per_cell = np.concatenate([
         np.stack([w, w * u, w * u * u, *np.moveaxis(w[..., None] * M, -1, 0),
                   w * _frobenius_sq(M)], axis=-1).sum(axis=1)
-        for _, w, u, M in _cell_values(_subdivide(shapes + s, levels), fields)])
+        for _, w, u, M in _cell_values(cells, fields)])
     return per_cell.reshape(len(shapes), -1, 7).sum(axis=1)
 
 
-def l2_errors(mesh, solution, exact, subdivision_levels=4):
+def l2_errors(mesh, solution, exact):
     """L2 errors of the piecewise-constant fields against an exact
     solution.
 
-    A triangle touching the singular point s of ``exact.singularity`` is
-    integrated on ``4**subdivision_levels`` dyadic cells, once per
-    similarity class: written as ``T = s + lam T'`` with lam a power of
-    two and the vertices of T' in the order of T (the rule is not
-    symmetric), its cell sums follow from seven moments of T' by the
-    homogeneity degree.  The moments are computed the first time T' is
-    seen and kept on ``exact``.
+    A triangle with a vertex at the singular point s of
+    ``exact.singularity`` is integrated on ``4**L2_SUBDIVISIONS`` dyadic
+    cells, once per similarity class: written as ``T = s + lam T'`` by
+    :func:`~platedpg.mesh.dyadic_shape`, with lam a power of two and the
+    vertices of T' in the order of T (the rule is not symmetric), its cell
+    sums follow from seven moments of T' by the homogeneity degree.  The
+    moments are computed the first time T' is seen and kept on ``exact``.
     """
     u_field = np.asarray(solution.u, dtype=float)
     M_field = np.asarray(solution.M, dtype=float)
@@ -345,8 +347,7 @@ def l2_errors(mesh, solution, exact, subdivision_levels=4):
     corner = np.zeros(mesh.num_triangles, dtype=bool)
     if exact.singularity is not None:
         s = np.asarray(exact.singularity.point, dtype=float)
-        dist = np.linalg.norm(mesh.coords - s, axis=1)
-        corner = np.any(dist[mesh.tri_vertices] < 1e-12, axis=1)
+        corner = (mesh.coords == s).all(axis=1)[mesh.tri_vertices].any(axis=1)
     regular, singular = np.nonzero(~corner)[0], np.nonzero(corner)[0]
 
     eu2 = em2 = 0.0
@@ -356,17 +357,14 @@ def l2_errors(mesh, solution, exact, subdivision_levels=4):
         em2 += np.sum(w * _frobenius_sq(M - M_field[regular[c], None]))
 
     if singular.size:
-        P = mesh.coords[mesh.tri_vertices[singular]] - s        # (k, 3, 2)
-        lam = np.ldexp(1.0, np.frexp(
-            np.linalg.norm(P, axis=2).max(axis=1))[1])
-        Q = P / lam[:, None, None]
-        keys = [(subdivision_levels, q.tobytes()) for q in Q]
+        Q, e = dyadic_shape(mesh.coords[mesh.tri_vertices[singular]] - s)
+        lam = np.ldexp(1.0, e)
+        keys = [q.tobytes() for q in Q]
         cache = exact._corner_moments
         new = {k: q for k, q in zip(keys, Q) if k not in cache}
         if new:
             cache.update(zip(new, _corner_moments(
-                np.array(list(new.values())), s, exact.fields,
-                subdivision_levels)))
+                np.array(list(new.values())), s, exact.fields)))
         m = np.array([cache[k] for k in keys])                   # (k, 7)
         mu = exact.singularity.degree
         a, b = lam ** mu, lam ** (mu - 2.0)

@@ -52,11 +52,9 @@ class ElementGeometry:
         self.tau = mesh.edge_tangent[self.eids]       # canonical tangents
         self.nrm = mesh.edge_normal[self.eids]        # canonical normals
         self.sign = mesh.edge_sign[t].astype(float)   # s_{T,E}
-        # canonical endpoints of local edge k as local vertex indices
-        nxt, prv = (np.arange(3) + 1) % 3, (np.arange(3) + 2) % 3
-        lo_vid = mesh.edge_vertices[self.eids, 0]
-        self.lo_local = np.where(self.vids[..., nxt] == lo_vid, nxt, prv)
-        self.hi_local = np.where(self.lo_local == nxt, prv, nxt)
+        # canonical ends of local edge k as local vertices: k+1 -> k+2 if s > 0
+        self.lo_local = (np.arange(3) + np.where(self.sign > 0, 1, 2)) % 3
+        self.hi_local = (np.arange(3) + np.where(self.sign > 0, 2, 1)) % 3
 
     def edge_points(self, k, s):
         """Points (..., len(s), 2) on local edge k at canonical parameters

@@ -1,5 +1,8 @@
+from fractions import Fraction
 import re
+from types import SimpleNamespace
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,11 +11,13 @@ from conftest import random_shape_regular_triangle
 from platedpg import dpg
 from platedpg.errors import SPDError
 from platedpg.linalg import dense_cholesky, sparse_from_triplets, spd_solve
-from platedpg.mesh import (mesh_from_arrays, reference_triangle_mesh,
+from platedpg.mesh import (Mesh, dyadic_shape, mesh_from_arrays, nvb_refine,
+                           reference_triangle_mesh, uniform_refine,
                            unit_square_mesh)
 from platedpg.polyquad import ASSEMBLY_DEGREE, tri_rule
-from platedpg.problems import (MaterialLaw, ProblemSpec,
-                               builtin_square_problem, builtin_zshape_problem)
+from platedpg.problems import (ExactSolution, MaterialLaw, ProblemSpec,
+                               Singularity, builtin_square_problem,
+                               builtin_zshape_problem, l2_errors)
 from platedpg.spaces import ElementGeometry, build_dofmap, interpolate_uhat_bc
 
 
@@ -350,6 +355,62 @@ def test_class_counts_on_nvb_meshes():
     assert classes(square) == 8
     zshape = adaptive_zshape(builtin_zshape_problem(), 2000)
     assert classes(zshape) <= zshape.num_triangles / 10
+
+
+def _classes_and_corner_shapes(mesh, corner):
+    """Element classes of the mesh, and the number of distinct corner
+    shapes the error pass integrates about the vertex ``corner``.  The
+    classes are found before the Grams are factored, which fails below
+    h of about 7e-4, so the factorization is skipped."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dpg, "condense", lambda B, G, load, cls: (B, load))
+        cls = dpg.build_element_systems(mesh, build_dofmap(mesh),
+                                        MaterialLaw(1.0, 0.0), None).cls
+    exact = ExactSolution(lambda p: (np.zeros(len(p)), None,
+                                     np.zeros((len(p), 2, 2))),
+                          Singularity(tuple(corner), 2.0))
+    nT = mesh.num_triangles
+    l2_errors(mesh, SimpleNamespace(u=np.zeros(nT), M=np.zeros((nT, 3))),
+              exact)
+    return cls, len(exact._corner_moments)
+
+
+@settings(max_examples=20, deadline=None)
+@given(zshape=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+       rounds=st.integers(0, 5), k=st.integers(-20, 20),
+       shift=st.tuples(st.integers(-2 ** 16, 2 ** 16),
+                       st.integers(-2 ** 16, 2 ** 16)),
+       j=st.integers(-8, 8))
+def test_dyadic_shape_is_exact_and_blind_to_dyadic_similarity(
+        zshape, seed, rounds, k, shift, j):
+    """On a random NVB refinement of the square or the Z-shape, scaled by
+    2**k and moved by a dyadic translation, both exact in floating point:
+    ``dyadic_shape`` writes every triangle's vertex offsets exactly as
+    ``2**e Q``, and neither the element classes nor the number of corner
+    shapes about the moved corner (0, 0) change."""
+    prob = builtin_zshape_problem() if zshape else builtin_square_problem()
+    rng = np.random.default_rng(seed)
+    mesh = uniform_refine(prob.initial_mesh)
+    for _ in range(rounds):
+        n = mesh.num_triangles
+        mesh = nvb_refine(mesh, rng.choice(n, n // 2, replace=False))
+    t = np.ldexp(np.array(shift, dtype=float), k + j)
+    scaled = np.ldexp(mesh.coords, k)
+    coords = scaled + t
+    shifts = np.broadcast_to(t, scaled.shape)
+    assert all(Fraction(c) == Fraction(a) + Fraction(b) for c, a, b in
+               zip(coords.ravel(), scaled.ravel(), shifts.ravel()))
+    moved = Mesh(coords, mesh.tri_vertices, mesh.refinement_edge,
+                 mesh.generation)
+    for m in (mesh, moved):
+        P = m.coords[m.tri_vertices]
+        Q, e = dyadic_shape(P - P[:, :1])
+        assert np.array_equal(np.ldexp(Q, e[:, None, None]), P - P[:, :1])
+    cls, n_corner = _classes_and_corner_shapes(mesh, (0.0, 0.0))
+    moved_cls, moved_corner = _classes_and_corner_shapes(moved, t)
+    pairs = np.unique(np.column_stack([cls, moved_cls]), axis=0)
+    assert len(pairs) == cls.max() + 1 == moved_cls.max() + 1
+    assert moved_corner == n_corner >= 1
 
 
 def test_gram_failure_names_a_triangle_of_the_class(monkeypatch):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 import warnings
 
 from hypothesis import example, given, settings, strategies as st
@@ -175,6 +176,22 @@ def test_run_experiment_adaptive_smoke(tmp_path):
     assert records[-1].ndofs >= 400
     assert all(b.ndofs > a.ndofs for a, b in zip(records, records[1:]))
     assert all(r.eta > 0 for r in records)
+
+
+def test_problem_without_exact_solution_is_refused_before_solving(
+        monkeypatch):
+    """A problem may leave out its exact solution for assembly alone, but
+    the experiment loop measures the errors on every level, so it refuses
+    such a problem with a ConfigurationError before the first solve."""
+    import platedpg.driver as driver
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a problem without an exact solution")
+
+    monkeypatch.setattr(driver, "solve_problem", no_solve)
+    with pytest.raises(ConfigurationError, match="no exact solution"):
+        run_experiment(ExperimentConfig("square", "uniform", max_levels=1),
+                       problem=replace(builtin_square_problem(), exact=None))
 
 
 @pytest.mark.parametrize("problem, mode", [("square", "uniform"),

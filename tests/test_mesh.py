@@ -46,6 +46,14 @@ def test_edge_shared_three_times_rejected():
         mesh_from_arrays(coords, tris)
 
 
+def test_pinched_vertex_rejected():
+    """Two triangles that share only a vertex pass the Euler check; the
+    vertex on four boundary edges is named."""
+    with pytest.raises(MeshStructureError, match="pinched vertex 0"):
+        mesh_from_arrays([(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)],
+                         [(0, 1, 2), (0, 3, 4)])
+
+
 def test_degenerate_triangle_rejected():
     with pytest.raises(MeshStructureError):
         mesh_from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 1)])

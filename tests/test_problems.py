@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from platedpg import problems
 from platedpg.errors import ConfigurationError
 from platedpg.problems import (L2_CHUNK, SINGULAR_ALPHA, SINGULAR_C,
                                ZSHAPE_OPENING, ExactSolution, MaterialLaw,
                                builtin_square_problem, builtin_zshape_problem,
                                c_apply, cinv_apply, fourier_eval, l2_errors,
                                odd_harmonics, project_fields, singular_eval,
-                               zshape_mesh)
+                               singular_solution, zshape_mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -432,16 +433,19 @@ def test_l2_errors_unit_mismatch():
     assert em == 0.0
 
 
-def test_l2_errors_singular_subdivision_improves():
+def test_l2_errors_singular_subdivision_improves(monkeypatch):
     """Near the corner the dyadic subdivision must capture the r^(a-1)
     moment singularity better than the plain rule."""
     mesh = zshape_mesh()
-    exact = builtin_zshape_problem().exact
     sol = FieldStub(np.zeros(5), np.zeros((5, 3)))
+    assert problems.L2_SUBDIVISIONS == 4
+
+    def em(levels):       # a fresh solution: its corner cache is per depth
+        monkeypatch.setattr(problems, "L2_SUBDIVISIONS", levels)
+        return l2_errors(mesh, sol, singular_solution())[1]
+
     # reference with very deep subdivision
-    _, em_ref = l2_errors(mesh, sol, exact, subdivision_levels=8)
-    _, em4 = l2_errors(mesh, sol, exact, subdivision_levels=4)
-    _, em0 = l2_errors(mesh, sol, exact, subdivision_levels=0)
+    em_ref, em4, em0 = em(8), em(4), em(0)
     assert abs(em4 - em_ref) < abs(em0 - em_ref)
     assert abs(em4 - em_ref) <= 1e-4 * em_ref
 
