@@ -7,23 +7,14 @@ number of degrees of freedom.  All three quantities converge at the
 optimal order 1/2 (order h in the mesh size).
 """
 
-from platedpg import ConvergenceRecord, eoc, l2_errors, solve_problem
-from platedpg.mesh import uniform_refine
-from platedpg.problems import builtin_square_problem
+from platedpg import ExperimentConfig, eoc, experiment_levels
 
-problem = builtin_square_problem()
-mesh = problem.initial_mesh
-records = []
-for level in range(6):
-    solution, estimator, report, ndofs = solve_problem(problem, mesh)
-    err_u, err_M = l2_errors(mesh, solution, problem.exact)
-    records.append(ConvergenceRecord(level, mesh.num_triangles, ndofs,
-                                     estimator.total, err_u, err_M))
-    mesh = uniform_refine(mesh)
+levels = list(experiment_levels(ExperimentConfig("square", "uniform",
+                                                 max_levels=6)))
 
 print(f"{'level':>5} {'#T':>6} {'N':>7} {'eta':>10} {'err_u':>10} "
       f"{'err_M':>10} {'EOC(eta)':>9} {'EOC(u)':>7} {'EOC(M)':>7}")
-for r in eoc(records):
+for r in eoc([level.record for level in levels]):
     fmt = lambda v: f"{v:7.3f}" if v is not None else "      -"
     print(f"{r.level:>5} {r.ntriangles:>6} {r.ndofs:>7} {r.eta:10.3e} "
           f"{r.err_u:10.3e} {r.err_M:10.3e} {fmt(r.eoc_eta):>9} "
@@ -31,6 +22,6 @@ for r in eoc(records):
 
 # The plate's centre deflection approaches the classical thin-plate
 # coefficient 0.00406 (for unit load, unit side and unit rigidity).
-u_h = records[-1]
 print(f"\nmax element-mean deflection at the finest level: "
-      f"{max(0.0, float(max(solution.u))):.5f} (classical value 0.00406)")
+      f"{max(0.0, float(max(levels[-1].solution.u))):.5f} "
+      f"(classical value 0.00406)")

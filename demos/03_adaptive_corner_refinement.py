@@ -9,38 +9,21 @@ restores the optimal order 1/2 by concentrating elements at the corner.
 
 import numpy as np
 
-from platedpg import dorfler_mark, l2_errors, solve_problem
-from platedpg.mesh import nvb_refine, uniform_refine
-from platedpg.problems import builtin_zshape_problem
-
-
-def study(mode, stop_dofs=12_000):
-    problem = builtin_zshape_problem()
-    mesh = problem.initial_mesh
-    rows = []
-    while True:
-        solution, estimator, _, ndofs = solve_problem(problem, mesh)
-        _, err_M = l2_errors(mesh, solution, problem.exact)
-        rows.append((ndofs, estimator.total, err_M))
-        if ndofs >= stop_dofs:
-            break
-        if mode == "uniform":
-            mesh = uniform_refine(mesh)
-        else:
-            marked = dorfler_mark(estimator.per_element, 0.5)
-            mesh = nvb_refine(mesh, marked)
-    return rows, mesh
-
+from platedpg import ExperimentConfig, experiment_levels
 
 for mode in ("uniform", "adaptive"):
-    rows, mesh = study(mode)
-    logN = np.log([r[0] for r in rows[len(rows) // 2:]])
-    slope_eta = -np.polyfit(logN, np.log([r[1] for r in rows[len(rows) // 2:]]), 1)[0]
-    slope_M = -np.polyfit(logN, np.log([r[2] for r in rows[len(rows) // 2:]]), 1)[0]
-    print(f"\n{mode} refinement ({len(rows)} levels, final N = {rows[-1][0]}):")
+    levels = list(experiment_levels(ExperimentConfig("zshape", mode,
+                                                     max_dofs=12_000)))
+    records, mesh = [lv.record for lv in levels], levels[-1].mesh
+    half = records[len(records) // 2:]
+    logN = np.log([r.ndofs for r in half])
+    slope_eta = -np.polyfit(logN, np.log([r.eta for r in half]), 1)[0]
+    slope_M = -np.polyfit(logN, np.log([r.err_M for r in half]), 1)[0]
+    print(f"\n{mode} refinement ({len(records)} levels, "
+          f"final N = {records[-1].ndofs}):")
     print(f"{'N':>7} {'eta':>10} {'err_M':>10}")
-    for n, eta, em in rows[:: max(1, len(rows) // 6)]:
-        print(f"{n:>7} {eta:10.3e} {em:10.3e}")
+    for r in records[:: max(1, len(records) // 6)]:
+        print(f"{r.ndofs:>7} {r.eta:10.3e} {r.err_M:10.3e}")
     print(f"  slopes over the final half: eta {slope_eta:.3f}, "
           f"err_M {slope_M:.3f}")
     if mode == "adaptive":

@@ -7,8 +7,8 @@ space, giving a symmetric positive definite condensed system and a
 built-in residual error estimator that drives adaptive refinement.
 """
 
-from .driver import (ConvergenceRecord, ExperimentConfig, dorfler_mark, eoc,
-                     run_experiment, solve_problem)
+from .driver import (ConvergenceRecord, ExperimentConfig, Level, dorfler_mark,
+                     eoc, experiment_levels, run_experiment, solve_problem)
 from .dpg import (ElementSystems, EstimatorField, GlobalSystem, Solution,
                   assemble, condense, element_matrices, estimate)
 from .errors import (ConfigurationError, MeshStructureError, SPDError,

@@ -1,18 +1,19 @@
-"""Experiment orchestration: refinement loops, marking, EOC, CSV, CLI."""
+"""Experiment orchestration: the refinement loop, marking, EOC, CSV, CLI."""
 
 import argparse
 import csv
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
+from itertools import count
 import logging
 import sys
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
 from . import dpg
 from .errors import ConfigurationError, SolverConvergenceError, SPDError
-from .linalg import spd_solve
-from .mesh import mesh_to_text, nvb_refine, uniform_refine
+from .linalg import SolveReport, spd_solve
+from .mesh import Mesh, mesh_to_text, nvb_refine, uniform_refine
 from .problems import builtin_problem, l2_errors
 from .spaces import build_dofmap
 
@@ -140,18 +141,50 @@ def read_records_csv(path):
                 for row in csv.DictReader(handle)]
 
 
-def run_experiment(config: ExperimentConfig, problem=None):
-    """SOLVE -> ESTIMATE -> MARK -> REFINE loop with per-level records.
+class Level(NamedTuple):
+    record: ConvergenceRecord          # without EOCs
+    mesh: Mesh
+    solution: dpg.Solution
+    estimator: dpg.EstimatorField
+    report: SolveReport
 
-    On solver failure (:class:`SolverConvergenceError` or
-    :class:`SPDError`) the records collected so far are flushed to the CSV
-    before the exception propagates.
-    """
+
+def experiment_levels(config: ExperimentConfig, problem=None):
+    """The SOLVE -> ESTIMATE -> MARK -> REFINE loop, one :class:`Level`
+    per mesh.  Each level is logged as one INFO record; the next mesh is
+    refined only when the next level is asked for.  The loop stops after
+    ``config.max_levels`` levels, at ``config.max_dofs`` free DOFs, or
+    when adaptive marking marks nothing."""
     problem = problem or builtin_problem(config.problem)
     if problem.exact is None:
         raise ConfigurationError(
             f"problem {problem.name!r} has no exact solution for the errors")
     mesh = problem.initial_mesh
+    for level in count():
+        solution, estimator, report, ndofs = solve_problem(
+            problem, mesh, tol=config.tol)
+        record = ConvergenceRecord(level, mesh.num_triangles, ndofs,
+                                   estimator.total,
+                                   *l2_errors(mesh, solution, problem.exact))
+        logger.info("level %d: #T=%d N=%d eta=%.3e err_u=%.3e err_M=%.3e",
+                    *astuple(record)[:6])
+        yield Level(record, mesh, solution, estimator, report)
+        if level + 1 >= config.max_levels or (
+                config.max_dofs is not None and ndofs >= config.max_dofs):
+            return
+        if config.mode == "uniform":
+            mesh = uniform_refine(mesh)
+        else:
+            marked = dorfler_mark(estimator.per_element, config.theta)
+            if not marked:
+                return
+            mesh = nvb_refine(mesh, marked)
+
+
+def run_experiment(config: ExperimentConfig, problem=None):
+    """Run :func:`experiment_levels` to its end, write the mesh dumps and
+    the CSV (on :class:`SolverConvergenceError` or :class:`SPDError` too,
+    with the levels done) and return the records with EOCs."""
     records: List[ConvergenceRecord] = []
 
     def flush():
@@ -160,37 +193,16 @@ def run_experiment(config: ExperimentConfig, problem=None):
             write_records_csv(done, config.out)
         return done
 
-    level = 0
-    while True:
-        try:
-            solution, estimator, report, ndofs = solve_problem(
-                problem, mesh, tol=config.tol)
-        except (SolverConvergenceError, SPDError):
-            flush()
-            raise
-        err_u, err_M = l2_errors(mesh, solution, problem.exact)
-        records.append(ConvergenceRecord(
-            level=level, ntriangles=mesh.num_triangles, ndofs=ndofs,
-            eta=estimator.total, err_u=err_u, err_M=err_M))
-        logger.info("level %d: #T=%d N=%d eta=%.3e err_u=%.3e err_M=%.3e",
-                    level, mesh.num_triangles, ndofs, estimator.total,
-                    err_u, err_M)
-        if config.dump_mesh:
-            with open(f"{config.dump_mesh}{level:03d}.txt", "w") as handle:
-                handle.write(mesh_to_text(mesh))
-
-        if level + 1 >= config.max_levels:
-            break
-        if config.max_dofs is not None and ndofs >= config.max_dofs:
-            break
-        if config.mode == "uniform":
-            mesh = uniform_refine(mesh)
-        else:
-            marked = dorfler_mark(estimator.per_element, config.theta)
-            if not marked:
-                break
-            mesh = nvb_refine(mesh, marked)
-        level += 1
+    try:
+        for level in experiment_levels(config, problem):
+            records.append(level.record)
+            if config.dump_mesh:
+                with open(f"{config.dump_mesh}{level.record.level:03d}.txt",
+                          "w") as handle:
+                    handle.write(mesh_to_text(level.mesh))
+    except (SolverConvergenceError, SPDError):
+        flush()
+        raise
     return flush()
 
 

@@ -15,7 +15,8 @@ from conftest import (manufactured_M, manufactured_divM, manufactured_f,
                       random_shape_regular_triangle)
 
 from platedpg import dpg
-from platedpg.driver import ConvergenceRecord, dorfler_mark, eoc, solve_problem
+from platedpg.driver import (ExperimentConfig, dorfler_mark, eoc,
+                             experiment_levels)
 from platedpg.linalg import dense_cholesky
 from platedpg.mesh import (mesh_from_arrays, nvb_refine, uniform_refine,
                            unit_square_mesh, vertex_patch)
@@ -23,8 +24,7 @@ from platedpg.polyquad import tri_rule
 from platedpg.problems import (SINGULAR_ALPHA, ZSHAPE_OPENING,
                                MaterialLaw, builtin_square_problem,
                                builtin_zshape_problem, c_apply, cinv_apply,
-                               fourier_eval, l2_errors, project_fields,
-                               singular_eval)
+                               fourier_eval, project_fields, singular_eval)
 from platedpg.spaces import (BCSpec, ElementGeometry, build_dofmap,
                              interpolate_uhat_bc)
 from trace_oracles import (extract_qhat, extract_uhat, local_qhat,
@@ -38,52 +38,36 @@ def report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def run_refinement_study(problem, mode, theta=0.5, max_levels=None,
-                         max_dofs=None):
-    mesh = problem.initial_mesh
-    records, reports, meshes = [], [], []
-    level = 0
-    while True:
-        sol, est, rep, ndofs = solve_problem(problem, mesh)
-        eu, em = l2_errors(mesh, sol, problem.exact)
-        records.append(ConvergenceRecord(level, mesh.num_triangles, ndofs,
-                                         est.total, eu, em))
-        reports.append(rep)
-        meshes.append(mesh)
-        if max_levels is not None and level + 1 >= max_levels:
-            break
-        if max_dofs is not None and ndofs >= max_dofs:
-            break
-        if mode == "uniform":
-            mesh = uniform_refine(mesh)
-        else:
-            mesh = nvb_refine(mesh, dorfler_mark(est.per_element, theta))
-        level += 1
-    return eoc(records), reports, meshes
+def run_levels(problem, mode, **stop):
+    """Every level of the library's experiment loop on ``problem``."""
+    return list(experiment_levels(ExperimentConfig(problem.name, mode, **stop),
+                                  problem))
+
+
+def eoc_records(levels):
+    return eoc([level.record for level in levels])
 
 
 @pytest.fixture(scope="module")
 def square_uniform():
     t0 = time.perf_counter()
-    out = run_refinement_study(builtin_square_problem(), "uniform",
-                               max_levels=6)
-    return out + (time.perf_counter() - t0,)
+    levels = run_levels(builtin_square_problem(), "uniform", max_levels=6)
+    return levels, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def zshape_uniform():
-    return run_refinement_study(builtin_zshape_problem(), "uniform",
-                                max_levels=6)
+    return run_levels(builtin_zshape_problem(), "uniform", max_levels=6)
 
 
 @pytest.fixture(scope="module")
 def zshape_adaptive():
-    return run_refinement_study(builtin_zshape_problem(), "adaptive",
-                                theta=0.5, max_dofs=20_000)
+    return run_levels(builtin_zshape_problem(), "adaptive", max_dofs=20_000)
 
 
 def test_criterion_1_smooth_benchmark_rates(square_uniform):
-    records, reports, meshes, elapsed = square_uniform
+    levels, elapsed = square_uniform
+    records = eoc_records(levels)
     assert len(records) >= 5
     assert records[-1].ndofs >= 20_000
     tail = records[-3:]
@@ -98,7 +82,7 @@ def test_criterion_1_smooth_benchmark_rates(square_uniform):
 
 
 def test_criterion_2_singular_uniform_rate(zshape_uniform):
-    records, reports, meshes = zshape_uniform
+    records = eoc_records(zshape_uniform)
     assert len(records) >= 5
     tail = [r.eoc_eta for r in records[-3:]]
     lo, hi = SINGULAR_ALPHA / 2 - 0.07, SINGULAR_ALPHA / 2 + 0.07
@@ -109,13 +93,13 @@ def test_criterion_2_singular_uniform_rate(zshape_uniform):
 
 
 def test_criterion_3_adaptive_restores_rates(zshape_adaptive):
-    records, reports, meshes = zshape_adaptive
+    records = eoc_records(zshape_adaptive)
     assert records[-1].ndofs >= 20_000
     half = records[len(records) // 2:]
     logN = np.log([r.ndofs for r in half])
     slope_eta = -np.polyfit(logN, np.log([r.eta for r in half]), 1)[0]
     slope_M = -np.polyfit(logN, np.log([r.err_M for r in half]), 1)[0]
-    mesh = meshes[-1]
+    mesh = zshape_adaptive[-1].mesh
     gmax = mesh.generation.max()
     finest = np.nonzero(mesh.generation == gmax)[0]
     dist = np.linalg.norm(mesh.tri_centroid[finest], axis=1)
@@ -177,9 +161,10 @@ def test_criterion_5_invariants(square_uniform, zshape_uniform,
     failures = []
 
     # DOF-count formulas on benchmark meshes
-    sample_meshes = [square_uniform[2][0], square_uniform[2][-1],
-                     zshape_uniform[2][1], zshape_adaptive[2][-1]]
-    for mesh in sample_meshes:
+    square_levels, _ = square_uniform
+    for level in (square_levels[0], square_levels[-1], zshape_uniform[1],
+                  zshape_adaptive[-1]):
+        mesh = level.mesh
         dm = build_dofmap(mesh, BCSpec())
         if dm.n_qhat_free != (2 * mesh.num_edges + 3 * mesh.num_triangles
                               - mesh.num_interior_vertices):
@@ -269,7 +254,7 @@ def test_criterion_5_invariants(square_uniform, zshape_uniform,
                 failures.append("Doerfler minimality")
 
     # patch-sum constraint exact after reconstruction
-    mesh = zshape_adaptive[2][min(4, len(zshape_adaptive[2]) - 1)]
+    mesh = zshape_adaptive[min(4, len(zshape_adaptive) - 1)].mesh
     dm = build_dofmap(mesh, interpolate_uhat_bc(
         lambda p: np.zeros(len(p)), lambda p: np.zeros((len(p), 2)), mesh))
     x = dm.recover_full(rng.normal(size=dm.free_dim))
@@ -283,9 +268,8 @@ def test_criterion_5_invariants(square_uniform, zshape_uniform,
             break
 
     # normal-equation residual on every benchmark solve
-    worst = max(r.relative_residual
-                for run in (square_uniform[1], zshape_uniform[1],
-                            zshape_adaptive[1]) for r in run)
+    worst = max(level.report.relative_residual
+                for level in square_levels + zshape_uniform + zshape_adaptive)
     if worst > 1e-10:
         failures.append(f"normal-equation residual {worst:.1e}")
 

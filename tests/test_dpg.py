@@ -9,15 +9,17 @@ import scipy.sparse as sp
 from conftest import random_shape_regular_triangle
 
 from platedpg import dpg
+from platedpg.driver import ExperimentConfig, experiment_levels, solve_problem
 from platedpg.errors import SPDError
 from platedpg.linalg import dense_cholesky, sparse_from_triplets, spd_solve
 from platedpg.mesh import (Mesh, dyadic_shape, mesh_from_arrays, nvb_refine,
                            reference_triangle_mesh, uniform_refine,
                            unit_square_mesh)
 from platedpg.polyquad import ASSEMBLY_DEGREE, tri_rule
-from platedpg.problems import (ExactSolution, MaterialLaw, ProblemSpec,
-                               Singularity, builtin_square_problem,
-                               builtin_zshape_problem, l2_errors)
+from platedpg.problems import (SINGULAR_ALPHA, ExactSolution, MaterialLaw,
+                               ProblemSpec, Singularity,
+                               builtin_square_problem, builtin_zshape_problem,
+                               l2_errors)
 from platedpg.spaces import ElementGeometry, build_dofmap, interpolate_uhat_bc
 
 
@@ -163,16 +165,13 @@ def test_condense_propagates_spd_failure():
 # batched element path against single elements and dense oracles
 # ---------------------------------------------------------------------------
 
-def adaptive_zshape(prob, min_triangles):
-    """Z-shape mesh with at least ``min_triangles`` triangles, graded
-    towards the reentrant corner by the estimator-driven loop."""
-    from platedpg.driver import dorfler_mark, solve_problem
-    from platedpg.mesh import nvb_refine
-    mesh = prob.initial_mesh
-    while mesh.num_triangles < min_triangles:
-        _, est, _, _ = solve_problem(prob, mesh)
-        mesh = nvb_refine(mesh, dorfler_mark(est.per_element, 0.5))
-    return mesh
+def adaptive_zshape(min_triangles):
+    """The first mesh of the adaptive Z-shape run with at least
+    ``min_triangles`` triangles, graded towards the reentrant corner."""
+    levels = experiment_levels(ExperimentConfig("zshape", "adaptive",
+                                                max_levels=100))
+    return next(level.mesh for level in levels
+                if level.mesh.num_triangles >= min_triangles)
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +179,7 @@ def graded_zshape():
     """Adaptive Z-shape mesh with more than 100 triangles and its stacked
     element matrices."""
     prob = builtin_zshape_problem()
-    mesh = adaptive_zshape(prob, 100)
+    mesh = adaptive_zshape(100)
     geom = ElementGeometry(mesh, np.arange(mesh.num_triangles))
     B, G = dpg.element_matrices(geom, prob.material)
     assert prob.f is None          # so the load is zero
@@ -353,7 +352,7 @@ def test_class_counts_on_nvb_meshes():
     square = square_mesh(5)
     assert square.num_triangles == 2048
     assert classes(square) == 8
-    zshape = adaptive_zshape(builtin_zshape_problem(), 2000)
+    zshape = adaptive_zshape(2000)
     assert classes(zshape) <= zshape.num_triangles / 10
 
 
@@ -541,18 +540,33 @@ def test_discrete_optimality_residual():
 
 
 def test_estimator_and_moment_error_decrease_monotonically():
-    from platedpg.driver import solve_problem
-    from platedpg.mesh import uniform_refine
-    from platedpg.problems import l2_errors
-    prob = builtin_square_problem()
-    mesh = prob.initial_mesh
-    etas, errs = [], []
-    for _ in range(4):
-        sol, est, _, _ = solve_problem(prob, mesh)
-        _, em = l2_errors(mesh, sol, prob.exact)
-        etas.append(est.total)
-        errs.append(em)
-        mesh = uniform_refine(mesh)
-    for seq in (etas, errs):
+    records = [level.record for level in experiment_levels(
+        ExperimentConfig("square", "uniform", max_levels=4))]
+    for seq in ([r.eta for r in records], [r.err_M for r in records]):
         for a, b in zip(seq, seq[1:]):
             assert b <= 1.01 * a
+
+
+def test_corner_sweep_estimator_halves_like_the_singularity():
+    """Corner sweep: from the Z-shape refined uniformly twice, each round
+    bisects only the triangles with a vertex at the reentrant corner,
+    which adds 5 triangles and 55 DOFs.  The exact solution is
+    homogeneous of degree 1 + alpha about the corner and the corner patch
+    repeats at half the size every two rounds, so the corner estimator
+    (the root of the summed eta_T^2 of the corner triangles) shrinks by
+    2^-alpha over two rounds.  Rounds 13 and beyond drift from that ratio
+    as the global normal equations lose accuracy, so only rounds 8-12
+    are checked."""
+    prob = builtin_zshape_problem()
+    mesh = uniform_refine(uniform_refine(prob.initial_mesh))
+    corner_etas = []
+    for k in range(13):
+        _, est, _, ndofs = solve_problem(prob, mesh)
+        assert (mesh.num_triangles, ndofs) == (80 + 5 * k, 882 + 55 * k)
+        at_corner = np.nonzero(np.all(
+            mesh.coords[mesh.tri_vertices] == 0.0, axis=2).any(axis=1))[0]
+        corner_etas.append(np.linalg.norm(est.per_element[at_corner]))
+        mesh = nvb_refine(mesh, set(at_corner.tolist()))
+    ratios = np.array(corner_etas[8:]) / np.array(corner_etas[6:11])
+    np.testing.assert_allclose(ratios, 2.0 ** -SINGULAR_ALPHA, rtol=0,
+                               atol=2e-4)

@@ -1,4 +1,5 @@
 from dataclasses import replace
+import logging
 import warnings
 
 from hypothesis import example, given, settings, strategies as st
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 
 from platedpg.driver import (ConvergenceRecord, ExperimentConfig, dorfler_mark,
-                             eoc, main, read_records_csv, run_experiment,
-                             solve_problem, write_records_csv)
+                             eoc, experiment_levels, main, read_records_csv,
+                             run_experiment, solve_problem, write_records_csv)
 from platedpg.errors import ConfigurationError
 from platedpg.mesh import mesh_from_text
 from platedpg.problems import builtin_square_problem
@@ -214,6 +215,46 @@ def test_each_level_builds_its_element_systems_once(problem, mode,
                                               max_levels=3))
     assert len(records) == 3
     assert calls["n"] == len(records)
+
+
+def test_levels_refine_only_when_the_next_level_is_asked_for(monkeypatch):
+    import platedpg.driver as driver
+
+    real = driver.nvb_refine
+    calls = []
+
+    def counting(mesh, marked):
+        calls.append(len(marked))
+        return real(mesh, marked)
+
+    monkeypatch.setattr(driver, "nvb_refine", counting)
+    levels = experiment_levels(ExperimentConfig("zshape", "adaptive"))
+    first = next(levels)
+    assert first.record.level == 0 and calls == []
+    assert next(levels).record.level == 1 and len(calls) == 1
+    assert first.mesh.num_triangles == first.record.ntriangles
+
+
+def test_adaptive_loop_stops_when_nothing_is_marked():
+    """Without a load the discrete solution and every eta_T are zero, so
+    marking marks nothing and the loop ends after its first level."""
+    problem = replace(builtin_square_problem(), f=None)
+    levels = list(experiment_levels(
+        ExperimentConfig("square", "adaptive", max_levels=5), problem))
+    assert len(levels) == 1
+    assert levels[0].record.eta == 0.0
+
+
+def test_each_level_logs_its_record_once(caplog):
+    """One INFO record of ``platedpg.driver`` per level, whose arguments
+    are the level's record up to the EOCs."""
+    with caplog.at_level(logging.INFO, logger="platedpg.driver"):
+        records = run_experiment(ExperimentConfig("zshape", "adaptive",
+                                                  max_levels=4))
+    logged = [r.args for r in caplog.records if r.name == "platedpg.driver"]
+    assert logged == [(r.level, r.ntriangles, r.ndofs, r.eta, r.err_u,
+                       r.err_M) for r in records]
+    assert len(records) == 4
 
 
 def test_solve_problem_returns_consistent_report():
