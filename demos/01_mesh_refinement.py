@@ -10,6 +10,18 @@ import numpy as np
 from platedpg import (mesh_to_text, nvb_refine, uniform_refine,
                       unit_square_mesh)
 from platedpg.problems import zshape_mesh
+from platedpg.spaces import ElementGeometry
+
+
+def frames(mesh):
+    """Area, centroid and diameter of every triangle, among others."""
+    return ElementGeometry(mesh, np.arange(mesh.num_triangles))
+
+
+def shape_ratio(mesh):
+    geom = frames(mesh)
+    return np.max(geom.diam ** 2 / geom.area)
+
 
 # The unit square: two triangles whose refinement edges meet on the
 # diagonal, so the first bisection pass stays conforming by itself.
@@ -32,12 +44,12 @@ print("uniform refinement   ->", uni.num_triangles,
 mesh = zshape_mesh()
 print("\ninitial Z-shape:", mesh, "\nrefining towards the corner:")
 for step in range(20):
-    closest = int(np.argmin(np.linalg.norm(mesh.tri_centroid, axis=1)))
+    closest = int(np.argmin(np.linalg.norm(frames(mesh).centroid, axis=1)))
     mesh = nvb_refine(mesh, {closest})
 print(f"  after 20 corner refinements: {mesh.num_triangles} triangles, "
-      f"min diameter {mesh.tri_diam.min():.2e}")
-print(f"  shape bound (max diam^2/area): {mesh.shape_bound:.3f} "
-      f"(initial {zshape_mesh().shape_bound:.3f})")
+      f"min diameter {frames(mesh).diam.min():.2e}")
+print(f"  shape bound (max diam^2/area): {shape_ratio(mesh):.3f} "
+      f"(initial {shape_ratio(zshape_mesh()):.3f})")
 euler = mesh.num_vertices - mesh.num_edges + mesh.num_triangles
 print(f"  Euler characteristic: {euler} (conforming polygon: 1)")
 

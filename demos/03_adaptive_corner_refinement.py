@@ -10,6 +10,7 @@ restores the optimal order 1/2 by concentrating elements at the corner.
 import numpy as np
 
 from platedpg import ExperimentConfig, experiment_levels
+from platedpg.spaces import ElementGeometry
 
 for mode in ("uniform", "adaptive"):
     levels = list(experiment_levels(ExperimentConfig("zshape", mode,
@@ -29,8 +30,9 @@ for mode in ("uniform", "adaptive"):
     if mode == "adaptive":
         gmax = mesh.generation.max()
         finest = np.nonzero(mesh.generation == gmax)[0]
-        frac = np.mean(np.linalg.norm(mesh.tri_centroid[finest], axis=1) < 0.25)
+        geom = ElementGeometry(mesh, np.arange(mesh.num_triangles))
+        frac = np.mean(np.linalg.norm(geom.centroid[finest], axis=1) < 0.25)
         print(f"  finest-generation triangles within 0.25 of the corner: "
-              f"{100 * frac:.0f}%  (min diameter {mesh.tri_diam.min():.1e})")
+              f"{100 * frac:.0f}%  (min diameter {geom.diam.min():.1e})")
 
 print("\nexpected: uniform slope ~ 0.337 (= alpha/2), adaptive ~ 0.5")

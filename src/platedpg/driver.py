@@ -5,6 +5,8 @@ import csv
 from dataclasses import astuple, dataclass, fields, replace
 from itertools import count
 import logging
+import math
+import os
 import sys
 from typing import List, NamedTuple, Optional
 
@@ -44,6 +46,13 @@ class ExperimentConfig:
                 self.max_dofs = 30_000
         if self.max_levels is None:
             self.max_levels = 100
+        for name, value in (("max_levels", self.max_levels),
+                            ("max_dofs", self.max_dofs)):
+            if value is not None and value <= 0:
+                raise ConfigurationError(f"{name} = {value} <= 0")
+        if not 0.0 < self.tol < math.inf:
+            raise ConfigurationError(
+                f"tol = {self.tol} is not a positive finite number")
 
 
 @dataclass
@@ -113,9 +122,8 @@ def solve_problem(problem, mesh, tol=ExperimentConfig.tol):
 
 
 def _cell(field, value):
-    if value is None:
-        return ""
-    return format(value, "d" if field.type is int else ".17g")
+    return "" if value is None else format(
+        value, "d" if field.type is int else ".17g")
 
 
 def _parse(field, text):
@@ -184,8 +192,18 @@ def experiment_levels(config: ExperimentConfig, problem=None):
 def run_experiment(config: ExperimentConfig, problem=None):
     """Run :func:`experiment_levels` to its end, write the mesh dumps and
     the CSV (on :class:`SolverConvergenceError` or :class:`SPDError` too,
-    with the levels done) and return the records with EOCs."""
+    with the levels done) and return the records with EOCs.  Outputs
+    that cannot be written are refused before the first solve."""
     records: List[ConvergenceRecord] = []
+
+    def dump_path(level):
+        return f"{config.dump_mesh}{level:03d}.txt"
+
+    for name, path in (("out", config.out),
+                       ("dump_mesh", config.dump_mesh and dump_path(0))):
+        folder = os.path.dirname(path or "") or "."
+        if path and (os.path.isdir(path) or not os.access(folder, os.W_OK)):
+            raise ConfigurationError(f"{name} {path!r} cannot be written")
 
     def flush():
         done = eoc(records)
@@ -197,8 +215,7 @@ def run_experiment(config: ExperimentConfig, problem=None):
         for level in experiment_levels(config, problem):
             records.append(level.record)
             if config.dump_mesh:
-                with open(f"{config.dump_mesh}{level.record.level:03d}.txt",
-                          "w") as handle:
+                with open(dump_path(level.record.level), "w") as handle:
                     handle.write(mesh_to_text(level.mesh))
     except (SolverConvergenceError, SPDError):
         flush()
@@ -236,8 +253,7 @@ def main(argv=None):
     flags = vars(_build_parser().parse_args(argv))
     del flags["command"]
     try:
-        config = ExperimentConfig(**flags)
-        records = run_experiment(config)
+        records = run_experiment(ExperimentConfig(**flags))
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

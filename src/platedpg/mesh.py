@@ -7,7 +7,8 @@ Orientation conventions used throughout the package:
 * local edge ``k`` of a triangle is the edge opposite local vertex ``k``,
 * every global edge stores its endpoints as ``(v_lo, v_hi)`` with
   ``v_lo < v_hi``; its canonical tangent points from ``v_lo`` to ``v_hi``
-  and its canonical normal is the tangent rotated by -90 degrees.
+  and its canonical normal is the tangent rotated by -90 degrees
+  (:func:`edge_frame`).
 """
 
 import logging
@@ -19,9 +20,16 @@ from .errors import MeshStructureError
 logger = logging.getLogger(__name__)
 
 
-def _rot_minus90(v):
-    """Rotate 2-vectors by -90 degrees: (x, y) -> (y, -x)."""
-    return np.stack([v[..., 1], -v[..., 0]], axis=-1)
+def edge_frame(a, b):
+    """(length, tangent, normal) of the segments from points a to b
+    (..., 2): the unit tangent points from a to b and the normal is the
+    tangent rotated by -90 degrees.  With ``a, b`` the ends ``v_lo, v_hi``
+    of a global edge this is the edge's canonical frame."""
+    d = b - a
+    length = np.linalg.norm(d, axis=-1)
+    tangent = d / length[..., None]
+    return length, tangent, np.stack([tangent[..., 1], -tangent[..., 0]],
+                                     axis=-1)
 
 
 class Mesh:
@@ -44,17 +52,15 @@ class Mesh:
 
     def _build_topology(self):
         coords, tris = self.coords, self.tri_vertices
-        n_vert = coords.shape[0]
-        n_tri = tris.shape[0]
+        n_vert, n_tri = len(coords), len(tris)
         if not np.all(np.isfinite(coords)):
             raise MeshStructureError("non-finite vertex coordinates")
         if tris.min(initial=0) < 0 or tris.max(initial=-1) >= n_vert:
             raise MeshStructureError("triangle references an invalid vertex id")
-        degenerate = ((tris[:, 0] == tris[:, 1]) | (tris[:, 1] == tris[:, 2])
-                      | (tris[:, 0] == tris[:, 2]))
-        if degenerate.any():
+        degenerate = np.flatnonzero((tris == np.roll(tris, 1, 1)).any(axis=1))
+        if degenerate.size:
             raise MeshStructureError("degenerate triangles (repeated vertex): "
-                                     f"{np.nonzero(degenerate)[0].tolist()}")
+                                     f"{degenerate.tolist()}")
 
         # local edge k joins local vertices k+1 and k+2; edges are numbered
         # in the order they are first met, triangle by triangle, local edge k
@@ -87,11 +93,10 @@ class Mesh:
                                minlength=n_vert)
         self.vertex_on_boundary = n_bedges > 0
 
-        used = np.zeros(n_vert, dtype=bool)
-        used[tris] = True
-        if not used.all():
-            raise MeshStructureError(
-                f"unused vertices: {np.nonzero(~used)[0].tolist()}")
+        unused = np.flatnonzero(np.bincount(tris.ravel(), minlength=n_vert)
+                                == 0)
+        if unused.size:
+            raise MeshStructureError(f"unused vertices: {unused.tolist()}")
         if n_vert - n_edge + n_tri != 1:
             raise MeshStructureError(
                 "triangulation is not a simply connected polygon "
@@ -102,31 +107,20 @@ class Mesh:
                 f"pinched vertex {v}: on {n_bedges[v]} boundary edges")
 
     def _build_geometry(self):
-        coords, tris = self.coords, self.tri_vertices
-        p = coords[tris]                               # (nT, 3, 2)
+        """Signed areas, checked positive, and edge signs; a triangle's
+        frame is made from its vertices where it is used (edge_frame)."""
+        p = self.coords[self.tri_vertices]             # (nT, 3, 2)
         d1 = p[:, 1] - p[:, 0]
         d2 = p[:, 2] - p[:, 0]
-        signed = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-        if np.any(signed <= 0.0):
-            bad = np.nonzero(signed <= 0.0)[0].tolist()
+        self.tri_area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        bad = np.nonzero(self.tri_area <= 0.0)[0]
+        if bad.size:
             raise MeshStructureError(
-                f"triangles with nonpositive signed area: {bad}")
-        self.tri_area = signed
-        self.tri_centroid = p.mean(axis=1)
-        side = np.linalg.norm(p - np.roll(p, -1, axis=1), axis=2)  # (nT, 3)
-        self.tri_diam = side.max(axis=1)
-        self.shape_bound = float(np.max(self.tri_diam ** 2 / self.tri_area))
-
-        ev = coords[self.edge_vertices]                # (nE, 2, 2)
-        vec = ev[:, 1] - ev[:, 0]
-        self.edge_length = np.linalg.norm(vec, axis=1)
-        self.edge_tangent = vec / self.edge_length[:, None]
-        self.edge_normal = _rot_minus90(self.edge_tangent)
-
+                f"triangles with nonpositive signed area: {bad.tolist()}")
         # s[t, k] = +1 when triangle t traverses local edge k from v_lo to
         # v_hi (its outward normal there equals the canonical edge normal)
+        first = self.tri_vertices[:, [1, 2, 0]]
         lo = self.edge_vertices[self.tri_edges, 0]     # (nT, 3)
-        first = np.stack([tris[:, 1], tris[:, 2], tris[:, 0]], axis=1)
         self.edge_sign = np.where(first == lo, 1, -1).astype(np.int8)
 
     # -- counts and element access --------------------------------------
@@ -169,16 +163,6 @@ def dyadic_shape(D):
     return np.ldexp(D, -e[..., None, None]), e
 
 
-def _seed_refinement_edges(coords, tris):
-    """Initial refinement edge: longest edge, ties broken by the smallest
-    opposite-vertex id."""
-    p = coords[tris]
-    # local edge k connects local vertices k+1, k+2
-    len2 = np.sum((p[:, [1, 2, 0]] - p[:, [2, 0, 1]]) ** 2, axis=2)
-    longest = len2 == len2.max(axis=1, keepdims=True)
-    return np.argmin(np.where(longest, tris, np.iinfo(np.int64).max), axis=1)
-
-
 def mesh_from_arrays(vertex_coords, triangle_vertex_triples):
     """Build a mesh from vertex coordinates and vertex-index triples.
 
@@ -206,9 +190,12 @@ def mesh_from_arrays(vertex_coords, triangle_vertex_triples):
         tris = tris.copy()
         tris[flipped, 1], tris[flipped, 2] = tris[flipped, 2], tris[flipped, 1]
 
-    ref = _seed_refinement_edges(coords, tris)
-    gen = np.zeros(tris.shape[0], dtype=np.int64)
-    return Mesh(coords, tris, ref, gen)
+    # squared length of local edge k, which joins local vertices k+1, k+2
+    p = coords[tris]
+    len2 = np.sum((p[:, [1, 2, 0]] - p[:, [2, 0, 1]]) ** 2, axis=2)
+    longest = len2 == len2.max(axis=1, keepdims=True)
+    ref = np.argmin(np.where(longest, tris, np.iinfo(np.int64).max), axis=1)
+    return Mesh(coords, tris, ref, np.zeros(len(tris), dtype=np.int64))
 
 
 def nvb_refine(mesh, marked):
@@ -312,13 +299,10 @@ def mesh_to_text(mesh):
     ``x y boundary_flag``, one triangle per line
     ``v0 v1 v2 refinement_edge``."""
     lines = [f"{mesh.num_vertices} {mesh.num_edges} {mesh.num_triangles}"]
-    for i in range(mesh.num_vertices):
-        x, y = mesh.coords[i]
-        flag = int(mesh.vertex_on_boundary[i])
-        lines.append(f"{x:.17g} {y:.17g} {flag}")
-    for t in range(mesh.num_triangles):
-        v = mesh.tri_vertices[t]
-        lines.append(f"{v[0]} {v[1]} {v[2]} {mesh.refinement_edge[t]}")
+    lines += [f"{x:.17g} {y:.17g} {int(flag)}" for (x, y), flag in zip(
+        mesh.coords.tolist(), mesh.vertex_on_boundary.tolist())]
+    lines += [f"{a} {b} {c} {ref}" for (a, b, c), ref in zip(
+        mesh.tri_vertices.tolist(), mesh.refinement_edge.tolist())]
     return "\n".join(lines) + "\n"
 
 

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigurationError
-from .mesh import Mesh
+from .mesh import Mesh, edge_frame
 from .polyquad import (EDGE_POINTS, SLOTS, ScalarBasis, TensorBasis,
                        edge_rule)
 
@@ -38,29 +38,29 @@ from .polyquad import (EDGE_POINTS, SLOTS, ScalarBasis, TensorBasis,
 
 class ElementGeometry:
     """Frame of triangle ``t``, shared by the pairing and assembly
-    routines.  An index array ``t`` gives the frames of those triangles
-    stacked: every attribute gains a leading element axis."""
+    routines, built from its vertices and edge orientations alone.  An
+    index array ``t`` gives the frames of those triangles stacked: every
+    attribute gains a leading element axis."""
 
     def __init__(self, mesh: Mesh, t):
         self.vids = mesh.tri_vertices[t]
         self.P = mesh.coords[self.vids]
         self.area = mesh.tri_area[t]
-        self.centroid = mesh.tri_centroid[t]
-        self.diam = mesh.tri_diam[t]
-        self.eids = mesh.tri_edges[t]
-        self.length = mesh.edge_length[self.eids]
-        self.tau = mesh.edge_tangent[self.eids]       # canonical tangents
-        self.nrm = mesh.edge_normal[self.eids]        # canonical normals
+        self.centroid = self.P.mean(axis=-2)
         self.sign = mesh.edge_sign[t].astype(float)   # s_{T,E}
         # canonical ends of local edge k as local vertices: k+1 -> k+2 if s > 0
         self.lo_local = (np.arange(3) + np.where(self.sign > 0, 1, 2)) % 3
         self.hi_local = (np.arange(3) + np.where(self.sign > 0, 2, 1)) % 3
+        # their points, and the canonical length, tangent and normal
+        self.lo, self.hi = (np.take_along_axis(self.P, end[..., None], -2)
+                            for end in (self.lo_local, self.hi_local))
+        self.length, self.tau, self.nrm = edge_frame(self.lo, self.hi)
+        self.diam = self.length.max(axis=-1)
 
     def edge_points(self, k, s):
         """Points (..., len(s), 2) on local edge k at canonical parameters
         s in [0, 1]."""
-        a = np.take_along_axis(self.P, self.lo_local[..., k, None, None], -2)
-        b = np.take_along_axis(self.P, self.hi_local[..., k, None, None], -2)
+        a, b = self.lo[..., k, None, :], self.hi[..., k, None, :]
         return a + np.reshape(s, (-1, 1)) * (b - a)
 
     def scalar_basis(self, p):
@@ -202,12 +202,11 @@ def simply_supported_bc(mesh):
     boundary edges; a straight-side vertex constrains its slope along the
     lowest-numbered one."""
     bedges = mesh.boundary_edges()
-    ends = mesh.edge_vertices[bedges].ravel()
-    order = np.argsort(ends, kind="stable")   # by vertex, then edge id
-    bverts, first = np.unique(ends[order], return_index=True)
-    edge = bedges[order // 2]
-    t0 = mesh.edge_tangent[edge[first]]
-    t1 = mesh.edge_tangent[edge[first + 1]]
+    ends = mesh.edge_vertices[bedges]
+    tau = edge_frame(*mesh.coords[ends.T])[1]
+    order = np.argsort(ends.ravel(), kind="stable")   # by vertex, then edge
+    bverts, first = np.unique(ends.ravel()[order], return_index=True)
+    t0, t1 = tau[order[first] // 2], tau[order[first + 1] // 2]
     # corner: two independent tangential directions pin the gradient
     corner = np.abs(t0[:, 0] * t1[:, 1] - t0[:, 1] * t1[:, 0]) > 1e-12
     rows = np.zeros((len(bverts), 3, 3))      # value, slope(s) per vertex

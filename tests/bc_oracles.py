@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from platedpg.mesh import edge_frame
 from platedpg.spaces import BCSpec, Constraints
 
 
@@ -59,10 +60,11 @@ def simply_supported_bc(mesh):
     """u = 0 and n.M n = 0, walking the boundary edges in id order."""
     cons = []
     btangents = {}
+    tangent = edge_frame(*mesh.coords[mesh.edge_vertices.T])[1]
     for e in mesh.boundary_edges():
         fix_edge(cons, e, (0.0, 1.0), 0.0)
         for v in mesh.edge_vertices[e]:
-            btangents.setdefault(int(v), []).append(mesh.edge_tangent[e])
+            btangents.setdefault(int(v), []).append(tangent[e])
     for v, tans in btangents.items():
         fix_vertex(cons, v, (1.0, 0.0, 0.0), 0.0)
         cross = abs(tans[0][0] * tans[1][1] - tans[0][1] * tans[1][0])

@@ -1,4 +1,5 @@
-"""Shared manufactured fields and acceptance reporting hooks."""
+"""Shared manufactured fields, a mesh shape measure and acceptance
+reporting hooks."""
 
 import os
 import sys
@@ -90,3 +91,10 @@ def random_shape_regular_triangle(rng):
     base = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
     tri = base + 0.15 * rng.uniform(-1, 1, size=(3, 2))
     return tri * 10.0 ** rng.uniform(-2, 2)
+
+
+def shape_ratio(mesh):
+    """max diam^2 / area over the triangles of a mesh"""
+    from platedpg.spaces import ElementGeometry
+    geom = ElementGeometry(mesh, np.arange(mesh.num_triangles))
+    return float(np.max(geom.diam ** 2 / geom.area))

@@ -102,7 +102,8 @@ def test_criterion_3_adaptive_restores_rates(zshape_adaptive):
     mesh = zshape_adaptive[-1].mesh
     gmax = mesh.generation.max()
     finest = np.nonzero(mesh.generation == gmax)[0]
-    dist = np.linalg.norm(mesh.tri_centroid[finest], axis=1)
+    centroid = mesh.coords[mesh.tri_vertices[finest]].mean(axis=1)
+    dist = np.linalg.norm(centroid, axis=1)
     frac = float(np.mean(dist < 0.25))
     ok = slope_eta >= 0.45 and slope_M >= 0.45 and frac >= 0.5
     report("3 (zshape adaptive restored rates)", ok,

@@ -304,6 +304,46 @@ def test_cli_bad_theta_exits_2(tmp_path):
     assert code == 2
 
 
+def _refuse_to_solve(monkeypatch):
+    import platedpg.driver as driver
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved although the run was refused")
+
+    monkeypatch.setattr(driver, "solve_problem", no_solve)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--levels", "0"], ["--levels", "-2"], ["--max-dofs", "0"],
+    ["--max-dofs", "-5"], ["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"],
+    ["--tol", "inf"]], ids="=".join)
+def test_cli_bad_limits_exit_2_before_solving(tmp_path, monkeypatch, flags):
+    """Level and DOF limits must be positive and tol a positive finite
+    number; otherwise the run stops with exit 2, before any solve and
+    without a CSV."""
+    _refuse_to_solve(monkeypatch)
+    out = tmp_path / "x.csv"
+    code = main(["run", "--problem", "square", "--mode", "uniform", *flags,
+                 "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, path", [
+    ("--out", "missing/x.csv"), ("--out", "."),
+    ("--dump-mesh", "missing/mesh")])
+def test_cli_unwritable_output_exits_2_before_solving(tmp_path, monkeypatch,
+                                                      flag, path):
+    """An output in a directory that does not exist, or one that is a
+    directory, is refused with exit 2 before the first solve."""
+    _refuse_to_solve(monkeypatch)
+    args = {"--out": str(tmp_path / "x.csv"), flag: str(tmp_path / path)}
+    code = main(["run", "--problem", "square", "--mode", "uniform",
+                 "--levels", "2", *(x for kv in args.items() for x in kv)])
+    assert code == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
 def test_cli_bad_choice_exits_2(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["run", "--problem", "pentagon", "--mode", "uniform",

@@ -2,11 +2,13 @@ import hashlib
 
 import numpy as np
 import pytest
+from conftest import shape_ratio
 
 from platedpg.errors import MeshStructureError
-from platedpg.mesh import (mesh_from_arrays, mesh_from_text,
+from platedpg.mesh import (edge_frame, mesh_from_arrays, mesh_from_text,
                            mesh_to_text, nvb_refine, reference_triangle_mesh,
                            uniform_refine, unit_square_mesh, vertex_patch)
+from platedpg.spaces import ElementGeometry
 
 
 def test_unit_square_counts():
@@ -63,12 +65,15 @@ def test_edge_orientation_conventions():
     m = uniform_refine(unit_square_mesh())
     lo, hi = m.edge_vertices[:, 0], m.edge_vertices[:, 1]
     assert (lo < hi).all()
-    np.testing.assert_allclose(np.linalg.norm(m.edge_tangent, axis=1), 1.0,
+    length, tangent, normal = edge_frame(m.coords[lo], m.coords[hi])
+    np.testing.assert_allclose(length[:, None] * tangent,
+                               m.coords[hi] - m.coords[lo], atol=1e-15)
+    np.testing.assert_allclose(np.linalg.norm(tangent, axis=1), 1.0,
                                atol=1e-14)
-    np.testing.assert_allclose(np.linalg.norm(m.edge_normal, axis=1), 1.0,
+    np.testing.assert_allclose(np.linalg.norm(normal, axis=1), 1.0,
                                atol=1e-14)
-    rot = np.stack([m.edge_tangent[:, 1], -m.edge_tangent[:, 0]], axis=1)
-    np.testing.assert_allclose(m.edge_normal, rot, atol=1e-15)
+    rot = np.stack([tangent[:, 1], -tangent[:, 0]], axis=1)
+    np.testing.assert_allclose(normal, rot, atol=1e-15)
 
 
 def test_interior_edge_has_one_plus_side():
@@ -141,14 +146,14 @@ def _has_hanging_vertex(mesh):
 def test_random_adaptive_refinement_invariants():
     rng = np.random.default_rng(7)
     m = unit_square_mesh()
-    bound0 = m.shape_bound
+    bound0 = shape_ratio(m)
     for _ in range(10):
         marked = set(rng.choice(m.num_triangles,
                                 size=max(1, m.num_triangles // 4),
                                 replace=False).tolist())
         m = nvb_refine(m, marked)
         assert m.num_vertices - m.num_edges + m.num_triangles == 1
-        assert m.shape_bound <= 10.0 * bound0
+        assert shape_ratio(m) <= 10.0 * bound0
     assert not _has_hanging_vertex(m)
 
 
@@ -196,7 +201,7 @@ def test_refinement_edge_seeding_longest_edge():
     m = unit_square_mesh()
     for t in range(2):
         k = m.refinement_edge[t]
-        lengths = m.edge_length[m.tri_edges[t]]
+        lengths = ElementGeometry(m, t).length
         assert lengths[k] == lengths.max()
     # local edges 0 and 1 tie as the longest: the one opposite the smaller
     # vertex id wins, whatever its local position

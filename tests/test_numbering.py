@@ -6,11 +6,13 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from platedpg.mesh import nvb_refine, unit_square_mesh, vertex_patch
+from platedpg.mesh import (edge_frame, mesh_from_arrays, nvb_refine,
+                           unit_square_mesh, vertex_patch)
 from platedpg.problems import builtin_zshape_problem, zshape_mesh
-from platedpg.spaces import (build_dofmap, interpolate_uhat_bc,
-                             simply_supported_bc)
+from platedpg.spaces import (ElementGeometry, build_dofmap,
+                             interpolate_uhat_bc, simply_supported_bc)
 import bc_oracles
+from conftest import shape_ratio
 
 
 @st.composite
@@ -109,7 +111,8 @@ def test_generation_counts_bisections_from_parent(step):
     # barycentric coordinates of every new centroid in every old triangle
     p = mesh.coords[mesh.tri_vertices]                     # (nT, 3, 2)
     jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
-    rel = refined.tri_centroid[:, None, :] - p[None, :, 0]
+    centroid = refined.coords[refined.tri_vertices].mean(axis=1)
+    rel = centroid[:, None, :] - p[None, :, 0]
     lam = np.linalg.solve(jac[None], rel[..., None])[..., 0]
     inside = (lam.min(axis=2) > 1e-9) & (lam.sum(axis=2) < 1.0 - 1e-9)
     assert np.all(inside.sum(axis=1) == 1)
@@ -132,8 +135,39 @@ def test_area_and_shape_regularity_preserved(step):
     initial, _, _, refined = step
     total = initial.tri_area.sum()
     assert abs(refined.tri_area.sum() - total) <= 1e-13 * total
-    assert refined.shape_bound == pytest.approx(initial.shape_bound,
-                                                rel=1e-12)
+    assert shape_ratio(refined) == pytest.approx(shape_ratio(initial),
+                                                 rel=1e-12)
+
+
+def skewed_zshape_mesh():
+    """The Z-shape under a shear and a non-dyadic scale, so that lengths,
+    tangents and centroids round as on a general mesh."""
+    m = zshape_mesh()
+    return mesh_from_arrays(m.coords @ [[1.1, 0.2], [0.3, 0.9]] / 3.0,
+                            m.tri_vertices)
+
+
+@settings(max_examples=30, deadline=None)
+@given(mesh=refined_meshes((unit_square_mesh, zshape_mesh,
+                            skewed_zshape_mesh)))
+def test_element_frame_is_the_canonical_edge_frame(mesh):
+    """The frame ElementGeometry builds from a triangle's vertices and
+    edge signs is, bit for bit, edge_frame of the global edge at each
+    local edge, stacked over all triangles and for one at a time; its
+    centroid and diameter are the vertex mean and the longest side."""
+    P = mesh.coords[mesh.tri_vertices]
+    frame = edge_frame(*mesh.coords[mesh.edge_vertices.T])
+    want = [part[mesh.tri_edges] for part in frame] + [
+        P.mean(axis=1),
+        np.linalg.norm(P - np.roll(P, -1, axis=1), axis=2).max(axis=1)]
+    names = ("length", "tau", "nrm", "centroid", "diam")
+    stacked = ElementGeometry(mesh, np.arange(mesh.num_triangles))
+    for name, w in zip(names, want):
+        np.testing.assert_array_equal(getattr(stacked, name), w)
+    for t in range(mesh.num_triangles):
+        single = ElementGeometry(mesh, t)
+        for name, w in zip(names, want):
+            np.testing.assert_array_equal(getattr(single, name), w[t])
 
 
 @settings(max_examples=30, deadline=None)

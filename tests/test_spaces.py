@@ -7,8 +7,9 @@ from conftest import (manufactured_M, manufactured_divM, smooth_tensor,
                       smooth_tensor_div)
 
 from platedpg.errors import ConfigurationError
-from platedpg.mesh import (mesh_from_arrays, reference_triangle_mesh,
-                           uniform_refine, unit_square_mesh, vertex_patch)
+from platedpg.mesh import (edge_frame, mesh_from_arrays,
+                           reference_triangle_mesh, uniform_refine,
+                           unit_square_mesh, vertex_patch)
 from platedpg.polyquad import tri_rule
 from platedpg.spaces import (BCSpec, Constraints, ElementGeometry,
                              _reduce_blocks, build_dofmap,
@@ -69,7 +70,7 @@ def test_hermite_trace_is_side_independent():
     for t in range(2):
         geom = ElementGeometry(mesh, t)
         udofs = poly_udofs(geom, v, grad)
-        k = int(np.nonzero(~mesh.edge_on_boundary[geom.eids])[0][0])
+        k = int(np.nonzero(~mesh.edge_on_boundary[mesh.tri_edges[t]])[0][0])
         traces.append(uhat_trace_on_edge(geom, k, udofs, s))
     np.testing.assert_allclose(traces[0][0], traces[1][0], atol=1e-14)
     np.testing.assert_allclose(traces[0][1], traces[1][1], atol=1e-14)
@@ -193,9 +194,9 @@ def test_constant_tensor_extraction_identity():
     divM_fn = lambda p: np.zeros((len(p), 2))
     alpha, beta, gamma = extract_qhat(SKEW_TRI, M_fn, divM_fn)
     np.testing.assert_allclose(alpha, 0.0, atol=1e-14)
-    expected_beta = [SKEW_TRI.edge_length[e]
-                     * SKEW_TRI.edge_normal[e] @ Theta0
-                     @ SKEW_TRI.edge_normal[e]
+    ends = SKEW_TRI.coords[SKEW_TRI.edge_vertices.T]
+    length, _, normal = edge_frame(*ends)
+    expected_beta = [length[e] * normal[e] @ Theta0 @ normal[e]
                      for e in range(SKEW_TRI.num_edges)]
     np.testing.assert_allclose(beta, expected_beta, rtol=1e-14)
     geom = ElementGeometry(SKEW_TRI, 0)

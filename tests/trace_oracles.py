@@ -6,6 +6,7 @@ batched element matrices and the DOF conventions against them."""
 
 import numpy as np
 
+from platedpg.mesh import edge_frame
 from platedpg.polyquad import EDGE_POINTS, edge_rule
 from platedpg.spaces import (ElementGeometry, _hermite, uhat_edge_data,
                              uhat_pair_matrix)
@@ -136,23 +137,22 @@ def extract_qhat(mesh, M_fn, divM_fn):
         a, b = mesh.coords[mesh.edge_vertices[e]]
         points_of = lambda s, a=a, b=b: a[None, :] + np.outer(s, b - a)
         alpha[e], beta[e], corr[e] = _edge_trace_dofs(
-            points_of, mesh.edge_length[e], mesh.edge_tangent[e],
-            mesh.edge_normal[e], M_fn, divM_fn)
+            points_of, *edge_frame(a, b), M_fn, divM_fn)
 
     gamma = np.empty((mesh.num_triangles, 3))
     for t in range(mesh.num_triangles):
         geom = ElementGeometry(mesh, t)
         gamma[t] = (corner_jumps(geom, M_fn)
-                    - _endpoint_jumps(geom.lo_local, corr[geom.eids]))
+                    - _endpoint_jumps(geom.lo_local, corr[mesh.tri_edges[t]]))
     return alpha, beta, gamma
 
 
 def local_qhat(mesh, t, alpha, beta, gamma):
     """Signed local (alpha, beta, gamma) values of triangle t from the
     canonical global DOF arrays."""
-    geom = ElementGeometry(mesh, t)
-    s = geom.sign
-    return s * alpha[geom.eids], s * beta[geom.eids], gamma[t]
+    e = mesh.tri_edges[t]
+    s = mesh.edge_sign[t]
+    return s * alpha[e], s * beta[e], gamma[t]
 
 
 def extract_qhat_local(mesh, t, M_fn, divM_fn):
