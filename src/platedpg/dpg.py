@@ -28,9 +28,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from .errors import SPDError
-from .linalg import dense_cholesky, sparse_from_triplets
+from .linalg import dense_cholesky
 from .mesh import Mesh, dyadic_shape
 from .polyquad import (ASSEMBLY_DEGREE, EDGE_POINTS, SLOTS, edge_rule,
                        tri_rule)
@@ -41,6 +42,8 @@ N_SCALAR = 10
 N_TENSOR = 18
 N_TEST = N_SCALAR + N_TENSOR
 N_TRIAL = 22
+CHUNK = 256        # triangles per gather of class data
+
 
 def _sym(A):
     return 0.5 * (A + np.swapaxes(A, -1, -2))
@@ -212,24 +215,40 @@ class GlobalSystem:
     scale: np.ndarray
 
 
+def _class_block_csr(blocks, cls, scatter, n):
+    """n x n CSR sum of ``blocks[cls[t]]`` at rows and columns ``scatter[t]``,
+    with no per-triangle copy.  Row r lists the block rows (t, a) with
+    ``scatter[t, a] == r`` by t, then a, as ``coo_matrix.tocsr`` orders the
+    triplets (t, a, b), so the duplicate sums give the same bits."""
+    k = scatter.shape[1]
+    t, a = np.divmod(np.argsort(scatter.ravel(), kind="stable"), k)
+    indptr = np.cumsum(np.r_[0, k * np.bincount(scatter.ravel(), minlength=n)])
+    data, cols = blocks[cls[t], a].ravel(), scatter.astype(np.int32)[t].ravel()
+    A = sp.csr_matrix((data, cols, indptr), shape=(n, n))
+    A.sum_duplicates()
+    return A
+
+
 def assemble(mesh, dofmap, problem):
     """Build the element systems of the mesh and assemble the condensed SPD
     system on the free DOFs; the right-hand side carries the essential-BC
-    shift ``-A x_prescribed``."""
+    shift ``-A x_prescribed``.  No per-triangle copy of class data is
+    held: ``W^T W`` is scattered per class, ``W^T v`` formed by chunks."""
     systems = build_element_systems(mesh, dofmap, problem.material,
                                     problem.f)
-    W, idx, cls = systems.W, systems.scatter, systems.cls
-    A_T = _sym(np.swapaxes(W, 1, 2) @ W)[cls]
-    b_T = np.einsum("tij,ti->tj", W[cls], systems.v)
-    rows = np.repeat(idx, N_TRIAL, axis=1).ravel()
-    cols = np.tile(idx, N_TRIAL).ravel()
-    A_full = sparse_from_triplets(rows, cols, A_T.ravel(), dofmap.full_dim)
+    W, v, idx, cls = systems.W, systems.v, systems.scatter, systems.cls
+    A_full = _class_block_csr(_sym(np.swapaxes(W, 1, 2) @ W), cls, idx,
+                             dofmap.full_dim)
+    b_T = np.concatenate([np.einsum("tij,ti->tj", W[cls[i:i + CHUNK]],
+                                    v[i:i + CHUNK])
+                          for i in range(0, len(cls), CHUNK)])
     b_full = np.bincount(idx.ravel(), weights=b_T.ravel(),
                          minlength=dofmap.full_dim)
     RT = dofmap.R.T.tocsr()        # CSR @ CSR: A_full is not converted
     A = RT @ A_full @ dofmap.R
     A.sort_indices()               # so that A + A.T below is canonical
     rhs = RT @ (b_full - A_full @ dofmap.x_prescribed)
+    del A_full
     diag = A.diagonal()
     scale = np.where(diag > 0.0, 1.0 / np.sqrt(np.maximum(diag, 1e-300)), 1.0)
     # D A D in place, entry by entry (a_ij d_i) d_j
@@ -271,7 +290,9 @@ def estimate(systems: ElementSystems, x_full):
     """DPG error estimator: per element the dual norm of the residual in
     the discrete test space, ``eta_T^2 = r_T^T G_T^{-1} r_T`` with
     ``r_T = load_T - B_T x_T``, i.e. ``eta_T = ||v_T - W_T x_T||``, for the
-    full coefficient vector ``x_full``."""
-    x = x_full[systems.scatter]
-    r = systems.v - (systems.W[systems.cls] @ x[..., None])[..., 0]
+    full coefficient vector ``x_full``; ``W x_T`` is formed by chunks."""
+    W, v, cls, x = systems.W, systems.v, systems.cls, x_full[systems.scatter]
+    r = np.concatenate([v[i:i + CHUNK] - (W[cls[i:i + CHUNK]]
+                                          @ x[i:i + CHUNK, :, None])[..., 0]
+                        for i in range(0, len(x), CHUNK)])
     return EstimatorField(per_element=np.linalg.norm(r, axis=1))

@@ -264,7 +264,3 @@ def main(argv=None):
     print(f"finished: {len(records)} levels, N={last.ndofs}, "
           f"eta={last.eta:.3e}")
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import logging
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import SolverConvergenceError, SPDError
@@ -54,14 +53,6 @@ def dense_cholesky(A):
                                   - (L[..., k + 1:, :k] @ col)[..., 0])
                                  / L[..., k, k, None])
     return L
-
-
-def sparse_from_triplets(rows, cols, values, n):
-    """Symmetric sparse matrix from scatter triplets; duplicate entries
-    are summed."""
-    A = sp.coo_matrix((values, (rows, cols)), shape=(n, n)).tocsr()
-    A.sum_duplicates()
-    return A
 
 
 def spd_solve(A, b, tol=1e-12):

@@ -203,10 +203,12 @@ def nvb_refine(mesh, marked):
     newest-vertex-bisection closure keeping the mesh conforming.  The
     closure walks the mesh's own edges: a split appends two children and
     three edges (two halves, the bisector) and re-points the old ones."""
-    marked = np.unique(np.fromiter(marked, dtype=np.int64))
+    marked = np.unique(np.asarray(
+        marked if isinstance(marked, np.ndarray) else list(marked)))
     if marked.size == 0:
         return mesh
-    if marked[0] < 0 or marked[-1] >= mesh.num_triangles:
+    if (marked.dtype.kind not in "iu" or marked[0] < 0  # not float or bool
+            or marked[-1] >= mesh.num_triangles):
         raise MeshStructureError("marked set contains invalid triangle ids")
 
     # flat slot lists, three per triangle, turned so that slot 0 holds the

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .mesh import Mesh, dyadic_shape, mesh_from_arrays, unit_square_mesh
-from .polyquad import ASSEMBLY_DEGREE, ERROR_DEGREE, tri_rule
+from .polyquad import ERROR_DEGREE, tri_rule
 from .spaces import BCSpec, interpolate_uhat_bc, simply_supported_bc
 
 # singular exponent and amplitude of the reentrant-corner solution; the
@@ -271,21 +271,6 @@ def builtin_problem(name):
 # ---------------------------------------------------------------------------
 # errors
 # ---------------------------------------------------------------------------
-
-def project_fields(mesh, u_fn, M_fn, degree=ASSEMBLY_DEGREE):
-    """Element means (the lowest-order L2 projections) of a deflection and
-    a moment field; the moment is returned as (nT, 3) components."""
-    rule = tri_rule(degree)
-    pts = np.einsum("qc,tcd->tqd", rule.bary, mesh.coords[mesh.tri_vertices])
-    flat = pts.reshape(-1, 2)
-    w = rule.weights / 0.5                     # mean weights on any triangle
-    u = np.asarray(u_fn(flat), dtype=float).reshape(pts.shape[:2])
-    u_mean = u @ w
-    M = np.asarray(M_fn(flat), dtype=float).reshape(pts.shape[:2] + (2, 2))
-    M_mean = np.stack([M[..., 0, 0] @ w, M[..., 0, 1] @ w,
-                       M[..., 1, 1] @ w], axis=1)
-    return u_mean, M_mean
-
 
 def _subdivide(cells, levels):
     """Dyadic quadrisection of stacked triangles (m, 3, 2), ``levels``

@@ -1,5 +1,5 @@
-"""Shared manufactured fields, a mesh shape measure and acceptance
-reporting hooks."""
+"""Shared manufactured fields, a mesh shape measure, the element-mean
+projection and triplet assembly oracles and acceptance reporting hooks."""
 
 import os
 import sys
@@ -15,6 +15,9 @@ if "numpy" in sys.modules:
                   "thread count set there has no effect")
 
 import numpy as np  # noqa: E402
+import scipy.sparse as sp  # noqa: E402
+
+from platedpg.polyquad import ASSEMBLY_DEGREE, tri_rule  # noqa: E402
 
 ACCEPTANCE_LINES = []
 
@@ -98,3 +101,26 @@ def shape_ratio(mesh):
     from platedpg.spaces import ElementGeometry
     geom = ElementGeometry(mesh, np.arange(mesh.num_triangles))
     return float(np.max(geom.diam ** 2 / geom.area))
+
+
+def sparse_from_triplets(rows, cols, values, n):
+    """n x n CSR matrix from scatter triplets, duplicate entries summed:
+    the COO path that ``dpg.assemble`` must match bit for bit."""
+    A = sp.coo_matrix((values, (rows, cols)), shape=(n, n)).tocsr()
+    A.sum_duplicates()
+    return A
+
+
+def project_fields(mesh, u_fn, M_fn, degree=ASSEMBLY_DEGREE):
+    """Element means (the lowest-order L2 projections) of a deflection and
+    a moment field; the moment is returned as (nT, 3) components."""
+    rule = tri_rule(degree)
+    pts = np.einsum("qc,tcd->tqd", rule.bary, mesh.coords[mesh.tri_vertices])
+    flat = pts.reshape(-1, 2)
+    w = rule.weights / 0.5                     # mean weights on any triangle
+    u = np.asarray(u_fn(flat), dtype=float).reshape(pts.shape[:2])
+    u_mean = u @ w
+    M = np.asarray(M_fn(flat), dtype=float).reshape(pts.shape[:2] + (2, 2))
+    M_mean = np.stack([M[..., 0, 0] @ w, M[..., 0, 1] @ w,
+                       M[..., 1, 1] @ w], axis=1)
+    return u_mean, M_mean

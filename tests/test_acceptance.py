@@ -11,7 +11,7 @@ import conftest
 import numpy as np
 import pytest
 from conftest import (manufactured_M, manufactured_divM, manufactured_f,
-                      manufactured_grad, manufactured_u,
+                      manufactured_grad, manufactured_u, project_fields,
                       random_shape_regular_triangle)
 
 from platedpg import dpg
@@ -24,7 +24,7 @@ from platedpg.polyquad import tri_rule
 from platedpg.problems import (SINGULAR_ALPHA, ZSHAPE_OPENING,
                                MaterialLaw, builtin_square_problem,
                                builtin_zshape_problem, c_apply, cinv_apply,
-                               fourier_eval, project_fields, singular_eval)
+                               fourier_eval, singular_eval)
 from platedpg.spaces import (BCSpec, ElementGeometry, build_dofmap,
                              interpolate_uhat_bc)
 from trace_oracles import (extract_qhat, extract_uhat, local_qhat,

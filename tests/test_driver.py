@@ -1,11 +1,15 @@
 from dataclasses import replace
 import logging
+import os
+import subprocess
+import sys
 import warnings
 
 from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
+import platedpg
 from platedpg.driver import (ConvergenceRecord, ExperimentConfig, dorfler_mark,
                              eoc, experiment_levels, main, read_records_csv,
                              run_experiment, solve_problem, write_records_csv)
@@ -276,6 +280,23 @@ def test_cli_run(tmp_path, capsys):
     assert code == 0
     assert out.exists()
     assert len(read_records_csv(out)) == 2
+
+
+def test_python_m_platedpg_runs_the_cli_once(tmp_path):
+    """``python -m platedpg run`` loads the driver once: no runpy
+    RuntimeWarning about a module found in sys.modules."""
+    out = tmp_path / "m.csv"
+    src = os.path.dirname(os.path.dirname(platedpg.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "platedpg", "run", "--problem", "square",
+         "--mode", "uniform", "--levels", "2", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert out.read_text().splitlines()[0] == (
+        "level,ntriangles,ndofs,eta,err_u,err_M,eoc_eta,eoc_u,eoc_M")
 
 
 def test_cli_builds_config_from_the_given_flags(tmp_path, monkeypatch):

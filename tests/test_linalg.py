@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+from conftest import sparse_from_triplets
 from platedpg import dpg
 from platedpg.errors import SolverConvergenceError, SPDError
-from platedpg.linalg import (SolveReport, dense_cholesky,
-                             sparse_from_triplets, spd_solve)
+from platedpg.linalg import SolveReport, dense_cholesky, spd_solve
 from platedpg.problems import builtin_square_problem
 from platedpg.spaces import build_dofmap
 

@@ -238,6 +238,15 @@ def test_nvb_accepts_any_iterable_of_ids_and_rejects_invalid_ones():
             nvb_refine(m, bad)
 
 
+@pytest.mark.parametrize("bad", [[0.5], np.array([1.5, 0.0]), [1.0],
+                                 [False, True], np.array([True, True])])
+def test_nvb_refuses_non_integer_and_boolean_ids(bad):
+    """A float id would be truncated and a boolean mask read as the ids 0
+    and 1; both are refused like an id out of range."""
+    with pytest.raises(MeshStructureError, match="invalid triangle ids"):
+        nvb_refine(unit_square_mesh(), bad)
+
+
 @pytest.mark.parametrize("uniform, rounds, counts, pinned", [
     (1, 5, (136, 82), {
         "coords": "197b8a4bc3901ebda670d8dc3b492142"

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import project_fields
 from platedpg import problems
 from platedpg.errors import ConfigurationError
 from platedpg.problems import (L2_CHUNK, SINGULAR_ALPHA, SINGULAR_C,
                                ZSHAPE_OPENING, ExactSolution, MaterialLaw,
                                builtin_square_problem, builtin_zshape_problem,
                                c_apply, cinv_apply, fourier_eval, l2_errors,
-                               odd_harmonics, project_fields, singular_eval,
+                               odd_harmonics, singular_eval,
                                singular_solution, zshape_mesh)
 
 
