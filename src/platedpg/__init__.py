@@ -17,8 +17,8 @@ from .linalg import SolveReport, dense_cholesky, spd_solve
 from .mesh import (Mesh, mesh_from_arrays, mesh_from_text, mesh_to_text,
                    nvb_refine, reference_triangle_mesh, uniform_refine,
                    unit_square_mesh, vertex_patch)
-from .polyquad import (QuadRuleEdge, QuadRuleTri, ScalarBasis, TensorBasis,
-                       edge_rule, tri_rule)
+from .polyquad import (QuadRuleEdge, QuadRuleTri, ScalarBasis, edge_rule,
+                       tri_rule)
 from .problems import (ExactSolution, MaterialLaw, ProblemSpec, Singularity,
                        builtin_square_problem, builtin_zshape_problem,
                        c_apply, cinv_apply, fourier_eval, l2_errors,

@@ -1,9 +1,12 @@
 """Element-local DPG computations and global assembly, batched over all
 triangles of a mesh.
 
-Per element the enriched test space is P3 scalars (10 functions) times
-symmetric P2 tensors (18 functions).  The local trial-to-test matrix B is
-28 x 22 with trial columns in the fixed order
+The enriched test space is defined here only: per element the 10 scaled
+P3 monomials z_i and the 18 symmetric P2 tensors ``phi_a S_k`` (index
+``3 a + k``, phi_a the first six monomials, S_k in :data:`SLOTS`).  Both
+skeleton pairings read one P3 table at the edge points and corners.
+The local trial-to-test matrix B is 28 x 22 with trial columns in the
+fixed order
 
     u | M11 M12 M22 | uhat (3 per CCW vertex) | per edge (alpha, beta) |
     gamma (per CCW vertex)
@@ -33,16 +36,20 @@ import scipy.sparse as sp
 from .errors import SPDError
 from .linalg import dense_cholesky
 from .mesh import Mesh, dyadic_shape
-from .polyquad import (ASSEMBLY_DEGREE, EDGE_POINTS, SLOTS, edge_rule,
-                       tri_rule)
+from .polyquad import ASSEMBLY_DEGREE, EDGE_POINTS, edge_rule, tri_rule
 from .problems import cinv_apply
-from .spaces import DofMap, ElementGeometry, uhat_pair_matrix
+from .spaces import DofMap, ElementGeometry, uhat_edge_traces
 
 N_SCALAR = 10
 N_TENSOR = 18
 N_TEST = N_SCALAR + N_TENSOR
 N_TRIAL = 22
 CHUNK = 256        # triangles per gather of class data
+
+# symmetric slot tensors, ordered like the moment unknowns (M11, M12, M22)
+SLOTS = np.array([[[1.0, 0.0], [0.0, 0.0]],
+                  [[0.0, 1.0], [1.0, 0.0]],
+                  [[0.0, 0.0], [0.0, 1.0]]])
 
 
 def _sym(A):
@@ -66,9 +73,7 @@ def _volume_terms(geom, material, B, G):
     qpts, w = tri_rule(ASSEMBLY_DEGREE).map_to(geom.P)
     table = geom.scalar_basis(3).eval(qpts)
     vals, hess = table.values, table.hessians
-    # the tensor test functions are the scalar P2 functions phi_a (the
-    # first six scaled P3 monomials) times the slots S_k, index 3 a + k;
-    # divdiv(phi S) = Hess(phi) : S
+    # divdiv(phi_a S_k) = Hess(phi_a) : S_k
     phi = vals[..., :6]
     divdiv = np.einsum("tqaij,kij->tqak", hess[..., :6, :, :],
                        SLOTS).reshape(n, -1, N_TENSOR)
@@ -109,8 +114,6 @@ def _load(f, qpts, w, vals):
 def _skeleton_terms(geom, B):
     """The columns of B that pair test functions with the trace unknowns."""
     n = B.shape[0]
-    # scalar test rows: qhat columns through the skeleton duality, from
-    # the edge quadrature points of the three edges and the corners
     rule = edge_rule(EDGE_POINTS)
     ne = len(rule.points)
     pts = np.concatenate([geom.edge_points(k, rule.points) for k in range(3)]
@@ -118,6 +121,7 @@ def _skeleton_terms(geom, B):
     table = geom.scalar_basis(3).eval(pts)
     evals = table.values[:, :3 * ne].reshape(n, 3, ne, N_SCALAR)
     egrads = table.gradients[:, :3 * ne].reshape(n, 3, ne, N_SCALAR, 2)
+    # scalar test rows: qhat columns through the skeleton duality
     s = geom.sign[:, None, :]
     B[:, :N_SCALAR, 13:19:2] = s * np.einsum("e,tkei->tik", rule.weights,
                                              evals)
@@ -125,8 +129,37 @@ def _skeleton_terms(geom, B):
                                               rule.weights, egrads, geom.nrm)
     B[:, :N_SCALAR, 19:22] = -np.swapaxes(table.values[:, 3 * ne:], 1, 2)
 
-    # tensor test rows: uhat columns, -<uhat, Theta>
-    B[:, N_SCALAR:, 4:13] = -uhat_pair_matrix(geom, geom.tensor_basis(2))
+    # tensor test rows: uhat columns, -<uhat, Theta>, from the P2 part
+    B[:, N_SCALAR:, 4:13] = -uhat_pair_matrix(geom, evals[..., :6],
+                                              egrads[..., :6, :])
+
+
+def uhat_pair_matrix(geom, phi, gphi):
+    """Skeleton pairing of every tensor test function against every local
+    uhat unit DOF; shape (..., 18, 9).  ``phi`` (..., 3, q, 6) and
+    ``gphi`` (..., 3, q, 6, 2) are the P2 values and gradients at the
+    edge quadrature points of the three local edges.
+
+    Entry (i, j) is the boundary duality of tensor test function i with
+    the edge traces induced by uhat unit DOF j: the integral over each
+    edge of ``(n.div Theta) z - (Theta n) . grad z`` with the element's
+    outward normal n.  For ``Theta = phi S`` (scalar phi, symmetric slot
+    S) the integrand is ``(S n) . (z grad phi - phi grad z)``.
+    """
+    rule = edge_rule(EDGE_POINTS)
+    w = rule.weights
+    out = 0.0
+    for k in range(3):
+        zq, gradq = uhat_edge_traces(geom, k, rule.points)
+        X = (np.einsum("q,...qai,...qj->...aij", w, gphi[..., k, :, :, :], zq)
+             - np.einsum("q,...qa,...qij->...aij", w, phi[..., k, :, :],
+                         gradq))
+        n_out = geom.sign[..., k, None] * geom.nrm[..., k, :]
+        Sn = np.einsum("kij,...j->...ki", SLOTS, n_out)
+        pair = np.einsum("...ki,...aij->...akj", Sn, X)
+        out = out + (geom.length[..., k, None, None, None] * pair).reshape(
+            pair.shape[:-3] + (N_TENSOR, 9))
+    return out
 
 
 def condense(B, G, load, cls):

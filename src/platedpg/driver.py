@@ -5,7 +5,6 @@ import csv
 from dataclasses import astuple, dataclass, fields, replace
 from itertools import count
 import logging
-import math
 import os
 import sys
 from typing import List, NamedTuple, Optional
@@ -29,7 +28,6 @@ class ExperimentConfig:
     max_levels: Optional[int] = None
     max_dofs: Optional[int] = None
     out: Optional[str] = None
-    tol: float = 1e-12                 # bound on the solve's backward error
     dump_mesh: Optional[str] = None
 
     def __post_init__(self):
@@ -50,9 +48,6 @@ class ExperimentConfig:
                             ("max_dofs", self.max_dofs)):
             if value is not None and value <= 0:
                 raise ConfigurationError(f"{name} = {value} <= 0")
-        if not 0.0 < self.tol < math.inf:
-            raise ConfigurationError(
-                f"tol = {self.tol} is not a positive finite number")
 
 
 @dataclass
@@ -107,14 +102,14 @@ def eoc(records: List[ConvergenceRecord]):
     return out
 
 
-def solve_problem(problem, mesh, tol=ExperimentConfig.tol):
+def solve_problem(problem, mesh):
     """One SOLVE + ESTIMATE pass on a given mesh.
 
     Returns (solution, estimator, report, free_dofs).
     """
     dofmap = build_dofmap(mesh, problem.bc_builder(mesh))
     system = dpg.assemble(mesh, dofmap, problem)
-    y, report = spd_solve(system.A, system.rhs, tol=tol)
+    y, report = spd_solve(system.A, system.rhs)
     x_full = dofmap.recover_full(system.scale * y)
     estimator = dpg.estimate(system.systems, x_full)
     return (dpg.Solution(mesh, dofmap, x_full), estimator, report,
@@ -169,8 +164,7 @@ def experiment_levels(config: ExperimentConfig, problem=None):
             f"problem {problem.name!r} has no exact solution for the errors")
     mesh = problem.initial_mesh
     for level in count():
-        solution, estimator, report, ndofs = solve_problem(
-            problem, mesh, tol=config.tol)
+        solution, estimator, report, ndofs = solve_problem(problem, mesh)
         record = ConvergenceRecord(level, mesh.num_triangles, ndofs,
                                    estimator.total,
                                    *l2_errors(mesh, solution, problem.exact))
@@ -239,9 +233,6 @@ def _build_parser():
     run.add_argument("--theta", type=float)
     run.add_argument("--levels", dest="max_levels", type=int)
     run.add_argument("--max-dofs", type=int)
-    run.add_argument("--tol", type=float,
-                     help="bound on the normwise backward error of each "
-                          "linear solve")
     run.add_argument("--out", required=True)
     run.add_argument("--dump-mesh",
                      help="per-level mesh dump file prefix")
@@ -264,3 +255,9 @@ def main(argv=None):
     print(f"finished: {len(records)} levels, N={last.ndofs}, "
           f"eta={last.eta:.3e}")
     return 0
+
+
+if __name__ == "__main__":
+    print("platedpg.driver is not a command; run `python -m platedpg run "
+          "...` or `plate-dpg run ...`", file=sys.stderr)
+    raise SystemExit(2)

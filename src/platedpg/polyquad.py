@@ -1,11 +1,10 @@
-"""Polynomial bases on triangles and quadrature rules.
+"""Scalar polynomial bases on triangles and quadrature rules.
 
 Scalar bases are scaled monomials ``((x-x_T)/h_T)^i ((y-y_T)/h_T)^j`` in
 graded lexicographic order, evaluated with closed-form gradients and
-Hessians.  Symmetric-tensor bases place each scalar function in the three
-symmetric slots E11, E12, E22.  Triangle rules are built by the collapsed
-(Duffy) map with Gauss-Legendre x Gauss-Jacobi points, which gives a
-guaranteed exactness degree.
+Hessians.  Triangle rules are built by the collapsed (Duffy) map with
+Gauss-Legendre x Gauss-Jacobi points, which gives a guaranteed exactness
+degree.
 """
 
 from dataclasses import dataclass
@@ -21,12 +20,6 @@ from .errors import ConfigurationError
 ASSEMBLY_DEGREE = 8      # volume terms of B, G and loads
 ERROR_DEGREE = 12        # L2 error integration
 EDGE_POINTS = 5          # Gauss points per edge (exact to degree 9)
-
-# symmetric slot tensors, ordered like the moment unknowns (M11, M12, M22)
-SLOTS = np.array([[[1.0, 0.0], [0.0, 0.0]],
-                  [[0.0, 1.0], [1.0, 0.0]],
-                  [[0.0, 0.0], [0.0, 1.0]]])
-
 
 def _grlex_exponents(p):
     return [(d - j, j) for d in range(p + 1) for j in range(d + 1)]
@@ -97,12 +90,6 @@ class ScalarTable(NamedTuple):
     hessians: np.ndarray     # (..., npts, ndim, 2, 2)
 
 
-class TensorTable(NamedTuple):
-    values: np.ndarray       # (..., npts, ndim, 2, 2)
-    div: np.ndarray          # (..., npts, ndim, 2)
-    divdiv: np.ndarray       # (..., npts, ndim)
-
-
 class ScalarBasis:
     """Scaled monomials of total degree <= p on one triangle, or on a
     stack of triangles when ``centroid`` is (..., 2) and ``scale`` (...)."""
@@ -144,31 +131,3 @@ class ScalarBasis:
         hess /= (h ** 2)[..., None]
         return ScalarTable(vals, grads, hess)
 
-
-class TensorBasis:
-    """Symmetric 2x2 tensor fields with polynomial entries: each scalar
-    basis function placed in the slots E11, E12, E22 (scalar-major)."""
-
-    def __init__(self, p, centroid, scale):
-        self.scalar = ScalarBasis(p, centroid, scale)
-        self.p = int(p)
-        self.dim = 3 * self.scalar.dim
-
-    def eval(self, points):
-        vals, grads, hess = self.scalar.eval(points)
-        lead = vals.shape[:-1]
-        values = np.einsum("...a,kij->...akij", vals, SLOTS)
-        values = values.reshape(lead + (self.dim, 2, 2))
-
-        div = np.zeros(vals.shape + (3, 2))
-        div[..., 0, 0] = grads[..., 0]                      # E11
-        div[..., 1, 0] = grads[..., 1]                      # E12
-        div[..., 1, 1] = grads[..., 0]
-        div[..., 2, 1] = grads[..., 1]                      # E22
-        div = div.reshape(lead + (self.dim, 2))
-
-        divdiv = np.stack([hess[..., 0, 0],
-                           2.0 * hess[..., 0, 1],
-                           hess[..., 1, 1]], axis=-1)
-        divdiv = divdiv.reshape(lead + (self.dim,))
-        return TensorTable(values, div, divdiv)

@@ -1,4 +1,5 @@
-"""Degrees of freedom and skeleton pairings for the four trial blocks.
+"""Degrees of freedom, edge traces and boundary conditions of the four
+trial blocks.
 
 Trial unknowns and their storage layout in the full coefficient vector:
 
@@ -28,8 +29,7 @@ import scipy.sparse as sp
 
 from .errors import ConfigurationError
 from .mesh import Mesh, edge_frame
-from .polyquad import (EDGE_POINTS, SLOTS, ScalarBasis, TensorBasis,
-                       edge_rule)
+from .polyquad import ScalarBasis
 
 
 # ---------------------------------------------------------------------------
@@ -65,9 +65,6 @@ class ElementGeometry:
 
     def scalar_basis(self, p):
         return ScalarBasis(p, self.centroid, self.diam)
-
-    def tensor_basis(self, p):
-        return TensorBasis(p, self.centroid, self.diam)
 
 
 # ---------------------------------------------------------------------------
@@ -112,23 +109,11 @@ def uhat_edge_data(geom: ElementGeometry, k: int):
     return D.reshape(D.shape[:-2] + (9,))
 
 
-# ---------------------------------------------------------------------------
-# skeleton pairings
-# ---------------------------------------------------------------------------
-
-def uhat_pair_matrix(geom, tensor_basis):
-    """Skeleton pairing of every tensor test function against every local
-    uhat unit DOF; shape (..., tensor dim, 9).
-
-    Entry (i, j) is the boundary duality of tensor basis function i with
-    the edge traces induced by uhat unit DOF j: the integral over each
-    edge of ``(n.div Theta) z - (Theta n) . grad z`` with the element's
-    outward normal n.  For ``Theta = phi S`` (scalar phi, symmetric slot
-    S) the integrand is ``(S n) . (z grad phi - phi grad z)``, so only the
-    scalar basis is evaluated on the edges.
-    """
-    rule = edge_rule(EDGE_POINTS)
-    s, w = rule.points, rule.weights
+def uhat_edge_traces(geom: ElementGeometry, k: int, s):
+    """Edge traces of the 9 local uhat unit DOFs on local edge k at
+    canonical parameters s: values (..., len(s), 9) of the Hermite cubic
+    and gradients (..., len(s), 2, 9) from its arc derivative and the
+    linear interpolant of the endpoint normal derivatives."""
     h, dh = _hermite(s)
     zero2 = np.zeros((len(s), 2))
     # value, arc derivative and normal derivative of the edge trace as
@@ -137,24 +122,12 @@ def uhat_pair_matrix(geom, tensor_basis):
     pick_dz = np.concatenate([dh, zero2], axis=1)
     pick_gn = np.concatenate([np.zeros((len(s), 4)),
                               np.stack([1.0 - s, s], axis=1)], axis=1)
-    out = 0.0
-    for k in range(3):
-        D = uhat_edge_data(geom, k)
-        zq = pick_z @ D                                         # (..., q, 9)
-        gradq = ((pick_dz @ D)[..., None, :]
-                 / geom.length[..., k, None, None, None]
-                 * geom.tau[..., k, None, :, None]
-                 + (pick_gn @ D)[..., None, :]
-                 * geom.nrm[..., k, None, :, None])            # (..., q, 2, 9)
-        phi, gphi, _ = tensor_basis.scalar.eval(geom.edge_points(k, s))
-        X = (np.einsum("q,...qai,...qj->...aij", w, gphi, zq)
-             - np.einsum("q,...qa,...qij->...aij", w, phi, gradq))
-        n_out = geom.sign[..., k, None] * geom.nrm[..., k, :]
-        Sn = np.einsum("kij,...j->...ki", SLOTS, n_out)
-        pair = np.einsum("...ki,...aij->...akj", Sn, X)
-        out = out + (geom.length[..., k, None, None, None] * pair).reshape(
-            pair.shape[:-3] + (tensor_basis.dim, 9))
-    return out
+    D = uhat_edge_data(geom, k)
+    grad = ((pick_dz @ D)[..., None, :]
+            / geom.length[..., k, None, None, None]
+            * geom.tau[..., k, None, :, None]
+            + (pick_gn @ D)[..., None, :] * geom.nrm[..., k, None, :, None])
+    return pick_z @ D, grad
 
 
 # ---------------------------------------------------------------------------

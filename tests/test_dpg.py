@@ -20,8 +20,9 @@ from platedpg.polyquad import ASSEMBLY_DEGREE, tri_rule
 from platedpg.problems import (SINGULAR_ALPHA, ExactSolution, MaterialLaw,
                                ProblemSpec, Singularity,
                                builtin_square_problem, builtin_zshape_problem,
-                               l2_errors)
+                               cinv_apply, l2_errors)
 from platedpg.spaces import ElementGeometry, build_dofmap, interpolate_uhat_bc
+from trace_oracles import element_tensor_basis
 
 
 def triangle_loads(geom, f):
@@ -70,6 +71,43 @@ def test_gram_quadratic_entry_against_oracle():
     xi = (pts[:, 0] - geom.centroid[0]) / geom.diam
     oracle = w @ xi ** 4 + (2.0 / geom.diam ** 2) ** 2 * geom.area
     assert abs(G[i, i] - oracle) < 1e-13 * oracle
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), log_scale=st.floats(-3.0, 2.0),
+       nu=st.floats(-0.9, 0.5).filter(lambda nu: nu != 0.0))
+def test_tensor_block_against_a_dense_oracle_build(seed, log_scale, nu):
+    """The tensor test rows of G (mass plus divdiv) and of B's u and moment
+    columns, ``(1, divdiv Theta_i)`` and ``(M_j, C^{-1} Theta_i)``, equal
+    a build from the oracle tensor table and ``cinv_apply`` on a
+    degree-12 rule, to 1e-12 of the Cauchy-Schwarz bound of each entry,
+    on shape-regular triangles of diameter 1e-3 to 1e2."""
+    rng = np.random.default_rng(seed)
+    base = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
+    tri = (base + 0.15 * rng.uniform(-1, 1, size=(3, 2))) * 10.0 ** log_scale
+    mesh = mesh_from_arrays(tri, [(0, 1, 2)])
+    material = MaterialLaw(10.0 ** rng.uniform(-1, 1), nu)
+    B, G, _ = one_element(mesh, 0, material)
+    geom = ElementGeometry(mesh, 0)
+    pts, w = tri_rule(12).map_to(geom.P)
+    theta = element_tensor_basis(geom).eval(pts)
+    G_ref = (np.einsum("q,qiab,qjab->ij", w, theta.values, theta.values)
+             + np.einsum("q,qi,qj->ij", w, theta.divdiv, theta.divdiv))
+    # unit moments M11, M12, M22 of the trial field M
+    unit_M = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]],
+                       [[0.0, 0.0], [0.0, 1.0]]])
+    B_ref = np.column_stack([
+        w @ theta.divdiv,
+        np.einsum("q,qiab,jab->ij", w, cinv_apply(material, theta.values),
+                  unit_M)])
+    trial_sq = geom.area * np.r_[1.0, np.einsum(
+        "jab,jab->j", cinv_apply(material, unit_M), cinv_apply(material,
+                                                               unit_M))]
+    d = np.diag(G)[10:]
+    np.testing.assert_array_less(np.abs(G[10:, 10:] - G_ref),
+                                 1e-12 * np.sqrt(np.outer(d, d)))
+    np.testing.assert_array_less(np.abs(B[10:, 0:4] - B_ref),
+                                 1e-12 * np.sqrt(np.outer(d, trial_sq)))
 
 
 @pytest.mark.parametrize("seed", range(8))

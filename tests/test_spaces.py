@@ -15,8 +15,9 @@ from platedpg.spaces import (BCSpec, Constraints, ElementGeometry,
                              _reduce_blocks, build_dofmap,
                              interpolate_uhat_bc, simply_supported_bc)
 from bc_oracles import BCConstraint, constraint_residuals, to_bcspec
-from trace_oracles import (extract_qhat, extract_qhat_local, extract_uhat,
-                           local_qhat, qhat_pair_local, uhat_pair_local,
+from trace_oracles import (element_tensor_basis, extract_qhat,
+                           extract_qhat_local, extract_uhat, local_qhat,
+                           qhat_pair_local, uhat_pair_local,
                            uhat_trace_on_edge)
 
 SKEW_TRI = mesh_from_arrays([(0.1, 0.2), (1.3, 0.1), (0.4, 1.2)], [(0, 1, 2)])
@@ -87,7 +88,7 @@ def test_uhat_pairing_integration_by_parts(seed):
     (divdiv Theta, v) - (Theta, Hess v) for every P2 tensor."""
     rng = np.random.default_rng(seed)
     geom = ElementGeometry(SKEW_TRI, 0)
-    tb = geom.tensor_basis(2)
+    tb = element_tensor_basis(geom)
     c = rng.normal(size=6)
     v = lambda p: (c[0] + c[1] * p[:, 0] + c[2] * p[:, 1]
                    + c[3] * p[:, 0] ** 2 + c[4] * p[:, 0] * p[:, 1]
@@ -113,7 +114,7 @@ def test_uhat_pairing_cubic_correction():
     their linear interpolant, and the deviation from the volume identity
     must equal exactly the normal-trace interpolation defect."""
     geom = ElementGeometry(SKEW_TRI, 0)
-    tb = geom.tensor_basis(2)
+    tb = element_tensor_basis(geom)
     v = lambda p: p[:, 0] ** 3
     grad = lambda p: np.stack([3 * p[:, 0] ** 2, np.zeros(len(p))], axis=1)
     udofs = poly_udofs(geom, v, grad)
@@ -145,7 +146,7 @@ def test_uhat_pairing_cubic_correction():
 def test_uhat_pair_examples():
     mesh = reference_triangle_mesh()
     geom = ElementGeometry(mesh, 0)
-    tb = geom.tensor_basis(2)
+    tb = element_tensor_basis(geom)
     ident = fit_tensor(tb, lambda p: np.broadcast_to(np.eye(2),
                                                      (len(p), 2, 2)), geom.P)
     one = poly_udofs(geom, lambda p: np.ones(len(p)),
@@ -246,7 +247,7 @@ def test_global_constant_tensor_pairing_vanishes_on_clamped_uhat():
     total = 0.0
     for t in range(mesh.num_triangles):
         geom = ElementGeometry(mesh, t)
-        tb = geom.tensor_basis(2)
+        tb = element_tensor_basis(geom)
         tc = fit_tensor(tb, lambda p: np.broadcast_to(Theta0, (len(p), 2, 2)),
                         geom.P)
         total += uhat_pair_local(geom, udofs_global[geom.vids].ravel(), tc)

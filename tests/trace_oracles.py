@@ -1,15 +1,60 @@
-"""Verification oracles for the skeleton traces and pairings: Hermite
-edge traces of uhat, the qhat and uhat skeleton dualities of one element,
-and the trace DOFs of smooth fields (nodal uhat, projected qhat moments
-and corner jumps).  The solver never calls them; the tests check the
-batched element matrices and the DOF conventions against them."""
+"""Verification oracles for the test space and the skeleton pairings:
+the symmetric P2 tensor test functions with their divergence and divdiv,
+Hermite edge traces of uhat, the qhat and uhat skeleton dualities of one
+element, and the trace DOFs of smooth fields (nodal uhat, projected qhat
+moments and corner jumps).  The solver never calls them; the tests check
+the batched element matrices and the DOF conventions against them."""
+
+from typing import NamedTuple
 
 import numpy as np
 
+from platedpg.dpg import uhat_pair_matrix
 from platedpg.mesh import edge_frame
-from platedpg.polyquad import EDGE_POINTS, edge_rule
-from platedpg.spaces import (ElementGeometry, _hermite, uhat_edge_data,
-                             uhat_pair_matrix)
+from platedpg.polyquad import EDGE_POINTS, ScalarBasis, edge_rule
+from platedpg.spaces import ElementGeometry, _hermite, uhat_edge_data
+
+
+class TensorTable(NamedTuple):
+    values: np.ndarray       # (..., npts, ndim, 2, 2)
+    div: np.ndarray          # (..., npts, ndim, 2)
+    divdiv: np.ndarray       # (..., npts, ndim)
+
+
+class TensorBasis:
+    """Symmetric 2x2 tensor fields with polynomial entries: each scalar
+    basis function phi_a placed in the slots E11, E12 + E21, E22 at index
+    3 a + k, the tensor test functions of the element matrices for p = 2.
+    Values, row-wise divergence and divdiv are written out entry by
+    entry."""
+
+    def __init__(self, p, centroid, scale):
+        self.scalar = ScalarBasis(p, centroid, scale)
+        self.dim = 3 * self.scalar.dim
+
+    def eval(self, points):
+        vals, grads, hess = self.scalar.eval(points)
+        lead = vals.shape[:-1]
+        values = np.zeros(vals.shape + (3, 2, 2))
+        values[..., 0, 0, 0] = vals                         # E11
+        values[..., 1, 0, 1] = vals                         # E12 + E21
+        values[..., 1, 1, 0] = vals
+        values[..., 2, 1, 1] = vals                         # E22
+        div = np.zeros(vals.shape + (3, 2))
+        div[..., 0, 0] = grads[..., 0]
+        div[..., 1, 0] = grads[..., 1]
+        div[..., 1, 1] = grads[..., 0]
+        div[..., 2, 1] = grads[..., 1]
+        divdiv = np.stack([hess[..., 0, 0], 2.0 * hess[..., 0, 1],
+                           hess[..., 1, 1]], axis=-1)
+        return TensorTable(values.reshape(lead + (self.dim, 2, 2)),
+                           div.reshape(lead + (self.dim, 2)),
+                           divdiv.reshape(lead + (self.dim,)))
+
+
+def element_tensor_basis(geom):
+    """The P2 tensor test functions of one element's frame."""
+    return TensorBasis(2, geom.centroid, geom.diam)
 
 
 def uhat_trace_on_edge(geom, k, udofs, s):
@@ -54,14 +99,16 @@ def qhat_pair_local(geom, qdofs, zcoeffs):
 
 
 def uhat_pair_local(geom, udofs, theta_coeffs):
-    """Skeleton duality of a local uhat coefficient vector (three
-    (value, gradient) vertex triples) with a symmetric P2 tensor given by
-    its coefficients in the element's tensor basis."""
-    basis = geom.tensor_basis(2)
-    mat = uhat_pair_matrix(geom, basis)
+    """Skeleton duality, as the element matrices form it, of a local uhat
+    coefficient vector (three (value, gradient) vertex triples) with a
+    symmetric P2 tensor given by its coefficients in the element's tensor
+    basis."""
+    rule = edge_rule(EDGE_POINTS)
+    pts = np.stack([geom.edge_points(k, rule.points) for k in range(3)])
+    phi, gphi, _ = geom.scalar_basis(2).eval(pts)
+    mat = uhat_pair_matrix(geom, phi, gphi)
     return float(np.asarray(theta_coeffs, dtype=float)
                  @ mat @ np.asarray(udofs, dtype=float).ravel())
-
 
 
 def extract_uhat(mesh, u_fn, grad_fn):
