@@ -13,7 +13,7 @@ from .dpg import (ElementSystems, EstimatorField, GlobalSystem, Solution,
                   assemble, condense, element_matrices, estimate)
 from .errors import (ConfigurationError, MeshStructureError, SPDError,
                      SolverConvergenceError)
-from .linalg import SolveReport, dense_cholesky, spd_solve
+from .linalg import SolveReport, spd_solve
 from .mesh import (Mesh, mesh_from_arrays, mesh_from_text, mesh_to_text,
                    nvb_refine, reference_triangle_mesh, uniform_refine,
                    unit_square_mesh, vertex_patch)

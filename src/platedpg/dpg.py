@@ -2,8 +2,15 @@
 triangles of a mesh.
 
 The enriched test space is defined here only: per element the 10 scaled
-P3 monomials z_i and the 18 symmetric P2 tensors ``phi_a S_k`` (index
-``3 a + k``, phi_a the first six monomials, S_k in :data:`SLOTS`).  Both
+P3 monomials z_i and 18 symmetric P2 tensors, ``phi_a S_k`` at index
+``3 a + k`` (phi_a the first six monomials, S_k in :data:`SLOTS`) except
+13 and 17, rebased to ``xi eta S12 - xi^2 S11`` and ``eta^2 S22 - xi^2
+S11`` (:data:`REBASE`).  ``xi^2 S11``, ``xi eta S12`` and ``eta^2 S22``
+share the divdiv 2/h^2, so in the ``phi_a S_k`` basis Cholesky pivots 13
+and 17 of the tensor Gram cancel an h^-2 divdiv part down to an h^2 mass
+part, to nothing once h^4 nears the rounding unit.  The rebased two have
+divdiv exactly 0.0, as REBASE acts on the divdiv table before it is
+integrated (and on the mass part and B), never on the finished G.  Both
 skeleton pairings read one P3 table at the edge points and corners.
 The local trial-to-test matrix B is 28 x 22 with trial columns in the
 fixed order
@@ -34,7 +41,6 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .errors import SPDError
-from .linalg import dense_cholesky
 from .mesh import Mesh, dyadic_shape
 from .polyquad import ASSEMBLY_DEGREE, EDGE_POINTS, edge_rule, tri_rule
 from .problems import cinv_apply
@@ -50,6 +56,10 @@ CHUNK = 256        # triangles per gather of class data
 SLOTS = np.array([[[1.0, 0.0], [0.0, 0.0]],
                   [[0.0, 1.0], [1.0, 0.0]],
                   [[0.0, 0.0], [0.0, 1.0]]])
+
+# tensor test function j in terms of the phi_a S_k: column j
+REBASE = np.eye(N_TENSOR)
+REBASE[9, [13, 17]] = -1.0
 
 
 def _sym(A):
@@ -70,22 +80,22 @@ def element_matrices(geom: ElementGeometry, material):
 def _volume_terms(geom, material, B, G):
     """G and the volume-integral columns of B."""
     n = B.shape[0]
-    qpts, w = tri_rule(ASSEMBLY_DEGREE).map_to(geom.P)
-    table = geom.scalar_basis(3).eval(qpts)
+    _, w, table = geom.volume_table
     vals, hess = table.values, table.hessians
-    # divdiv(phi_a S_k) = Hess(phi_a) : S_k
+    # divdiv(phi_a S_k) = Hess(phi_a) : S_k, then of the rebased functions
     phi = vals[..., :6]
     divdiv = np.einsum("tqaij,kij->tqak", hess[..., :6, :, :],
-                       SLOTS).reshape(n, -1, N_TENSOR)
+                       SLOTS).reshape(n, -1, N_TENSOR) @ REBASE
     slot_products = np.einsum("kij,lij->kl", SLOTS, SLOTS)
 
     G[:, :N_SCALAR, :N_SCALAR] = _sym(
         np.einsum("tq,tqi,tqj->tij", w, vals, vals)
         + np.einsum("tq,tqiab,tqjab->tij", w, hess, hess))
     mass2 = np.einsum("tq,tqa,tqb->tab", w, phi, phi)
+    mass = np.einsum("tab,kl->takbl", mass2, slot_products).reshape(
+        n, N_TENSOR, N_TENSOR)
     G[:, N_SCALAR:, N_SCALAR:] = _sym(
-        np.einsum("tab,kl->takbl", mass2, slot_products).reshape(
-            n, N_TENSOR, N_TENSOR)
+        REBASE.T @ mass @ REBASE
         + np.einsum("tq,tqi,tqj->tij", w, divdiv, divdiv))
 
     # scalar test rows: moment columns (M_j, Hess z_i)_T
@@ -98,8 +108,8 @@ def _volume_terms(geom, material, B, G):
     # tensor test rows: moment columns (M_j, C^{-1} Theta_i)_T; C^{-1} is
     # linear, so it acts on the slots of the integrated phi_a
     cinv_slots = np.einsum("kab,lab->kl", cinv_apply(material, SLOTS), SLOTS)
-    B[:, N_SCALAR:, 1:4] = np.einsum("tqa,tq,kl->takl", phi, w,
-                                     cinv_slots).reshape(n, N_TENSOR, 3)
+    B[:, N_SCALAR:, 1:4] = REBASE.T @ np.einsum(
+        "tqa,tq,kl->takl", phi, w, cinv_slots).reshape(n, N_TENSOR, 3)
 
 
 def _load(f, qpts, w, vals):
@@ -130,8 +140,8 @@ def _skeleton_terms(geom, B):
     B[:, :N_SCALAR, 19:22] = -np.swapaxes(table.values[:, 3 * ne:], 1, 2)
 
     # tensor test rows: uhat columns, -<uhat, Theta>, from the P2 part
-    B[:, N_SCALAR:, 4:13] = -uhat_pair_matrix(geom, evals[..., :6],
-                                              egrads[..., :6, :])
+    B[:, N_SCALAR:, 4:13] = -REBASE.T @ uhat_pair_matrix(
+        geom, evals[..., :6], egrads[..., :6, :])
 
 
 def uhat_pair_matrix(geom, phi, gphi):
@@ -168,16 +178,20 @@ def condense(B, G, load, cls):
     t, ``c = cls[t]``, from one triangular solve per Gram.
     Then ``B^T G^{-1} B = W^T W`` and ``B^T G^{-1} load = W^T v``.
 
-    The factors come from :func:`dense_cholesky`.  LAPACK's Cholesky is as
-    accurate, but on the smallest adaptive elements (cond(G) up to 1e15)
-    its other rounding moves ``A_T`` by about 1e-10 relative, which is
-    enough to flip a near tie in the bulk marking and so change the
-    adaptive mesh sequence.
-
-    The :class:`SPDError` of :func:`dense_cholesky`, which names the
-    stack index and the pivot, passes through unchanged.
+    One LAPACK Cholesky factors the whole stack.  If it fails, the first
+    Gram that LAPACK cannot factor raises :class:`SPDError` naming its
+    stack index and pivot.
     """
-    L = dense_cholesky(G)
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        for c, g in enumerate(G):
+            f, info = scipy.linalg.lapack.dpotrf(g, lower=True)
+            if info > 0:      # f[k, k] holds the failed pivot
+                k = info - 1
+                raise SPDError(f"matrix {c} is not SPD: pivot {k} = "
+                               f"{f[k, k]:.3e}", pivot=k, index=(c,)) from None
+        raise
     bounds = np.cumsum(np.bincount(cls, minlength=len(G)))[:-1]
     W, v, nb = np.empty_like(B), np.empty_like(load), B.shape[-1]
     for c, rows in enumerate(np.split(np.argsort(cls, kind="stable"),
@@ -217,9 +231,8 @@ def build_element_systems(mesh, dofmap, material, f):
     B, G = element_matrices(reps, material)
     load = np.zeros((len(cls), N_TEST))
     if f is not None:  # P3 values at (x_q - c) / h depend only on the class
-        rule = tri_rule(ASSEMBLY_DEGREE)
-        vals = reps.scalar_basis(3).eval(rule.map_to(reps.P)[0]).values
-        load = _load(f, *rule.map_to(P), vals[cls])
+        vals = reps.volume_table[2].values
+        load = _load(f, *tri_rule(ASSEMBLY_DEGREE).map_to(P), vals[cls])
     try:
         W, v = condense(B, G, load, cls)
     except SPDError as exc:

@@ -22,6 +22,7 @@ condensed system symmetric positive definite.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -29,7 +30,7 @@ import scipy.sparse as sp
 
 from .errors import ConfigurationError
 from .mesh import Mesh, edge_frame
-from .polyquad import ScalarBasis
+from .polyquad import ASSEMBLY_DEGREE, ScalarBasis, tri_rule
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +66,13 @@ class ElementGeometry:
 
     def scalar_basis(self, p):
         return ScalarBasis(p, self.centroid, self.diam)
+
+    @cached_property
+    def volume_table(self):
+        """Points and weights of the assembly rule and the P3 table there,
+        evaluated once for the element matrices and the load."""
+        qpts, w = tri_rule(ASSEMBLY_DEGREE).map_to(self.P)
+        return qpts, w, self.scalar_basis(3).eval(qpts)
 
 
 # ---------------------------------------------------------------------------

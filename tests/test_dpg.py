@@ -12,11 +12,11 @@ from conftest import random_shape_regular_triangle, sparse_from_triplets
 from platedpg import dpg
 from platedpg.driver import ExperimentConfig, experiment_levels, solve_problem
 from platedpg.errors import SPDError
-from platedpg.linalg import dense_cholesky, spd_solve
+from platedpg.linalg import spd_solve
 from platedpg.mesh import (Mesh, dyadic_shape, mesh_from_arrays, nvb_refine,
                            reference_triangle_mesh, uniform_refine,
                            unit_square_mesh)
-from platedpg.polyquad import ASSEMBLY_DEGREE, tri_rule
+from platedpg.polyquad import tri_rule
 from platedpg.problems import (SINGULAR_ALPHA, ExactSolution, MaterialLaw,
                                ProblemSpec, Singularity,
                                builtin_square_problem, builtin_zshape_problem,
@@ -28,8 +28,8 @@ from trace_oracles import element_tensor_basis
 def triangle_loads(geom, f):
     """Load rows (n, 28) of a stack of triangles, each from its own
     quadrature points and P3 value table."""
-    qpts, w = tri_rule(ASSEMBLY_DEGREE).map_to(geom.P)
-    return dpg._load(f, qpts, w, geom.scalar_basis(3).eval(qpts).values)
+    qpts, w, table = geom.volume_table
+    return dpg._load(f, qpts, w, table.values)
 
 
 def one_element(mesh, t, material=MaterialLaw(1.0, 0.0),
@@ -81,7 +81,11 @@ def test_tensor_block_against_a_dense_oracle_build(seed, log_scale, nu):
     columns, ``(1, divdiv Theta_i)`` and ``(M_j, C^{-1} Theta_i)``, equal
     a build from the oracle tensor table and ``cinv_apply`` on a
     degree-12 rule, to 1e-12 of the Cauchy-Schwarz bound of each entry,
-    on shape-regular triangles of diameter 1e-3 to 1e2."""
+    on shape-regular triangles of diameter 1e-3 to 1e2.  The oracle table
+    is rebased first: test functions 13 and 17 are ``xi eta S12 - xi^2
+    S11`` and ``eta^2 S22 - xi^2 S11``, column j of T.  (Rebasing the
+    finished oracle G instead would leave its rounding of the h^-2
+    divdiv part in the h^2 mass part of those two.)"""
     rng = np.random.default_rng(seed)
     base = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
     tri = (base + 0.15 * rng.uniform(-1, 1, size=(3, 2))) * 10.0 ** log_scale
@@ -91,14 +95,18 @@ def test_tensor_block_against_a_dense_oracle_build(seed, log_scale, nu):
     geom = ElementGeometry(mesh, 0)
     pts, w = tri_rule(12).map_to(geom.P)
     theta = element_tensor_basis(geom).eval(pts)
-    G_ref = (np.einsum("q,qiab,qjab->ij", w, theta.values, theta.values)
-             + np.einsum("q,qi,qj->ij", w, theta.divdiv, theta.divdiv))
+    T = np.eye(18)
+    T[9, [13, 17]] = -1.0
+    values = np.einsum("qiab,ij->qjab", theta.values, T)
+    divdiv = theta.divdiv @ T
+    G_ref = (np.einsum("q,qiab,qjab->ij", w, values, values)
+             + np.einsum("q,qi,qj->ij", w, divdiv, divdiv))
     # unit moments M11, M12, M22 of the trial field M
     unit_M = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]],
                        [[0.0, 0.0], [0.0, 1.0]]])
     B_ref = np.column_stack([
-        w @ theta.divdiv,
-        np.einsum("q,qiab,jab->ij", w, cinv_apply(material, theta.values),
+        w @ divdiv,
+        np.einsum("q,qiab,jab->ij", w, cinv_apply(material, values),
                   unit_M)])
     trial_sq = geom.area * np.r_[1.0, np.einsum(
         "jab,jab->j", cinv_apply(material, unit_M), cinv_apply(material,
@@ -110,13 +118,46 @@ def test_tensor_block_against_a_dense_oracle_build(seed, log_scale, nu):
                                  1e-12 * np.sqrt(np.outer(d, trial_sq)))
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), log_scale=st.floats(-8.0, 2.0))
+def test_condensation_against_50_digits_at_every_scale(seed, log_scale):
+    """On shape-regular triangles of diameter 1e-8 to 1e2 the element
+    matrices condense without SPDError, and from the same float B and G a
+    50-digit mpmath computation gives the tensor block of the Cholesky
+    factor (row i to 1e-12 of sqrt(G_ii)) and ``A_T = B^T G^{-1} B`` (to
+    1e-12 of sqrt(A_ii A_jj), against ``W^T W``)."""
+    import mpmath
+    rng = np.random.default_rng(seed)
+    base = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
+    tri = (base + 0.15 * rng.uniform(-1, 1, size=(3, 2))) * 10.0 ** log_scale
+    B, G, _ = one_element(mesh_from_arrays(tri, [(0, 1, 2)]), 0,
+                          MaterialLaw(1.0, 0.3))
+    W = dpg.condense(B[None], G[None], np.zeros((1, dpg.N_TEST)),
+                     np.arange(1))[0][0]
+    A = W.T @ W
+    L = np.linalg.cholesky(G)[10:, 10:]
+    with mpmath.workdps(50):
+        # G is block diagonal: scalar rows 0-9, then the tensor rows
+        A_mp = mpmath.zeros(dpg.N_TRIAL)
+        for rows in (slice(0, 10), slice(10, 28)):
+            L_mp = mpmath.cholesky(mpmath.matrix(G[rows, rows].tolist()))
+            X = L_mp ** -1 * mpmath.matrix(B[rows].tolist())
+            A_mp += X.T * X
+        L_mp = np.array(L_mp.tolist(), dtype=float)
+        A_mp = np.array(A_mp.tolist(), dtype=float)
+    d = np.diag(G)[10:]
+    assert np.all(np.abs(L - L_mp) <= 1e-12 * np.sqrt(d)[:, None])
+    d = np.diag(A_mp)
+    assert np.all(np.abs(A - A_mp) <= 1e-12 * np.sqrt(np.outer(d, d)))
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_gram_spd_on_random_triangles(seed):
     rng = np.random.default_rng(seed)
     tri = random_shape_regular_triangle(rng)
     mesh = mesh_from_arrays(tri, [(0, 1, 2)])
     G = one_element(mesh, 0)[1]
-    dense_cholesky(G)          # raises on failure
+    np.linalg.cholesky(G)      # raises on failure
 
 
 def test_local_b_constant_test_rows():
@@ -189,6 +230,28 @@ def test_condense_against_dense_inverse_oracle():
                                    atol=1e-12)
         np.testing.assert_allclose(W[t].T @ v[t], B[t].T @ Ginv @ load[t],
                                    atol=1e-12)
+
+
+def test_condense_stack_matches_single_and_names_the_first_failure():
+    """One Cholesky call for the whole stack gives each Gram the same bits
+    as a call for it alone; with two Grams that do not factor, the error
+    names the first and its pivot."""
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(5, 28, 28))
+    G = X @ np.swapaxes(X, 1, 2) + 28 * np.eye(28)
+    B, load = rng.normal(size=(5, 28, 22)), rng.normal(size=(5, 28))
+    W, v = dpg.condense(B, G, load, np.arange(5))
+    for c in range(5):
+        Wc, vc = dpg.condense(B[c:c + 1], G[c:c + 1], load[c:c + 1],
+                              np.arange(1))
+        np.testing.assert_array_equal(W[c], Wc[0])
+        np.testing.assert_array_equal(v[c], vc[0])
+    G[3:] = -G[3:]
+    with pytest.raises(SPDError,
+                       match=r"^matrix 3 is not SPD: pivot 0 = -") as err:
+        dpg.condense(B, G, load, np.arange(5))
+    assert err.value.index == (3,)
+    assert err.value.pivot == 0
 
 
 def test_condense_propagates_spd_failure():
@@ -504,7 +567,7 @@ def test_assemble_clamped_square_is_24x24_spd():
     dm = build_dofmap(mesh, clamped_zero_bc(mesh))
     system = dpg.assemble(mesh, dm, prob)
     assert system.A.shape == (24, 24)
-    dense_cholesky(system.A.toarray())
+    np.linalg.cholesky(system.A.toarray())
     A = system.A
     assert abs(A - A.T).max() <= 1e-12 * abs(A).max()
 
@@ -658,17 +721,18 @@ def test_corner_sweep_estimator_halves_like_the_singularity():
     (the root of the summed eta_T^2 of the corner triangles) shrinks by
     2^-alpha over two rounds.  Rounds 13 and beyond drift from that ratio
     as the global normal equations lose accuracy, so only rounds 8-12
-    are checked."""
+    are checked; every round to 19 (h_min 4.9e-4) must still factor
+    its element Grams, so none raises SPDError."""
     prob = builtin_zshape_problem()
     mesh = uniform_refine(uniform_refine(prob.initial_mesh))
     corner_etas = []
-    for k in range(13):
+    for k in range(20):
         _, est, _, ndofs = solve_problem(prob, mesh)
         assert (mesh.num_triangles, ndofs) == (80 + 5 * k, 882 + 55 * k)
         at_corner = np.nonzero(np.all(
             mesh.coords[mesh.tri_vertices] == 0.0, axis=2).any(axis=1))[0]
         corner_etas.append(np.linalg.norm(est.per_element[at_corner]))
         mesh = nvb_refine(mesh, set(at_corner.tolist()))
-    ratios = np.array(corner_etas[8:]) / np.array(corner_etas[6:11])
+    ratios = np.array(corner_etas[8:13]) / np.array(corner_etas[6:11])
     np.testing.assert_allclose(ratios, 2.0 ** -SINGULAR_ALPHA, rtol=0,
                                atol=2e-4)

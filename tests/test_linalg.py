@@ -7,47 +7,9 @@ import pytest
 from conftest import sparse_from_triplets
 from platedpg import dpg
 from platedpg.errors import SolverConvergenceError, SPDError
-from platedpg.linalg import SolveReport, dense_cholesky, spd_solve
+from platedpg.linalg import SolveReport, spd_solve
 from platedpg.problems import builtin_square_problem
 from platedpg.spaces import build_dofmap
-
-
-def test_dense_cholesky_2x2():
-    L = dense_cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
-    np.testing.assert_allclose(L, [[2.0, 0.0], [1.0, np.sqrt(2.0)]])
-
-
-def test_dense_cholesky_identity():
-    np.testing.assert_allclose(dense_cholesky(np.eye(5)), np.eye(5))
-
-
-def test_dense_cholesky_indefinite_names_pivot():
-    with pytest.raises(SPDError) as err:
-        dense_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    assert err.value.pivot == 1
-
-
-@pytest.mark.parametrize("n", [3, 11, 28])
-def test_dense_cholesky_roundtrip(n):
-    rng = np.random.default_rng(n)
-    X = rng.normal(size=(n, n))
-    A = X @ X.T + n * np.eye(n)
-    L = dense_cholesky(A)
-    assert np.abs(L @ L.T - A).max() <= 1e-12 * np.abs(A).max()
-    assert np.allclose(L, np.tril(L))
-
-
-def test_dense_cholesky_stack_matches_single_and_names_matrix():
-    rng = np.random.default_rng(7)
-    X = rng.normal(size=(5, 28, 28))
-    A = X @ np.swapaxes(X, 1, 2) + 28 * np.eye(28)
-    L = dense_cholesky(A)
-    for a, l in zip(A, L):
-        np.testing.assert_array_equal(l, dense_cholesky(a))
-    A[3] = -A[3]
-    with pytest.raises(SPDError, match="matrix 3 is not SPD: pivot 0") as err:
-        dense_cholesky(A)
-    assert err.value.pivot == 0
 
 
 def test_sparse_triplets_sum_duplicates():
