@@ -14,9 +14,8 @@ from .dpg import (ElementSystems, EstimatorField, GlobalSystem, Solution,
 from .errors import (ConfigurationError, MeshStructureError, SPDError,
                      SolverConvergenceError)
 from .linalg import SolveReport, spd_solve
-from .mesh import (Mesh, mesh_from_arrays, mesh_from_text, mesh_to_text,
-                   nvb_refine, reference_triangle_mesh, uniform_refine,
-                   unit_square_mesh, vertex_patch)
+from .mesh import (Mesh, mesh_from_arrays, mesh_to_text, nvb_refine,
+                   uniform_refine, unit_square_mesh)
 from .polyquad import (QuadRuleEdge, QuadRuleTri, ScalarBasis, edge_rule,
                        tri_rule)
 from .problems import (ExactSolution, MaterialLaw, ProblemSpec, Singularity,

@@ -41,7 +41,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .errors import SPDError
-from .mesh import Mesh, dyadic_shape
+from .mesh import dyadic_shape
 from .polyquad import ASSEMBLY_DEGREE, EDGE_POINTS, edge_rule, tri_rule
 from .problems import cinv_apply
 from .spaces import DofMap, ElementGeometry, uhat_edge_traces
@@ -307,14 +307,12 @@ def assemble(mesh, dofmap, problem):
 @dataclass
 class Solution:
     """Full trial coefficient vector with block views."""
-    mesh: Mesh
     dofmap: DofMap
     x_full: np.ndarray
 
     @property
     def u(self):
-        d = self.dofmap
-        return self.x_full[d.off_u:d.off_m]
+        return self.x_full[:self.dofmap.off_m]
 
     @property
     def M(self):

@@ -15,14 +15,14 @@ from . import dpg
 from .errors import ConfigurationError, SolverConvergenceError, SPDError
 from .linalg import SolveReport, spd_solve
 from .mesh import Mesh, mesh_to_text, nvb_refine, uniform_refine
-from .problems import builtin_problem, l2_errors
+from .problems import PROBLEMS, builtin_problem, l2_errors
 from .spaces import build_dofmap
 
 logger = logging.getLogger(__name__)
 
 @dataclass
 class ExperimentConfig:
-    problem: str                       # "square" or "zshape"
+    problem: str                       # a key of problems.PROBLEMS
     mode: str                          # "uniform" or "adaptive"
     theta: float = 0.5
     max_levels: Optional[int] = None
@@ -31,7 +31,7 @@ class ExperimentConfig:
     dump_mesh: Optional[str] = None
 
     def __post_init__(self):
-        if self.problem not in ("square", "zshape"):
+        if self.problem not in PROBLEMS:
             raise ConfigurationError(f"unknown problem {self.problem!r}")
         if self.mode not in ("uniform", "adaptive"):
             raise ConfigurationError(f"unknown mode {self.mode!r}")
@@ -91,7 +91,7 @@ def eoc(records: List[ConvergenceRecord]):
         denom = np.log(cur.ndofs / prev.ndofs)
 
         def rate(a, b):
-            if a is None or b is None or a <= 0.0 or b <= 0.0 or denom <= 0.0:
+            if a <= 0.0 or b <= 0.0 or denom <= 0.0:
                 return None
             return float(np.log(a / b) / denom)
 
@@ -112,19 +112,12 @@ def solve_problem(problem, mesh):
     y, report = spd_solve(system.A, system.rhs)
     x_full = dofmap.recover_full(system.scale * y)
     estimator = dpg.estimate(system.systems, x_full)
-    return (dpg.Solution(mesh, dofmap, x_full), estimator, report,
-            dofmap.free_dim)
+    return dpg.Solution(dofmap, x_full), estimator, report, dofmap.free_dim
 
 
 def _cell(field, value):
     return "" if value is None else format(
         value, "d" if field.type is int else ".17g")
-
-
-def _parse(field, text):
-    if field.type is int:
-        return int(text)
-    return float(text) if text else None
 
 
 def write_records_csv(records, path):
@@ -134,14 +127,6 @@ def write_records_csv(records, path):
         writer.writerow([f.name for f in columns])
         writer.writerows([_cell(f, getattr(r, f.name)) for f in columns]
                          for r in records)
-
-
-def read_records_csv(path):
-    columns = fields(ConvergenceRecord)
-    with open(path, newline="") as handle:
-        return [ConvergenceRecord(**{f.name: _parse(f, row[f.name])
-                                     for f in columns})
-                for row in csv.DictReader(handle)]
 
 
 class Level(NamedTuple):
@@ -226,8 +211,7 @@ def _build_parser():
     # so the config's own default applies
     run = sub.add_parser("run", help="run a convergence experiment",
                          argument_default=argparse.SUPPRESS)
-    run.add_argument("--problem", required=True,
-                     choices=["square", "zshape"])
+    run.add_argument("--problem", required=True, choices=list(PROBLEMS))
     run.add_argument("--mode", required=True,
                      choices=["uniform", "adaptive"])
     run.add_argument("--theta", type=float)

@@ -141,9 +141,6 @@ class Mesh:
     def num_interior_vertices(self):
         return int(np.count_nonzero(~self.vertex_on_boundary))
 
-    def interior_vertices(self):
-        return np.nonzero(~self.vertex_on_boundary)[0]
-
     def boundary_vertices(self):
         return np.nonzero(self.vertex_on_boundary)[0]
 
@@ -290,12 +287,6 @@ def uniform_refine(mesh):
     return nvb_refine(once, range(once.num_triangles))
 
 
-def vertex_patch(mesh, vertex):
-    """Ids of all triangles whose closure contains the given vertex."""
-    return set(np.nonzero((mesh.tri_vertices == vertex).any(axis=1))[0]
-               .tolist())
-
-
 def mesh_to_text(mesh):
     """Plain-text dump: counts header, one vertex per line
     ``x y boundary_flag``, one triangle per line
@@ -308,32 +299,9 @@ def mesh_to_text(mesh):
     return "\n".join(lines) + "\n"
 
 
-def mesh_from_text(text):
-    """Rebuild a mesh from :func:`mesh_to_text` output.
-
-    Generations are not part of the format and restart at zero.
-    """
-    rows = [r for r in text.strip().splitlines() if r.strip()]
-    n_vert, n_edge, n_tri = (int(x) for x in rows[0].split())
-    coords = np.array([[float(x) for x in r.split()[:2]]
-                       for r in rows[1:1 + n_vert]])
-    body = [r.split() for r in rows[1 + n_vert:1 + n_vert + n_tri]]
-    tris = np.array([[int(r[0]), int(r[1]), int(r[2])] for r in body])
-    ref = np.array([int(r[3]) for r in body])
-    mesh = Mesh(coords, tris, ref, np.zeros(n_tri, dtype=np.int64))
-    if mesh.num_edges != n_edge:
-        raise MeshStructureError(
-            f"edge count mismatch in mesh dump: header says {n_edge}, "
-            f"rebuilt mesh has {mesh.num_edges}")
-    return mesh
-
-
 def unit_square_mesh():
     """The two-triangle unit square used by the smooth benchmark."""
     return mesh_from_arrays(
         [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)],
         [(0, 1, 2), (0, 2, 3)])
 
-
-def reference_triangle_mesh():
-    return mesh_from_arrays([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)])

@@ -260,12 +260,15 @@ def builtin_zshape_problem():
         exact=exact)
 
 
+# the built-in problems by name: the CLI's --problem choices
+PROBLEMS = {"square": builtin_square_problem,
+            "zshape": builtin_zshape_problem}
+
+
 def builtin_problem(name):
-    if name == "square":
-        return builtin_square_problem()
-    if name == "zshape":
-        return builtin_zshape_problem()
-    raise ConfigurationError(f"unknown problem {name!r}")
+    if name not in PROBLEMS:
+        raise ConfigurationError(f"unknown problem {name!r}")
+    return PROBLEMS[name]()
 
 
 # ---------------------------------------------------------------------------

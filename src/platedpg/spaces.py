@@ -213,7 +213,6 @@ class DofMap:
     ``x_full = R x_free + x_prescribed`` that enforces essential boundary
     conditions and the interior-vertex patch-sum constraints."""
     mesh: Mesh
-    off_u: int
     off_m: int
     off_uhat: int
     off_alpha: int
@@ -226,18 +225,6 @@ class DofMap:
     n_uhat_free: int
     n_qhat_free: int
 
-    def iuhat(self, v, c):
-        return self.off_uhat + 3 * v + c
-
-    def ialpha(self, e):
-        return self.off_alpha + e
-
-    def ibeta(self, e):
-        return self.off_beta + e
-
-    def igamma(self, t, c):
-        return self.off_gamma + 3 * t + c
-
     def element_scatter(self, t):
         """Full-vector indices of the 22 local trial DOFs of triangle t in
         the fixed local order: u, (M11, M12, M22), per-vertex uhat
@@ -249,7 +236,7 @@ class DofMap:
         e = self.mesh.tri_edges[t]
         qhat = np.stack([self.off_alpha + e, self.off_beta + e], axis=-1)
         t = t[..., None]
-        return np.concatenate([self.off_u + t, self.off_m + 3 * t + c,
+        return np.concatenate([t, self.off_m + 3 * t + c,
                                uhat.reshape(t.shape[:-1] + (9,)),
                                qhat.reshape(t.shape[:-1] + (6,)),
                                self.off_gamma + 3 * t + c], axis=-1)
@@ -321,7 +308,6 @@ def build_dofmap(mesh, bc: Optional[BCSpec] = None) -> DofMap:
     """
     bc = bc or BCSpec()
     nT, nN, nE = mesh.num_triangles, mesh.num_vertices, mesh.num_edges
-    off_u = 0
     off_m = nT
     off_uhat = 4 * nT
     off_alpha = off_uhat + 3 * nN
@@ -362,7 +348,7 @@ def build_dofmap(mesh, bc: Optional[BCSpec] = None) -> DofMap:
     free_dim = col0 + n_gamma_free
     R = sp.csr_matrix((vals, (rows, cols)), shape=(full_dim, free_dim))
 
-    return DofMap(mesh=mesh, off_u=off_u, off_m=off_m, off_uhat=off_uhat,
+    return DofMap(mesh=mesh, off_m=off_m, off_uhat=off_uhat,
                   off_alpha=off_alpha, off_beta=off_beta, off_gamma=off_gamma,
                   full_dim=full_dim, free_dim=free_dim, R=R, x_prescribed=x_p,
                   n_uhat_free=n_uhat_free,

@@ -81,9 +81,10 @@ def constraint_residuals(bc, dofmap, x):
     """``coeffs . block - value`` of every vertex and edge constraint of
     ``bc`` on the full vector ``x``."""
     index, coeffs, value = bc.vertex
-    vertex = x[dofmap.iuhat(index[:, None], np.arange(3))]
+    vertex = x[dofmap.off_uhat + 3 * index[:, None] + np.arange(3)]
     out = [np.sum(coeffs * vertex, axis=1) - value]
     index, coeffs, value = bc.edge
-    edge = x[np.stack([dofmap.ialpha(index), dofmap.ibeta(index)], axis=1)]
+    edge = x[np.stack([dofmap.off_alpha + index, dofmap.off_beta + index],
+                      axis=1)]
     out.append(np.sum(coeffs * edge, axis=1) - value)
     return np.concatenate(out)

@@ -1,5 +1,6 @@
-"""Shared manufactured fields, a mesh shape measure, the element-mean
-projection and triplet assembly oracles and acceptance reporting hooks."""
+"""Shared manufactured fields, the reference triangle and vertex patches,
+a mesh shape measure, the element-mean projection and triplet assembly
+oracles and acceptance reporting hooks."""
 
 import os
 import sys
@@ -17,6 +18,7 @@ if "numpy" in sys.modules:
 import numpy as np  # noqa: E402
 import scipy.sparse as sp  # noqa: E402
 
+from platedpg.mesh import mesh_from_arrays  # noqa: E402
 from platedpg.polyquad import ASSEMBLY_DEGREE, tri_rule  # noqa: E402
 
 ACCEPTANCE_LINES = []
@@ -88,6 +90,16 @@ def smooth_tensor(p):
 
 def smooth_tensor_div(p):
     return np.stack([3 * p[:, 0], -p[:, 1]], axis=1)
+
+
+def reference_triangle_mesh():
+    return mesh_from_arrays([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)])
+
+
+def vertex_patch(mesh, vertex):
+    """Ids of all triangles whose closure contains the given vertex."""
+    return set(np.nonzero((mesh.tri_vertices == vertex).any(axis=1))[0]
+               .tolist())
 
 
 def random_shape_regular_triangle(rng):

@@ -7,15 +7,15 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import random_shape_regular_triangle, sparse_from_triplets
+from conftest import (random_shape_regular_triangle, reference_triangle_mesh,
+                      sparse_from_triplets)
 
 from platedpg import dpg
 from platedpg.driver import ExperimentConfig, experiment_levels, solve_problem
 from platedpg.errors import SPDError
 from platedpg.linalg import spd_solve
 from platedpg.mesh import (Mesh, dyadic_shape, mesh_from_arrays, nvb_refine,
-                           reference_triangle_mesh, uniform_refine,
-                           unit_square_mesh)
+                           uniform_refine, unit_square_mesh)
 from platedpg.polyquad import tri_rule
 from platedpg.problems import (SINGULAR_ALPHA, ExactSolution, MaterialLaw,
                                ProblemSpec, Singularity,

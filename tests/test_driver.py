@@ -1,4 +1,5 @@
-from dataclasses import replace
+import csv
+from dataclasses import fields, replace
 import logging
 import os
 import subprocess
@@ -11,11 +12,21 @@ import pytest
 
 import platedpg
 from platedpg.driver import (ConvergenceRecord, ExperimentConfig, dorfler_mark,
-                             eoc, experiment_levels, main, read_records_csv,
-                             run_experiment, solve_problem, write_records_csv)
+                             eoc, experiment_levels, main, run_experiment,
+                             solve_problem, write_records_csv)
 from platedpg.errors import ConfigurationError
-from platedpg.mesh import mesh_from_text
+from platedpg.mesh import mesh_to_text
 from platedpg.problems import builtin_square_problem
+
+
+def parse_csv(path):
+    """The records of a CSV written by ``write_records_csv``; an empty
+    cell reads as None."""
+    ints = {f.name for f in fields(ConvergenceRecord) if f.type is int}
+    with open(path, newline="") as handle:
+        return [ConvergenceRecord(**{
+            name: int(text) if name in ints else float(text) if text else None
+            for name, text in row.items()}) for row in csv.DictReader(handle)]
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +130,7 @@ def test_csv_roundtrip_bit_exact(tmp_path):
             eoc_M=None if level == 0 else float(rng.normal())))
     path = tmp_path / "records.csv"
     write_records_csv(records, path)
-    back = read_records_csv(path)
+    back = parse_csv(path)
     assert back == records
 
 
@@ -166,12 +177,13 @@ def test_run_experiment_square_smoke(tmp_path):
     ndofs = [r.ndofs for r in records]
     assert ndofs == sorted(ndofs) and len(set(ndofs)) == 3
     assert records[1].eoc_eta is not None
-    back = read_records_csv(out)
+    back = parse_csv(out)
     assert back == records
-    m0 = mesh_from_text((tmp_path / "mesh000.txt").read_text())
-    assert m0.num_triangles == 2
-    m2 = mesh_from_text((tmp_path / "mesh002.txt").read_text())
-    assert m2.num_triangles == 32
+    meshes = [level.mesh for level in experiment_levels(cfg)]
+    assert [m.num_triangles for m in meshes] == [2, 8, 32]
+    for i, m in enumerate(meshes):
+        assert (tmp_path / f"mesh{i:03d}.txt").read_text() == mesh_to_text(m)
+    assert not (tmp_path / "mesh003.txt").exists()
 
 
 def test_run_experiment_adaptive_smoke(tmp_path):
@@ -279,7 +291,7 @@ def test_cli_run(tmp_path, capsys):
                  "--levels", "2", "--out", str(out)])
     assert code == 0
     assert out.exists()
-    assert len(read_records_csv(out)) == 2
+    assert len(parse_csv(out)) == 2
 
 
 def _python_m(module, out):
@@ -406,7 +418,7 @@ def test_solver_failure_flushes_partial_records(tmp_path, monkeypatch):
     code = main(["run", "--problem", "square", "--mode", "uniform",
                  "--levels", "4", "--out", str(out)])
     assert code == 3
-    assert len(read_records_csv(out)) == 1
+    assert len(parse_csv(out)) == 1
 
 
 def test_spd_failure_flushes_partial_records(tmp_path, monkeypatch,
@@ -431,5 +443,5 @@ def test_spd_failure_flushes_partial_records(tmp_path, monkeypatch,
     code = main(["run", "--problem", "square", "--mode", "uniform",
                  "--levels", "4", "--out", str(out)])
     assert code == 3
-    assert len(read_records_csv(out)) == 1
+    assert len(parse_csv(out)) == 1
     assert "element Gram matrix" in capsys.readouterr().err

@@ -1,13 +1,14 @@
 import hashlib
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
-from conftest import shape_ratio
+from conftest import reference_triangle_mesh, shape_ratio, vertex_patch
 
 from platedpg.errors import MeshStructureError
-from platedpg.mesh import (edge_frame, mesh_from_arrays, mesh_from_text,
-                           mesh_to_text, nvb_refine, reference_triangle_mesh,
-                           uniform_refine, unit_square_mesh, vertex_patch)
+from platedpg.mesh import (edge_frame, mesh_from_arrays, mesh_to_text,
+                           nvb_refine, uniform_refine, unit_square_mesh)
+from platedpg.problems import zshape_mesh
 from platedpg.spaces import ElementGeometry
 
 
@@ -24,7 +25,6 @@ def test_reference_triangle_counts():
 
 
 def test_zshape_euler():
-    from platedpg.problems import zshape_mesh
     m = zshape_mesh()
     assert m.num_vertices - m.num_edges + m.num_triangles == 1
     assert m.num_triangles == 5
@@ -157,20 +157,9 @@ def test_random_adaptive_refinement_invariants():
     assert not _has_hanging_vertex(m)
 
 
-def test_vertex_patch():
-    m = unit_square_mesh()
-    assert vertex_patch(m, 0) == {0, 1}
-    assert vertex_patch(m, 1) == {0}
-    m2 = uniform_refine(m)
-    for v in range(m2.num_vertices):
-        brute = {t for t in range(m2.num_triangles)
-                 if v in m2.tri_vertices[t]}
-        assert vertex_patch(m2, v) == brute
-
-
 def test_interior_patch_is_closed_fan():
     m = uniform_refine(unit_square_mesh())
-    for v in m.interior_vertices():
+    for v in np.flatnonzero(~m.vertex_on_boundary):
         patch = vertex_patch(m, v)
         # every edge at v is shared by exactly two patch triangles
         edges_at_v = [e for e in range(m.num_edges)
@@ -180,21 +169,45 @@ def test_interior_patch_is_closed_fan():
             assert len(adj & patch) == 2
 
 
-def test_text_dump_roundtrip():
-    m = nvb_refine(uniform_refine(unit_square_mesh()), {0, 3})
-    text = mesh_to_text(m)
-    m2 = mesh_from_text(text)
-    np.testing.assert_array_equal(m.tri_vertices, m2.tri_vertices)
-    np.testing.assert_array_equal(m.refinement_edge, m2.refinement_edge)
-    np.testing.assert_array_equal(m.coords, m2.coords)
-    np.testing.assert_array_equal(m.vertex_on_boundary, m2.vertex_on_boundary)
-    assert mesh_to_text(m2) == text
-
-
 def test_dump_header_counts():
     m = unit_square_mesh()
     header = mesh_to_text(m).splitlines()[0]
     assert header == "4 5 2"
+
+
+@settings(max_examples=30, deadline=None)
+@given(initial=st.sampled_from([unit_square_mesh, zshape_mesh]),
+       rounds=st.integers(0, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_dump_writes_every_vertex_and_triangle_exactly(initial, rounds, seed):
+    """The dump of an NVB mesh, refined from a randomly turned, scaled and
+    shifted initial mesh (so that coordinates need all 17 digits), holds
+    the counts, every coordinate bit for bit with its boundary flag, and
+    every triangle with its refinement edge."""
+    rng = np.random.default_rng(seed)
+    m = initial()
+    angle = rng.uniform(0, 2 * np.pi)
+    c, s = np.cos(angle), np.sin(angle)
+    turned = m.coords @ np.array([[c, s], [-s, c]]) * rng.uniform(0.1, 10.0)
+    m = mesh_from_arrays(turned + rng.uniform(-5, 5, 2), m.tri_vertices)
+    for _ in range(rounds):
+        n = m.num_triangles
+        m = nvb_refine(m, rng.choice(n, size=rng.integers(1, n + 1),
+                                     replace=False))
+    lines = mesh_to_text(m).splitlines()
+    n_vert, n_tri = m.num_vertices, m.num_triangles
+    assert len(lines) == 1 + n_vert + n_tri
+    assert [int(x) for x in lines[0].split()] == [n_vert, m.num_edges, n_tri]
+    vertices = [line.split() for line in lines[1:1 + n_vert]]
+    assert all(len(v) == 3 for v in vertices)
+    coords = np.array([[float(x), float(y)] for x, y, _ in vertices])
+    np.testing.assert_array_equal(coords.view(np.int64),
+                                  m.coords.view(np.int64))
+    np.testing.assert_array_equal([int(f) for _, _, f in vertices],
+                                  m.vertex_on_boundary.astype(int))
+    triangles = [[int(x) for x in line.split()]
+                 for line in lines[1 + n_vert:]]
+    np.testing.assert_array_equal(
+        triangles, np.column_stack([m.tri_vertices, m.refinement_edge]))
 
 
 def test_refinement_edge_seeding_longest_edge():
@@ -274,7 +287,6 @@ def test_nvb_triangle_and_vertex_order_pinned(uniform, rounds, counts,
     triangle ids, so reordering children or new vertices changes its
     meshes.  The deeper case grows to thousands of triangles, where
     closure chains run long."""
-    from platedpg.problems import zshape_mesh
     rng = np.random.default_rng(0)
     m = zshape_mesh()
     for _ in range(uniform):
