@@ -275,11 +275,48 @@ def _class_block_csr(blocks, cls, scatter, n):
     return A
 
 
+def _insert_zeros(M, rows, cols):
+    """Store explicit zeros in canonical CSR ``M`` at positions it does not
+    hold, listed by row, then column; M stays canonical."""
+    ptr = M.indptr
+    pos = np.array([ptr[r] + np.searchsorted(M.indices[ptr[r]:ptr[r + 1]], c)
+                    for r, c in zip(rows, cols)], dtype=np.intp)
+    M.indices = np.insert(M.indices, pos, cols)
+    M.data = np.insert(M.data, pos, 0.0)
+    M.indptr = ptr + np.searchsorted(rows, np.arange(len(ptr))).astype(
+        ptr.dtype)
+
+
+def _symmetrize(A):
+    """Replace canonical CSR ``A`` by ``0.5 * (A + A.T)`` in place, to the
+    bit and to the stored entry: each sum is formed on the union of the
+    two patterns, its exact zeros are dropped, then it is halved (a half
+    that underflows stays stored).  Besides A it holds only A.T and, when
+    the two patterns differ, their int8 difference."""
+    AT = A.T.tocsr()
+    if not (np.array_equal(A.indptr, AT.indptr)
+            and np.array_equal(A.indices, AT.indices)):
+        ones = [sp.csr_matrix((np.ones(M.nnz, np.int8), M.indices, M.indptr),
+                              shape=M.shape) for M in (A, AT)]
+        only = (ones[0] - ones[1]).tocoo()   # 1: only A holds it, -1: A.T
+        del ones
+        in_A = only.data > 0
+        _insert_zeros(A, only.row[~in_A], only.col[~in_A])
+        _insert_zeros(AT, only.row[in_A], only.col[in_A])
+    A.data += AT.data
+    del AT
+    A.eliminate_zeros()
+    A.data *= 0.5
+
+
 def assemble(mesh, dofmap, problem):
     """Build the element systems of the mesh and assemble the condensed SPD
     system on the free DOFs; the right-hand side carries the essential-BC
     shift ``-A x_prescribed``.  No per-triangle copy of class data is
-    held: ``W^T W`` is scattered per class, ``W^T v`` formed by chunks."""
+    held: ``W^T W`` is scattered per class, ``W^T v`` formed by chunks.
+    The peak is the product ``R^T A_full``, formed while ``A_full`` is
+    alive; ``A_full`` is freed before the product with R, and A is then
+    scaled and symmetrized in place."""
     systems = build_element_systems(mesh, dofmap, problem.material,
                                     problem.f)
     W, v, idx, cls = systems.W, systems.v, systems.scatter, systems.cls
@@ -291,16 +328,17 @@ def assemble(mesh, dofmap, problem):
     b_full = np.bincount(idx.ravel(), weights=b_T.ravel(),
                          minlength=dofmap.full_dim)
     RT = dofmap.R.T.tocsr()        # CSR @ CSR: A_full is not converted
-    A = RT @ A_full @ dofmap.R
-    A.sort_indices()               # so that A + A.T below is canonical
     rhs = RT @ (b_full - A_full @ dofmap.x_prescribed)
+    A = RT @ A_full
     del A_full
+    A = A @ dofmap.R
+    A.sort_indices()               # _symmetrize needs canonical CSR
     diag = A.diagonal()
     scale = np.where(diag > 0.0, 1.0 / np.sqrt(np.maximum(diag, 1e-300)), 1.0)
     # D A D in place, entry by entry (a_ij d_i) d_j
     A.data *= np.repeat(scale, np.diff(A.indptr))
     A.data *= scale[A.indices]
-    A = 0.5 * (A + A.T)
+    _symmetrize(A)
     return GlobalSystem(A=A, rhs=scale * rhs, systems=systems, scale=scale)
 
 

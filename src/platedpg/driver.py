@@ -70,8 +70,8 @@ def dorfler_mark(etas, theta):
     if not 0.0 < theta < 1.0:
         raise ConfigurationError(f"theta = {theta} outside (0, 1)")
     etas = np.asarray(etas, dtype=float)
-    if np.any(etas < 0.0):
-        raise ConfigurationError("negative estimator values")
+    if not np.all((0.0 <= etas) & (etas < np.inf)):
+        raise ConfigurationError("negative or non-finite estimator values")
     order = np.argsort(-etas, kind="stable")
     # an exact power-of-two scale keeps the squares from under- or
     # overflowing and leaves every comparison below as it was

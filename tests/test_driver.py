@@ -85,6 +85,16 @@ def test_dorfler_tiny_and_huge_estimators(etas, marked):
         assert dorfler_mark(etas, 0.5) == marked
 
 
+@pytest.mark.parametrize("etas", [[-1.0, 2.0], [np.nan, 1.0, 2.0],
+                                  [1.0, np.nan], [np.inf, 1.0]])
+def test_dorfler_rejects_negative_and_non_finite_estimators(etas):
+    """A NaN or infinite eta would mark an arbitrary set ({0, 1, 2},
+    {0, 1} and {0} for the last three), so it is refused like a negative
+    one."""
+    with pytest.raises(ConfigurationError, match="estimator values"):
+        dorfler_mark(etas, 0.5)
+
+
 def test_dorfler_theta_validation():
     with pytest.raises(ConfigurationError):
         dorfler_mark([1.0], 0.0)
