@@ -12,11 +12,11 @@ part, to nothing once h^4 nears the rounding unit.  The rebased two have
 divdiv exactly 0.0, as REBASE acts on the divdiv table before it is
 integrated (and on the mass part and B), never on the finished G.  Both
 skeleton pairings read one P3 table at the edge points and corners.
-The local trial-to-test matrix B is 28 x 22 with trial columns in the
-fixed order
+The local trial-to-test matrix B is 28 x 22; its trial columns are
+written through the slots of :mod:`~platedpg.spaces`
 
-    u | M11 M12 M22 | uhat (3 per CCW vertex) | per edge (alpha, beta) |
-    gamma (per CCW vertex)
+    U | M (M11 M12 M22) | UHAT (3 per CCW vertex) |
+    ALPHA, BETA (per edge) | GAMMA (per CCW vertex)
 
 The Gram matrix G of the broken test norm is block diagonal.
 :func:`element_matrices` stacks B (n, 28, 22) and G (n, 28, 28) of n
@@ -44,12 +44,12 @@ from .errors import SPDError
 from .mesh import dyadic_shape
 from .polyquad import ASSEMBLY_DEGREE, EDGE_POINTS, edge_rule, tri_rule
 from .problems import cinv_apply
-from .spaces import DofMap, ElementGeometry, uhat_edge_traces
+from .spaces import (ALPHA, BETA, GAMMA, M, N_TRIAL, U, UHAT, DofMap,
+                     ElementGeometry, uhat_edge_traces)
 
 N_SCALAR = 10
 N_TENSOR = 18
 N_TEST = N_SCALAR + N_TENSOR
-N_TRIAL = 22
 CHUNK = 256        # triangles per gather of class data
 
 # symmetric slot tensors, ordered like the moment unknowns (M11, M12, M22)
@@ -100,15 +100,15 @@ def _volume_terms(geom, material, B, G):
 
     # scalar test rows: moment columns (M_j, Hess z_i)_T
     hints = np.einsum("tq,tqiab->tiab", w, hess)
-    B[:, :N_SCALAR, 1:4] = np.einsum("tiab,kab->tik", hints, SLOTS)
+    B[:, :N_SCALAR, M] = np.einsum("tiab,kab->tik", hints, SLOTS)
 
     # tensor test rows: u column (1, divdiv Theta_i)_T
-    B[:, N_SCALAR:, 0] = np.einsum("tq,tqi->ti", w, divdiv)
+    B[:, N_SCALAR:, U] = np.einsum("tq,tqi->ti", w, divdiv)
 
     # tensor test rows: moment columns (M_j, C^{-1} Theta_i)_T; C^{-1} is
     # linear, so it acts on the slots of the integrated phi_a
     cinv_slots = np.einsum("kab,lab->kl", cinv_apply(material, SLOTS), SLOTS)
-    B[:, N_SCALAR:, 1:4] = REBASE.T @ np.einsum(
+    B[:, N_SCALAR:, M] = REBASE.T @ np.einsum(
         "tqa,tq,kl->takl", phi, w, cinv_slots).reshape(n, N_TENSOR, 3)
 
 
@@ -133,14 +133,14 @@ def _skeleton_terms(geom, B):
     egrads = table.gradients[:, :3 * ne].reshape(n, 3, ne, N_SCALAR, 2)
     # scalar test rows: qhat columns through the skeleton duality
     s = geom.sign[:, None, :]
-    B[:, :N_SCALAR, 13:19:2] = s * np.einsum("e,tkei->tik", rule.weights,
-                                             evals)
-    B[:, :N_SCALAR, 14:19:2] = -s * np.einsum("e,tkeid,tkd->tik",
-                                              rule.weights, egrads, geom.nrm)
-    B[:, :N_SCALAR, 19:22] = -np.swapaxes(table.values[:, 3 * ne:], 1, 2)
+    B[:, :N_SCALAR, ALPHA] = s * np.einsum("e,tkei->tik", rule.weights,
+                                           evals)
+    B[:, :N_SCALAR, BETA] = -s * np.einsum("e,tkeid,tkd->tik",
+                                           rule.weights, egrads, geom.nrm)
+    B[:, :N_SCALAR, GAMMA] = -np.swapaxes(table.values[:, 3 * ne:], 1, 2)
 
     # tensor test rows: uhat columns, -<uhat, Theta>, from the P2 part
-    B[:, N_SCALAR:, 4:13] = -REBASE.T @ uhat_pair_matrix(
+    B[:, N_SCALAR:, UHAT] = -REBASE.T @ uhat_pair_matrix(
         geom, evals[..., :6], egrads[..., :6, :])
 
 

@@ -168,7 +168,10 @@ def mesh_from_arrays(vertex_coords, triangle_vertex_triples):
     broken by the smallest opposite-vertex id.
     """
     coords = np.ascontiguousarray(vertex_coords, dtype=float)
-    tris = np.ascontiguousarray(triangle_vertex_triples, dtype=np.int64)
+    tris = np.asarray(triangle_vertex_triples)
+    if tris.dtype.kind not in "iu":     # not float or bool
+        raise MeshStructureError("triangle vertex ids must be integers")
+    tris = np.ascontiguousarray(tris, dtype=np.int64)
     if coords.ndim != 2 or coords.shape[1] != 2:
         raise MeshStructureError("vertex_coords must have shape (n, 2)")
     if tris.ndim != 2 or tris.shape[1] != 3:

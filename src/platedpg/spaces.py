@@ -33,6 +33,19 @@ from .mesh import Mesh, edge_frame
 from .polyquad import ASSEMBLY_DEGREE, ScalarBasis, tri_rule
 
 
+# slots of the N_TRIAL local trial unknowns of a triangle, in the columns
+# of its matrix B and in DofMap.element_scatter: u | M11 M12 M22 | uhat
+# (value, d/dx, d/dy per counterclockwise vertex) | (alpha, beta) per local
+# edge | gamma per counterclockwise vertex
+N_TRIAL = 22
+U = 0
+M = slice(1, 4)
+UHAT = slice(4, 13)
+ALPHA = slice(13, 19, 2)
+BETA = slice(14, 19, 2)
+GAMMA = slice(19, 22)
+
+
 # ---------------------------------------------------------------------------
 # element-local frame
 # ---------------------------------------------------------------------------
@@ -44,8 +57,7 @@ class ElementGeometry:
     attribute gains a leading element axis."""
 
     def __init__(self, mesh: Mesh, t):
-        self.vids = mesh.tri_vertices[t]
-        self.P = mesh.coords[self.vids]
+        self.P = mesh.coords[mesh.tri_vertices[t]]
         self.area = mesh.tri_area[t]
         self.centroid = self.P.mean(axis=-2)
         self.sign = mesh.edge_sign[t].astype(float)   # s_{T,E}
@@ -79,63 +91,32 @@ class ElementGeometry:
 # Hermite edge traces
 # ---------------------------------------------------------------------------
 
-def _hermite(s):
-    """Cubic Hermite shape functions and derivatives on [0, 1]."""
-    s = np.asarray(s)
-    h = np.stack([2 * s**3 - 3 * s**2 + 1,
-                  s**3 - 2 * s**2 + s,
-                  -2 * s**3 + 3 * s**2,
-                  s**3 - s**2], axis=-1)
-    dh = np.stack([6 * s**2 - 6 * s,
-                   3 * s**2 - 4 * s + 1,
-                   -6 * s**2 + 6 * s,
-                   3 * s**2 - 2 * s], axis=-1)
-    return h, dh
-
-
-def uhat_edge_data(geom: ElementGeometry, k: int):
-    """Maps from the 9 local uhat DOFs to the edge-trace data of local
-    edge k.
-
-    Returns a (..., 6, 9) matrix picking (z_lo, dz_lo, z_hi, dz_hi, gn_lo,
-    gn_hi): endpoint values, endpoint tangential derivatives with respect
-    to the arc parameter, and endpoint normal derivatives along the
-    canonical normal.  Local uhat DOF order: per counterclockwise vertex
-    (value, d/dx, d/dy).
-    """
-    lo = (np.arange(3) == geom.lo_local[..., k, None])[..., None]
-    hi = (np.arange(3) == geom.hi_local[..., k, None])[..., None]
-    Ltau = (geom.length[..., k, None] * geom.tau[..., k, :])[..., None, :]
-    nrm = geom.nrm[..., k, None, :]
-    D = np.zeros(lo.shape[:-2] + (6, 3, 3))     # (row, vertex, component)
-    D[..., 0, :, :1] = lo
-    D[..., 1, :, 1:] = lo * Ltau
-    D[..., 2, :, :1] = hi
-    D[..., 3, :, 1:] = hi * Ltau
-    D[..., 4, :, 1:] = lo * nrm
-    D[..., 5, :, 1:] = hi * nrm
-    return D.reshape(D.shape[:-2] + (9,))
-
-
 def uhat_edge_traces(geom: ElementGeometry, k: int, s):
-    """Edge traces of the 9 local uhat unit DOFs on local edge k at
-    canonical parameters s: values (..., len(s), 9) of the Hermite cubic
-    and gradients (..., len(s), 2, 9) from its arc derivative and the
-    linear interpolant of the endpoint normal derivatives."""
-    h, dh = _hermite(s)
-    zero2 = np.zeros((len(s), 2))
-    # value, arc derivative and normal derivative of the edge trace as
-    # combinations of the six edge data of uhat_edge_data
-    pick_z = np.concatenate([h, zero2], axis=1)
-    pick_dz = np.concatenate([dh, zero2], axis=1)
-    pick_gn = np.concatenate([np.zeros((len(s), 4)),
-                              np.stack([1.0 - s, s], axis=1)], axis=1)
-    D = uhat_edge_data(geom, k)
-    grad = ((pick_dz @ D)[..., None, :]
-            / geom.length[..., k, None, None, None]
-            * geom.tau[..., k, None, :, None]
-            + (pick_gn @ D)[..., None, :] * geom.nrm[..., k, None, :, None])
-    return pick_z @ D, grad
+    """Edge traces of the 9 local uhat unit DOFs (value, d/dx, d/dy per
+    counterclockwise vertex) on local edge k at canonical parameters s:
+    values (..., len(s), 9) and gradients (..., len(s), 2, 9).  At each
+    canonical end the value DOF gets the Hermite value function, the
+    gradient DOFs the Hermite slope function times ``L tau``; the
+    gradient is the arc derivative along tau plus the normal derivative,
+    interpolated linearly between the ends."""
+    s = np.asarray(s)[:, None]
+    L = geom.length[..., k, None, None]
+    tau, nrm = geom.tau[..., k, None, :], geom.nrm[..., k, None, :]
+    z, dz, gn = np.zeros((3,) + L.shape[:-2] + (len(s), 3, 3))
+    for end, value, slope, d_value, d_slope, weight in (
+            (geom.lo_local, 2 * s**3 - 3 * s**2 + 1, s**3 - 2 * s**2 + s,
+             6 * s**2 - 6 * s, 3 * s**2 - 4 * s + 1, 1.0 - s),
+            (geom.hi_local, -2 * s**3 + 3 * s**2, s**3 - s**2,
+             -6 * s**2 + 6 * s, 3 * s**2 - 2 * s, s)):
+        at = (np.arange(3) == end[..., k, None, None])[..., None]
+        z[..., 0] += at[..., 0] * value
+        dz[..., 0] += at[..., 0] * d_value
+        z[..., 1:] += at * (slope * (L * tau))[..., None, :]
+        dz[..., 1:] += at * (d_slope * (L * tau))[..., None, :]
+        gn[..., 1:] += at * (weight * nrm)[..., None, :]
+    z, dz, gn = (a.reshape(a.shape[:-2] + (9,)) for a in (z, dz, gn))
+    return z, (dz[..., None, :] / L[..., None] * tau[..., None]
+               + gn[..., None, :] * nrm[..., None])
 
 
 # ---------------------------------------------------------------------------
@@ -226,20 +207,21 @@ class DofMap:
     n_qhat_free: int
 
     def element_scatter(self, t):
-        """Full-vector indices of the 22 local trial DOFs of triangle t in
-        the fixed local order: u, (M11, M12, M22), per-vertex uhat
-        triples, per-edge (alpha, beta), per-vertex gamma.  An index array
-        t gives one row per triangle."""
+        """Full-vector indices of the local trial DOFs of triangle t, in
+        the slots :data:`U`, :data:`M`, :data:`UHAT`, :data:`ALPHA`,
+        :data:`BETA` and :data:`GAMMA`.  An index array t gives one row
+        per triangle."""
         t = np.asarray(t, dtype=np.int64)
-        c = np.arange(3)
+        c, e = np.arange(3), self.mesh.tri_edges[t]
+        out = np.empty(t.shape + (N_TRIAL,), dtype=np.int64)
+        out[..., U] = t
+        out[..., M] = self.off_m + 3 * t[..., None] + c
         uhat = self.off_uhat + 3 * self.mesh.tri_vertices[t][..., None] + c
-        e = self.mesh.tri_edges[t]
-        qhat = np.stack([self.off_alpha + e, self.off_beta + e], axis=-1)
-        t = t[..., None]
-        return np.concatenate([t, self.off_m + 3 * t + c,
-                               uhat.reshape(t.shape[:-1] + (9,)),
-                               qhat.reshape(t.shape[:-1] + (6,)),
-                               self.off_gamma + 3 * t + c], axis=-1)
+        out[..., UHAT] = uhat.reshape(t.shape + (9,))
+        out[..., ALPHA] = self.off_alpha + e
+        out[..., BETA] = self.off_beta + e
+        out[..., GAMMA] = self.off_gamma + 3 * t[..., None] + c
+        return out
 
     def recover_full(self, x_free):
         return self.R @ x_free + self.x_prescribed
@@ -260,7 +242,17 @@ def _reduce_blocks(rows, constraints, kind, col0):
     for the lowest such block id.
     """
     n, width = rows.shape
-    index, C, d = constraints
+    index, C, d = (np.asarray(a) for a in constraints)
+    if index.dtype.kind not in "iu":     # not float or bool
+        raise ConfigurationError(f"{kind} constraint index is not integer")
+    if C.ndim != 2 or C.shape[1] != width:
+        raise ConfigurationError(f"{kind} constraint coeffs have shape "
+                                 f"{C.shape}, not (k, {width})")
+    if not index.ndim == d.ndim == 1 or not len(index) == len(C) == len(d):
+        raise ConfigurationError(f"{kind} constraint index, coeffs and "
+                                 f"value differ in length")
+    if not (np.isfinite(C).all() and np.isfinite(d).all()):
+        raise ConfigurationError(f"{kind} constraints are not finite")
     bad = index[(index < 0) | (index >= n)]
     if bad.size:
         raise ConfigurationError(

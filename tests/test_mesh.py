@@ -41,6 +41,22 @@ def test_invalid_vertex_reference():
         mesh_from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 7)])
 
 
+@pytest.mark.parametrize("tris", [[(0, 1, 2.7)], np.array([[0.0, 1.0, 2.0]]),
+                                  np.array([[True, False, True]])],
+                         ids=["float-tuple", "float-array", "bool-array"])
+def test_non_integer_vertex_ids_rejected(tris):
+    with pytest.raises(MeshStructureError, match="integers"):
+        mesh_from_arrays([(0, 0), (1, 0), (0, 1)], tris)
+
+
+@pytest.mark.parametrize("tris", [[(0, 1, 2)], np.array([[0, 1, 2]]),
+                                  np.array([[0, 1, 2]], dtype=np.uint8)],
+                         ids=["int-tuple", "int64-array", "uint8-array"])
+def test_integer_vertex_ids_accepted(tris):
+    m = mesh_from_arrays([(0, 0), (1, 0), (0, 1)], tris)
+    np.testing.assert_array_equal(m.tri_vertices, [[0, 1, 2]])
+
+
 def test_edge_shared_three_times_rejected():
     coords = [(0, 0), (1, 0), (0, 1), (1, 1), (0.5, -1)]
     tris = [(0, 1, 2), (1, 3, 2), (0, 1, 4), (0, 1, 3)]

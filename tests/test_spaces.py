@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 from conftest import (manufactured_M, manufactured_divM,
-                      reference_triangle_mesh, smooth_tensor,
-                      smooth_tensor_div, vertex_patch)
+                      random_shape_regular_triangle, reference_triangle_mesh,
+                      smooth_tensor, smooth_tensor_div, vertex_patch)
 
 from platedpg.errors import ConfigurationError
 from platedpg.mesh import (edge_frame, mesh_from_arrays, uniform_refine,
@@ -13,7 +13,8 @@ from platedpg.mesh import (edge_frame, mesh_from_arrays, uniform_refine,
 from platedpg.polyquad import tri_rule
 from platedpg.spaces import (BCSpec, Constraints, ElementGeometry,
                              _reduce_blocks, build_dofmap,
-                             interpolate_uhat_bc, simply_supported_bc)
+                             interpolate_uhat_bc, simply_supported_bc,
+                             uhat_edge_traces)
 from bc_oracles import BCConstraint, constraint_residuals, to_bcspec
 from trace_oracles import (element_tensor_basis, extract_qhat,
                            extract_qhat_local, extract_uhat, local_qhat,
@@ -48,18 +49,65 @@ def poly_udofs(geom, v_fn, grad_fn):
 # Hermite edge traces
 # ---------------------------------------------------------------------------
 
+def edge_trace(geom, k, udofs, s):
+    """Value and gradient traces of local uhat DOFs on edge k, contracted
+    from the unit-DOF traces the element matrices use."""
+    z, grad = uhat_edge_traces(geom, k, s)
+    return z @ udofs, grad @ udofs
+
+
+def quadratic(c):
+    """A quadratic v with coefficients c (1, x, y, x^2, xy, y^2) and its
+    gradient."""
+    v = lambda p: (c[0] + c[1] * p[:, 0] + c[2] * p[:, 1] + c[3] * p[:, 0]**2
+                   + c[4] * p[:, 0] * p[:, 1] + c[5] * p[:, 1]**2)
+    grad = lambda p: np.stack([c[1] + 2 * c[3] * p[:, 0] + c[4] * p[:, 1],
+                               c[2] + c[4] * p[:, 0] + 2 * c[5] * p[:, 1]],
+                              axis=1)
+    return v, grad
+
+
 def test_hermite_trace_reproduces_quadratics():
     geom = ElementGeometry(SKEW_TRI, 0)
-    v = lambda p: 3 * p[:, 0] ** 2 - p[:, 0] * p[:, 1] + 2 * p[:, 1] - 1
-    grad = lambda p: np.stack([6 * p[:, 0] - p[:, 1],
-                               -p[:, 0] + 2 * np.ones(len(p))], axis=1)
+    v, grad = quadratic([-1.0, 0.0, 2.0, 3.0, -1.0, 0.0])
     udofs = poly_udofs(geom, v, grad)
     s = np.linspace(0, 1, 9)
     for k in range(3):
         pts = geom.edge_points(k, s)
-        z, g, _ = uhat_trace_on_edge(geom, k, udofs, s)
+        z, g = edge_trace(geom, k, udofs, s)
         np.testing.assert_allclose(z, v(pts), atol=1e-12)
         np.testing.assert_allclose(g, grad(pts), atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_hermite_trace_on_random_triangles(seed):
+    """On a random non-degenerate triangle the edge traces reproduce a
+    random quadratic from its nodal DOFs, and for random DOFs they agree
+    with the oracle built from the endpoint data, on every edge and for
+    one triangle as for a stack."""
+    rng = np.random.default_rng(seed)
+    P = random_shape_regular_triangle(rng)
+    mesh = mesh_from_arrays(P, [(0, 1, 2)])
+    geom, stacked = (ElementGeometry(mesh, t) for t in (0, np.array([0])))
+    v, grad = quadratic(rng.standard_normal(6))
+    udofs = poly_udofs(geom, v, grad)
+    random_dofs = rng.standard_normal(9)
+    s = rng.uniform(0, 1, 5)
+    scale = 1.0 + np.abs(udofs).max()
+    for k in range(3):
+        pts = geom.edge_points(k, s)
+        z, g = edge_trace(geom, k, udofs, s)
+        np.testing.assert_allclose(z, v(pts), atol=1e-11 * scale)
+        np.testing.assert_allclose(g, grad(pts), atol=1e-11 * scale
+                                   / geom.diam)
+        z, g = edge_trace(geom, k, random_dofs, s)
+        z_or, g_or = uhat_trace_on_edge(geom, k, random_dofs, s)
+        np.testing.assert_allclose(z, z_or, atol=1e-12 * max(1, geom.diam))
+        np.testing.assert_allclose(g, g_or, atol=1e-12 / geom.diam)
+        for one, stack in zip(uhat_edge_traces(geom, k, s),
+                              uhat_edge_traces(stacked, k, s)):
+            np.testing.assert_array_equal(stack[0], one)
 
 
 def test_hermite_trace_is_side_independent():
@@ -72,7 +120,7 @@ def test_hermite_trace_is_side_independent():
         geom = ElementGeometry(mesh, t)
         udofs = poly_udofs(geom, v, grad)
         k = int(np.nonzero(~mesh.edge_on_boundary[mesh.tri_edges[t]])[0][0])
-        traces.append(uhat_trace_on_edge(geom, k, udofs, s))
+        traces.append(edge_trace(geom, k, udofs, s))
     np.testing.assert_allclose(traces[0][0], traces[1][0], atol=1e-14)
     np.testing.assert_allclose(traces[0][1], traces[1][1], atol=1e-14)
 
@@ -250,7 +298,7 @@ def test_global_constant_tensor_pairing_vanishes_on_clamped_uhat():
         tb = element_tensor_basis(geom)
         tc = fit_tensor(tb, lambda p: np.broadcast_to(Theta0, (len(p), 2, 2)),
                         geom.P)
-        total += uhat_pair_local(geom, udofs_global[geom.vids].ravel(), tc)
+        total += uhat_pair_local(geom, udofs_global[mesh.tri_vertices[t]].ravel(), tc)
     assert abs(total) < 1e-12
 
 
@@ -461,6 +509,29 @@ def test_constraint_on_nonexistent_block_rejected(kind, index):
     coeffs = (1.0, 0.0, 0.0) if kind == "vertex" else (0.0, 1.0)
     bc = to_bcspec([BCConstraint(kind, index, coeffs, 0.0)])
     with pytest.raises(ConfigurationError, match="nonexistent"):
+        build_dofmap(mesh, bc)
+
+
+@pytest.mark.parametrize("kind, index, coeffs, value, match", [
+    ("vertex", [0], np.ones((1, 2)), [0.0], "not \\(k, 3\\)"),
+    ("edge", [0], np.ones((1, 3)), [0.0], "not \\(k, 2\\)"),
+    ("edge", [0, 1], np.ones((1, 2)), [0.0], "differ in length"),
+    ("vertex", [0], np.ones((1, 3)), [0.0, 1.0], "differ in length"),
+    ("vertex", np.array([0.0]), np.ones((1, 3)), [0.0], "integer"),
+    ("edge", np.array([True]), np.ones((1, 2)), [0.0], "integer"),
+    ("vertex", [0], [[np.nan, 1.0, 0.0]], [0.0], "finite"),
+    ("edge", [0], [[0.0, np.inf]], [0.0], "finite"),
+    ("vertex", [0], np.eye(3)[:1], [np.nan], "finite"),
+], ids=["vertex-width", "edge-width", "index-length", "value-length",
+        "float-index", "bool-index", "nan-coeffs", "inf-coeffs", "nan-value"])
+def test_malformed_constraints_rejected(kind, index, coeffs, value, match):
+    """Malformed constraint arrays raise a ConfigurationError naming their
+    kind, not a numpy error from inside the reduction and not NaN in the
+    prescribed values."""
+    mesh = uniform_refine(unit_square_mesh())
+    bc = BCSpec(**{kind: Constraints(np.asarray(index), np.asarray(coeffs),
+                                     np.asarray(value))})
+    with pytest.raises(ConfigurationError, match=f"{kind} constraint.*{match}"):
         build_dofmap(mesh, bc)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 from platedpg.dpg import uhat_pair_matrix
 from platedpg.mesh import edge_frame
 from platedpg.polyquad import EDGE_POINTS, ScalarBasis, edge_rule
-from platedpg.spaces import ElementGeometry, _hermite, uhat_edge_data
+from platedpg.spaces import ElementGeometry
 
 
 class TensorTable(NamedTuple):
@@ -57,19 +57,31 @@ def element_tensor_basis(geom):
     return TensorBasis(2, geom.centroid, geom.diam)
 
 
+def hermite_cubic(s):
+    """Cubic Hermite shape functions on [0, 1] (value at 0, slope at 0,
+    value at 1, slope at 1), factored form, and their derivatives."""
+    s = np.asarray(s, dtype=float)
+    h = [(1 + 2 * s) * (1 - s)**2, s * (1 - s)**2, s**2 * (3 - 2 * s),
+         s**2 * (s - 1)]
+    dh = [6 * s * (s - 1), (1 - s) * (1 - 3 * s), 6 * s * (1 - s),
+          s * (3 * s - 2)]
+    return np.stack(h, axis=-1), np.stack(dh, axis=-1)
+
+
 def uhat_trace_on_edge(geom, k, udofs, s):
-    """Hermite value trace, full gradient and normal-derivative trace of a
-    local uhat coefficient vector on edge k at parameters s."""
-    D = uhat_edge_data(geom, k)
-    data = D @ np.asarray(udofs, dtype=float).ravel()
-    z_lo, d_lo, z_hi, d_hi, gn_lo, gn_hi = data
-    h, dh = _hermite(s)
-    z = h @ np.array([z_lo, d_lo, z_hi, d_hi])
-    dz_ds = dh @ np.array([z_lo, d_lo, z_hi, d_hi])
-    gn = (1.0 - s) * gn_lo + s * gn_hi
-    grad = (np.outer(dz_ds / geom.length[k], geom.tau[k])
-            + np.outer(gn, geom.nrm[k]))
-    return z, grad, gn
+    """Hermite value trace and full gradient of a local uhat coefficient
+    vector (per vertex: value, d/dx, d/dy) on edge k at parameters s,
+    from the values and gradients at its canonical ends: the arc slopes
+    ``L tau . grad`` feed the Hermite cubic, the normal derivatives are
+    interpolated linearly."""
+    vertex = np.asarray(udofs, dtype=float).reshape(3, 3)
+    lo, hi = vertex[geom.lo_local[k]], vertex[geom.hi_local[k]]
+    L, tau, nrm = geom.length[k], geom.tau[k], geom.nrm[k]
+    ends = np.array([lo[0], L * tau @ lo[1:], hi[0], L * tau @ hi[1:]])
+    h, dh = hermite_cubic(s)
+    gn = (1.0 - s) * (nrm @ lo[1:]) + s * (nrm @ hi[1:])
+    grad = np.outer(dh @ ends / L, tau) + np.outer(gn, nrm)
+    return h @ ends, grad
 
 
 def qhat_pair_local(geom, qdofs, zcoeffs):
