@@ -16,8 +16,7 @@ from .errors import (ConfigurationError, MeshStructureError, SPDError,
 from .linalg import SolveReport, spd_solve
 from .mesh import (Mesh, mesh_from_arrays, mesh_to_text, nvb_refine,
                    uniform_refine, unit_square_mesh)
-from .polyquad import (QuadRuleEdge, QuadRuleTri, ScalarBasis, edge_rule,
-                       tri_rule)
+from .polyquad import QuadRuleTri, ScalarBasis, tri_rule
 from .problems import (ExactSolution, MaterialLaw, ProblemSpec, Singularity,
                        builtin_square_problem, builtin_zshape_problem,
                        c_apply, cinv_apply, fourier_eval, l2_errors,

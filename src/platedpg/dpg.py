@@ -42,7 +42,7 @@ import scipy.sparse as sp
 
 from .errors import SPDError
 from .mesh import dyadic_shape
-from .polyquad import ASSEMBLY_DEGREE, EDGE_POINTS, edge_rule, tri_rule
+from .polyquad import ASSEMBLY_DEGREE, EDGE_NODES, EDGE_WEIGHTS, tri_rule
 from .problems import cinv_apply
 from .spaces import (ALPHA, BETA, GAMMA, M, N_TRIAL, U, UHAT, DofMap,
                      ElementGeometry, uhat_edge_traces)
@@ -124,19 +124,18 @@ def _load(f, qpts, w, vals):
 def _skeleton_terms(geom, B):
     """The columns of B that pair test functions with the trace unknowns."""
     n = B.shape[0]
-    rule = edge_rule(EDGE_POINTS)
-    ne = len(rule.points)
-    pts = np.concatenate([geom.edge_points(k, rule.points) for k in range(3)]
+    ne = len(EDGE_NODES)
+    pts = np.concatenate([geom.edge_points(k, EDGE_NODES) for k in range(3)]
                          + [geom.P], axis=1)
-    table = geom.scalar_basis(3).eval(pts)
+    table = geom.scalar_basis().eval(pts)
     evals = table.values[:, :3 * ne].reshape(n, 3, ne, N_SCALAR)
     egrads = table.gradients[:, :3 * ne].reshape(n, 3, ne, N_SCALAR, 2)
     # scalar test rows: qhat columns through the skeleton duality
     s = geom.sign[:, None, :]
-    B[:, :N_SCALAR, ALPHA] = s * np.einsum("e,tkei->tik", rule.weights,
+    B[:, :N_SCALAR, ALPHA] = s * np.einsum("e,tkei->tik", EDGE_WEIGHTS,
                                            evals)
     B[:, :N_SCALAR, BETA] = -s * np.einsum("e,tkeid,tkd->tik",
-                                           rule.weights, egrads, geom.nrm)
+                                           EDGE_WEIGHTS, egrads, geom.nrm)
     B[:, :N_SCALAR, GAMMA] = -np.swapaxes(table.values[:, 3 * ne:], 1, 2)
 
     # tensor test rows: uhat columns, -<uhat, Theta>, from the P2 part
@@ -156,11 +155,10 @@ def uhat_pair_matrix(geom, phi, gphi):
     outward normal n.  For ``Theta = phi S`` (scalar phi, symmetric slot
     S) the integrand is ``(S n) . (z grad phi - phi grad z)``.
     """
-    rule = edge_rule(EDGE_POINTS)
-    w = rule.weights
+    w = EDGE_WEIGHTS
     out = 0.0
     for k in range(3):
-        zq, gradq = uhat_edge_traces(geom, k, rule.points)
+        zq, gradq = uhat_edge_traces(geom, k, EDGE_NODES)
         X = (np.einsum("q,...qai,...qj->...aij", w, gphi[..., k, :, :, :], zq)
              - np.einsum("q,...qa,...qij->...aij", w, phi[..., k, :, :],
                          gradq))

@@ -178,6 +178,8 @@ def run_experiment(config: ExperimentConfig, problem=None):
     def dump_path(level):
         return f"{config.dump_mesh}{level:03d}.txt"
 
+    if config.out == "":
+        raise ConfigurationError("out '' names no file")
     for name, path in (("out", config.out),
                        ("dump_mesh", config.dump_mesh and dump_path(0))):
         folder = os.path.dirname(path or "") or "."

@@ -35,9 +35,12 @@ def edge_frame(a, b):
 class Mesh:
     """Conforming triangulation of a simply connected polygon.
 
-    Construct through :func:`mesh_from_arrays`; the raw constructor assumes
-    already-validated counterclockwise triangles and explicit refinement
-    edges (the refinement code path).
+    Construct through :func:`mesh_from_arrays`.  The raw constructor (the
+    refinement code path) takes the orientation and refinement edges as
+    given, but raises :class:`MeshStructureError` for non-finite
+    coordinates, invalid or repeated vertex ids in a triangle, an edge of
+    three triangles, unused vertices, an Euler characteristic other than
+    1, pinched vertices or nonpositive signed areas.
     """
 
     def __init__(self, coords, tri_vertices, refinement_edge, generation):
@@ -174,6 +177,8 @@ def mesh_from_arrays(vertex_coords, triangle_vertex_triples):
     tris = np.ascontiguousarray(tris, dtype=np.int64)
     if coords.ndim != 2 or coords.shape[1] != 2:
         raise MeshStructureError("vertex_coords must have shape (n, 2)")
+    if not np.all(np.isfinite(coords)):     # before the orientation below
+        raise MeshStructureError("non-finite vertex coordinates")
     if tris.ndim != 2 or tris.shape[1] != 3:
         raise MeshStructureError("triangle triples must have shape (m, 3)")
     if tris.size and (tris.min() < 0 or tris.max() >= coords.shape[0]):

@@ -1,10 +1,10 @@
-"""Scalar polynomial bases on triangles and quadrature rules.
+"""Scalar polynomial basis on triangles and quadrature rules.
 
-Scalar bases are scaled monomials ``((x-x_T)/h_T)^i ((y-y_T)/h_T)^j`` in
-graded lexicographic order, evaluated with closed-form gradients and
-Hessians.  Triangle rules are built by the collapsed (Duffy) map with
-Gauss-Legendre x Gauss-Jacobi points, which gives a guaranteed exactness
-degree.
+The scalar basis is the ten scaled monomials ``((x-x_T)/h_T)^i
+((y-y_T)/h_T)^j`` of degree <= 3 in graded lexicographic order, evaluated
+with closed-form gradients and Hessians; the first six span P2.
+Triangle rules are built by the collapsed (Duffy) map with Gauss-Legendre
+x Gauss-Jacobi points, which gives a guaranteed exactness degree.
 """
 
 from dataclasses import dataclass
@@ -19,10 +19,14 @@ from .errors import ConfigurationError
 # quadrature degrees used by the rest of the package
 ASSEMBLY_DEGREE = 8      # volume terms of B, G and loads
 ERROR_DEGREE = 12        # L2 error integration
-EDGE_POINTS = 5          # Gauss points per edge (exact to degree 9)
 
-def _grlex_exponents(p):
-    return [(d - j, j) for d in range(p + 1) for j in range(d + 1)]
+# 5-point Gauss-Legendre rule on [0, 1], exact to degree 9
+_x, _w = roots_legendre(5)
+EDGE_NODES, EDGE_WEIGHTS = 0.5 * (_x + 1.0), 0.5 * _w
+
+# exponents (i, j) of the P3 monomials xi^i eta^j, graded lexicographic
+EXP_I = np.array([0, 1, 0, 2, 1, 0, 3, 2, 1, 0])
+EXP_J = np.array([0, 0, 1, 0, 1, 2, 0, 1, 2, 3])
 
 
 @dataclass(frozen=True)
@@ -34,7 +38,6 @@ class QuadRuleTri:
     """
     bary: np.ndarray
     weights: np.ndarray
-    degree: int
 
     def map_to(self, tri_coords):
         """Physical points and weights for a triangle given by its three
@@ -45,14 +48,6 @@ class QuadRuleTri:
         d2 = tri_coords[..., 2, :] - tri_coords[..., 0, :]
         area = 0.5 * abs(d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0])
         return pts, self.weights * (2.0 * area)[..., None]
-
-
-@dataclass(frozen=True)
-class QuadRuleEdge:
-    """Gauss-Legendre rule on [0, 1]; exact to degree 2n-1."""
-    points: np.ndarray
-    weights: np.ndarray
-    degree: int
 
 
 @lru_cache(maxsize=None)
@@ -73,15 +68,7 @@ def tri_rule(min_degree):
     y = V.ravel()
     w = np.outer(wu, wv).ravel()
     bary = np.stack([1.0 - x - y, x, y], axis=1)
-    return QuadRuleTri(bary, w, int(min_degree))
-
-
-@lru_cache(maxsize=None)
-def edge_rule(n_points=EDGE_POINTS):
-    if not 1 <= int(n_points) <= 10:
-        raise ConfigurationError(f"edge rule size {n_points} outside 1..10")
-    x, w = roots_legendre(int(n_points))
-    return QuadRuleEdge(0.5 * (x + 1.0), 0.5 * w, 2 * int(n_points) - 1)
+    return QuadRuleTri(bary, w)
 
 
 class ScalarTable(NamedTuple):
@@ -91,17 +78,12 @@ class ScalarTable(NamedTuple):
 
 
 class ScalarBasis:
-    """Scaled monomials of total degree <= p on one triangle, or on a
-    stack of triangles when ``centroid`` is (..., 2) and ``scale`` (...)."""
+    """The P3 scaled monomials on one triangle, or on a stack of
+    triangles when ``centroid`` is (..., 2) and ``scale`` (...)."""
 
-    def __init__(self, p, centroid, scale):
-        self.p = int(p)
+    def __init__(self, centroid, scale):
         self.centroid = np.asarray(centroid, dtype=float)
         self.scale = np.asarray(scale, dtype=float)
-        expo = _grlex_exponents(self.p)
-        self.exp_i = np.array([e[0] for e in expo])
-        self.exp_j = np.array([e[1] for e in expo])
-        self.dim = len(expo)
 
     def eval(self, points):
         """Tables at ``points`` (npts, 2); a stacked basis takes points
@@ -111,11 +93,11 @@ class ScalarBasis:
         xi = (points[..., 0] - self.centroid[..., 0, None]) / h
         ps = (points[..., 1] - self.centroid[..., 1, None]) / h
         h = h[..., None, None]
-        # powers 0..p; a negative exponent reads power 0, the factor in
+        # powers 0..3; a negative exponent reads power 0, the factor in
         # front of it is zero then
-        X = xi[..., None] ** np.arange(self.p + 1)
-        Y = ps[..., None] ** np.arange(self.p + 1)
-        i, j = self.exp_i, self.exp_j
+        X = xi[..., None] ** np.arange(4)
+        Y = ps[..., None] ** np.arange(4)
+        i, j = EXP_I, EXP_J
         im1, jm1 = np.maximum(i - 1, 0), np.maximum(j - 1, 0)
         im2, jm2 = np.maximum(i - 2, 0), np.maximum(j - 2, 0)
         vals = X[..., i] * Y[..., j]

@@ -7,6 +7,7 @@ deflection.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -201,15 +202,6 @@ def _from_xy(eval_xy, singularity=None):
     return ExactSolution(fields, singularity)
 
 
-def fourier_solution():
-    return _from_xy(fourier_eval)
-
-
-def singular_solution():
-    return _from_xy(singular_eval,
-                    Singularity((0.0, 0.0), 1.0 + SINGULAR_ALPHA))
-
-
 # ---------------------------------------------------------------------------
 # problem definitions
 # ---------------------------------------------------------------------------
@@ -241,22 +233,20 @@ def builtin_square_problem():
         material=MaterialLaw(D=1.0, nu=0.0),
         f=lambda pts: np.ones(len(np.atleast_2d(pts))),
         bc_builder=simply_supported_bc,
-        exact=fourier_solution())
+        exact=_from_xy(fourier_eval))
 
 
 def builtin_zshape_problem():
     """Clamped plate with a reentrant corner, zero load, boundary data
     interpolated from the singular solution."""
-    exact = singular_solution()
-    def clamped_bc(mesh):          # one evaluation of the exact solution
-        u, grad, _ = exact.fields(mesh.coords[mesh.boundary_vertices()])
-        return interpolate_uhat_bc(lambda _: u, lambda _: grad, mesh)
+    exact = _from_xy(singular_eval,
+                     Singularity((0.0, 0.0), 1.0 + SINGULAR_ALPHA))
     return ProblemSpec(
         name="zshape",
         initial_mesh=zshape_mesh(),
         material=MaterialLaw(D=1.0, nu=0.0),
         f=None,
-        bc_builder=clamped_bc,
+        bc_builder=partial(interpolate_uhat_bc, exact.fields),
         exact=exact)
 
 

@@ -76,15 +76,15 @@ class ElementGeometry:
         a, b = self.lo[..., k, None, :], self.hi[..., k, None, :]
         return a + np.reshape(s, (-1, 1)) * (b - a)
 
-    def scalar_basis(self, p):
-        return ScalarBasis(p, self.centroid, self.diam)
+    def scalar_basis(self):
+        return ScalarBasis(self.centroid, self.diam)
 
     @cached_property
     def volume_table(self):
         """Points and weights of the assembly rule and the P3 table there,
         evaluated once for the element matrices and the load."""
         qpts, w = tri_rule(ASSEMBLY_DEGREE).map_to(self.P)
-        return qpts, w, self.scalar_basis(3).eval(qpts)
+        return qpts, w, self.scalar_basis().eval(qpts)
 
 
 # ---------------------------------------------------------------------------
@@ -144,15 +144,15 @@ class BCSpec:
     edge: Constraints = field(default_factory=lambda: _no_constraints(2))
 
 
-def interpolate_uhat_bc(exact_u, exact_grad_u, mesh):
-    """Clamped-plate essential data: prescribe (u, grad u) at every
-    boundary vertex by nodal interpolation."""
+def interpolate_uhat_bc(fields, mesh):
+    """Clamped-plate essential data: (u, grad u) at every boundary vertex
+    from one call of ``fields(points) -> (u, grad, M)``, an exact
+    solution's :attr:`~platedpg.problems.ExactSolution.fields`."""
     bverts = mesh.boundary_vertices()
-    vals = np.asarray(exact_u(mesh.coords[bverts]), dtype=float)
-    grads = np.asarray(exact_grad_u(mesh.coords[bverts]), dtype=float)
+    u, grad, _ = fields(mesh.coords[bverts])
     return BCSpec(vertex=Constraints(
         np.repeat(bverts, 3), np.tile(np.eye(3), (len(bverts), 1)),
-        np.column_stack([vals, grads]).ravel()))
+        np.column_stack([u, grad]).ravel()))
 
 
 def simply_supported_bc(mesh):

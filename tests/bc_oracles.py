@@ -43,12 +43,12 @@ def fix_edge(cons, e, coeffs, value):
                              tuple(float(c) for c in coeffs), float(value)))
 
 
-def interpolate_uhat_bc(exact_u, exact_grad_u, mesh):
-    """Clamp (u, grad u) at every boundary vertex, one vertex at a time."""
+def interpolate_uhat_bc(fields, mesh):
+    """Clamp (u, grad u) at every boundary vertex, one vertex at a time;
+    ``fields`` maps points to (u, grad, M)."""
     cons = []
     bverts = mesh.boundary_vertices()
-    vals = np.asarray(exact_u(mesh.coords[bverts]), dtype=float)
-    grads = np.asarray(exact_grad_u(mesh.coords[bverts]), dtype=float)
+    vals, grads, _ = fields(mesh.coords[bverts])
     for i, v in enumerate(bverts):
         fix_vertex(cons, v, (1.0, 0.0, 0.0), vals[i])
         fix_vertex(cons, v, (0.0, 1.0, 0.0), grads[i][0])

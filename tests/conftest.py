@@ -66,6 +66,17 @@ def manufactured_M(p):
     return out
 
 
+def manufactured_fields(p):
+    """(u, grad, M) of the manufactured deflection, the form of
+    ``ExactSolution.fields``."""
+    return manufactured_u(p), manufactured_grad(p), manufactured_M(p)
+
+
+def zero_fields(p):
+    """(u, grad, M) of the zero deflection: homogeneous clamped data."""
+    return np.zeros(len(p)), np.zeros((len(p), 2)), np.zeros((len(p), 2, 2))
+
+
 def manufactured_divM(p):
     return np.stack(
         [-bump3(p[:, 0]) * bump(p[:, 1]) - bump1(p[:, 0]) * bump2(p[:, 1]),

@@ -11,8 +11,9 @@ import conftest
 import numpy as np
 import pytest
 from conftest import (manufactured_M, manufactured_divM, manufactured_f,
-                      manufactured_grad, manufactured_u, project_fields,
-                      random_shape_regular_triangle, vertex_patch)
+                      manufactured_fields, manufactured_grad, manufactured_u,
+                      project_fields, random_shape_regular_triangle,
+                      vertex_patch, zero_fields)
 
 from platedpg import dpg
 from platedpg.driver import (ExperimentConfig, dorfler_mark, eoc,
@@ -139,7 +140,7 @@ def test_criterion_4_manufactured_consistency():
     sups = []
     for level in range(4):
         dofmap = build_dofmap(mesh, interpolate_uhat_bc(
-            manufactured_u, manufactured_grad, mesh))
+            manufactured_fields, mesh))
         x = exact_dof_vector(mesh, dofmap)
         systems = dpg.build_element_systems(mesh, dofmap, mat, manufactured_f)
         est = dpg.estimate(systems, x)
@@ -170,8 +171,7 @@ def test_criterion_5_invariants(square_uniform, zshape_uniform,
         if dm.n_qhat_free != (2 * mesh.num_edges + 3 * mesh.num_triangles
                               - mesh.num_interior_vertices):
             failures.append("qhat count")
-        bc = interpolate_uhat_bc(lambda p: np.zeros(len(p)),
-                                 lambda p: np.zeros((len(p), 2)), mesh)
+        bc = interpolate_uhat_bc(zero_fields, mesh)
         if build_dofmap(mesh, bc).n_uhat_free != \
                 3 * mesh.num_interior_vertices:
             failures.append("uhat count")
@@ -209,7 +209,7 @@ def test_criterion_5_invariants(square_uniform, zshape_uniform,
         tri, lambda p: np.broadcast_to(Theta0, (len(p), 2, 2)),
         lambda p: np.zeros((len(p), 2)))
     qd = local_qhat(tri, 0, alpha, beta, gamma)
-    sv = geom.scalar_basis(3).eval(pts)
+    sv = geom.scalar_basis().eval(pts)
     for i in range(10):
         zc = np.zeros(10)
         zc[i] = 1.0
@@ -256,8 +256,7 @@ def test_criterion_5_invariants(square_uniform, zshape_uniform,
 
     # patch-sum constraint exact after reconstruction
     mesh = zshape_adaptive[min(4, len(zshape_adaptive) - 1)].mesh
-    dm = build_dofmap(mesh, interpolate_uhat_bc(
-        lambda p: np.zeros(len(p)), lambda p: np.zeros((len(p), 2)), mesh))
+    dm = build_dofmap(mesh, interpolate_uhat_bc(zero_fields, mesh))
     x = dm.recover_full(rng.normal(size=dm.free_dim))
     for vax in np.flatnonzero(~mesh.vertex_on_boundary):
         tot = 0.0

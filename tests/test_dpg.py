@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from conftest import (random_shape_regular_triangle, reference_triangle_mesh,
-                      sparse_from_triplets)
+                      sparse_from_triplets, zero_fields)
 
 from platedpg import dpg
 from platedpg.driver import ExperimentConfig, experiment_levels, solve_problem
@@ -16,7 +16,7 @@ from platedpg.errors import SPDError
 from platedpg.linalg import spd_solve
 from platedpg.mesh import (Mesh, dyadic_shape, mesh_from_arrays, nvb_refine,
                            uniform_refine, unit_square_mesh)
-from platedpg.polyquad import tri_rule
+from platedpg.polyquad import EXP_I, EXP_J, tri_rule
 from platedpg.problems import (SINGULAR_ALPHA, ExactSolution, MaterialLaw,
                                ProblemSpec, Singularity,
                                builtin_square_problem, builtin_zshape_problem,
@@ -42,8 +42,7 @@ def one_element(mesh, t, material=MaterialLaw(1.0, 0.0),
 
 
 def clamped_zero_bc(mesh):
-    return interpolate_uhat_bc(lambda p: np.zeros(len(p)),
-                               lambda p: np.zeros((len(p), 2)), mesh)
+    return interpolate_uhat_bc(zero_fields, mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -65,8 +64,7 @@ def test_gram_quadratic_entry_against_oracle():
     mesh = mesh_from_arrays([(0.2, 0.1), (1.1, 0.3), (0.4, 1.0)], [(0, 1, 2)])
     G = one_element(mesh, 0)[1]
     geom = ElementGeometry(mesh, 0)
-    sbasis = geom.scalar_basis(3)
-    i = int(np.nonzero((sbasis.exp_i == 2) & (sbasis.exp_j == 0))[0][0])
+    i = int(np.nonzero((EXP_I == 2) & (EXP_J == 0))[0][0])
     pts, w = tri_rule(12).map_to(geom.P)
     xi = (pts[:, 0] - geom.centroid[0]) / geom.diam
     oracle = w @ xi ** 4 + (2.0 / geom.diam ** 2) ** 2 * geom.area
@@ -181,9 +179,8 @@ def test_local_b_moment_column_against_area():
     e1 x e1 equals the element area (scaled frame factors cancel)."""
     mesh = reference_triangle_mesh()
     geom = ElementGeometry(mesh, 0)
-    sbasis = geom.scalar_basis(3)
     B = one_element(mesh, 0)[0]
-    i = int(np.nonzero((sbasis.exp_i == 2) & (sbasis.exp_j == 0))[0][0])
+    i = int(np.nonzero((EXP_I == 2) & (EXP_J == 0))[0][0])
     # test function: xi^2 with Hessian 2/h^2 e1e1; scale back to h^2/2 Hess
     h = geom.diam
     assert abs((h ** 2 / 2.0) * B[i, 1] - geom.area) < 1e-13
@@ -199,7 +196,7 @@ def test_local_load():
     # against the test function x (fitted in the scaled basis):
     geom = ElementGeometry(mesh, 0)
     pts, _ = tri_rule(8).map_to(geom.P)
-    table = geom.scalar_basis(3).eval(pts)
+    table = geom.scalar_basis().eval(pts)
     coeffs, *_ = np.linalg.lstsq(table.values, pts[:, 0], rcond=None)
     assert abs(load1[:10] @ coeffs - (-1.0 / 6.0)) < 1e-13
 

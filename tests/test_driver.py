@@ -387,14 +387,17 @@ def test_cli_bad_limits_exit_2_before_solving(tmp_path, monkeypatch, flags):
 
 
 @pytest.mark.parametrize("flag, path", [
-    ("--out", "missing/x.csv"), ("--out", "."),
+    ("--out", "missing/x.csv"), ("--out", "."), ("--out", ""),
     ("--dump-mesh", "missing/mesh")])
 def test_cli_unwritable_output_exits_2_before_solving(tmp_path, monkeypatch,
                                                       flag, path):
-    """An output in a directory that does not exist, or one that is a
-    directory, is refused with exit 2 before the first solve."""
+    """An output in a directory that does not exist, one that is a
+    directory, or an empty --out, which names no file, is refused with
+    exit 2 before the first solve."""
     _refuse_to_solve(monkeypatch)
-    args = {"--out": str(tmp_path / "x.csv"), flag: str(tmp_path / path)}
+    monkeypatch.chdir(tmp_path)
+    args = {"--out": str(tmp_path / "x.csv"),
+            flag: path and str(tmp_path / path)}
     code = main(["run", "--problem", "square", "--mode", "uniform",
                  "--levels", "2", *(x for kv in args.items() for x in kv)])
     assert code == 2

@@ -36,9 +36,18 @@ def test_clockwise_input_is_reoriented():
     assert m.tri_area[0] > 0
 
 
+@pytest.mark.filterwarnings("error")
 def test_invalid_vertex_reference():
+    """A triangle on a vertex id that does not exist, or on a vertex with
+    a non-finite coordinate, is refused with the typed error.  The
+    coordinates are checked before the orientation is computed: with
+    vertex 0 at infinity that computation multiplies inf by 0, and its
+    RuntimeWarning would come first."""
     with pytest.raises(MeshStructureError):
         mesh_from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 7)])
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(MeshStructureError, match="non-finite"):
+            mesh_from_arrays([(bad, 0), (1, 0), (0, 1)], [(0, 1, 2)])
 
 
 @pytest.mark.parametrize("tris", [[(0, 1, 2.7)], np.array([[0.0, 1.0, 2.0]]),

@@ -44,9 +44,9 @@ def refinement_steps(draw):
 
 
 def clamped_bc(mesh):
-    return interpolate_uhat_bc(lambda p: p[:, 0] - 2.0 * p[:, 1],
-                               lambda p: np.tile([0.5, -1.5], (len(p), 1)),
-                               mesh)
+    return interpolate_uhat_bc(
+        lambda p: (p[:, 0] - 2.0 * p[:, 1], np.tile([0.5, -1.5], (len(p), 1)),
+                   np.zeros((len(p), 2, 2))), mesh)
 
 
 @settings(max_examples=30, deadline=None)
@@ -250,6 +250,5 @@ def test_clamped_bc_matches_object_oracle(mesh):
     """The Z-shape's own clamped data, interpolated from the singular
     solution: R and x_prescribed byte for byte."""
     problem = builtin_zshape_problem()
-    u, grad, _ = problem.exact.fields(mesh.coords[mesh.boundary_vertices()])
-    oracle = bc_oracles.interpolate_uhat_bc(lambda _: u, lambda _: grad, mesh)
+    oracle = bc_oracles.interpolate_uhat_bc(problem.exact.fields, mesh)
     _assert_same_reduction(mesh, problem.bc_builder(mesh), oracle)

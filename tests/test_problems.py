@@ -9,8 +9,7 @@ from platedpg.problems import (L2_CHUNK, SINGULAR_ALPHA, SINGULAR_C,
                                ZSHAPE_OPENING, ExactSolution, MaterialLaw,
                                builtin_square_problem, builtin_zshape_problem,
                                c_apply, cinv_apply, fourier_eval, l2_errors,
-                               odd_harmonics, singular_eval,
-                               singular_solution, zshape_mesh)
+                               odd_harmonics, singular_eval, zshape_mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +344,7 @@ def test_singular_biharmonic():
        st.integers(-40, 40))
 def test_singular_eval_is_homogeneous_under_dyadic_scaling(r, phi, k):
     """u(lam p) = lam^mu u(p) and M(lam p) = lam^(mu-2) M(p) for lam = 2^k,
-    mu = 1 + alpha: the degree ``singular_solution`` declares, to 1e-14
+    mu = 1 + alpha: the degree the Z-shape's exact solution declares, to 1e-14
     of the size of each field at that radius."""
     mu = builtin_zshape_problem().exact.singularity.degree
     assert mu == 1.0 + SINGULAR_ALPHA
@@ -443,7 +442,7 @@ def test_l2_errors_singular_subdivision_improves(monkeypatch):
 
     def em(levels):       # a fresh solution: its corner cache is per depth
         monkeypatch.setattr(problems, "L2_SUBDIVISIONS", levels)
-        return l2_errors(mesh, sol, singular_solution())[1]
+        return l2_errors(mesh, sol, builtin_zshape_problem().exact)[1]
 
     # reference with very deep subdivision
     em_ref, em4, em0 = em(8), em(4), em(0)

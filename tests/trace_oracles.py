@@ -8,11 +8,16 @@ the batched element matrices and the DOF conventions against them."""
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import roots_legendre
 
 from platedpg.dpg import uhat_pair_matrix
 from platedpg.mesh import edge_frame
-from platedpg.polyquad import EDGE_POINTS, ScalarBasis, edge_rule
+from platedpg.polyquad import EDGE_NODES, EDGE_WEIGHTS, ScalarBasis
 from platedpg.spaces import ElementGeometry
+
+# 6-point Gauss-Legendre rule on [0, 1] for the edge moments of smooth fields
+_x6, _w6 = roots_legendre(6)
+GAUSS6_NODES, GAUSS6_WEIGHTS = 0.5 * (_x6 + 1.0), 0.5 * _w6
 
 
 class TensorTable(NamedTuple):
@@ -22,18 +27,21 @@ class TensorTable(NamedTuple):
 
 
 class TensorBasis:
-    """Symmetric 2x2 tensor fields with polynomial entries: each scalar
-    basis function phi_a placed in the slots E11, E12 + E21, E22 at index
-    3 a + k, the tensor test functions of the element matrices for p = 2.
-    Values, row-wise divergence and divdiv are written out entry by
-    entry."""
+    """Symmetric 2x2 tensor fields with P2 entries: each P2 monomial
+    phi_a (the first six P3 columns) placed in the slots E11, E12 + E21,
+    E22 at index 3 a + k, the tensor test functions of the element
+    matrices before the rebase.  Values, row-wise divergence and divdiv
+    are written out entry by entry."""
 
-    def __init__(self, p, centroid, scale):
-        self.scalar = ScalarBasis(p, centroid, scale)
-        self.dim = 3 * self.scalar.dim
+    dim = 18
+
+    def __init__(self, centroid, scale):
+        self.scalar = ScalarBasis(centroid, scale)
 
     def eval(self, points):
         vals, grads, hess = self.scalar.eval(points)
+        vals, grads, hess = (vals[..., :6], grads[..., :6, :],
+                             hess[..., :6, :, :])
         lead = vals.shape[:-1]
         values = np.zeros(vals.shape + (3, 2, 2))
         values[..., 0, 0, 0] = vals                         # E11
@@ -54,7 +62,7 @@ class TensorBasis:
 
 def element_tensor_basis(geom):
     """The P2 tensor test functions of one element's frame."""
-    return TensorBasis(2, geom.centroid, geom.diam)
+    return TensorBasis(geom.centroid, geom.diam)
 
 
 def hermite_cubic(s):
@@ -94,15 +102,14 @@ def qhat_pair_local(geom, qdofs, zcoeffs):
     monomial P3 basis.  Edge integrals use the canonical edge normal.
     """
     alpha, beta, gamma = (np.asarray(q, dtype=float) for q in qdofs)
-    basis = geom.scalar_basis(3)
-    rule = edge_rule(EDGE_POINTS)
+    basis = geom.scalar_basis()
     zc = np.asarray(zcoeffs, dtype=float)
     total = 0.0
     for k in range(3):
-        pts = geom.edge_points(k, rule.points)
+        pts = geom.edge_points(k, EDGE_NODES)
         vals, grads, _ = basis.eval(pts)
-        z_mean = rule.weights @ (vals @ zc)
-        gn_mean = rule.weights @ np.einsum("qid,i,d->q", grads, zc,
+        z_mean = EDGE_WEIGHTS @ (vals @ zc)
+        gn_mean = EDGE_WEIGHTS @ np.einsum("qid,i,d->q", grads, zc,
                                            geom.nrm[k])
         total += alpha[k] * z_mean - beta[k] * gn_mean
     corner_vals, _, _ = basis.eval(geom.P)
@@ -115,10 +122,9 @@ def uhat_pair_local(geom, udofs, theta_coeffs):
     coefficient vector (three (value, gradient) vertex triples) with a
     symmetric P2 tensor given by its coefficients in the element's tensor
     basis."""
-    rule = edge_rule(EDGE_POINTS)
-    pts = np.stack([geom.edge_points(k, rule.points) for k in range(3)])
-    phi, gphi, _ = geom.scalar_basis(2).eval(pts)
-    mat = uhat_pair_matrix(geom, phi, gphi)
+    pts = np.stack([geom.edge_points(k, EDGE_NODES) for k in range(3)])
+    phi, gphi, _ = geom.scalar_basis().eval(pts)
+    mat = uhat_pair_matrix(geom, phi[..., :6], gphi[..., :6, :])
     return float(np.asarray(theta_coeffs, dtype=float)
                  @ mat @ np.asarray(udofs, dtype=float).ravel())
 
@@ -146,23 +152,22 @@ def _edge_trace_dofs(points_of, L, tau, nrm, M_fn, divM_fn):
     what gives the O(h) trace approximation order.  beta is the plain
     moment of ``n.M n``.
     """
-    rule = edge_rule(6)
-    s = rule.points
+    s, w = GAUSS6_NODES, GAUSS6_WEIGHTS
     pts = points_of(s)
     Mq = np.asarray(M_fn(pts), dtype=float)
-    beta = L * (rule.weights @ np.einsum("qij,i,j->q", Mq, nrm, nrm))
+    beta = L * (w @ np.einsum("qij,i,j->q", Mq, nrm, nrm))
 
     # g(s) = t.M n + integral of n.div M along the arc
     tMn = np.einsum("qij,i,j->q", Mq, tau, nrm)
     acc = np.empty_like(s)
     for i, si in enumerate(s):
-        sub = np.asarray(divM_fn(points_of(si * rule.points)), dtype=float)
-        acc[i] = L * si * (rule.weights @ (sub @ nrm))
+        sub = np.asarray(divM_fn(points_of(si * s)), dtype=float)
+        acc[i] = L * si * (w @ (sub @ nrm))
     gq = tMn + acc
 
     # affine projection a + b s on [0, 1]: moments against {1, s}
-    m0 = rule.weights @ gq
-    m1 = rule.weights @ (gq * s)
+    m0 = w @ gq
+    m1 = w @ (gq * s)
     b = 12.0 * m1 - 6.0 * m0
     a = m0 - 0.5 * b
     alpha = b
@@ -171,8 +176,8 @@ def _edge_trace_dofs(points_of, L, tau, nrm, M_fn, divM_fn):
     Mends = np.asarray(M_fn(ends), dtype=float)
     tMn_ends = np.einsum("qij,i,j->q", Mends, tau, nrm)
     g0 = tMn_ends[0]
-    sub = np.asarray(divM_fn(points_of(rule.points)), dtype=float)
-    g1 = tMn_ends[1] + L * (rule.weights @ (sub @ nrm))
+    sub = np.asarray(divM_fn(points_of(s)), dtype=float)
+    g1 = tMn_ends[1] + L * (w @ (sub @ nrm))
     corr = np.array([g0 - a, g1 - (a + b)])
     return alpha, beta, corr
 
