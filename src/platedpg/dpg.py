@@ -42,7 +42,8 @@ import scipy.sparse as sp
 
 from .errors import SPDError
 from .mesh import dyadic_shape
-from .polyquad import ASSEMBLY_DEGREE, EDGE_NODES, EDGE_WEIGHTS, tri_rule
+from .polyquad import (ASSEMBLY_DEGREE, EDGE_NODES, EDGE_WEIGHTS, p3_table,
+                       tri_rule)
 from .problems import cinv_apply
 from .spaces import (ALPHA, BETA, GAMMA, M, N_TRIAL, U, UHAT, DofMap,
                      ElementGeometry, uhat_edge_traces)
@@ -127,7 +128,7 @@ def _skeleton_terms(geom, B):
     ne = len(EDGE_NODES)
     pts = np.concatenate([geom.edge_points(k, EDGE_NODES) for k in range(3)]
                          + [geom.P], axis=1)
-    table = geom.scalar_basis().eval(pts)
+    table = p3_table(geom.centroid, geom.diam, pts)
     evals = table.values[:, :3 * ne].reshape(n, 3, ne, N_SCALAR)
     egrads = table.gradients[:, :3 * ne].reshape(n, 3, ne, N_SCALAR, 2)
     # scalar test rows: qhat columns through the skeleton duality

@@ -178,10 +178,10 @@ def run_experiment(config: ExperimentConfig, problem=None):
     def dump_path(level):
         return f"{config.dump_mesh}{level:03d}.txt"
 
-    if config.out == "":
-        raise ConfigurationError("out '' names no file")
     for name, path in (("out", config.out),
                        ("dump_mesh", config.dump_mesh and dump_path(0))):
+        if path == "":
+            raise ConfigurationError(f"{name} '' names no file")
         folder = os.path.dirname(path or "") or "."
         if path and (os.path.isdir(path) or not os.access(folder, os.W_OK)):
             raise ConfigurationError(f"{name} {path!r} cannot be written")

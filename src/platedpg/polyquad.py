@@ -20,9 +20,13 @@ from .errors import ConfigurationError
 ASSEMBLY_DEGREE = 8      # volume terms of B, G and loads
 ERROR_DEGREE = 12        # L2 error integration
 
-# 5-point Gauss-Legendre rule on [0, 1], exact to degree 9
-_x, _w = roots_legendre(5)
-EDGE_NODES, EDGE_WEIGHTS = 0.5 * (_x + 1.0), 0.5 * _w
+# 5-point Gauss-Legendre rule on [0, 1], exact to degree 9: the bits of
+# 0.5 * (x + 1) and 0.5 * w for (x, w) = roots_legendre(5)
+EDGE_NODES = np.array([0.04691007703066802, 0.23076534494715845, 0.5,
+                       0.7692346550528415, 0.9530899229693319])
+EDGE_WEIGHTS = np.array([0.11846344252809449, 0.23931433524968326,
+                         0.2844444444444445, 0.23931433524968326,
+                         0.11846344252809449])
 
 # exponents (i, j) of the P3 monomials xi^i eta^j, graded lexicographic
 EXP_I = np.array([0, 1, 0, 2, 1, 0, 3, 2, 1, 0])
@@ -77,39 +81,34 @@ class ScalarTable(NamedTuple):
     hessians: np.ndarray     # (..., npts, ndim, 2, 2)
 
 
-class ScalarBasis:
-    """The P3 scaled monomials on one triangle, or on a stack of
-    triangles when ``centroid`` is (..., 2) and ``scale`` (...)."""
-
-    def __init__(self, centroid, scale):
-        self.centroid = np.asarray(centroid, dtype=float)
-        self.scale = np.asarray(scale, dtype=float)
-
-    def eval(self, points):
-        """Tables at ``points`` (npts, 2); a stacked basis takes points
-        (..., npts, 2) with its own leading axes."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        h = self.scale[..., None]
-        xi = (points[..., 0] - self.centroid[..., 0, None]) / h
-        ps = (points[..., 1] - self.centroid[..., 1, None]) / h
-        h = h[..., None, None]
-        # powers 0..3; a negative exponent reads power 0, the factor in
-        # front of it is zero then
-        X = xi[..., None] ** np.arange(4)
-        Y = ps[..., None] ** np.arange(4)
-        i, j = EXP_I, EXP_J
-        im1, jm1 = np.maximum(i - 1, 0), np.maximum(j - 1, 0)
-        im2, jm2 = np.maximum(i - 2, 0), np.maximum(j - 2, 0)
-        vals = X[..., i] * Y[..., j]
-        grads = np.empty(vals.shape + (2,))
-        grads[..., 0] = i * X[..., im1] * Y[..., j]
-        grads[..., 1] = j * X[..., i] * Y[..., jm1]
-        grads /= h
-        hess = np.empty(vals.shape + (2, 2))
-        hess[..., 0, 0] = i * (i - 1) * X[..., im2] * Y[..., j]
-        hess[..., 0, 1] = i * j * X[..., im1] * Y[..., jm1]
-        hess[..., 1, 0] = hess[..., 0, 1]
-        hess[..., 1, 1] = j * (j - 1) * X[..., i] * Y[..., jm2]
-        hess /= (h ** 2)[..., None]
-        return ScalarTable(vals, grads, hess)
+def p3_table(centroid, scale, points):
+    """The P3 scaled monomials of the triangle with ``centroid`` and
+    ``scale`` at ``points`` (npts, 2); for a stack of triangles,
+    ``centroid`` (..., 2) and ``scale`` (...), at points (..., npts, 2)
+    with the same leading axes."""
+    centroid = np.asarray(centroid, dtype=float)
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    h = np.asarray(scale, dtype=float)[..., None]
+    xi = (points[..., 0] - centroid[..., 0, None]) / h
+    ps = (points[..., 1] - centroid[..., 1, None]) / h
+    h = h[..., None, None]
+    # powers 0..3; a negative exponent reads power 0, the factor in
+    # front of it is zero then
+    X = xi[..., None] ** np.arange(4)
+    Y = ps[..., None] ** np.arange(4)
+    i, j = EXP_I, EXP_J
+    im1, jm1 = np.maximum(i - 1, 0), np.maximum(j - 1, 0)
+    im2, jm2 = np.maximum(i - 2, 0), np.maximum(j - 2, 0)
+    vals = X[..., i] * Y[..., j]
+    grads = np.empty(vals.shape + (2,))
+    grads[..., 0] = i * X[..., im1] * Y[..., j]
+    grads[..., 1] = j * X[..., i] * Y[..., jm1]
+    grads /= h
+    hess = np.empty(vals.shape + (2, 2))
+    hess[..., 0, 0] = i * (i - 1) * X[..., im2] * Y[..., j]
+    hess[..., 0, 1] = i * j * X[..., im1] * Y[..., jm1]
+    hess[..., 1, 0] = hess[..., 0, 1]
+    hess[..., 1, 1] = j * (j - 1) * X[..., i] * Y[..., jm2]
+    hess /= (h ** 2)[..., None]
+    return ScalarTable(vals, grads, hess)
 

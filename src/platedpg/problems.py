@@ -3,7 +3,8 @@
 Both built-in benchmarks use the identity material law.  Moments follow
 the sign convention ``M = -C Hessian(u)`` throughout, so the exact moment
 reported for errors is the negative (scaled) Hessian of the exact
-deflection.
+deflection.  Each exact solution, :func:`fourier_eval` or
+:func:`singular_eval`, is the ``fields`` of its :class:`ExactSolution`.
 """
 
 from dataclasses import dataclass, field
@@ -68,18 +69,9 @@ def cinv_apply(material, M):
 # exact solutions
 # ---------------------------------------------------------------------------
 
-def _flat_xy(x, y):
-    """The broadcast shape of x and y, and both flattened to it."""
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
-                               np.asarray(y, dtype=float))
-    return x.shape, x.ravel(), y.ravel()
-
-
-def _pack_fields(shape, u, grad, uxx, uxy, uyy):
-    """(u, grad, M = -Hessian) at flat points, reshaped to ``shape``."""
-    M = -np.stack([uxx, uxy, uxy, uyy], axis=-1)
-    return (u.reshape(shape), grad.reshape(shape + (2,)),
-            M.reshape(shape + (2, 2)))
+def _pack_fields(u, grad, uxx, uxy, uyy):
+    """(u, grad, M = -Hessian) at n points: (n,), (n, 2), (n, 2, 2)."""
+    return u, grad, -np.stack([uxx, uxy, uxy, uyy], axis=-1).reshape(-1, 2, 2)
 
 
 def odd_harmonics(t, n_max):
@@ -94,22 +86,23 @@ def odd_harmonics(t, n_max):
     return S, C
 
 
-def fourier_eval(x, y, n_max=15):
+def fourier_eval(points, n_max=15):
     """Simply supported square under unit load: truncated double sine
-    series for the deflection, its gradient and the moment ``-Hessian``.
+    series for the deflection, its gradient and the moment ``-Hessian``
+    at points (n, 2), or at one point (2,) as n = 1.
 
     The amplitude 16/pi^6 is forced by the biharmonic equation applied
     term-wise to the sine expansion of the constant load.
     """
-    shape, xf, yf = _flat_xy(x, y)
+    x, y = np.atleast_2d(np.asarray(points, dtype=float)).T
 
     k = np.pi * (2 * np.arange(n_max + 1) + 1.0)          # (n,)
     amp = 16.0 / np.pi ** 6 / np.multiply.outer(
         k / np.pi, k / np.pi)                             # 1/(ab)
     amp /= (np.add.outer((k / np.pi) ** 2, (k / np.pi) ** 2)) ** 2
 
-    sx, cx = odd_harmonics(xf, n_max)
-    sy, cy = odd_harmonics(yf, n_max)
+    sx, cx = odd_harmonics(x, n_max)
+    sy, cy = odd_harmonics(y, n_max)
 
     def rows(X, a, Y):                 # sum_ab X_aq a_ab Y_bq
         return np.einsum("bq,bq->q", a.T @ X, Y)
@@ -123,24 +116,25 @@ def fourier_eval(x, y, n_max=15):
     uxy = rows(cx, kc * amp * kr, cy)
 
     grad = np.stack([ux, uy], axis=-1)
-    return _pack_fields(shape, u, grad, uxx, uxy, uyy)
+    return _pack_fields(u, grad, uxx, uxy, uyy)
 
 
-def singular_eval(x, y):
+def singular_eval(points):
     """Reentrant-corner solution ``r^(1+alpha) (cos((alpha+1) psi) +
     C cos((alpha-1) psi))`` in the bisector frame ``psi = phi - 5 pi/8``,
     where ``phi`` in [0, 5 pi/4] measures the interior angle from the edge
     along the positive x-axis.
 
-    Returns deflection, gradient and moment ``-Hessian``.  The deflection
-    and gradient vanish at the corner and are returned exactly as zero
-    there; the moment is singular at the corner and a zero placeholder is
-    returned for that point.
+    Returns deflection, gradient and moment ``-Hessian`` at points
+    (n, 2), or at one point (2,) as n = 1.  The deflection and gradient
+    vanish at the corner and are returned exactly as zero there; the
+    moment is singular at the corner and a zero placeholder is returned
+    for that point.
     """
-    shape, xf, yf = _flat_xy(x, y)
+    x, y = np.atleast_2d(np.asarray(points, dtype=float)).T
 
-    r = np.hypot(xf, yf)
-    phi = np.arctan2(yf, xf)
+    r = np.hypot(x, y)
+    phi = np.arctan2(y, x)
     phi = np.where(phi < 0.0, phi + 2.0 * np.pi, phi)
     psi = phi - ZSHAPE_OPENING / 2.0
 
@@ -171,7 +165,7 @@ def singular_eval(x, y):
     uxy = rfac * ((mu - 1.0) * sg * F1 + cg * dF1)
     uyy = rfac * ((mu - 1.0) * sg * F2 + cg * dF2)
 
-    return _pack_fields(shape, u, grad, uxx, uxy, uyy)
+    return _pack_fields(u, grad, uxx, uxy, uyy)
 
 
 class Singularity(NamedTuple):
@@ -184,22 +178,14 @@ class Singularity(NamedTuple):
 
 @dataclass(frozen=True)
 class ExactSolution:
-    """``fields`` maps (n, 2) points to (u, grad, M) from one evaluation.
-    ``singularity``, when set, names the point where M is unbounded and
-    the homogeneity about it; ``l2_errors`` keeps its corner-cell moments
-    here."""
+    """``fields`` maps points (n, 2) to u (n,), grad (n, 2) and M
+    (n, 2, 2) in one evaluation.  ``singularity``, when set, names the
+    point where M is unbounded and the homogeneity about it;
+    ``l2_errors`` keeps its corner-cell moments here."""
     fields: Callable
     singularity: Optional[Singularity] = None
     _corner_moments: dict = field(default_factory=dict, init=False,
                                  repr=False, compare=False)
-
-
-def _from_xy(eval_xy, singularity=None):
-    """Exact solution from ``eval_xy(x, y) -> (u, grad, M)``."""
-    def fields(points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return eval_xy(points[:, 0], points[:, 1])
-    return ExactSolution(fields, singularity)
 
 
 # ---------------------------------------------------------------------------
@@ -233,14 +219,14 @@ def builtin_square_problem():
         material=MaterialLaw(D=1.0, nu=0.0),
         f=lambda pts: np.ones(len(np.atleast_2d(pts))),
         bc_builder=simply_supported_bc,
-        exact=_from_xy(fourier_eval))
+        exact=ExactSolution(fourier_eval))
 
 
 def builtin_zshape_problem():
     """Clamped plate with a reentrant corner, zero load, boundary data
     interpolated from the singular solution."""
-    exact = _from_xy(singular_eval,
-                     Singularity((0.0, 0.0), 1.0 + SINGULAR_ALPHA))
+    exact = ExactSolution(singular_eval,
+                          Singularity((0.0, 0.0), 1.0 + SINGULAR_ALPHA))
     return ProblemSpec(
         name="zshape",
         initial_mesh=zshape_mesh(),

@@ -30,7 +30,7 @@ import scipy.sparse as sp
 
 from .errors import ConfigurationError
 from .mesh import Mesh, edge_frame
-from .polyquad import ASSEMBLY_DEGREE, ScalarBasis, tri_rule
+from .polyquad import ASSEMBLY_DEGREE, p3_table, tri_rule
 
 
 # slots of the N_TRIAL local trial unknowns of a triangle, in the columns
@@ -76,15 +76,12 @@ class ElementGeometry:
         a, b = self.lo[..., k, None, :], self.hi[..., k, None, :]
         return a + np.reshape(s, (-1, 1)) * (b - a)
 
-    def scalar_basis(self):
-        return ScalarBasis(self.centroid, self.diam)
-
     @cached_property
     def volume_table(self):
         """Points and weights of the assembly rule and the P3 table there,
         evaluated once for the element matrices and the load."""
         qpts, w = tri_rule(ASSEMBLY_DEGREE).map_to(self.P)
-        return qpts, w, self.scalar_basis().eval(qpts)
+        return qpts, w, p3_table(self.centroid, self.diam, qpts)
 
 
 # ---------------------------------------------------------------------------

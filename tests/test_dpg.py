@@ -16,7 +16,7 @@ from platedpg.errors import SPDError
 from platedpg.linalg import spd_solve
 from platedpg.mesh import (Mesh, dyadic_shape, mesh_from_arrays, nvb_refine,
                            uniform_refine, unit_square_mesh)
-from platedpg.polyquad import EXP_I, EXP_J, tri_rule
+from platedpg.polyquad import EXP_I, EXP_J, p3_table, tri_rule
 from platedpg.problems import (SINGULAR_ALPHA, ExactSolution, MaterialLaw,
                                ProblemSpec, Singularity,
                                builtin_square_problem, builtin_zshape_problem,
@@ -196,7 +196,7 @@ def test_local_load():
     # against the test function x (fitted in the scaled basis):
     geom = ElementGeometry(mesh, 0)
     pts, _ = tri_rule(8).map_to(geom.P)
-    table = geom.scalar_basis().eval(pts)
+    table = p3_table(geom.centroid, geom.diam, pts)
     coeffs, *_ = np.linalg.lstsq(table.values, pts[:, 0], rcond=None)
     assert abs(load1[:10] @ coeffs - (-1.0 / 6.0)) < 1e-13
 

@@ -6,7 +6,8 @@ import subprocess
 import sys
 import warnings
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 import numpy as np
 import pytest
 
@@ -126,7 +127,8 @@ def test_eoc_zero_marked_unavailable():
     assert out[1].eoc_eta is None
 
 
-def test_csv_roundtrip_bit_exact(tmp_path):
+def _seeded_records():
+    """Five records of run-like sizes, the first without EOCs."""
     rng = np.random.default_rng(3)
     records = []
     for level in range(5):
@@ -138,10 +140,36 @@ def test_csv_roundtrip_bit_exact(tmp_path):
             eoc_eta=None if level == 0 else float(rng.normal()),
             eoc_u=None if level == 0 else float(rng.normal()),
             eoc_M=None if level == 0 else float(rng.normal())))
+    return records
+
+
+# every finite double: zeros of both signs, subnormals and +-max included
+_double = st.floats(allow_nan=False, allow_infinity=False)
+_record = st.builds(
+    ConvergenceRecord, level=st.integers(0, 10 ** 3),
+    ntriangles=st.integers(1, 10 ** 9), ndofs=st.integers(1, 10 ** 10),
+    eta=_double, err_u=_double, err_M=_double, eoc_eta=st.none() | _double,
+    eoc_u=st.none() | _double, eoc_M=st.none() | _double)
+# the least subnormal, minus the largest one, the least normal, +-max and
+# -0, each in every float column once
+_EXTREMES = (5e-324, -2.225073858507201e-308, 2.2250738585072014e-308,
+             1.7976931348623157e308, -1.7976931348623157e308, -0.0)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(records=st.lists(_record, max_size=8))
+@example(records=_seeded_records())
+@example(records=[ConvergenceRecord(k, 1, 1, *_EXTREMES[k:], *_EXTREMES[:k])
+                  for k in range(6)])
+def test_csv_roundtrip_bit_exact(tmp_path, records):
+    """Every finite double, and None for a missing EOC, reads back with
+    its bits; the file is rewritten for each drawn list."""
     path = tmp_path / "records.csv"
     write_records_csv(records, path)
     back = parse_csv(path)
     assert back == records
+    assert repr(back) == repr(records)        # the sign of zero too
 
 
 def test_csv_header(tmp_path):
@@ -388,12 +416,12 @@ def test_cli_bad_limits_exit_2_before_solving(tmp_path, monkeypatch, flags):
 
 @pytest.mark.parametrize("flag, path", [
     ("--out", "missing/x.csv"), ("--out", "."), ("--out", ""),
-    ("--dump-mesh", "missing/mesh")])
+    ("--dump-mesh", "missing/mesh"), ("--dump-mesh", "")])
 def test_cli_unwritable_output_exits_2_before_solving(tmp_path, monkeypatch,
                                                       flag, path):
     """An output in a directory that does not exist, one that is a
-    directory, or an empty --out, which names no file, is refused with
-    exit 2 before the first solve."""
+    directory, or an empty --out or --dump-mesh, which names no file, is
+    refused with exit 2 before the first solve."""
     _refuse_to_solve(monkeypatch)
     monkeypatch.chdir(tmp_path)
     args = {"--out": str(tmp_path / "x.csv"),

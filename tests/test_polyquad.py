@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
 from platedpg.errors import ConfigurationError
 from platedpg.polyquad import (EDGE_NODES, EDGE_WEIGHTS, EXP_I, EXP_J,
-                               ScalarBasis, tri_rule)
+                               p3_table, tri_rule)
 from trace_oracles import TensorBasis
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -77,7 +78,12 @@ def test_tri_rule_degree_bounds():
 
 def test_edge_rule():
     """The five edge nodes in (0, 1) integrate every monomial s^k on
-    [0, 1] exactly for k <= 9, to 4e-16 of 1/(k + 1), and s^10 not."""
+    [0, 1] exactly for k <= 9, to 4e-16 of 1/(k + 1), and s^10 not.  The
+    literals keep the bits of the 5-point Gauss-Legendre rule mapped to
+    [0, 1]."""
+    x, w = roots_legendre(5)
+    assert np.array_equal(EDGE_NODES, 0.5 * (x + 1.0))
+    assert np.array_equal(EDGE_WEIGHTS, 0.5 * w)
     assert EDGE_NODES.shape == EDGE_WEIGHTS.shape == (5,)
     assert np.all((EDGE_NODES > 0.0) & (EDGE_NODES < 1.0))
     error = [EDGE_WEIGHTS @ EDGE_NODES ** k - 1.0 / (k + 1) for k in range(11)]
@@ -87,9 +93,8 @@ def test_edge_rule():
 
 def test_scalar_hessians_of_plain_monomials():
     # frame with centroid 0 and scale 1 makes basis functions plain x^i y^j
-    basis = ScalarBasis((0.0, 0.0), 1.0)
     pts = np.array([[0.3, 0.4], [0.9, 0.1]])
-    table = basis.eval(pts)
+    table = p3_table((0.0, 0.0), 1.0, pts)
     idx = {(i, j): n for n, (i, j) in enumerate(zip(EXP_I, EXP_J))}
     h_x2 = table.hessians[:, idx[(2, 0)]]
     np.testing.assert_allclose(h_x2, [[[2, 0], [0, 0]]] * 2, atol=1e-15)
@@ -100,30 +105,31 @@ def test_scalar_hessians_of_plain_monomials():
 def test_scaled_cubic_hessian():
     h = 0.7
     centroid = np.array([0.2, -0.3])
-    basis = ScalarBasis(centroid, h)
     idx = int(np.nonzero((EXP_I == 3) & (EXP_J == 0))[0][0])
     pt = centroid + h * np.array([1.0, 0.0])
-    table = basis.eval(pt[None, :])
+    table = p3_table(centroid, h, pt[None, :])
     np.testing.assert_allclose(table.hessians[0, idx],
                                [[6.0 / h ** 2, 0.0], [0.0, 0.0]], atol=1e-12)
 
 
 def test_scalar_gradients_match_finite_differences():
-    basis = ScalarBasis((0.4, 0.6), 1.3)
+    def table_at(p):
+        return p3_table((0.4, 0.6), 1.3, p)
+
     p = np.array([[0.25, 0.55]])
     eps = 1e-6
-    table = basis.eval(p)
+    table = table_at(p)
     for d, e in ((0, np.array([eps, 0.0])), (1, np.array([0.0, eps]))):
-        fd = (basis.eval(p + e).values - basis.eval(p - e).values) / (2 * eps)
+        fd = (table_at(p + e).values - table_at(p - e).values) / (2 * eps)
         np.testing.assert_allclose(table.gradients[:, :, d], fd, atol=1e-8)
 
 
-def fit_p2_on_triangle(basis, fn, tri):
+def fit_p2_on_triangle(centroid, scale, fn, tri):
     """Coefficients of fn in the P2 monomials, the first six columns of
-    the P3 basis, by least squares on dense quadrature points (exact for
+    the P3 table, by least squares on dense quadrature points (exact for
     quadratic fn)."""
     pts, _ = tri_rule(10).map_to(tri)
-    table = basis.eval(pts)
+    table = p3_table(centroid, scale, pts)
     coeffs, *_ = np.linalg.lstsq(table.values[:, :6], fn(pts), rcond=None)
     return coeffs
 
@@ -169,9 +175,9 @@ def test_biharmonic_consistency():
         return 24.0 + 2 * 4.0 - 24.0 + 0 * p[:, 0]
 
     coeffs = np.stack([
-        fit_p2_on_triangle(basis.scalar, lambda p: v_hess(p)[:, 0, 0], tri),
-        fit_p2_on_triangle(basis.scalar, lambda p: v_hess(p)[:, 0, 1], tri),
-        fit_p2_on_triangle(basis.scalar, lambda p: v_hess(p)[:, 1, 1], tri),
+        fit_p2_on_triangle(centroid, 1.1, lambda p: v_hess(p)[:, 0, 0], tri),
+        fit_p2_on_triangle(centroid, 1.1, lambda p: v_hess(p)[:, 0, 1], tri),
+        fit_p2_on_triangle(centroid, 1.1, lambda p: v_hess(p)[:, 1, 1], tri),
     ], axis=1).ravel()
     pts = np.array([[0.5, 0.4], [0.3, 0.3], [0.9, 0.25]])
     table = basis.eval(pts)
@@ -190,7 +196,7 @@ def test_mass_matrices_spd_and_conditioned(seed):
     diam = max(np.linalg.norm(tri[i] - tri[j])
                for i in range(3) for j in range(i))
     pts, w = tri_rule(8).map_to(tri)
-    sb = ScalarBasis(centroid, diam).eval(pts)
+    sb = p3_table(centroid, diam, pts)
     mass_s = np.einsum("q,qi,qj->ij", w, sb.values, sb.values)
     tb = TensorBasis(centroid, diam).eval(pts)
     mass_t = np.einsum("q,qiab,qjab->ij", w, tb.values, tb.values)
@@ -206,9 +212,9 @@ def test_stacked_bases_match_single_triangle_evaluation():
     scales = 10.0 ** rng.uniform(-3, 1, size=4)
     pts = centroids[:, None, :] + scales[:, None, None] * rng.uniform(
         -0.5, 0.5, size=(4, 6, 2))
-    for cls in (ScalarBasis, TensorBasis):
-        stacked = cls(centroids, scales).eval(pts)
+    for table in (p3_table, lambda c, h, p: TensorBasis(c, h).eval(p)):
+        stacked = table(centroids, scales, pts)
         for t in range(4):
-            single = cls(centroids[t], scales[t]).eval(pts[t])
+            single = table(centroids[t], scales[t], pts[t])
             for a, b in zip(stacked, single):
                 np.testing.assert_array_equal(a[t], b)

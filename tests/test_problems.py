@@ -68,15 +68,15 @@ def test_material_validation():
 def test_fourier_vanishes_on_boundary():
     s = np.linspace(0, 1, 11)
     for n_max in (3, 15):
-        u, _, _ = fourier_eval(np.zeros_like(s), s, n_max)
+        u, _, _ = fourier_eval(np.column_stack([np.zeros_like(s), s]), n_max)
         np.testing.assert_allclose(u, 0.0, atol=1e-15)
-        u, _, _ = fourier_eval(s, np.zeros_like(s), n_max)
+        u, _, _ = fourier_eval(np.column_stack([s, np.zeros_like(s)]), n_max)
         np.testing.assert_allclose(u, 0.0, atol=1e-15)
 
 
 def test_fourier_central_deflection():
-    u, _, _ = fourier_eval(0.5, 0.5)
-    assert abs(float(u) - 0.00406) < 1e-4
+    u, _, _ = fourier_eval([0.5, 0.5])
+    assert abs(u[0] - 0.00406) < 1e-4
 
 
 def test_fourier_biharmonic_residual():
@@ -111,7 +111,7 @@ def test_fourier_biharmonic_residual():
 
 def test_fourier_moment_is_minus_hessian():
     pts = np.array([[0.3, 0.4], [0.7, 0.2], [0.5, 0.5]])
-    _, _, M = fourier_eval(pts[:, 0], pts[:, 1])
+    _, _, M = fourier_eval(pts)
     eps = 1e-5
     for p, Mp in zip(pts, M):
         hess = np.empty((2, 2))
@@ -119,7 +119,7 @@ def test_fourier_moment_is_minus_hessian():
             for j in range(2):
                 e_i = np.zeros(2); e_i[i] = eps
                 e_j = np.zeros(2); e_j[j] = eps
-                up = lambda q: float(fourier_eval(q[0], q[1])[0])
+                up = lambda q: fourier_eval(q)[0][0]
                 hess[i, j] = (up(p + e_i + e_j) - up(p + e_i - e_j)
                               - up(p - e_i + e_j) + up(p - e_i - e_j)) \
                     / (4 * eps * eps)
@@ -159,7 +159,7 @@ def _fourier_eval_direct(x, y):
 def test_fourier_eval_matches_direct_formula():
     rng = np.random.default_rng(11)
     x, y = rng.uniform(-1.0, 2.0, (2, 3000))
-    u, grad, M = fourier_eval(x, y)
+    u, grad, M = fourier_eval(np.column_stack([x, y]))
     got = (u, grad[:, 0], grad[:, 1], M[:, 0, 0], M[:, 0, 1], M[:, 1, 1])
     for a, b in zip(got, _fourier_eval_direct(x, y)):
         assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
@@ -184,13 +184,13 @@ def test_singular_exponent_relation():
 def test_singular_clamped_edges():
     radii = np.linspace(0.05, 1.0, 20)
     # edge along the positive x-axis, interior side above: normal (0, 1)
-    u, grad, _ = singular_eval(radii, np.zeros_like(radii))
+    u, grad, _ = singular_eval(np.column_stack([radii, np.zeros_like(radii)]))
     assert np.abs(u).max() <= 1e-12
     assert np.abs(grad[:, 1]).max() <= 1e-12
     assert np.abs(grad[:, 0]).max() <= 1e-12   # slope along the edge too
     # edge along y = x (third quadrant): interior normal (-1, 1)/sqrt(2)
     xy = -radii / np.sqrt(2.0)
-    u, grad, _ = singular_eval(xy, xy)
+    u, grad, _ = singular_eval(np.column_stack([xy, xy]))
     assert np.abs(u).max() <= 1e-12
     normal = np.array([-1.0, 1.0]) / np.sqrt(2.0)
     assert np.abs(grad @ normal).max() <= 1e-12
@@ -198,8 +198,8 @@ def test_singular_clamped_edges():
 
 
 def test_singular_origin_values():
-    u, grad, M = singular_eval(0.0, 0.0)
-    assert float(u) == 0.0
+    u, grad, M = singular_eval([0.0, 0.0])
+    assert u[0] == 0.0
     np.testing.assert_array_equal(grad, 0.0)
 
 
@@ -234,8 +234,8 @@ def test_singular_matches_rotated_frame_implementation():
         if x == 0.0 and y == 0.0:
             continue
         u_ref, g_ref = rotated_eval(x, y)
-        u, grad, _ = singular_eval(x, y)
-        assert abs(float(u) - u_ref) < 1e-13 * max(1.0, abs(u_ref))
+        u, grad, _ = singular_eval([x, y])
+        assert abs(u[0] - u_ref) < 1e-13 * max(1.0, abs(u_ref))
         np.testing.assert_allclose(grad.reshape(2), g_ref, atol=1e-12)
 
 
@@ -285,7 +285,7 @@ def test_singular_eval_keeps_the_bits_of_u_and_grad(pts):
     of one ulp there moves every estimator value.  They must keep the bits
     of the reference form; the moment may round differently."""
     p = np.array(pts + [(0.0, 0.0)])
-    u, grad, M = singular_eval(p[:, 0], p[:, 1])
+    u, grad, M = singular_eval(p)
     u_ref, grad_ref, M_ref = _singular_eval_reference(p[:, 0], p[:, 1])
     np.testing.assert_array_equal(u, u_ref)
     np.testing.assert_array_equal(grad, grad_ref)
@@ -294,26 +294,26 @@ def test_singular_eval_keeps_the_bits_of_u_and_grad(pts):
 
 def test_singular_gradient_matches_finite_differences():
     pts = np.array([[0.3, 0.4], [-0.5, 0.2], [-0.4, -0.3], [0.2, 0.9]])
-    _, grad, _ = singular_eval(pts[:, 0], pts[:, 1])
+    _, grad, _ = singular_eval(pts)
     eps = 1e-7
     for p, gp in zip(pts, grad):
         for d in range(2):
             e = np.zeros(2); e[d] = eps
-            fd = (float(singular_eval(*(p + e))[0])
-                  - float(singular_eval(*(p - e))[0])) / (2 * eps)
+            fd = (singular_eval(p + e)[0][0]
+                  - singular_eval(p - e)[0][0]) / (2 * eps)
             assert abs(gp[d] - fd) < 1e-6
 
 
 def test_singular_moment_is_minus_hessian():
     pts = np.array([[0.4, 0.3], [-0.6, 0.5], [-0.3, -0.2]])
-    _, _, M = singular_eval(pts[:, 0], pts[:, 1])
+    _, _, M = singular_eval(pts)
     eps = 1e-5
     for p, Mp in zip(pts, M):
         for i in range(2):
             for j in range(2):
                 e_i = np.zeros(2); e_i[i] = eps
                 e_j = np.zeros(2); e_j[j] = eps
-                up = lambda q: float(singular_eval(q[0], q[1])[0])
+                up = lambda q: singular_eval(q)[0][0]
                 h = (up(p + e_i + e_j) - up(p + e_i - e_j)
                      - up(p - e_i + e_j) + up(p - e_i - e_j)) / (4 * eps ** 2)
                 assert abs(Mp[i, j] + h) < 5e-5
@@ -326,8 +326,8 @@ def test_singular_biharmonic():
     h = 1e-2
 
     def lap(q):
-        _, _, M = singular_eval(q[0], q[1])
-        return -(float(M[..., 0, 0]) + float(M[..., 1, 1]))   # Hess trace
+        _, _, M = singular_eval(q)
+        return -(M[0, 0, 0] + M[0, 1, 1])   # Hess trace
 
     for p in pts:
         r = np.hypot(*p)
@@ -350,8 +350,8 @@ def test_singular_eval_is_homogeneous_under_dyadic_scaling(r, phi, k):
     assert mu == 1.0 + SINGULAR_ALPHA
     lam = 2.0 ** k
     x, y = r * np.cos(phi), r * np.sin(phi)
-    u, _, M = singular_eval(x, y)
-    u_s, _, M_s = singular_eval(lam * x, lam * y)
+    u, _, M = singular_eval([x, y])
+    u_s, _, M_s = singular_eval([lam * x, lam * y])
     np.testing.assert_allclose(u_s, lam ** mu * u, rtol=1e-14,
                                atol=1e-14 * (lam * r) ** mu)
     np.testing.assert_allclose(M_s, lam ** (mu - 2.0) * M, rtol=1e-14,
@@ -375,6 +375,7 @@ def test_zshape_geometry():
 
 def test_zshape_problem_spec():
     prob = builtin_zshape_problem()
+    assert prob.exact.fields is singular_eval
     assert prob.f is None
     assert prob.exact.singularity.point == (0.0, 0.0)
     bc = prob.bc_builder(prob.initial_mesh)
@@ -391,6 +392,7 @@ def test_zshape_problem_spec():
 def test_square_problem_spec():
     prob = builtin_square_problem()
     assert prob.exact is not None
+    assert prob.exact.fields is fourier_eval
     np.testing.assert_allclose(prob.f(np.zeros((3, 2))), 1.0)
     bc = prob.bc_builder(prob.initial_mesh)
     assert len(bc.vertex.index) > 0 and len(bc.edge.index) > 0

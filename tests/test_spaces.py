@@ -11,7 +11,7 @@ from conftest import (manufactured_M, manufactured_divM,
 from platedpg.errors import ConfigurationError
 from platedpg.mesh import (edge_frame, mesh_from_arrays, uniform_refine,
                            unit_square_mesh)
-from platedpg.polyquad import EDGE_NODES, EDGE_WEIGHTS, tri_rule
+from platedpg.polyquad import EDGE_NODES, EDGE_WEIGHTS, p3_table, tri_rule
 from platedpg.spaces import (BCSpec, Constraints, ElementGeometry,
                              _reduce_blocks, build_dofmap,
                              interpolate_uhat_bc, simply_supported_bc,
@@ -25,10 +25,11 @@ from trace_oracles import (element_tensor_basis, extract_qhat,
 SKEW_TRI = mesh_from_arrays([(0.1, 0.2), (1.3, 0.1), (0.4, 1.2)], [(0, 1, 2)])
 
 
-def fit_scalar(basis, fn, tri, ncols=10):
-    """Least-squares coefficients of fn in the first ncols P3 monomials."""
+def fit_scalar(centroid, scale, fn, tri, ncols=10):
+    """Least-squares coefficients of fn in the first ncols P3 monomials of
+    the frame with ``centroid`` and ``scale``."""
     pts, _ = tri_rule(10).map_to(tri)
-    table = basis.eval(pts)
+    table = p3_table(centroid, scale, pts)
     coeffs, *_ = np.linalg.lstsq(table.values[:, :ncols], fn(pts), rcond=None)
     return coeffs
 
@@ -36,7 +37,8 @@ def fit_scalar(basis, fn, tri, ncols=10):
 def fit_tensor(tbasis, fn, tri):
     comps = [lambda p: fn(p)[:, 0, 0], lambda p: fn(p)[:, 0, 1],
              lambda p: fn(p)[:, 1, 1]]
-    cols = [fit_scalar(tbasis.scalar, c, tri, ncols=6) for c in comps]
+    cols = [fit_scalar(tbasis.centroid, tbasis.scale, c, tri, ncols=6)
+            for c in comps]
     return np.stack(cols, axis=1).ravel()
 
 
@@ -216,7 +218,6 @@ def test_uhat_pair_examples():
 
 def test_qhat_pair_constant_test():
     geom = ElementGeometry(SKEW_TRI, 0)
-    basis = geom.scalar_basis()
     zc = np.zeros(10)
     zc[0] = 1.0               # the constant basis function
     alpha = np.array([0.3, -0.7, 1.1])
@@ -228,8 +229,7 @@ def test_qhat_pair_constant_test():
 
 def test_qhat_pair_linear_test_hits_normals():
     geom = ElementGeometry(SKEW_TRI, 0)
-    basis = geom.scalar_basis()
-    zc = fit_scalar(basis, lambda p: p[:, 0], geom.P)
+    zc = fit_scalar(geom.centroid, geom.diam, lambda p: p[:, 0], geom.P)
     beta = np.array([0.5, 0.2, -0.4])
     val = qhat_pair_local(geom, (np.zeros(3), beta, np.zeros(3)), zc)
     expected = -np.sum(beta * geom.nrm[:, 0])
@@ -252,7 +252,7 @@ def test_constant_tensor_extraction_identity():
     geom = ElementGeometry(SKEW_TRI, 0)
     qd = local_qhat(SKEW_TRI, 0, alpha, beta, gamma)
     pts, w = tri_rule(8).map_to(geom.P)
-    sv = geom.scalar_basis().eval(pts)
+    sv = p3_table(geom.centroid, geom.diam, pts)
     for i in range(10):
         zc = np.zeros(10)
         zc[i] = 1.0

@@ -12,7 +12,7 @@ from scipy.special import roots_legendre
 
 from platedpg.dpg import uhat_pair_matrix
 from platedpg.mesh import edge_frame
-from platedpg.polyquad import EDGE_NODES, EDGE_WEIGHTS, ScalarBasis
+from platedpg.polyquad import EDGE_NODES, EDGE_WEIGHTS, p3_table
 from platedpg.spaces import ElementGeometry
 
 # 6-point Gauss-Legendre rule on [0, 1] for the edge moments of smooth fields
@@ -36,10 +36,10 @@ class TensorBasis:
     dim = 18
 
     def __init__(self, centroid, scale):
-        self.scalar = ScalarBasis(centroid, scale)
+        self.centroid, self.scale = centroid, scale
 
     def eval(self, points):
-        vals, grads, hess = self.scalar.eval(points)
+        vals, grads, hess = p3_table(self.centroid, self.scale, points)
         vals, grads, hess = (vals[..., :6], grads[..., :6, :],
                              hess[..., :6, :, :])
         lead = vals.shape[:-1]
@@ -102,17 +102,16 @@ def qhat_pair_local(geom, qdofs, zcoeffs):
     monomial P3 basis.  Edge integrals use the canonical edge normal.
     """
     alpha, beta, gamma = (np.asarray(q, dtype=float) for q in qdofs)
-    basis = geom.scalar_basis()
     zc = np.asarray(zcoeffs, dtype=float)
     total = 0.0
     for k in range(3):
         pts = geom.edge_points(k, EDGE_NODES)
-        vals, grads, _ = basis.eval(pts)
+        vals, grads, _ = p3_table(geom.centroid, geom.diam, pts)
         z_mean = EDGE_WEIGHTS @ (vals @ zc)
         gn_mean = EDGE_WEIGHTS @ np.einsum("qid,i,d->q", grads, zc,
                                            geom.nrm[k])
         total += alpha[k] * z_mean - beta[k] * gn_mean
-    corner_vals, _, _ = basis.eval(geom.P)
+    corner_vals, _, _ = p3_table(geom.centroid, geom.diam, geom.P)
     total -= gamma @ (corner_vals @ zc)
     return float(total)
 
@@ -123,7 +122,7 @@ def uhat_pair_local(geom, udofs, theta_coeffs):
     symmetric P2 tensor given by its coefficients in the element's tensor
     basis."""
     pts = np.stack([geom.edge_points(k, EDGE_NODES) for k in range(3)])
-    phi, gphi, _ = geom.scalar_basis().eval(pts)
+    phi, gphi, _ = p3_table(geom.centroid, geom.diam, pts)
     mat = uhat_pair_matrix(geom, phi[..., :6], gphi[..., :6, :])
     return float(np.asarray(theta_coeffs, dtype=float)
                  @ mat @ np.asarray(udofs, dtype=float).ravel())
