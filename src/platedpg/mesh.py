@@ -12,6 +12,7 @@ Orientation conventions used throughout the package:
 """
 
 import logging
+from array import array
 
 import numpy as np
 
@@ -38,9 +39,11 @@ class Mesh:
     Construct through :func:`mesh_from_arrays`.  The raw constructor (the
     refinement code path) takes the orientation and refinement edges as
     given, but raises :class:`MeshStructureError` for non-finite
-    coordinates, invalid or repeated vertex ids in a triangle, an edge of
-    three triangles, unused vertices, an Euler characteristic other than
-    1, pinched vertices or nonpositive signed areas.
+    coordinates, invalid or repeated vertex ids in a triangle, refinement
+    edges or generations that are not one per triangle, a refinement edge
+    other than 0, 1 or 2, an edge of three triangles, unused vertices, an
+    Euler characteristic other than 1, pinched vertices or nonpositive
+    signed areas.
     """
 
     def __init__(self, coords, tri_vertices, refinement_edge, generation):
@@ -60,26 +63,36 @@ class Mesh:
             raise MeshStructureError("non-finite vertex coordinates")
         if tris.min(initial=0) < 0 or tris.max(initial=-1) >= n_vert:
             raise MeshStructureError("triangle references an invalid vertex id")
+        ref, gen = self.refinement_edge, self.generation
+        if (ref.shape != (n_tri,) or gen.shape != (n_tri,)
+                or ref.min(initial=0) < 0 or ref.max(initial=0) > 2):
+            raise MeshStructureError("refinement edges in {0, 1, 2} and "
+                                     "generations, one per triangle, expected")
         degenerate = np.flatnonzero((tris == np.roll(tris, 1, 1)).any(axis=1))
         if degenerate.size:
             raise MeshStructureError("degenerate triangles (repeated vertex): "
                                      f"{degenerate.tolist()}")
 
         # local edge k joins local vertices k+1 and k+2; edges are numbered
-        # in the order they are first met, triangle by triangle, local edge k
-        ends = tris[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2)
-        lo, hi = ends.min(axis=1), ends.max(axis=1)
-        _, first, inverse, count = np.unique(
-            lo * n_vert + hi, return_index=True, return_inverse=True,
-            return_counts=True)
-        last = np.zeros_like(first)
-        np.maximum.at(last, inverse, np.arange(inverse.size))
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        self.tri_edges = rank[inverse].reshape(n_tri, 3)
-        first, last, count = first[order], last[order], count[order]
-        self.edge_vertices = np.stack([lo[first], hi[first]], axis=1)
+        # in the order they are first met, triangle by triangle, local edge
+        # k.  One stable sort of the slots by vertex pair puts each edge's
+        # slots together in slot order; the first slots of the groups, in
+        # slot order, are the edges.
+        ends = np.sort(tris[:, [[1, 2], [2, 0], [0, 1]]]).reshape(-1, 2)
+        key = ends[:, 0] * n_vert + ends[:, 1]
+        order = np.argsort(key, kind="stable")
+        starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+        size = np.diff(starts, append=key.size)
+        is_first = np.zeros(key.size, dtype=bool)
+        is_first[order[starts]] = True
+        edge = (np.cumsum(is_first) - 1)[order[starts]]   # each group's
+        self.tri_edges = np.empty((n_tri, 3), dtype=np.int64)
+        np.put(self.tri_edges, order, np.repeat(edge, size))
+        first = np.flatnonzero(is_first)
+        last, count = np.empty_like(first), np.empty_like(first)
+        last[edge] = order[starts + size - 1]
+        count[edge] = size
+        self.edge_vertices = ends[first]
         if np.any(count > 2):
             e = int(np.argmax(count > 2))
             raise MeshStructureError(
@@ -216,16 +229,16 @@ def nvb_refine(mesh, marked):
             or marked[-1] >= mesh.num_triangles):
         raise MeshStructureError("marked set contains invalid triangle ids")
 
-    # flat slot lists, three per triangle, turned so that slot 0 holds the
-    # newest vertex p0 and the refinement edge p1p2 opposite it
+    # flat int64 slot arrays, three per triangle, turned so that slot 0
+    # holds the newest vertex p0 and the refinement edge p1p2 opposite it
     n0, ref0 = mesh.num_triangles, mesh.refinement_edge[:, None]
     turn = (ref0 + np.arange(3)) % 3
-    verts = np.take_along_axis(mesh.tri_vertices, turn, 1).ravel().tolist()
-    edges = np.take_along_axis(mesh.tri_edges, turn, 1).ravel().tolist()
-    side0, side1 = mesh.edge_triangles.T.tolist()
-    gen = mesh.generation.tolist()
-    alive = [True] * n0
-    ends = []                           # the bisected edge of each new vertex
+    verts, edges, side0, side1, gen = (array("q", a.tobytes()) for a in (
+        np.take_along_axis(mesh.tri_vertices, turn, 1),
+        np.take_along_axis(mesh.tri_edges, turn, 1),
+        *mesh.edge_triangles.T, mesh.generation))
+    alive = bytearray(b"\1") * n0
+    ends = array("q")                   # the bisected edge of each new vertex
 
     def split(t, m, h1, h2):
         """Children [m, p0, p1] and [m, p2, p0] in slot order; h1 and h2
@@ -264,8 +277,8 @@ def nvb_refine(mesh, marked):
             m = mesh.num_vertices + len(ends) // 2
             ends += verts[3 * t + 1:3 * t + 3]
             h = len(side0)
-            side0 += (-1, -1)
-            side1 += (-1, -1)
+            side0.extend((-1, -1))
+            side1.extend((-1, -1))
             split(t, m, h, h + 1)
             if nb >= 0:
                 split(nb, m, h + 1, h)
@@ -274,18 +287,19 @@ def nvb_refine(mesh, marked):
     # only edges of the given mesh are bisected: a child's refinement edge
     # is one of its parent's edges, and a grandchild has no edge of the
     # given mesh, so no refinement edge on the stack leads to it
-    coords = np.concatenate([
-        mesh.coords, 0.5 * mesh.coords[np.reshape(ends, (-1, 2))].sum(axis=1)])
+    coords = np.concatenate([mesh.coords, 0.5 * mesh.coords[
+        np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)].sum(axis=1)])
     # undo the turn: the given triangles keep their layout, and children
     # come out as [p1, m, p0] with ref 1 and [m, p2, p0] with ref 0
-    slots = np.array(verts).reshape(-1, 3)
+    slots = np.frombuffer(verts, dtype=np.int64).reshape(-1, 3)
     kids = slots[n0:].reshape(-1, 2, 3)
     kids[:, 0] = kids[:, 0, [2, 0, 1]]
     tris = np.concatenate([np.take_along_axis(
         slots[:n0], (np.arange(3) - ref0) % 3, 1), kids.reshape(-1, 3)])
     ref = np.concatenate([ref0[:, 0], np.tile([1, 0], len(kids))])
-    keep = np.flatnonzero(alive)
-    return Mesh(coords, tris[keep], ref[keep], np.array(gen)[keep])
+    keep = np.flatnonzero(np.frombuffer(alive, dtype=np.bool_))
+    return Mesh(coords, tris[keep], ref[keep],
+                np.frombuffer(gen, dtype=np.int64)[keep])
 
 
 def uniform_refine(mesh):

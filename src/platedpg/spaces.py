@@ -234,9 +234,10 @@ def _reduce_blocks(rows, constraints, kind, col0):
     their nullspace; the blocks' free columns are numbered consecutively
     from ``col0``.  The blocks with k constraints are reduced by one
     stacked SVD, whose LAPACK call per block is the one a single SVD
-    makes.  Returns the COO entries of R, the prescribed values of the
-    rows and the number of free columns; dependent constraints raise
-    for the lowest such block id.
+    makes.  Returns the entries (rows, cols, values) of R, in column
+    order within a row, the prescribed values of the rows and the number
+    of free columns; dependent constraints raise for the lowest such
+    block id.
     """
     n, width = rows.shape
     index, C, d = (np.asarray(a) for a in constraints)
@@ -258,10 +259,9 @@ def _reduce_blocks(rows, constraints, kind, col0):
     blocks, starts, counts = np.unique(index[order], return_index=True,
                                        return_counts=True)
 
-    basis = np.tile(np.eye(width), (n, 1, 1))
     n_free = np.full(n, width)
     x_p = np.zeros((n, width))
-    over = []
+    over, nulls = [], []
     for k in np.unique(counts).tolist():
         b = blocks[counts == k]
         at = order[starts[counts == k, None] + np.arange(k)]
@@ -274,8 +274,7 @@ def _reduce_blocks(rows, constraints, kind, col0):
             continue
         y = (np.swapaxes(U, 1, 2) @ d[at, None])[:, :, 0] / s[:, :k]
         x_p[b] = (np.swapaxes(Vt[:, :k], 1, 2) @ y[:, :, None])[:, :, 0]
-        basis[b] = 0.0
-        basis[b, :, :width - k] = np.swapaxes(Vt[:, k:], 1, 2)
+        nulls.append((b, np.swapaxes(Vt[:, k:], 1, 2)))
         n_free[b] = width - k
     if over:
         b, k, rank = min(over)
@@ -283,12 +282,15 @@ def _reduce_blocks(rows, constraints, kind, col0):
             f"over-constrained boundary block at {kind} {b}: "
             f"{k} constraints of rank {rank}")
     start = col0 + np.cumsum(n_free) - n_free
-    b, i, j = np.nonzero(basis)
-    return (rows[b, i], start[b] + j, basis[b, i, j]), x_p, int(n_free.sum())
+    b = np.flatnonzero(n_free == width)     # the identity basis
+    nulls.append((b, np.broadcast_to(np.eye(width), (len(b), width, width))))
+    entries = [(rows[b[t], i], start[b[t]] + j, null[t, i, j])
+               for b, null in nulls for t, i, j in [np.nonzero(null)]]
+    return tuple(map(np.concatenate, zip(*entries))), x_p, int(n_free.sum())
 
 
 def build_dofmap(mesh, bc: Optional[BCSpec] = None) -> DofMap:
-    """Number the four trial blocks and assemble the affine reduction for
+    """Number the four trial blocks and build the affine reduction for
     the essential constraints and the gamma patch sums.
 
     Free columns follow the full layout block by block: u and M, the
@@ -305,13 +307,14 @@ def build_dofmap(mesh, bc: Optional[BCSpec] = None) -> DofMap:
     full_dim = off_gamma + 3 * nT
     x_p = np.zeros(full_dim)
 
-    u_m = np.arange(off_uhat)
     uhat_rows = off_uhat + np.arange(3 * nN).reshape(nN, 3)
     uhat, x_p[uhat_rows], n_uhat_free = _reduce_blocks(
         uhat_rows, bc.vertex, "vertex", off_uhat)
     edge_rows = off_alpha + np.arange(nE)[:, None] + np.array([0, nE])
     edge, x_p[edge_rows], n_edge_free = _reduce_blocks(
         edge_rows, bc.edge, "edge", off_uhat + n_uhat_free)
+    rows, cols, vals = (np.concatenate(part) for part in zip(uhat, edge))
+    del uhat, edge
 
     # gamma: the patch triangle with the largest id carries the dependent
     # corner at every interior vertex, minus the sum of the other corners
@@ -321,21 +324,44 @@ def build_dofmap(mesh, bc: Optional[BCSpec] = None) -> DofMap:
     at_interior = ~mesh.vertex_on_boundary[tris]
     dependent = at_interior & (owner[tris] == np.arange(nT)[:, None])
     free = ~dependent
+    others = free & at_interior
+    n_others = np.bincount(tris[others], minlength=nN)
     n_gamma_free = int(np.count_nonzero(free))
     col0 = off_uhat + n_uhat_free + n_edge_free
-    col = (col0 + np.cumsum(free) - 1).reshape(nT, 3)
-    corner = off_gamma + np.arange(3 * nT).reshape(nT, 3)
-    dependent_row = np.empty(nN, dtype=np.int64)
-    dependent_row[tris[dependent]] = corner[dependent]
-    others = free & at_interior
-
-    entries = [(u_m, u_m, np.ones(off_uhat)), uhat, edge,
-               (corner[free], col[free], np.ones(n_gamma_free)),
-               (dependent_row[tris[others]], col[others],
-                np.full(np.count_nonzero(others), -1.0))]
-    rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
     free_dim = col0 + n_gamma_free
-    R = sp.csr_matrix((vals, (rows, cols)), shape=(full_dim, free_dim))
+
+    # R straight into canonical CSR: indptr from the entries per row (one
+    # in each u, M and free corner row), then each part at its offsets
+    nnz = off_uhat + rows.size + n_gamma_free + int(n_others.sum())
+    itype = np.int32 if max(nnz, full_dim) < 2**31 else np.int64  # scipy's
+    indptr = np.zeros(full_dim + 1, dtype=itype)
+    counts = indptr[1:]
+    counts[:] = 1
+    counts[off_uhat:off_gamma] = np.bincount(
+        rows - off_uhat, minlength=off_gamma - off_uhat)
+    counts[off_gamma:][dependent.ravel()] = n_others[tris[dependent]]
+    np.cumsum(indptr, out=indptr)
+    indices = np.empty(nnz, dtype=itype)
+    data = np.ones(nnz)
+    indices[:off_uhat] = np.arange(off_uhat)
+    order = np.argsort(rows, kind="stable")
+    indices[off_uhat:indptr[off_gamma]] = cols[order]
+    data[off_uhat:indptr[off_gamma]] = vals[order]
+    del rows, cols, vals, order
+    col = (col0 + np.cumsum(free) - 1).reshape(nT, 3)
+    corner_at = indptr[off_gamma:-1].reshape(nT, 3)
+    indices[corner_at[free]] = col[free]
+    # a dependent corner's row holds the other corners at its vertex in
+    # flat (t, c) order, their column order; after a stable sort by vertex
+    # the k-th lands at its row's start + k - k of the vertex's first one
+    v = tris[others]
+    order = np.argsort(v, kind="stable")
+    row = np.zeros(nN, dtype=np.int64)
+    row[tris[dependent]] = corner_at[dependent]
+    at = np.arange(v.size) + (row + n_others - np.cumsum(n_others))[v[order]]
+    indices[at] = col[others][order]
+    data[at] = -1.0
+    R = sp.csr_matrix((data, indices, indptr), shape=(full_dim, free_dim))
 
     return DofMap(mesh=mesh, off_m=off_m, off_uhat=off_uhat,
                   off_alpha=off_alpha, off_beta=off_beta, off_gamma=off_gamma,

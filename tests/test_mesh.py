@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 from conftest import reference_triangle_mesh, shape_ratio, vertex_patch
+from numbering_oracles import unique_topology
 
 from platedpg.errors import MeshStructureError
 from platedpg.mesh import (edge_frame, mesh_from_arrays, mesh_to_text,
@@ -69,8 +70,54 @@ def test_integer_vertex_ids_accepted(tris):
 def test_edge_shared_three_times_rejected():
     coords = [(0, 0), (1, 0), (0, 1), (1, 1), (0.5, -1)]
     tris = [(0, 1, 2), (1, 3, 2), (0, 1, 4), (0, 1, 3)]
-    with pytest.raises(MeshStructureError):
+    with pytest.raises(MeshStructureError, match=(
+            r"edge \(0, 1\) shared by more than two triangles: \[0, 2, 3\]")):
         mesh_from_arrays(coords, tris)
+
+
+@pytest.mark.parametrize("ref, gen", [
+    ([0, 7], [0, 0]), ([0, 3], [0, 0]), ([0, -1], [0, 0]), ([0], [0, 0]),
+    ([0, 1], [0]), ([0, 1, 2], [0, 0]), ([[0, 1]], [0, 0]),
+    ([0, 1], [[0], [0]]),
+], ids=["edge-7", "edge-3", "edge-minus-1", "edge-short", "generation-short",
+        "edge-long", "edge-2d", "generation-2d"])
+def test_raw_constructor_rejects_malformed_refinement_data(ref, gen):
+    """The raw constructor refuses refinement edges outside {0, 1, 2} and
+    refinement edges or generations that are not one per triangle; they
+    used to construct, then refine as another edge, fail inside
+    ``nvb_refine`` with an IndexError, or lose a triangle in the dump."""
+    from platedpg.mesh import Mesh
+    m = unit_square_mesh()
+    with pytest.raises(MeshStructureError, match=(
+            r"refinement edges in \{0, 1, 2\} and generations, one per "
+            "triangle, expected")):
+        Mesh(m.coords, m.tri_vertices, ref, gen)
+
+
+@settings(max_examples=40, deadline=None)
+@given(initial=st.sampled_from([unit_square_mesh, zshape_mesh]),
+       rounds=st.integers(0, 4), shuffle=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_topology_matches_unique_construction(initial, rounds, shuffle, seed):
+    """On randomly refined meshes, with the triangles in their own order
+    or shuffled, the edge numbering, the edges' vertices and triangles and
+    the boundary flags are bit for bit those of one ``np.unique`` over the
+    vertex pairs."""
+    from platedpg.mesh import Mesh
+    rng = np.random.default_rng(seed)
+    m = initial()
+    for _ in range(rounds):
+        n = m.num_triangles
+        m = nvb_refine(m, rng.choice(n, size=max(1, n // 4), replace=False))
+    if shuffle:
+        p = rng.permutation(m.num_triangles)
+        m = Mesh(m.coords, m.tri_vertices[p], m.refinement_edge[p],
+                 m.generation[p])
+    for name, want in unique_topology(m.tri_vertices,
+                                      m.num_vertices).items():
+        got = getattr(m, name)
+        assert got.dtype == want.dtype, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
 
 
 def test_pinched_vertex_rejected():

@@ -17,6 +17,7 @@ from platedpg.spaces import (BCSpec, Constraints, ElementGeometry,
                              interpolate_uhat_bc, simply_supported_bc,
                              uhat_edge_traces)
 from bc_oracles import BCConstraint, constraint_residuals, to_bcspec
+from numbering_oracles import coo_reduction, reduce_blocks_per_block
 from trace_oracles import (element_tensor_basis, extract_qhat,
                            extract_qhat_local, extract_uhat, local_qhat,
                            qhat_pair_local, uhat_pair_local,
@@ -356,45 +357,6 @@ def test_dofmap_unconstrained_count_formula():
         assert dm.n_uhat_free == 3 * mesh.num_vertices
 
 
-def _reduce_block(C, d, tag):
-    """Oracle: one SVD per constraint block, the reduction the stacked
-    SVD in ``_reduce_blocks`` replaces."""
-    C = np.asarray(C, dtype=float)
-    d = np.asarray(d, dtype=float)
-    n = C.shape[1]
-    U, s, Vt = np.linalg.svd(C, full_matrices=True)
-    tol = max(C.shape) * np.finfo(float).eps * max(s[0], 1.0)
-    rank = int(np.count_nonzero(s > tol))
-    if rank < C.shape[0]:
-        raise ConfigurationError(
-            f"over-constrained boundary block at {tag}: "
-            f"{C.shape[0]} constraints of rank {rank}")
-    x_p = Vt[:rank].T @ ((U.T @ d)[:rank] / s[:rank])
-    null = Vt[rank:].T.copy() if rank < n else np.zeros((n, 0))
-    return x_p, null
-
-
-def _reduce_blocks_per_block(rows, constraints, kind, col0):
-    """Oracle for ``_reduce_blocks``: the blocks in ascending id, one
-    ``_reduce_block`` each."""
-    n, width = rows.shape
-    index, C, d = constraints
-    order = np.argsort(index, kind="stable")
-    blocks, starts = np.unique(index[order], return_index=True)
-    basis = np.tile(np.eye(width), (n, 1, 1))
-    n_free = np.full(n, width)
-    x_p = np.zeros((n, width))
-    for b, Cb, db in zip(blocks.tolist(), np.split(C[order], starts[1:]),
-                         np.split(d[order], starts[1:])):
-        x_p[b], null = _reduce_block(Cb, db, f"{kind} {b}")
-        basis[b] = 0.0
-        basis[b, :, :null.shape[1]] = null
-        n_free[b] = null.shape[1]
-    start = col0 + np.cumsum(n_free) - n_free
-    b, i, j = np.nonzero(basis)
-    return (rows[b, i], start[b] + j, basis[b, i, j]), x_p, int(n_free.sum())
-
-
 @settings(max_examples=60, deadline=None)
 @given(vertex_k=st.lists(st.integers(0, 3), min_size=1, max_size=8),
        edge_k=st.lists(st.integers(0, 2), min_size=1, max_size=8),
@@ -402,7 +364,9 @@ def _reduce_blocks_per_block(rows, constraints, kind, col0):
 def test_stacked_reduction_matches_per_block_oracle(vertex_k, edge_k, seed):
     """Random full-rank vertex (width 3) and edge (width 2) blocks with
     every constraint count, each kind's rows in shuffled order: the
-    stacked reduction is bit for bit the per-block one."""
+    stacked reduction is bit for bit the per-block one.  The stacked one
+    lists the unconstrained blocks first, so both entry lists are
+    compared in (row, column) order."""
     rng = np.random.default_rng(seed)
     nV, nE = len(vertex_k), len(edge_k)
     for kind, ks, rows in (
@@ -416,9 +380,11 @@ def test_stacked_reduction_matches_per_block_oracle(vertex_k, edge_k, seed):
         cons = Constraints(index[shuffle], C[shuffle],
                            rng.standard_normal(len(index)))
         (r, c, v), x_p, n_free = _reduce_blocks(rows, cons, kind, 11)
-        (r0, c0, v0), x_p0, n_free0 = _reduce_blocks_per_block(
+        (r0, c0, v0), x_p0, n_free0 = reduce_blocks_per_block(
             rows, cons, kind, 11)
-        for got, want in ((r, r0), (c, c0), (v, v0), (x_p, x_p0)):
+        o, o0 = np.lexsort((c, r)), np.lexsort((c0, r0))
+        for got, want in ((r[o], r0[o0]), (c[o], c0[o0]), (v[o], v0[o0]),
+                          (x_p, x_p0)):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
         assert n_free == n_free0
@@ -442,6 +408,70 @@ def test_overconstrained_error_names_lowest_block():
 
 def _sha256(a):
     return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+def _random_constraints(rng, ids, width, fraction):
+    """Full-rank constraints, 1 to width of them, on a random ``fraction``
+    of the blocks ``ids``, with coefficients scaled over six decades and
+    listed in shuffled order."""
+    blocks = ids[rng.random(len(ids)) < fraction]
+    index = np.repeat(blocks, rng.integers(1, width + 1, len(blocks)))
+    C = rng.standard_normal((len(index), width))
+    C *= 10.0 ** rng.uniform(-3, 3, (len(index), 1))
+    shuffle = rng.permutation(len(index))
+    return Constraints(index[shuffle], C[shuffle],
+                       rng.standard_normal(len(index)))
+
+
+def _join(a, b):
+    return Constraints(*(np.concatenate(pair) for pair in zip(a, b)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from(["square", "zshape"]),
+       rounds=st.integers(0, 4), fraction=st.floats(0.05, 0.6),
+       bc=st.sampled_from(["none", "clamped", "supported"]),
+       extra=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_dofmap_matches_coo_construction(shape, rounds, fraction, bc, extra,
+                                         seed):
+    """On randomly refined meshes, with no, clamped or simply supported
+    boundary conditions and random extra constraints on the blocks they
+    leave free, R (indptr, indices, data and their dtypes), x_prescribed
+    and the free counts are bit for bit those of R built from COO
+    triplets."""
+    from platedpg.mesh import nvb_refine
+    from platedpg.problems import zshape_mesh
+    rng = np.random.default_rng(seed)
+    mesh = uniform_refine(unit_square_mesh() if shape == "square"
+                          else zshape_mesh())
+    for _ in range(rounds):
+        n = mesh.num_triangles
+        mesh = nvb_refine(mesh, rng.choice(
+            n, size=max(1, round(fraction * n)), replace=False))
+    spec = {"none": BCSpec(),
+            "clamped": interpolate_uhat_bc(zero_fields, mesh),
+            "supported": simply_supported_bc(mesh)}[bc]
+    if extra:
+        vertex_ids, edge_ids = (
+            np.flatnonzero(~mesh.vertex_on_boundary),
+            np.flatnonzero(~mesh.edge_on_boundary))
+        if bc == "none":
+            vertex_ids = np.arange(mesh.num_vertices)
+            edge_ids = np.arange(mesh.num_edges)
+        spec = BCSpec(
+            vertex=_join(spec.vertex,
+                         _random_constraints(rng, vertex_ids, 3, fraction)),
+            edge=_join(spec.edge,
+                       _random_constraints(rng, edge_ids, 2, fraction)))
+    dm = build_dofmap(mesh, spec)
+    R, x_p, free_dim, n_uhat_free, n_qhat_free = coo_reduction(mesh, spec)
+    for got, want in ((dm.R.indptr, R.indptr), (dm.R.indices, R.indices),
+                      (dm.R.data, R.data), (dm.x_prescribed, x_p)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    assert dm.R.shape == R.shape
+    assert (dm.free_dim, dm.n_uhat_free, dm.n_qhat_free) == (
+        free_dim, n_uhat_free, n_qhat_free)
 
 
 @pytest.mark.parametrize("case", ["zshape-clamped", "square-supported"])
