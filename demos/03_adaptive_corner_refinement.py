@@ -28,11 +28,10 @@ for mode in ("uniform", "adaptive"):
     print(f"  slopes over the final half: eta {slope_eta:.3f}, "
           f"err_M {slope_M:.3f}")
     if mode == "adaptive":
-        gmax = mesh.generation.max()
-        finest = np.nonzero(mesh.generation == gmax)[0]
+        finest = np.nonzero(mesh.tri_area == mesh.tri_area.min())[0]
         geom = ElementGeometry(mesh, np.arange(mesh.num_triangles))
         frac = np.mean(np.linalg.norm(geom.centroid[finest], axis=1) < 0.25)
-        print(f"  finest-generation triangles within 0.25 of the corner: "
+        print(f"  smallest triangles within 0.25 of the corner: "
               f"{100 * frac:.0f}%  (min diameter {geom.diam.min():.1e})")
 
 print("\nexpected: uniform slope ~ 0.337 (= alpha/2), adaptive ~ 0.5")

@@ -11,14 +11,11 @@ Orientation conventions used throughout the package:
   (:func:`edge_frame`).
 """
 
-import logging
 from array import array
 
 import numpy as np
 
 from .errors import MeshStructureError
-
-logger = logging.getLogger(__name__)
 
 
 def edge_frame(a, b):
@@ -36,21 +33,26 @@ def edge_frame(a, b):
 class Mesh:
     """Conforming triangulation of a simply connected polygon.
 
-    Construct through :func:`mesh_from_arrays`.  The raw constructor (the
-    refinement code path) takes the orientation and refinement edges as
-    given, but raises :class:`MeshStructureError` for non-finite
-    coordinates, invalid or repeated vertex ids in a triangle, refinement
-    edges or generations that are not one per triangle, a refinement edge
-    other than 0, 1 or 2, an edge of three triangles, unused vertices, an
-    Euler characteristic other than 1, pinched vertices or nonpositive
-    signed areas.
+    ``Mesh(coords, tri_vertices, refinement_edge)`` is the one checked
+    constructor; :func:`mesh_from_arrays` and :func:`nvb_refine` build
+    through it.  It raises :class:`MeshStructureError` unless the
+    coordinates are finite with shape (n, 2), the triples are integer
+    (not float or bool) vertex ids in range with shape (m, 3), and the
+    refinement edges are integers 0, 1 or 2 with shape (m,); and for a
+    repeated vertex in a triangle, an edge of three triangles, unused
+    vertices, an Euler characteristic other than 1, pinched vertices or
+    a triangle that is not counterclockwise (nonpositive signed area).
     """
 
-    def __init__(self, coords, tri_vertices, refinement_edge, generation):
-        self.coords = np.ascontiguousarray(coords, dtype=float)
-        self.tri_vertices = np.ascontiguousarray(tri_vertices, dtype=np.int64)
-        self.refinement_edge = np.ascontiguousarray(refinement_edge, dtype=np.int64)
-        self.generation = np.ascontiguousarray(generation, dtype=np.int64)
+    def __init__(self, coords, tri_vertices, refinement_edge):
+        self.coords, self.tri_vertices = _checked_vertices(coords,
+                                                           tri_vertices)
+        ref = np.asarray(refinement_edge)
+        if (ref.dtype.kind not in "iu" or ref.shape != (self.num_triangles,)
+                or ref.min(initial=0) < 0 or ref.max(initial=0) > 2):
+            raise MeshStructureError("refinement edges in {0, 1, 2}, one per "
+                                     "triangle, expected")
+        self.refinement_edge = np.ascontiguousarray(ref, dtype=np.int64)
         self._build_topology()
         self._build_geometry()
 
@@ -59,15 +61,6 @@ class Mesh:
     def _build_topology(self):
         coords, tris = self.coords, self.tri_vertices
         n_vert, n_tri = len(coords), len(tris)
-        if not np.all(np.isfinite(coords)):
-            raise MeshStructureError("non-finite vertex coordinates")
-        if tris.min(initial=0) < 0 or tris.max(initial=-1) >= n_vert:
-            raise MeshStructureError("triangle references an invalid vertex id")
-        ref, gen = self.refinement_edge, self.generation
-        if (ref.shape != (n_tri,) or gen.shape != (n_tri,)
-                or ref.min(initial=0) < 0 or ref.max(initial=0) > 2):
-            raise MeshStructureError("refinement edges in {0, 1, 2} and "
-                                     "generations, one per triangle, expected")
         degenerate = np.flatnonzero((tris == np.roll(tris, 1, 1)).any(axis=1))
         if degenerate.size:
             raise MeshStructureError("degenerate triangles (repeated vertex): "
@@ -176,44 +169,38 @@ def dyadic_shape(D):
     return np.ldexp(D, -e[..., None, None]), e
 
 
-def mesh_from_arrays(vertex_coords, triangle_vertex_triples):
-    """Build a mesh from vertex coordinates and vertex-index triples.
-
-    Clockwise triples are reoriented silently (with a log notice).  Each
-    triangle's initial refinement edge is its longest edge, with ties
-    broken by the smallest opposite-vertex id.
-    """
-    coords = np.ascontiguousarray(vertex_coords, dtype=float)
-    tris = np.asarray(triangle_vertex_triples)
+def _checked_vertices(coords, tri_vertices):
+    """Coordinates and triples as contiguous float and int64 arrays,
+    checked as :class:`Mesh` states."""
+    coords = np.ascontiguousarray(coords, dtype=float)
+    tris = np.asarray(tri_vertices)
     if tris.dtype.kind not in "iu":     # not float or bool
         raise MeshStructureError("triangle vertex ids must be integers")
-    tris = np.ascontiguousarray(tris, dtype=np.int64)
     if coords.ndim != 2 or coords.shape[1] != 2:
         raise MeshStructureError("vertex_coords must have shape (n, 2)")
-    if not np.all(np.isfinite(coords)):     # before the orientation below
+    if not np.all(np.isfinite(coords)):
         raise MeshStructureError("non-finite vertex coordinates")
     if tris.ndim != 2 or tris.shape[1] != 3:
         raise MeshStructureError("triangle triples must have shape (m, 3)")
-    if tris.size and (tris.min() < 0 or tris.max() >= coords.shape[0]):
+    if tris.size and (tris.min() < 0 or tris.max() >= len(coords)):
         raise MeshStructureError("triangle references an invalid vertex id")
+    return coords, np.ascontiguousarray(tris, dtype=np.int64)
 
-    p = coords[tris]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    signed = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    flipped = np.nonzero(signed < 0.0)[0]
-    if flipped.size:
-        logger.info("reorienting %d clockwise triangle(s): %s",
-                    flipped.size, flipped.tolist())
-        tris = tris.copy()
-        tris[flipped, 1], tris[flipped, 2] = tris[flipped, 2], tris[flipped, 1]
 
+def mesh_from_arrays(vertex_coords, triangle_vertex_triples):
+    """Build a mesh from vertex coordinates and counterclockwise
+    vertex-index triples, checked as :class:`Mesh` states: a clockwise
+    triangle is refused and named.  Each triangle's initial refinement
+    edge is its longest edge, with ties broken by the smallest
+    opposite-vertex id.
+    """
+    coords, tris = _checked_vertices(vertex_coords, triangle_vertex_triples)
     # squared length of local edge k, which joins local vertices k+1, k+2
     p = coords[tris]
     len2 = np.sum((p[:, [1, 2, 0]] - p[:, [2, 0, 1]]) ** 2, axis=2)
     longest = len2 == len2.max(axis=1, keepdims=True)
     ref = np.argmin(np.where(longest, tris, np.iinfo(np.int64).max), axis=1)
-    return Mesh(coords, tris, ref, np.zeros(len(tris), dtype=np.int64))
+    return Mesh(coords, tris, ref)
 
 
 def nvb_refine(mesh, marked):
@@ -233,10 +220,10 @@ def nvb_refine(mesh, marked):
     # holds the newest vertex p0 and the refinement edge p1p2 opposite it
     n0, ref0 = mesh.num_triangles, mesh.refinement_edge[:, None]
     turn = (ref0 + np.arange(3)) % 3
-    verts, edges, side0, side1, gen = (array("q", a.tobytes()) for a in (
+    verts, edges, side0, side1 = (array("q", a.tobytes()) for a in (
         np.take_along_axis(mesh.tri_vertices, turn, 1),
         np.take_along_axis(mesh.tri_edges, turn, 1),
-        *mesh.edge_triangles.T, mesh.generation))
+        *mesh.edge_triangles.T))
     alive = bytearray(b"\1") * n0
     ends = array("q")                   # the bisected edge of each new vertex
 
@@ -250,7 +237,6 @@ def nvb_refine(mesh, marked):
         edges.extend((e1, h1, d, e2, d, h2))
         side0.append(c)
         side1.append(c + 1)
-        gen.extend((gen[t] + 1, gen[t] + 1))
         alive[t] = False
         alive.extend((True, True))
         (side0 if side0[e1] == t else side1)[e1] = c
@@ -298,8 +284,7 @@ def nvb_refine(mesh, marked):
         slots[:n0], (np.arange(3) - ref0) % 3, 1), kids.reshape(-1, 3)])
     ref = np.concatenate([ref0[:, 0], np.tile([1, 0], len(kids))])
     keep = np.flatnonzero(np.frombuffer(alive, dtype=np.bool_))
-    return Mesh(coords, tris[keep], ref[keep],
-                np.frombuffer(gen, dtype=np.int64)[keep])
+    return Mesh(coords, tris[keep], ref[keep])
 
 
 def uniform_refine(mesh):

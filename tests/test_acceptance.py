@@ -101,8 +101,7 @@ def test_criterion_3_adaptive_restores_rates(zshape_adaptive):
     slope_eta = -np.polyfit(logN, np.log([r.eta for r in half]), 1)[0]
     slope_M = -np.polyfit(logN, np.log([r.err_M for r in half]), 1)[0]
     mesh = zshape_adaptive[-1].mesh
-    gmax = mesh.generation.max()
-    finest = np.nonzero(mesh.generation == gmax)[0]
+    finest = np.nonzero(mesh.tri_area == mesh.tri_area.min())[0]
     centroid = mesh.coords[mesh.tri_vertices[finest]].mean(axis=1)
     dist = np.linalg.norm(centroid, axis=1)
     frac = float(np.mean(dist < 0.25))

@@ -505,8 +505,7 @@ def test_dyadic_shape_is_exact_and_blind_to_dyadic_similarity(
     shifts = np.broadcast_to(t, scaled.shape)
     assert all(Fraction(c) == Fraction(a) + Fraction(b) for c, a, b in
                zip(coords.ravel(), scaled.ravel(), shifts.ravel()))
-    moved = Mesh(coords, mesh.tri_vertices, mesh.refinement_edge,
-                 mesh.generation)
+    moved = Mesh(coords, mesh.tri_vertices, mesh.refinement_edge)
     for m in (mesh, moved):
         P = m.coords[m.tri_vertices]
         Q, e = dyadic_shape(P - P[:, :1])

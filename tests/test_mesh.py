@@ -7,7 +7,7 @@ from conftest import reference_triangle_mesh, shape_ratio, vertex_patch
 from numbering_oracles import unique_topology
 
 from platedpg.errors import MeshStructureError
-from platedpg.mesh import (edge_frame, mesh_from_arrays, mesh_to_text,
+from platedpg.mesh import (Mesh, edge_frame, mesh_from_arrays, mesh_to_text,
                            nvb_refine, uniform_refine, unit_square_mesh)
 from platedpg.problems import zshape_mesh
 from platedpg.spaces import ElementGeometry
@@ -32,17 +32,21 @@ def test_zshape_euler():
     np.testing.assert_allclose(m.tri_area, 0.5)
 
 
-def test_clockwise_input_is_reoriented():
-    m = mesh_from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 2, 1)])
-    assert m.tri_area[0] > 0
+def test_clockwise_input_is_refused():
+    """Triples must be counterclockwise; a clockwise one is not flipped
+    but refused, and named."""
+    with pytest.raises(MeshStructureError, match=(
+            r"triangles with nonpositive signed area: \[1\]$")):
+        mesh_from_arrays([(0, 0), (1, 0), (1, 1), (0, 1)],
+                         [(0, 1, 2), (0, 3, 2)])
 
 
 @pytest.mark.filterwarnings("error")
 def test_invalid_vertex_reference():
     """A triangle on a vertex id that does not exist, or on a vertex with
     a non-finite coordinate, is refused with the typed error.  The
-    coordinates are checked before the orientation is computed: with
-    vertex 0 at infinity that computation multiplies inf by 0, and its
+    coordinates are checked before the edge lengths are computed: with
+    vertex 0 at infinity that computation subtracts inf from inf, and its
     RuntimeWarning would come first."""
     with pytest.raises(MeshStructureError):
         mesh_from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 7)])
@@ -75,23 +79,42 @@ def test_edge_shared_three_times_rejected():
         mesh_from_arrays(coords, tris)
 
 
-@pytest.mark.parametrize("ref, gen", [
-    ([0, 7], [0, 0]), ([0, 3], [0, 0]), ([0, -1], [0, 0]), ([0], [0, 0]),
-    ([0, 1], [0]), ([0, 1, 2], [0, 0]), ([[0, 1]], [0, 0]),
-    ([0, 1], [[0], [0]]),
-], ids=["edge-7", "edge-3", "edge-minus-1", "edge-short", "generation-short",
-        "edge-long", "edge-2d", "generation-2d"])
-def test_raw_constructor_rejects_malformed_refinement_data(ref, gen):
-    """The raw constructor refuses refinement edges outside {0, 1, 2} and
-    refinement edges or generations that are not one per triangle; they
-    used to construct, then refine as another edge, fail inside
-    ``nvb_refine`` with an IndexError, or lose a triangle in the dump."""
-    from platedpg.mesh import Mesh
-    m = unit_square_mesh()
-    with pytest.raises(MeshStructureError, match=(
-            r"refinement edges in \{0, 1, 2\} and generations, one per "
-            "triangle, expected")):
-        Mesh(m.coords, m.tri_vertices, ref, gen)
+SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+HALVES = [(0, 1, 2), (0, 2, 3)]
+BAD_REF = r"refinement edges in \{0, 1, 2\}, one per triangle, expected"
+
+
+@pytest.mark.parametrize("coords, tris, ref, match", [
+    (SQUARE, HALVES, [0, 7], BAD_REF),
+    (SQUARE, HALVES, [0, 3], BAD_REF),
+    (SQUARE, HALVES, [0, -1], BAD_REF),
+    (SQUARE, HALVES, [0], BAD_REF),
+    (SQUARE, HALVES, [0, 1, 2], BAD_REF),
+    (SQUARE, HALVES, [[0, 1]], BAD_REF),
+    (SQUARE, HALVES, [0.9, 1.5], BAD_REF),
+    (SQUARE, HALVES, [True, False], BAD_REF),
+    (SQUARE, [(0, 1, 2.7), (0, 2, 3)], [0, 1], "integers"),
+    (SQUARE, [(0, 1, 2, 3), (0, 2, 3, 1)], [0, 1], r"shape \(m, 3\)"),
+    (SQUARE, [(0, 1), (0, 2)], [0, 1], r"shape \(m, 3\)"),
+    (np.pad(SQUARE, ((0, 0), (0, 1))), HALVES, [0, 1], r"shape \(n, 2\)"),
+    (np.ravel(SQUARE), HALVES, [0, 1], r"shape \(n, 2\)"),
+], ids=["edge-7", "edge-3", "edge-minus-1", "edge-short", "edge-long",
+        "edge-2d", "edge-float", "edge-bool", "vertex-id-float",
+        "triples-width-4", "triples-width-2", "coords-width-3",
+        "coords-flat"])
+def test_raw_constructor_rejects_malformed_refinement_data(coords, tris, ref,
+                                                           match):
+    """The raw constructor checks every array it is given, by the checks
+    ``mesh_from_arrays`` makes, with the same messages.  The malformed
+    arrays here used to construct, refine as another edge or vertex
+    (float ids and edges were truncated), fail inside ``nvb_refine`` or
+    the topology with an IndexError, lose a triangle in the dump, or be
+    named as unused vertices."""
+    with pytest.raises(MeshStructureError, match=match):
+        Mesh(coords, tris, ref)
+    if match != BAD_REF:
+        with pytest.raises(MeshStructureError, match=match):
+            mesh_from_arrays(coords, tris)
 
 
 @settings(max_examples=40, deadline=None)
@@ -103,7 +126,6 @@ def test_topology_matches_unique_construction(initial, rounds, shuffle, seed):
     or shuffled, the edge numbering, the edges' vertices and triangles and
     the boundary flags are bit for bit those of one ``np.unique`` over the
     vertex pairs."""
-    from platedpg.mesh import Mesh
     rng = np.random.default_rng(seed)
     m = initial()
     for _ in range(rounds):
@@ -111,8 +133,7 @@ def test_topology_matches_unique_construction(initial, rounds, shuffle, seed):
         m = nvb_refine(m, rng.choice(n, size=max(1, n // 4), replace=False))
     if shuffle:
         p = rng.permutation(m.num_triangles)
-        m = Mesh(m.coords, m.tri_vertices[p], m.refinement_edge[p],
-                 m.generation[p])
+        m = Mesh(m.coords, m.tri_vertices[p], m.refinement_edge[p])
     for name, want in unique_topology(m.tri_vertices,
                                       m.num_vertices).items():
         got = getattr(m, name)
@@ -190,14 +211,6 @@ def test_refinement_preserves_total_area():
                                 replace=False).tolist())
         m = nvb_refine(m, marked)
         np.testing.assert_allclose(m.tri_area.sum(), 1.0, rtol=1e-13)
-
-
-def test_generation_increments():
-    m = unit_square_mesh()
-    m2 = nvb_refine(m, {0})
-    assert m2.generation.max() == 1
-    m3 = uniform_refine(m2)
-    assert m3.generation.max() == 3
 
 
 def _has_hanging_vertex(mesh):
@@ -298,13 +311,11 @@ def test_refinement_edge_seeding_longest_edge():
 def test_nvb_closure_cycle_raises_typed_error():
     """Refinement edges that chase each other around a vertex never close;
     the closure budget turns that into a MeshStructureError."""
-    from platedpg.mesh import Mesh
     ring = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
     coords = np.array([(0.0, 0.0)] + ring)
     tris = np.array([(0, 1 + i, 1 + (i + 1) % 4) for i in range(4)])
     # local edge 1 of triangle i is the spoke it shares with triangle i+1
-    mesh = Mesh(coords, tris, np.ones(4, dtype=np.int64),
-                np.zeros(4, dtype=np.int64))
+    mesh = Mesh(coords, tris, np.ones(4, dtype=np.int64))
     with pytest.raises(MeshStructureError, match="terminate"):
         nvb_refine(mesh, [0])
 
@@ -339,18 +350,14 @@ def test_nvb_refuses_non_integer_and_boolean_ids(bad):
         "tri_vertices": "c73ef7ce5639fc2dad2280ba8abac9a2"
                         "40fb155dcb6dc5ec648a12c39ecbac4a",
         "refinement_edge": "464a9acfb01d5cb7d09a33a4cf9cc497"
-                           "02435c9b2a69ff933a11501e5fc232fd",
-        "generation": "4044de523054251af32567c18b73ba42"
-                      "1c50186ad8f907e881c86fb432ee2ff3"}),
+                           "02435c9b2a69ff933a11501e5fc232fd"}),
     (3, 8, (7396, 3781), {
         "coords": "878e5de95577f1033e85fee5dce0fc7b"
                   "f4c682a5357df87b37dba3e8e34546eb",
         "tri_vertices": "3f6090823cf564cf61bdfe0f30fdc26e"
                         "4b05ed132ed19906dd58051ed97e262d",
         "refinement_edge": "aa26c5d18773200e26a7dc6f6f690fa6"
-                           "0fdcaa1c1dd50a63ee9a8fc5eb27fd91",
-        "generation": "c454d9c1087e20570efa7875216ac273"
-                      "afbc1cf3f8ee032d5415f8f680c467ac"}),
+                           "0fdcaa1c1dd50a63ee9a8fc5eb27fd91"}),
 ], ids=["5-rounds", "8-rounds-deep"])
 def test_nvb_triangle_and_vertex_order_pinned(uniform, rounds, counts,
                                               pinned):
@@ -368,6 +375,5 @@ def test_nvb_triangle_and_vertex_order_pinned(uniform, rounds, counts,
         m = nvb_refine(m, rng.choice(n, size=round(0.2 * n), replace=False))
     assert (m.num_triangles, m.num_vertices) == counts
     digests = {name: hashlib.sha256(getattr(m, name).tobytes()).hexdigest()
-               for name in ("coords", "tri_vertices", "refinement_edge",
-                            "generation")}
+               for name in ("coords", "tri_vertices", "refinement_edge")}
     assert digests == pinned
