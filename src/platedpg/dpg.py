@@ -70,7 +70,7 @@ def _sym(A):
 def element_matrices(geom: ElementGeometry, material):
     """B (n, 28, 22) and G (n, 28, 28) of the n triangles of a stacked
     :class:`ElementGeometry`."""
-    n = geom.area.shape[0]
+    n = geom.P.shape[0]
     B = np.zeros((n, N_TEST, N_TRIAL))
     G = np.zeros((n, N_TEST, N_TEST))
     _volume_terms(geom, material, B, G)
@@ -239,21 +239,18 @@ def build_element_systems(mesh, dofmap, material, f):
         raise SPDError(f"element Gram matrix {t} is not SPD: pivot "
                        f"{exc.pivot}", pivot=exc.pivot, index=(t,)) from None
     G.flags.writeable = False
-    return ElementSystems(W, v, dofmap.element_scatter(np.arange(len(cls))),
-                          G, cls)
+    scatter = dofmap.element_scatter(mesh, np.arange(len(cls)))
+    return ElementSystems(W, v, scatter, G, cls)
 
 
 @dataclass
 class GlobalSystem:
-    """Condensed normal equations on the free DOFs plus the affine shift
-    data needed to recover full coefficient vectors.
-
-    The free unknowns are diagonally equilibrated: the exposed system is
-    ``(D A D) y = D rhs`` with ``D = diag(A)^{-1/2}``, which balances the
-    vastly different natural scales of field, trace and moment unknowns
-    (the raw diagonal spans many orders of magnitude already on moderate
-    meshes).  ``scale * y`` undoes the scaling.
-    """
+    """Condensed normal equations on the free DOFs, diagonally
+    equilibrated: ``(D A D) y = D rhs`` with ``D = diag(A)^{-1/2}``
+    balances the very different scales of field, trace and moment
+    unknowns (the raw diagonal spans many orders of magnitude already on
+    moderate meshes); ``scale * y`` undoes it.  ``systems`` are the
+    element systems it was assembled from."""
     A: "scipy.sparse.csr_matrix"
     rhs: np.ndarray
     systems: ElementSystems

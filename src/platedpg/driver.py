@@ -183,7 +183,8 @@ def run_experiment(config: ExperimentConfig, problem=None):
         if path == "":
             raise ConfigurationError(f"{name} '' names no file")
         folder = os.path.dirname(path or "") or "."
-        if path and (os.path.isdir(path) or not os.access(folder, os.W_OK)):
+        if path and (os.path.isdir(path) or not os.path.isdir(folder)
+                     or not os.access(folder, os.W_OK)):
             raise ConfigurationError(f"{name} {path!r} cannot be written")
 
     def flush():

@@ -14,6 +14,7 @@ import scipy.sparse.linalg as spla
 from .errors import SolverConvergenceError, SPDError
 
 logger = logging.getLogger(__name__)
+TOL = 1e-12              # the normwise backward error spd_solve must reach
 
 
 @dataclass
@@ -24,16 +25,15 @@ class SolveReport:
     fill: int = 0                    # entries SuperLU stores for L and U
 
 
-def spd_solve(A, b, tol=1e-12):
+def spd_solve(A, b):
     """Solve A x = b for sparse SPD A to a normwise backward error
-    ``||Ax-b||_inf / (||A||_inf ||x||_inf + ||b||_inf) <= tol``.
+    ``||Ax-b||_inf / (||A||_inf ||x||_inf + ||b||_inf) <= TOL``.
 
     A must be exactly symmetric: SuperLU factors ``A.T`` in CSC form, which
     for a CSR matrix is A's own arrays, not a copy.  One factorization,
     refined while the backward error improves (at most 30 steps).  Raises
-    :class:`SPDError` if A is exactly singular and
-    :class:`SolverConvergenceError`, with the report attached, if the
-    bound is missed.
+    :class:`SPDError` if A is exactly singular, and
+    :class:`SolverConvergenceError` (report attached) if TOL is missed.
     """
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
@@ -54,7 +54,7 @@ def spd_solve(A, b, tol=1e-12):
     x = lu.solve(b)
     r = b - A @ x
     best, steps = berr(x, r), 0
-    while best > tol and steps < 30:
+    while best > TOL and steps < 30:
         x_new = x + lu.solve(r)
         r_new = b - A @ x_new
         err = berr(x_new, r_new)
@@ -67,8 +67,8 @@ def spd_solve(A, b, tol=1e-12):
     logger.debug("spd_solve LU: n=%d nnz=%d fill=%d refinement_steps=%d "
                  "backward_error=%.2e relative_residual=%.2e", n, A.nnz,
                  fill, steps, best, report.relative_residual)
-    if not best <= tol:
+    if not best <= TOL:
         raise SolverConvergenceError(
             f"LU with {steps} refinement steps did not reach backward error "
-            f"tol={tol:g} (backward error {best:.3e})", report=report)
+            f"tol={TOL:g} (backward error {best:.3e})", report=report)
     return x, report

@@ -177,7 +177,7 @@ def _checked_vertices(coords, tri_vertices):
     if tris.dtype.kind not in "iu":     # not float or bool
         raise MeshStructureError("triangle vertex ids must be integers")
     if coords.ndim != 2 or coords.shape[1] != 2:
-        raise MeshStructureError("vertex_coords must have shape (n, 2)")
+        raise MeshStructureError("vertex coordinates must have shape (n, 2)")
     if not np.all(np.isfinite(coords)):
         raise MeshStructureError("non-finite vertex coordinates")
     if tris.ndim != 2 or tris.shape[1] != 3:

@@ -26,6 +26,7 @@ SINGULAR_C = 1.234587795273723
 ZSHAPE_OPENING = 5.0 * np.pi / 4.0
 L2_CHUNK = 256        # cells per chunk of the L2 error pass: 12.5k points
 L2_SUBDIVISIONS = 4   # dyadic quadrisections of a corner triangle
+FOURIER_N_MAX = 15    # fourier_eval sums the odd harmonics 2j + 1, j <= 15
 
 
 @dataclass(frozen=True)
@@ -86,23 +87,23 @@ def odd_harmonics(t, n_max):
     return S, C
 
 
-def fourier_eval(points, n_max=15):
-    """Simply supported square under unit load: truncated double sine
-    series for the deflection, its gradient and the moment ``-Hessian``
-    at points (n, 2), or at one point (2,) as n = 1.
+def fourier_eval(points):
+    """Simply supported square under unit load: the double sine series
+    to :data:`FOURIER_N_MAX` for u, its gradient and the moment
+    ``-Hessian`` at points (n, 2), or at one point (2,) as n = 1.
 
     The amplitude 16/pi^6 is forced by the biharmonic equation applied
     term-wise to the sine expansion of the constant load.
     """
     x, y = np.atleast_2d(np.asarray(points, dtype=float)).T
 
-    k = np.pi * (2 * np.arange(n_max + 1) + 1.0)          # (n,)
+    k = np.pi * (2 * np.arange(FOURIER_N_MAX + 1) + 1.0)  # (n,)
     amp = 16.0 / np.pi ** 6 / np.multiply.outer(
         k / np.pi, k / np.pi)                             # 1/(ab)
     amp /= (np.add.outer((k / np.pi) ** 2, (k / np.pi) ** 2)) ** 2
 
-    sx, cx = odd_harmonics(x, n_max)
-    sy, cy = odd_harmonics(y, n_max)
+    sx, cx = odd_harmonics(x, FOURIER_N_MAX)
+    sy, cy = odd_harmonics(y, FOURIER_N_MAX)
 
     def rows(X, a, Y):                 # sum_ab X_aq a_ab Y_bq
         return np.einsum("bq,bq->q", a.T @ X, Y)

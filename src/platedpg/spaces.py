@@ -58,7 +58,6 @@ class ElementGeometry:
 
     def __init__(self, mesh: Mesh, t):
         self.P = mesh.coords[mesh.tri_vertices[t]]
-        self.area = mesh.tri_area[t]
         self.centroid = self.P.mean(axis=-2)
         self.sign = mesh.edge_sign[t].astype(float)   # s_{T,E}
         # canonical ends of local edge k as local vertices: k+1 -> k+2 if s > 0
@@ -187,10 +186,9 @@ def simply_supported_bc(mesh):
 
 @dataclass
 class DofMap:
-    """Block layout of the full trial vector plus the affine reduction
-    ``x_full = R x_free + x_prescribed`` that enforces essential boundary
-    conditions and the interior-vertex patch-sum constraints."""
-    mesh: Mesh
+    """Numbering of one mesh, which it does not hold: the block offsets
+    of the full trial vector and the reduction ``x_full = R x_free +
+    x_prescribed`` for the essential BCs and the gamma patch sums."""
     off_m: int
     off_uhat: int
     off_alpha: int
@@ -203,17 +201,22 @@ class DofMap:
     n_uhat_free: int
     n_qhat_free: int
 
-    def element_scatter(self, t):
-        """Full-vector indices of the local trial DOFs of triangle t, in
-        the slots :data:`U`, :data:`M`, :data:`UHAT`, :data:`ALPHA`,
-        :data:`BETA` and :data:`GAMMA`.  An index array t gives one row
-        per triangle."""
+    def element_scatter(self, mesh, t):
+        """Full-vector indices of the trial DOFs of triangle t of the mesh
+        this map numbers, in the slots :data:`U`, :data:`M`, :data:`UHAT`,
+        :data:`ALPHA`, :data:`BETA` and :data:`GAMMA`; one row per id of an
+        index array t.  Other mesh counts raise :class:`ConfigurationError`."""
+        counts = mesh.num_triangles, mesh.num_vertices, mesh.num_edges
+        if counts != (self.off_m, (self.off_alpha - self.off_uhat) // 3,
+                      self.off_beta - self.off_alpha):
+            raise ConfigurationError(
+                f"(#T, #N, #E) = {counts} is not the DOF map's mesh")
         t = np.asarray(t, dtype=np.int64)
-        c, e = np.arange(3), self.mesh.tri_edges[t]
+        c, e = np.arange(3), mesh.tri_edges[t]
         out = np.empty(t.shape + (N_TRIAL,), dtype=np.int64)
         out[..., U] = t
         out[..., M] = self.off_m + 3 * t[..., None] + c
-        uhat = self.off_uhat + 3 * self.mesh.tri_vertices[t][..., None] + c
+        uhat = self.off_uhat + 3 * mesh.tri_vertices[t][..., None] + c
         out[..., UHAT] = uhat.reshape(t.shape + (9,))
         out[..., ALPHA] = self.off_alpha + e
         out[..., BETA] = self.off_beta + e
@@ -363,8 +366,5 @@ def build_dofmap(mesh, bc: Optional[BCSpec] = None) -> DofMap:
     data[at] = -1.0
     R = sp.csr_matrix((data, indices, indptr), shape=(full_dim, free_dim))
 
-    return DofMap(mesh=mesh, off_m=off_m, off_uhat=off_uhat,
-                  off_alpha=off_alpha, off_beta=off_beta, off_gamma=off_gamma,
-                  full_dim=full_dim, free_dim=free_dim, R=R, x_prescribed=x_p,
-                  n_uhat_free=n_uhat_free,
-                  n_qhat_free=n_edge_free + n_gamma_free)
+    return DofMap(off_m, off_uhat, off_alpha, off_beta, off_gamma, full_dim,
+                  free_dim, R, x_p, n_uhat_free, n_edge_free + n_gamma_free)

@@ -123,7 +123,7 @@ def shape_ratio(mesh):
     """max diam^2 / area over the triangles of a mesh"""
     from platedpg.spaces import ElementGeometry
     geom = ElementGeometry(mesh, np.arange(mesh.num_triangles))
-    return float(np.max(geom.diam ** 2 / geom.area))
+    return float(np.max(geom.diam ** 2 / mesh.tri_area))
 
 
 def sparse_from_triplets(rows, cols, values, n):

@@ -416,20 +416,26 @@ def test_cli_bad_limits_exit_2_before_solving(tmp_path, monkeypatch, flags):
 
 @pytest.mark.parametrize("flag, path", [
     ("--out", "missing/x.csv"), ("--out", "."), ("--out", ""),
-    ("--dump-mesh", "missing/mesh"), ("--dump-mesh", "")])
+    ("--out", "file/x.csv"), ("--dump-mesh", "missing/mesh"),
+    ("--dump-mesh", ""), ("--dump-mesh", "file/mesh")])
 def test_cli_unwritable_output_exits_2_before_solving(tmp_path, monkeypatch,
                                                       flag, path):
-    """An output in a directory that does not exist, one that is a
-    directory, or an empty --out or --dump-mesh, which names no file, is
-    refused with exit 2 before the first solve."""
+    """An output in a directory that does not exist, in a folder that is
+    a regular file, one that is a directory, or an empty --out or
+    --dump-mesh, which names no file, is refused with exit 2 before the
+    first solve, and nothing is written."""
     _refuse_to_solve(monkeypatch)
     monkeypatch.chdir(tmp_path)
+    given = ["file"] if path.startswith("file/") else []
+    for name in given:
+        (tmp_path / name).write_text("")
     args = {"--out": str(tmp_path / "x.csv"),
             flag: path and str(tmp_path / path)}
     code = main(["run", "--problem", "square", "--mode", "uniform",
                  "--levels", "2", *(x for kv in args.items() for x in kv)])
     assert code == 2
-    assert sorted(p.name for p in tmp_path.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == given
+    assert all((tmp_path / name).read_text() == "" for name in given)
 
 
 def test_cli_bad_choice_exits_2(tmp_path):

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import sparse_from_triplets
-from platedpg import dpg
+from platedpg import dpg, linalg
 from platedpg.errors import SolverConvergenceError, SPDError
-from platedpg.linalg import SolveReport, spd_solve
+from platedpg.linalg import TOL, SolveReport, spd_solve
 from platedpg.problems import builtin_square_problem
 from platedpg.spaces import build_dofmap
 
@@ -73,13 +73,14 @@ def test_spd_solve_factors_a_as_is():
     assert report.fill == lu.nnz
 
 
-def test_spd_solve_unreachable_tolerance_raises_with_report():
+def test_spd_solve_unreachable_tolerance_raises_with_report(monkeypatch):
     import scipy.sparse as sp
     rng = np.random.default_rng(1)
     X = rng.normal(size=(12, 12))
     A = sp.csr_matrix(X @ X.T + 1e-8 * np.eye(12))
-    with pytest.raises(SolverConvergenceError) as err:
-        spd_solve(A, rng.normal(size=12), tol=1e-30)
+    monkeypatch.setattr(linalg, "TOL", 1e-30)
+    with pytest.raises(SolverConvergenceError, match="tol=1e-30") as err:
+        spd_solve(A, rng.normal(size=12))
     assert isinstance(err.value.report, SolveReport)
     assert err.value.report.fill > 0
     assert err.value.report.backward_error > 1e-30
@@ -128,14 +129,13 @@ def test_spd_solve_badly_scaled_random_spd(n, density, seed, exponents):
     d = 10.0 ** np.asarray(exponents[:n])
     A = (sp.diags(d) @ S @ sp.diags(d)).tocsr()
     b = d * rng.normal(size=n)
-    tol = 1e-12
-    x, report = spd_solve(A, b, tol=tol)
-    assert report.backward_error <= tol
+    x, report = spd_solve(A, b)
+    assert report.backward_error <= TOL
     assert report.fill > 0
     y_ref = np.linalg.solve(S.toarray(), b / d)
     cond_S = np.linalg.cond(S.toarray(), np.inf)
     err = np.abs(d * x - y_ref).max() / np.abs(y_ref).max()
-    assert err <= 2.0 * cond_S * (tol + n * np.finfo(float).eps)
+    assert err <= 2.0 * cond_S * (TOL + n * np.finfo(float).eps)
 
 
 def test_spd_solve_logs_one_debug_record(caplog):

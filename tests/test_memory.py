@@ -7,7 +7,9 @@ then by seeded rounds of 20 % random marking, as in the benchmark's
 tracemalloc counts the numpy buffers and Python objects a call
 allocates, so the bounds do not depend on the process's other memory."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -77,3 +79,16 @@ def test_build_dofmap_peak_within_two_and_a_half_times_its_output(
     size = (dm.R.indptr.nbytes + dm.R.indices.nbytes + dm.R.data.nbytes
             + dm.x_prescribed.nbytes)
     assert peak <= 2.5 * size, peak / size
+
+
+def test_dofmap_does_not_keep_its_mesh_alive():
+    """A DOF map holds the numbering, not the mesh, so the previous mesh
+    of an adaptive loop is freed before the next DOF map is built."""
+    problem = builtin_problem("zshape")
+    mesh = uniform_refine(problem.initial_mesh)
+    dm = build_dofmap(mesh, problem.bc_builder(mesh))
+    ref = weakref.ref(mesh)
+    del mesh
+    gc.collect()
+    assert ref() is None
+    assert dm.R.shape == (dm.full_dim, dm.free_dim)

@@ -82,6 +82,7 @@ def test_edge_shared_three_times_rejected():
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 HALVES = [(0, 1, 2), (0, 2, 3)]
 BAD_REF = r"refinement edges in \{0, 1, 2\}, one per triangle, expected"
+BAD_COORDS = r"^vertex coordinates must have shape \(n, 2\)$"
 
 
 @pytest.mark.parametrize("coords, tris, ref, match", [
@@ -96,8 +97,8 @@ BAD_REF = r"refinement edges in \{0, 1, 2\}, one per triangle, expected"
     (SQUARE, [(0, 1, 2.7), (0, 2, 3)], [0, 1], "integers"),
     (SQUARE, [(0, 1, 2, 3), (0, 2, 3, 1)], [0, 1], r"shape \(m, 3\)"),
     (SQUARE, [(0, 1), (0, 2)], [0, 1], r"shape \(m, 3\)"),
-    (np.pad(SQUARE, ((0, 0), (0, 1))), HALVES, [0, 1], r"shape \(n, 2\)"),
-    (np.ravel(SQUARE), HALVES, [0, 1], r"shape \(n, 2\)"),
+    (np.pad(SQUARE, ((0, 0), (0, 1))), HALVES, [0, 1], BAD_COORDS),
+    (np.ravel(SQUARE), HALVES, [0, 1], BAD_COORDS),
 ], ids=["edge-7", "edge-3", "edge-minus-1", "edge-short", "edge-long",
         "edge-2d", "edge-float", "edge-bool", "vertex-id-float",
         "triples-width-4", "triples-width-2", "coords-width-3",

@@ -9,8 +9,8 @@ from conftest import (manufactured_M, manufactured_divM,
                       zero_fields)
 
 from platedpg.errors import ConfigurationError
-from platedpg.mesh import (edge_frame, mesh_from_arrays, uniform_refine,
-                           unit_square_mesh)
+from platedpg.mesh import (edge_frame, mesh_from_arrays, nvb_refine,
+                           uniform_refine, unit_square_mesh)
 from platedpg.polyquad import EDGE_NODES, EDGE_WEIGHTS, p3_table, tri_rule
 from platedpg.spaces import (BCSpec, Constraints, ElementGeometry,
                              _reduce_blocks, build_dofmap,
@@ -355,6 +355,27 @@ def test_dofmap_unconstrained_count_formula():
         assert dm.n_qhat_free == (2 * mesh.num_edges + 3 * mesh.num_triangles
                                   - mesh.num_interior_vertices)
         assert dm.n_uhat_free == 3 * mesh.num_vertices
+
+
+def test_element_scatter_refuses_a_mesh_of_other_counts():
+    """The DOF map does not hold its mesh: element_scatter takes it and
+    refuses one whose triangle, vertex or edge count is not the map's,
+    here a refined mesh and a 4-triangle strip (6 vertices, 9 edges)
+    against the 4-triangle fan of the bisected square (5 and 8)."""
+    fan = nvb_refine(unit_square_mesh(), [0, 1])
+    strip = mesh_from_arrays(
+        [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)],
+        [(0, 1, 4), (0, 4, 3), (1, 2, 5), (1, 5, 4)])
+    counts = [(m.num_triangles, m.num_vertices, m.num_edges)
+              for m in (fan, strip)]
+    assert counts == [(4, 5, 8), (4, 6, 9)]
+    dm = build_dofmap(fan, BCSpec())
+    t = np.arange(fan.num_triangles)
+    assert dm.element_scatter(fan, t).shape == (4, 22)
+    for other in (strip, uniform_refine(fan)):
+        with pytest.raises(ConfigurationError,
+                           match="is not the DOF map's mesh"):
+            dm.element_scatter(other, t)
 
 
 @settings(max_examples=60, deadline=None)
