@@ -10,7 +10,6 @@ evaluators.
 import numpy as np
 
 from platedpg.problems import (SINGULAR_ALPHA, SINGULAR_C, ZSHAPE_OPENING,
-                               MaterialLaw, c_apply, cinv_apply,
                                fourier_eval, singular_eval)
 
 # --- series solution on the square ---------------------------------------
@@ -43,10 +42,3 @@ print(f"  max |u|, |du/dn| on the edge y = x, x < 0:  "
 _, _, M = singular_eval([[0.1, 1e-4], [0.01, 1e-4], [0.001, 1e-4]])
 print("  moment magnitude growth towards the corner "
       f"(r = 0.1, 0.01, 0.001): {[f'{np.abs(m).max():.1f}' for m in M]}")
-
-# --- material law ------------------------------------------------------------
-mat = MaterialLaw(D=2.5, nu=0.3)
-kappa = np.array([[1.0, 0.4], [0.4, -0.2]])
-back = cinv_apply(mat, c_apply(mat, kappa))
-print(f"\nmaterial law round-trip error (D = 2.5, nu = 0.3): "
-      f"{np.abs(back - kappa).max():.1e}")

@@ -17,10 +17,9 @@ from .linalg import SolveReport, spd_solve
 from .mesh import (Mesh, mesh_from_arrays, mesh_to_text, nvb_refine,
                    uniform_refine, unit_square_mesh)
 from .polyquad import QuadRuleTri, p3_table, tri_rule
-from .problems import (ExactSolution, MaterialLaw, ProblemSpec, Singularity,
+from .problems import (ExactSolution, ProblemSpec, Singularity,
                        builtin_square_problem, builtin_zshape_problem,
-                       c_apply, cinv_apply, fourier_eval, l2_errors,
-                       singular_eval, zshape_mesh)
+                       fourier_eval, l2_errors, singular_eval, zshape_mesh)
 from .spaces import (BCSpec, Constraints, DofMap, build_dofmap,
                      interpolate_uhat_bc, simply_supported_bc)
 

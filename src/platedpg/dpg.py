@@ -44,7 +44,6 @@ from .errors import SPDError
 from .mesh import dyadic_shape
 from .polyquad import (ASSEMBLY_DEGREE, EDGE_NODES, EDGE_WEIGHTS, p3_table,
                        tri_rule)
-from .problems import cinv_apply
 from .spaces import (ALPHA, BETA, GAMMA, M, N_TRIAL, U, UHAT, DofMap,
                      ElementGeometry, uhat_edge_traces)
 
@@ -67,18 +66,18 @@ def _sym(A):
     return 0.5 * (A + np.swapaxes(A, -1, -2))
 
 
-def element_matrices(geom: ElementGeometry, material):
+def element_matrices(geom: ElementGeometry):
     """B (n, 28, 22) and G (n, 28, 28) of the n triangles of a stacked
     :class:`ElementGeometry`."""
     n = geom.P.shape[0]
     B = np.zeros((n, N_TEST, N_TRIAL))
     G = np.zeros((n, N_TEST, N_TEST))
-    _volume_terms(geom, material, B, G)
+    _volume_terms(geom, B, G)
     _skeleton_terms(geom, B)
     return B, G
 
 
-def _volume_terms(geom, material, B, G):
+def _volume_terms(geom, B, G):
     """G and the volume-integral columns of B."""
     n = B.shape[0]
     _, w, table = geom.volume_table
@@ -106,11 +105,10 @@ def _volume_terms(geom, material, B, G):
     # tensor test rows: u column (1, divdiv Theta_i)_T
     B[:, N_SCALAR:, U] = np.einsum("tq,tqi->ti", w, divdiv)
 
-    # tensor test rows: moment columns (M_j, C^{-1} Theta_i)_T; C^{-1} is
-    # linear, so it acts on the slots of the integrated phi_a
-    cinv_slots = np.einsum("kab,lab->kl", cinv_apply(material, SLOTS), SLOTS)
+    # tensor test rows: moment columns (M_j, Theta_i)_T, the integrated
+    # phi_a times the slot products
     B[:, N_SCALAR:, M] = REBASE.T @ np.einsum(
-        "tqa,tq,kl->takl", phi, w, cinv_slots).reshape(n, N_TENSOR, 3)
+        "tqa,tq,kl->takl", phi, w, slot_products).reshape(n, N_TENSOR, 3)
 
 
 def _load(f, qpts, w, vals):
@@ -217,7 +215,7 @@ class ElementSystems:
         return [SimpleNamespace(G=g) for g in self.G]
 
 
-def build_element_systems(mesh, dofmap, material, f):
+def build_element_systems(mesh, dofmap, f):
     """B and G per congruence class, the load of every triangle (none for
     ``f = None``), condensed into :class:`ElementSystems`."""
     P = mesh.coords[mesh.tri_vertices]
@@ -227,7 +225,7 @@ def build_element_systems(mesh, dofmap, material, f):
     _, first, cls = np.unique(key.view(f"V{key[0].nbytes}")[:, 0],
                               return_index=True, return_inverse=True)
     reps = ElementGeometry(mesh, first)
-    B, G = element_matrices(reps, material)
+    B, G = element_matrices(reps)
     load = np.zeros((len(cls), N_TEST))
     if f is not None:  # P3 values at (x_q - c) / h depend only on the class
         vals = reps.volume_table[2].values
@@ -313,8 +311,7 @@ def assemble(mesh, dofmap, problem):
     The peak is the product ``R^T A_full``, formed while ``A_full`` is
     alive; ``A_full`` is freed before the product with R, and A is then
     scaled and symmetrized in place."""
-    systems = build_element_systems(mesh, dofmap, problem.material,
-                                    problem.f)
+    systems = build_element_systems(mesh, dofmap, problem.f)
     W, v, idx, cls = systems.W, systems.v, systems.scatter, systems.cls
     A_full = _class_block_csr(_sym(np.swapaxes(W, 1, 2) @ W), cls, idx,
                              dofmap.full_dim)

@@ -5,6 +5,7 @@ import csv
 from dataclasses import astuple, dataclass, fields, replace
 from itertools import count
 import logging
+from numbers import Integral, Real
 import os
 import sys
 from typing import List, NamedTuple, Optional
@@ -35,6 +36,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown problem {self.problem!r}")
         if self.mode not in ("uniform", "adaptive"):
             raise ConfigurationError(f"unknown mode {self.mode!r}")
+        if isinstance(self.theta, bool) or not isinstance(self.theta, Real):
+            raise ConfigurationError(f"theta = {self.theta!r} is not a number")
         if not 0.0 < self.theta < 1.0:
             raise ConfigurationError(f"theta = {self.theta} outside (0, 1)")
         if self.max_levels is None and self.max_dofs is None:
@@ -46,7 +49,12 @@ class ExperimentConfig:
             self.max_levels = 100
         for name, value in (("max_levels", self.max_levels),
                             ("max_dofs", self.max_dofs)):
-            if value is not None and value <= 0:
+            if value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ConfigurationError(
+                    f"{name} = {value!r} is not an integer")
+            if value <= 0:
                 raise ConfigurationError(f"{name} = {value} <= 0")
 
 

@@ -1,10 +1,10 @@
-"""Material law, benchmark problems, exact solutions, L2 errors.
+"""Benchmark problems, exact solutions, L2 errors.
 
-Both built-in benchmarks use the identity material law.  Moments follow
-the sign convention ``M = -C Hessian(u)`` throughout, so the exact moment
-reported for errors is the negative (scaled) Hessian of the exact
-deflection.  Each exact solution, :func:`fourier_eval` or
-:func:`singular_eval`, is the ``fields`` of its :class:`ExactSolution`.
+The bending law is ``M = -Hessian(u)`` throughout (unit rigidity, zero
+Poisson ratio), so the exact moment reported for errors is the negative
+Hessian of the exact deflection.  Each exact solution,
+:func:`fourier_eval` or :func:`singular_eval`, is the ``fields`` of its
+:class:`ExactSolution`.
 """
 
 from dataclasses import dataclass, field
@@ -27,43 +27,6 @@ ZSHAPE_OPENING = 5.0 * np.pi / 4.0
 L2_CHUNK = 256        # cells per chunk of the L2 error pass: 12.5k points
 L2_SUBDIVISIONS = 4   # dyadic quadrisections of a corner triangle
 FOURIER_N_MAX = 15    # fourier_eval sums the odd harmonics 2j + 1, j <= 15
-
-
-@dataclass(frozen=True)
-class MaterialLaw:
-    """Isotropic bending law C(kappa) = D [nu tr(kappa) I + (1-nu) kappa]."""
-    D: float = 1.0
-    nu: float = 0.0
-
-    def __post_init__(self):
-        if not self.D > 0.0:
-            raise ConfigurationError("bending rigidity D must be positive")
-        if not -1.0 < self.nu <= 0.5:
-            raise ConfigurationError(
-                f"Poisson ratio {self.nu} outside (-1, 1/2]")
-
-
-def c_apply(material, kappa):
-    """Apply the material operator to symmetric tensors (..., 2, 2)."""
-    kappa = np.asarray(kappa, dtype=float)
-    tr = kappa[..., 0, 0] + kappa[..., 1, 1]
-    out = material.D * (1.0 - material.nu) * kappa
-    out[..., 0, 0] += material.D * material.nu * tr
-    out[..., 1, 1] += material.D * material.nu * tr
-    return out
-
-
-def cinv_apply(material, M):
-    """Apply the inverse material operator:
-    C^{-1} M = (M - nu/(1+nu) tr(M) I) / (D (1-nu))."""
-    M = np.asarray(M, dtype=float)
-    tr = M[..., 0, 0] + M[..., 1, 1]
-    corr = material.nu / (1.0 + material.nu) * tr
-    out = M.copy()
-    out[..., 0, 0] -= corr
-    out[..., 1, 1] -= corr
-    out /= material.D * (1.0 - material.nu)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +160,6 @@ class ExactSolution:
 class ProblemSpec:
     name: str
     initial_mesh: Mesh
-    material: MaterialLaw
     f: Optional[Callable]                    # load over (n, 2) points, or None
     bc_builder: Callable[[Mesh], BCSpec]
     exact: Optional[ExactSolution] = None
@@ -213,11 +175,10 @@ def zshape_mesh():
 
 
 def builtin_square_problem():
-    """Simply supported unit square, constant load, identity material."""
+    """Simply supported unit square, constant load."""
     return ProblemSpec(
         name="square",
         initial_mesh=unit_square_mesh(),
-        material=MaterialLaw(D=1.0, nu=0.0),
         f=lambda pts: np.ones(len(np.atleast_2d(pts))),
         bc_builder=simply_supported_bc,
         exact=ExactSolution(fourier_eval))
@@ -231,7 +192,6 @@ def builtin_zshape_problem():
     return ProblemSpec(
         name="zshape",
         initial_mesh=zshape_mesh(),
-        material=MaterialLaw(D=1.0, nu=0.0),
         f=None,
         bc_builder=partial(interpolate_uhat_bc, exact.fields),
         exact=exact)

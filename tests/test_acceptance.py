@@ -22,8 +22,7 @@ from platedpg.mesh import (mesh_from_arrays, nvb_refine, uniform_refine,
                            unit_square_mesh)
 from platedpg.polyquad import p3_table, tri_rule
 from platedpg.problems import (SINGULAR_ALPHA, ZSHAPE_OPENING,
-                               MaterialLaw, builtin_square_problem,
-                               builtin_zshape_problem, c_apply, cinv_apply,
+                               builtin_square_problem, builtin_zshape_problem,
                                fourier_eval, singular_eval)
 from platedpg.spaces import (BCSpec, ElementGeometry, build_dofmap,
                              interpolate_uhat_bc)
@@ -134,14 +133,13 @@ def test_criterion_4_manufactured_consistency():
     invariant under basis rescaling; the absolute threshold is relative
     to the sup of the load.
     """
-    mat = MaterialLaw(1.0, 0.0)
     mesh = unit_square_mesh()
     sups = []
     for level in range(4):
         dofmap = build_dofmap(mesh, interpolate_uhat_bc(
             manufactured_fields, mesh))
         x = exact_dof_vector(mesh, dofmap)
-        systems = dpg.build_element_systems(mesh, dofmap, mat, manufactured_f)
+        systems = dpg.build_element_systems(mesh, dofmap, manufactured_f)
         est = dpg.estimate(systems, x)
         sups.append(est.per_element.max())
         mesh = uniform_refine(mesh)
@@ -223,8 +221,7 @@ def test_criterion_5_invariants(square_uniform, zshape_uniform,
         m1 = mesh_from_arrays(random_shape_regular_triangle(rng), [(0, 1, 2)])
         try:
             np.linalg.cholesky(dpg.element_matrices(
-                ElementGeometry(m1, np.array([0])),
-                MaterialLaw(1.0, 0.0))[1][0])
+                ElementGeometry(m1, np.array([0])))[1][0])
         except Exception:
             failures.append("Gram SPD")
             break
@@ -295,17 +292,6 @@ def test_criterion_6_exact_solution_validation():
     u_c, _, _ = fourier_eval([0.5, 0.5])
     checks.append(("Fourier central deflection",
                    abs(u_c[0] - 0.00406) <= 1e-4))
-
-    rng = np.random.default_rng(3)
-    worst = 0.0
-    for _ in range(100):
-        mat = MaterialLaw(10.0 ** rng.uniform(-1, 1),
-                          rng.uniform(-0.9, 0.5))
-        a, b, c = rng.normal(size=3)
-        kappa = np.array([[a, b], [b, c]])
-        back = cinv_apply(mat, c_apply(mat, kappa))
-        worst = max(worst, np.abs(back - kappa).max())
-    checks.append(("material round-trip", worst <= 1e-12))
 
     ok = all(flag for _, flag in checks)
     report("6 (exact-solution validation)", ok,

@@ -17,10 +17,9 @@ from platedpg.linalg import spd_solve
 from platedpg.mesh import (Mesh, dyadic_shape, mesh_from_arrays, nvb_refine,
                            uniform_refine, unit_square_mesh)
 from platedpg.polyquad import EXP_I, EXP_J, p3_table, tri_rule
-from platedpg.problems import (SINGULAR_ALPHA, ExactSolution, MaterialLaw,
-                               ProblemSpec, Singularity,
-                               builtin_square_problem, builtin_zshape_problem,
-                               cinv_apply, l2_errors)
+from platedpg.problems import (SINGULAR_ALPHA, ExactSolution, ProblemSpec,
+                               Singularity, builtin_square_problem,
+                               builtin_zshape_problem, l2_errors)
 from platedpg.spaces import ElementGeometry, build_dofmap, interpolate_uhat_bc
 from trace_oracles import element_tensor_basis
 
@@ -32,12 +31,10 @@ def triangle_loads(geom, f):
     return dpg._load(f, qpts, w, table.values)
 
 
-def one_element(mesh, t, material=MaterialLaw(1.0, 0.0),
-                f=lambda p: np.zeros(len(p))):
-    """B, G and load of triangle t alone; G does not depend on the
-    material law."""
+def one_element(mesh, t, f=lambda p: np.zeros(len(p))):
+    """B, G and load of triangle t alone."""
     geom = ElementGeometry(mesh, np.array([t]))
-    B, G = dpg.element_matrices(geom, material)
+    B, G = dpg.element_matrices(geom)
     return B[0], G[0], triangle_loads(geom, f)[0]
 
 
@@ -72,24 +69,22 @@ def test_gram_quadratic_entry_against_oracle():
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), log_scale=st.floats(-3.0, 2.0),
-       nu=st.floats(-0.9, 0.5).filter(lambda nu: nu != 0.0))
-def test_tensor_block_against_a_dense_oracle_build(seed, log_scale, nu):
+@given(seed=st.integers(0, 2 ** 32 - 1), log_scale=st.floats(-3.0, 2.0))
+def test_tensor_block_against_a_dense_oracle_build(seed, log_scale):
     """The tensor test rows of G (mass plus divdiv) and of B's u and moment
-    columns, ``(1, divdiv Theta_i)`` and ``(M_j, C^{-1} Theta_i)``, equal
-    a build from the oracle tensor table and ``cinv_apply`` on a
-    degree-12 rule, to 1e-12 of the Cauchy-Schwarz bound of each entry,
-    on shape-regular triangles of diameter 1e-3 to 1e2.  The oracle table
-    is rebased first: test functions 13 and 17 are ``xi eta S12 - xi^2
-    S11`` and ``eta^2 S22 - xi^2 S11``, column j of T.  (Rebasing the
-    finished oracle G instead would leave its rounding of the h^-2
-    divdiv part in the h^2 mass part of those two.)"""
+    columns, ``(1, divdiv Theta_i)`` and ``(M_j, Theta_i)``, equal a build
+    from the oracle tensor table on a degree-12 rule, to 1e-12 of the
+    Cauchy-Schwarz bound of each entry, on shape-regular triangles of
+    diameter 1e-3 to 1e2.  The oracle table is rebased first: test
+    functions 13 and 17 are ``xi eta S12 - xi^2 S11`` and ``eta^2 S22 -
+    xi^2 S11``, column j of T.  (Rebasing the finished oracle G instead
+    would leave its rounding of the h^-2 divdiv part in the h^2 mass part
+    of those two.)"""
     rng = np.random.default_rng(seed)
     base = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
     tri = (base + 0.15 * rng.uniform(-1, 1, size=(3, 2))) * 10.0 ** log_scale
     mesh = mesh_from_arrays(tri, [(0, 1, 2)])
-    material = MaterialLaw(10.0 ** rng.uniform(-1, 1), nu)
-    B, G, _ = one_element(mesh, 0, material)
+    B, G, _ = one_element(mesh, 0)
     geom = ElementGeometry(mesh, 0)
     pts, w = tri_rule(12).map_to(geom.P)
     theta = element_tensor_basis(geom).eval(pts)
@@ -104,11 +99,9 @@ def test_tensor_block_against_a_dense_oracle_build(seed, log_scale, nu):
                        [[0.0, 0.0], [0.0, 1.0]]])
     B_ref = np.column_stack([
         w @ divdiv,
-        np.einsum("q,qiab,jab->ij", w, cinv_apply(material, values),
-                  unit_M)])
-    trial_sq = mesh.tri_area[0] * np.r_[1.0, np.einsum(
-        "jab,jab->j", cinv_apply(material, unit_M), cinv_apply(material,
-                                                               unit_M))]
+        np.einsum("q,qiab,jab->ij", w, values, unit_M)])
+    trial_sq = mesh.tri_area[0] * np.r_[1.0, np.einsum("jab,jab->j", unit_M,
+                                                       unit_M)]
     d = np.diag(G)[10:]
     np.testing.assert_array_less(np.abs(G[10:, 10:] - G_ref),
                                  1e-12 * np.sqrt(np.outer(d, d)))
@@ -128,8 +121,7 @@ def test_condensation_against_50_digits_at_every_scale(seed, log_scale):
     rng = np.random.default_rng(seed)
     base = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
     tri = (base + 0.15 * rng.uniform(-1, 1, size=(3, 2))) * 10.0 ** log_scale
-    B, G, _ = one_element(mesh_from_arrays(tri, [(0, 1, 2)]), 0,
-                          MaterialLaw(1.0, 0.3))
+    B, G, _ = one_element(mesh_from_arrays(tri, [(0, 1, 2)]), 0)
     W = dpg.condense(B[None], G[None], np.zeros((1, dpg.N_TEST)),
                      np.arange(1))[0][0]
     A = W.T @ W
@@ -287,7 +279,7 @@ def graded_zshape():
     prob = builtin_zshape_problem()
     mesh = adaptive_zshape(100)
     geom = ElementGeometry(mesh, np.arange(mesh.num_triangles))
-    B, G = dpg.element_matrices(geom, prob.material)
+    B, G = dpg.element_matrices(geom)
     assert prob.f is None          # so the load is zero
     return prob, mesh, B, G, np.zeros((mesh.num_triangles, dpg.N_TEST))
 
@@ -299,7 +291,7 @@ def test_batched_matches_single_element_path(graded_zshape):
         ElementGeometry(mesh, np.arange(mesh.num_triangles)), f)
     for t in (0, mesh.num_triangles // 2, mesh.num_triangles - 1):
         for batched, single in zip((B[t], G[t], load_f[t]),
-                                   one_element(mesh, t, prob.material, f)):
+                                   one_element(mesh, t, f)):
             assert np.abs(batched - single).max() <= 1e-12 * np.abs(
                 single).max()
 
@@ -315,7 +307,7 @@ def test_estimate_equals_dense_dual_norm(graded_zshape):
     dm = build_dofmap(mesh, prob.bc_builder(mesh))
     x = np.random.default_rng(0).normal(size=dm.full_dim)
     est = dpg.estimate(
-        dpg.build_element_systems(mesh, dm, prob.material, prob.f), x)
+        dpg.build_element_systems(mesh, dm, prob.f), x)
     r = load - (B @ x[dm.element_scatter(mesh, np.arange(mesh.num_triangles)),
                       None])[..., 0]
     oracle = np.sqrt(np.einsum("ti,ti->t", r,
@@ -326,7 +318,7 @@ def test_estimate_equals_dense_dual_norm(graded_zshape):
 def test_condensed_blocks_equal_dense_schur_complement(graded_zshape):
     prob, mesh, B, G, load = graded_zshape
     dm = build_dofmap(mesh, prob.bc_builder(mesh))
-    systems = dpg.build_element_systems(mesh, dm, prob.material, prob.f)
+    systems = dpg.build_element_systems(mesh, dm, prob.f)
     W = systems.W[systems.cls]
     A = np.swapaxes(W, 1, 2) @ W
     oracle = np.swapaxes(B, 1, 2) @ np.linalg.solve(G, B)
@@ -339,9 +331,8 @@ def test_without_load_v_is_zero_and_W_unchanged(graded_zshape):
     same as with a load that evaluates to zero."""
     prob, mesh = graded_zshape[:2]
     dm = build_dofmap(mesh, prob.bc_builder(mesh))
-    none = dpg.build_element_systems(mesh, dm, prob.material, None)
-    zero = dpg.build_element_systems(mesh, dm, prob.material,
-                                     lambda p: np.zeros(len(p)))
+    none = dpg.build_element_systems(mesh, dm, None)
+    zero = dpg.build_element_systems(mesh, dm, lambda p: np.zeros(len(p)))
     assert not none.v.any()
     assert np.array_equal(none.W, zero.W)
 
@@ -356,14 +347,14 @@ def rel_per_element(a, b):
     return np.linalg.norm(a - b, axis=axes) / np.linalg.norm(b, axis=axes)
 
 
-def class_and_element_paths(mesh, material, f):
+def class_and_element_paths(mesh, f):
     """(W, v, A_T) per triangle from the class path and from element
     matrices and condensation run on every triangle, plus the classes."""
     dm = build_dofmap(mesh, clamped_zero_bc(mesh))
-    systems = dpg.build_element_systems(mesh, dm, material, f)
+    systems = dpg.build_element_systems(mesh, dm, f)
     W_c = systems.W[systems.cls]
     geom = ElementGeometry(mesh, np.arange(mesh.num_triangles))
-    W, v = dpg.condense(*dpg.element_matrices(geom, material),
+    W, v = dpg.condense(*dpg.element_matrices(geom),
                         triangle_loads(geom, f),
                         np.arange(mesh.num_triangles))
     gram = lambda X: np.swapaxes(X, 1, 2) @ X
@@ -407,15 +398,14 @@ def relabelled_square():
 def test_class_path_matches_per_element_path(case, request):
     f = lambda p: 1.0 + p[:, 0] ** 2
     if case == "square":
-        mesh, material = square_mesh(3), MaterialLaw(1.0, 0.0)
+        mesh = square_mesh(3)
     elif case == "relabelled_square":
-        mesh, material = relabelled_square(), MaterialLaw(1.0, 0.0)
+        mesh = relabelled_square()
     elif case == "graded_zshape":
-        prob, mesh = request.getfixturevalue("graded_zshape")[:2]
-        material = prob.material
+        mesh = request.getfixturevalue("graded_zshape")[1]
     else:
-        mesh, material = jittered_square(), MaterialLaw(1.0, 0.3)
-    by_class, by_element, cls = class_and_element_paths(mesh, material, f)
+        mesh = jittered_square()
+    by_class, by_element, cls = class_and_element_paths(mesh, f)
     for a, b in zip(by_class, by_element):
         assert rel_per_element(a, b).max() <= 1e-13
     if case == "jittered":
@@ -436,9 +426,9 @@ def test_translation_neither_merges_shapes_nor_costs_accuracy(
     shift = np.array([1e3, -1e3])
     moved = mesh_from_arrays(mesh.coords + shift, mesh.tri_vertices)
     f = lambda p: 1.0 + p[:, 0] ** 2
-    _, at_origin, cls = class_and_element_paths(mesh, prob.material, f)
+    _, at_origin, cls = class_and_element_paths(mesh, f)
     by_class, by_element, moved_cls = class_and_element_paths(
-        moved, prob.material, lambda p: f(p - shift))
+        moved, lambda p: f(p - shift))
     pairs = np.unique(np.column_stack([cls, moved_cls]), axis=0)
     assert len(pairs) == cls.max() + 1 == moved_cls.max() + 1
     for c, e, o in zip(by_class, by_element, at_origin):
@@ -452,8 +442,7 @@ def test_class_counts_on_nvb_meshes():
     absolute position would give one class per triangle."""
     def classes(mesh):
         dm = build_dofmap(mesh, clamped_zero_bc(mesh))
-        material = MaterialLaw(1.0, 0.0)
-        return len(dpg.build_element_systems(mesh, dm, material, None).W)
+        return len(dpg.build_element_systems(mesh, dm, None).W)
 
     square = square_mesh(5)
     assert square.num_triangles == 2048
@@ -469,8 +458,7 @@ def _classes_and_corner_shapes(mesh, corner):
     h of about 7e-4, so the factorization is skipped."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dpg, "condense", lambda B, G, load, cls: (B, load))
-        cls = dpg.build_element_systems(mesh, build_dofmap(mesh),
-                                        MaterialLaw(1.0, 0.0), None).cls
+        cls = dpg.build_element_systems(mesh, build_dofmap(mesh), None).cls
     exact = ExactSolution(lambda p: (np.zeros(len(p)), None,
                                      np.zeros((len(p), 2, 2))),
                           Singularity(tuple(corner), 2.0))
@@ -521,19 +509,19 @@ def test_gram_failure_names_a_triangle_of_the_class(monkeypatch):
     mesh = square_mesh(2)
     prob = builtin_square_problem()
     dm = build_dofmap(mesh, prob.bc_builder(mesh))
-    cls = dpg.build_element_systems(mesh, dm, prob.material, prob.f).cls
+    cls = dpg.build_element_systems(mesh, dm, prob.f).cls
     bad = cls.max()
     real = dpg.element_matrices
 
-    def breaking(geom, material):
-        B, G = real(geom, material)
+    def breaking(geom):
+        B, G = real(geom)
         G[bad, 23, 23] = -1.0
         return B, G
 
     monkeypatch.setattr(dpg, "element_matrices", breaking)
     with pytest.raises(SPDError, match=r"element Gram matrix (\d+) is not "
                        r"SPD: pivot 23") as err:
-        dpg.build_element_systems(mesh, dm, prob.material, prob.f)
+        dpg.build_element_systems(mesh, dm, prob.f)
     t = int(re.search(r"matrix (\d+)", str(err.value)).group(1))
     assert cls[t] == bad
     assert err.value.pivot == 23
@@ -545,8 +533,7 @@ def test_gram_failure_names_a_triangle_of_the_class(monkeypatch):
 
 def test_assemble_zero_data_gives_zero_solution():
     mesh = unit_square_mesh()
-    prob = ProblemSpec("zero", mesh, MaterialLaw(1.0, 0.0), None,
-                       bc_builder=clamped_zero_bc)
+    prob = ProblemSpec("zero", mesh, None, bc_builder=clamped_zero_bc)
     dm = build_dofmap(mesh, clamped_zero_bc(mesh))
     system = dpg.assemble(mesh, dm, prob)
     np.testing.assert_allclose(system.rhs, 0.0, atol=1e-15)
@@ -558,8 +545,8 @@ def test_assemble_zero_data_gives_zero_solution():
 
 def test_assemble_clamped_square_is_24x24_spd():
     mesh = unit_square_mesh()
-    prob = ProblemSpec("clamped", mesh, MaterialLaw(1.0, 0.0),
-                       lambda p: np.ones(len(p)), bc_builder=clamped_zero_bc)
+    prob = ProblemSpec("clamped", mesh, lambda p: np.ones(len(p)),
+                       bc_builder=clamped_zero_bc)
     dm = build_dofmap(mesh, clamped_zero_bc(mesh))
     system = dpg.assemble(mesh, dm, prob)
     assert system.A.shape == (24, 24)
@@ -709,7 +696,7 @@ def test_assemble_holds_no_per_triangle_copy_of_the_blocks(zshape_1000):
 def test_chunked_estimate_equals_one_gathered_product(zshape_1000):
     prob, mesh = builtin_zshape_problem(), zshape_1000
     dm = build_dofmap(mesh, prob.bc_builder(mesh))
-    systems = dpg.build_element_systems(mesh, dm, prob.material, prob.f)
+    systems = dpg.build_element_systems(mesh, dm, prob.f)
     x = np.random.default_rng(1).normal(size=dm.full_dim)
     r = systems.v - (systems.W[systems.cls]
                      @ x[systems.scatter][..., None])[..., 0]

@@ -192,6 +192,19 @@ def test_config_validation():
         ExperimentConfig(problem="square", mode="random")
     with pytest.raises(ConfigurationError):
         ExperimentConfig(problem="square", mode="adaptive", theta=1.5)
+    # limits that are not integers, and a theta that is not a number, are
+    # refused by name rather than truncated, counted or compared
+    for field, value in (("max_levels", 2.5), ("max_levels", True),
+                         ("max_levels", 3.0), ("max_dofs", 150.5),
+                         ("max_dofs", False), ("max_dofs", "2000"),
+                         ("theta", "0.5"), ("theta", True), ("theta", None)):
+        with pytest.raises(ConfigurationError, match=f"^{field} = "):
+            ExperimentConfig(problem="square", mode="adaptive",
+                             **{field: value})
+    # numpy scalars are integers and numbers like the Python ones
+    for ok in (dict(max_levels=np.int64(2)), dict(max_dofs=np.int32(500)),
+               dict(theta=np.float64(0.3))):
+        ExperimentConfig(problem="square", mode="adaptive", **ok)
 
 
 def test_config_defaults():
@@ -478,8 +491,8 @@ def test_spd_failure_flushes_partial_records(tmp_path, monkeypatch,
     real = dpg.element_matrices
     calls = {"n": 0}
 
-    def breaking(geom, material):
-        B, G = real(geom, material)
+    def breaking(geom):
+        B, G = real(geom)
         calls["n"] += 1
         if calls["n"] >= 2:
             G[-1] = -np.eye(G.shape[-1])

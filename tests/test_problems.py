@@ -1,64 +1,13 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import project_fields
 from platedpg import problems
-from platedpg.errors import ConfigurationError
 from platedpg.problems import (L2_CHUNK, SINGULAR_ALPHA, SINGULAR_C,
-                               ZSHAPE_OPENING, ExactSolution, MaterialLaw,
+                               ZSHAPE_OPENING, ExactSolution,
                                builtin_square_problem, builtin_zshape_problem,
-                               c_apply, cinv_apply, fourier_eval, l2_errors,
-                               odd_harmonics, singular_eval, zshape_mesh)
-
-
-# ---------------------------------------------------------------------------
-# material law
-# ---------------------------------------------------------------------------
-
-def test_c_apply_examples():
-    I = np.eye(2)
-    np.testing.assert_allclose(c_apply(MaterialLaw(1.0, 0.0), I), I)
-    np.testing.assert_allclose(c_apply(MaterialLaw(1.0, 0.3), I), 1.3 * I)
-    sym = np.array([[0.0, 1.0], [1.0, 0.0]])
-    np.testing.assert_allclose(c_apply(MaterialLaw(2.0, 0.5), sym), sym)
-
-
-def test_cinv_examples():
-    mat = MaterialLaw(1.0, 0.0)
-    M = np.array([[1.2, 0.4], [0.4, -0.7]])
-    np.testing.assert_allclose(cinv_apply(mat, M), M)
-    mat = MaterialLaw(1.0, 0.3)
-    out = cinv_apply(mat, np.eye(2))
-    np.testing.assert_allclose(out, (1 / 0.7) * (1 - 0.6 / 1.3) * np.eye(2),
-                               rtol=1e-12)
-    traceless = np.array([[0.5, 1.0], [1.0, -0.5]])
-    mat = MaterialLaw(2.0, 0.4)
-    np.testing.assert_allclose(cinv_apply(mat, traceless),
-                               traceless / (2.0 * 0.6), rtol=1e-14)
-
-
-def test_material_roundtrip_property():
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        nu = rng.uniform(-0.9, 0.5)
-        D = 10.0 ** rng.uniform(-2, 2)
-        mat = MaterialLaw(D, nu)
-        a, b, c = rng.normal(size=3)
-        kappa = np.array([[a, b], [b, c]])
-        np.testing.assert_allclose(cinv_apply(mat, c_apply(mat, kappa)),
-                                   kappa, atol=1e-12 * max(1, abs(a), abs(c)))
-        np.testing.assert_allclose(c_apply(mat, cinv_apply(mat, kappa)),
-                                   kappa, atol=1e-12 * max(1, abs(a), abs(c)))
-
-
-def test_material_validation():
-    with pytest.raises(ConfigurationError):
-        MaterialLaw(D=-1.0)
-    with pytest.raises(ConfigurationError):
-        MaterialLaw(nu=0.6)
-    with pytest.raises(ConfigurationError):
-        MaterialLaw(nu=-1.0)
+                               fourier_eval, l2_errors, odd_harmonics,
+                               singular_eval, zshape_mesh)
 
 
 # ---------------------------------------------------------------------------
