@@ -59,33 +59,39 @@ class Mesh:
     # -- construction helpers -------------------------------------------
 
     def _build_topology(self):
+        """Edges in the order they are first met (triangle by triangle,
+        local edge k), their vertices, triangles and signs, boundary flags.
+        One sort of the slots by vertex-pair key, in any order within a
+        pair, groups each edge's slots: the smallest of each group, in
+        slot order, are the edges, the largest give second triangles."""
         coords, tris = self.coords, self.tri_vertices
         n_vert, n_tri = len(coords), len(tris)
-        degenerate = np.flatnonzero((tris == np.roll(tris, 1, 1)).any(axis=1))
+        # local edge k joins local vertices k+1 and k+2, its slot 3t + k
+        a, b = tris[:, [1, 2, 0]].ravel(), tris[:, [2, 0, 1]].ravel()
+        degenerate = np.unique(np.flatnonzero(a == b) // 3)
         if degenerate.size:
             raise MeshStructureError("degenerate triangles (repeated vertex): "
                                      f"{degenerate.tolist()}")
 
-        # local edge k joins local vertices k+1 and k+2; edges are numbered
-        # in the order they are first met, triangle by triangle, local edge
-        # k.  One stable sort of the slots by vertex pair puts each edge's
-        # slots together in slot order; the first slots of the groups, in
-        # slot order, are the edges.
-        ends = np.sort(tris[:, [[1, 2], [2, 0], [0, 1]]]).reshape(-1, 2)
-        key = ends[:, 0] * n_vert + ends[:, 1]
-        order = np.argsort(key, kind="stable")
+        key = np.minimum(a, b) * n_vert + np.maximum(a, b)
+        # s[t, k] = +1 when triangle t traverses local edge k from v_lo to
+        # v_hi (its outward normal there equals the canonical edge normal)
+        self.edge_sign = np.where(a < b, 1, -1).astype(np.int8).reshape(-1, 3)
+        del a, b
+        order = np.argsort(key)
         starts = np.flatnonzero(np.diff(key[order], prepend=-1))
         size = np.diff(starts, append=key.size)
+        first_slot = np.minimum.reduceat(order, starts)
         is_first = np.zeros(key.size, dtype=bool)
-        is_first[order[starts]] = True
-        edge = (np.cumsum(is_first) - 1)[order[starts]]   # each group's
+        is_first[first_slot] = True
+        edge = (np.cumsum(is_first) - 1)[first_slot]      # each group's
         self.tri_edges = np.empty((n_tri, 3), dtype=np.int64)
         np.put(self.tri_edges, order, np.repeat(edge, size))
         first = np.flatnonzero(is_first)
         last, count = np.empty_like(first), np.empty_like(first)
-        last[edge] = order[starts + size - 1]
+        last[edge] = np.maximum.reduceat(order, starts)
         count[edge] = size
-        self.edge_vertices = ends[first]
+        self.edge_vertices = np.stack(np.divmod(key[first], n_vert), 1)
         if np.any(count > 2):
             e = int(np.argmax(count > 2))
             raise MeshStructureError(
@@ -116,9 +122,9 @@ class Mesh:
                 f"pinched vertex {v}: on {n_bedges[v]} boundary edges")
 
     def _build_geometry(self):
-        """Signed areas, checked positive, and edge signs; a triangle's
-        frame is made from its vertices where it is used (edge_frame)."""
-        p = self.coords[self.tri_vertices]             # (nT, 3, 2)
+        """Signed areas, checked positive; a triangle's frame is made from
+        its vertices where it is used (edge_frame)."""
+        p = np.take(self.coords, self.tri_vertices, axis=0)     # (nT, 3, 2)
         d1 = p[:, 1] - p[:, 0]
         d2 = p[:, 2] - p[:, 0]
         self.tri_area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
@@ -126,11 +132,6 @@ class Mesh:
         if bad.size:
             raise MeshStructureError(
                 f"triangles with nonpositive signed area: {bad.tolist()}")
-        # s[t, k] = +1 when triangle t traverses local edge k from v_lo to
-        # v_hi (its outward normal there equals the canonical edge normal)
-        first = self.tri_vertices[:, [1, 2, 0]]
-        lo = self.edge_vertices[self.tri_edges, 0]     # (nT, 3)
-        self.edge_sign = np.where(first == lo, 1, -1).astype(np.int8)
 
     # -- counts and element access --------------------------------------
 
@@ -206,8 +207,9 @@ def mesh_from_arrays(vertex_coords, triangle_vertex_triples):
 def nvb_refine(mesh, marked):
     """Bisect every marked triangle at least once, with recursive
     newest-vertex-bisection closure keeping the mesh conforming.  The
-    closure walks the mesh's own edges: a split appends two children and
-    three edges (two halves, the bisector) and re-points the old ones."""
+    closure walks the mesh's own edges: a bisection appends the edge's
+    halves, two children and a bisector per triangle on it, and re-points
+    those triangles' other edges."""
     marked = np.unique(np.asarray(
         marked if isinstance(marked, np.ndarray) else list(marked)))
     if marked.size == 0:
@@ -227,24 +229,7 @@ def nvb_refine(mesh, marked):
     alive = bytearray(b"\1") * n0
     ends = array("q")                   # the bisected edge of each new vertex
 
-    def split(t, m, h1, h2):
-        """Children [m, p0, p1] and [m, p2, p0] in slot order; h1 and h2
-        are the halves of the refinement edge at p1 and at p2."""
-        p0, p1, p2 = verts[3 * t:3 * t + 3]
-        e2, e1 = edges[3 * t + 1], edges[3 * t + 2]          # p2p0, p0p1
-        c, d = len(alive), len(side0)
-        verts.extend((m, p0, p1, m, p2, p0))
-        edges.extend((e1, h1, d, e2, d, h2))
-        side0.append(c)
-        side1.append(c + 1)
-        alive[t] = False
-        alive.extend((True, True))
-        (side0 if side0[e1] == t else side1)[e1] = c
-        (side0 if side0[h1] == -1 else side1)[h1] = c
-        (side0 if side0[e2] == t else side1)[e2] = c + 1
-        (side0 if side0[h2] == -1 else side1)[h2] = c + 1
-
-    budget = 200 * (n0 + marked.size)
+    n_vert, budget = mesh.num_vertices, 200 * (n0 + marked.size)
     for t0 in marked.tolist():
         stack = [t0]
         while stack:
@@ -260,14 +245,31 @@ def nvb_refine(mesh, marked):
             if nb >= 0 and edges[3 * nb] != e:
                 stack.append(nb)
                 continue
-            m = mesh.num_vertices + len(ends) // 2
-            ends += verts[3 * t + 1:3 * t + 3]
-            h = len(side0)
-            side0.extend((-1, -1))
-            side1.extend((-1, -1))
-            split(t, m, h, h + 1)
-            if nb >= 0:
-                split(nb, m, h + 1, h)
+            m, i = n_vert + len(ends) // 2, 3 * t
+            ends.extend((verts[i + 1], verts[i + 2]))
+            # children [m, p0, p1], [m, p2, p0] in slot order: c, c + 1 of
+            # t with bisector h + 2, c + 2, c + 3 of nb with h + 3; halves h
+            # at t's p1 (nb's p2) and h + 1 of the refinement edge
+            h, c = len(side0), len(alive)
+            for s, k, d, h1, h2 in ((t, c, h + 2, h, h + 1),
+                                    (nb, c + 2, h + 3, h + 1, h)):
+                if s < 0:
+                    break
+                i = 3 * s
+                p0, p1, p2 = verts[i], verts[i + 1], verts[i + 2]
+                e2, e1 = edges[i + 1], edges[i + 2]          # p2p0, p0p1
+                verts.extend((m, p0, p1, m, p2, p0))
+                edges.extend((e1, h1, d, e2, d, h2))
+                alive[s] = False
+                alive += b"\1\1"
+                (side0 if side0[e1] == s else side1)[e1] = k
+                (side0 if side0[e2] == s else side1)[e2] = k + 1
+            if nb < 0:
+                side0.extend((c, c + 1, c))
+                side1.extend((-1, -1, c + 1))
+            else:
+                side0.extend((c, c + 1, c, c + 2))
+                side1.extend((c + 3, c + 2, c + 1, c + 3))
             stack.pop()
 
     # only edges of the given mesh are bisected: a child's refinement edge

@@ -12,7 +12,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import ConfigurationError
 
@@ -54,19 +53,34 @@ class QuadRuleTri:
         return pts, self.weights * (2.0 * area)[..., None]
 
 
+# the 1-D factors (u, wu, v, wv) on [0, 1] of the n x n-point collapsed
+# rules: the bits of 0.5 * (x + 1), 0.5 * w for (x, w) = roots_legendre(n)
+# and of 0.5 * (x + 1), 0.25 * w for roots_jacobi(n, 1, 0) (scipy.special)
+COLLAPSED_FACTORS = {5: (EDGE_NODES, EDGE_WEIGHTS, *np.reshape([
+    0.03980985705146872, 0.1980134178736082, 0.43797481024738616,
+    0.6954642733536361, 0.9014649142011736, 0.09678159022665148,
+    0.1671746380943697, 0.14638698708466985, 0.07390887007261668,
+    0.0157479145216923], (2, 5))), 7: tuple(np.reshape([
+    0.025446043828620812, 0.12923440720030277, 0.2970774243113014, 0.5,
+    0.7029225756886985, 0.8707655927996972, 0.9745539561713792,
+    0.06474248308443496, 0.1398526957446383, 0.19091502525255938,
+    0.20897959183673456, 0.19091502525255938, 0.1398526957446383,
+    0.06474248308443496, 0.0224793864387125, 0.11467905316090415,
+    0.2657898227845895, 0.45284637366944464, 0.6473752828868303,
+    0.8197593082631076, 0.9437374394630779, 0.055967363423490867,
+    0.1105092581908744, 0.12739089729958852, 0.10712506569587381,
+    0.06638469646549157, 0.027408356721873486, 0.005214362202807391],
+    (4, 7)))}
+
+
 @lru_cache(maxsize=None)
 def tri_rule(min_degree):
-    """Triangle rule with exactness at least ``min_degree`` (1..12)."""
+    """Triangle rule with exactness at least ``min_degree`` (1..12): the
+    5 x 5-point collapsed rule to degree 9, the 7 x 7-point one above."""
     if not 1 <= int(min_degree) <= 12:
         raise ConfigurationError(
             f"triangle quadrature degree {min_degree} outside 1..12")
-    n = (int(min_degree) + 2) // 2
-    xu, wu = roots_legendre(n)
-    u = 0.5 * (xu + 1.0)
-    wu = 0.5 * wu
-    xv, wv = roots_jacobi(n, 1.0, 0.0)
-    v = 0.5 * (xv + 1.0)
-    wv = 0.25 * wv
+    u, wu, v, wv = COLLAPSED_FACTORS[5 if int(min_degree) <= 9 else 7]
     U, V = np.meshgrid(u, v, indexing="ij")
     x = (U * (1.0 - V)).ravel()
     y = V.ravel()

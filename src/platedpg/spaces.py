@@ -237,10 +237,11 @@ def _reduce_blocks(rows, constraints, kind, col0):
     their nullspace; the blocks' free columns are numbered consecutively
     from ``col0``.  The blocks with k constraints are reduced by one
     stacked SVD, whose LAPACK call per block is the one a single SVD
-    makes.  Returns the entries (rows, cols, values) of R, in column
-    order within a row, the prescribed values of the rows and the number
-    of free columns; dependent constraints raise for the lowest such
-    block id.
+    makes.  Returns the rows and first free columns of the identity
+    blocks; a list of the rows, first free columns and bases (blocks,
+    width, width - k) of the blocks with k constraints, one item per k;
+    the prescribed values of the rows and the number of free columns.
+    Dependent constraints raise for the lowest such block id.
     """
     n, width = rows.shape
     index, C, d = (np.asarray(a) for a in constraints)
@@ -285,11 +286,9 @@ def _reduce_blocks(rows, constraints, kind, col0):
             f"over-constrained boundary block at {kind} {b}: "
             f"{k} constraints of rank {rank}")
     start = col0 + np.cumsum(n_free) - n_free
-    b = np.flatnonzero(n_free == width)     # the identity basis
-    nulls.append((b, np.broadcast_to(np.eye(width), (len(b), width, width))))
-    entries = [(rows[b[t], i], start[b[t]] + j, null[t, i, j])
-               for b, null in nulls for t, i, j in [np.nonzero(null)]]
-    return tuple(map(np.concatenate, zip(*entries))), x_p, int(n_free.sum())
+    b = np.flatnonzero(n_free == width)       # the identity blocks
+    nulls = [(rows[ids], start[ids], null) for ids, null in nulls]
+    return (np.take(rows, b, 0), start[b]), nulls, x_p, int(n_free.sum())
 
 
 def build_dofmap(mesh, bc: Optional[BCSpec] = None) -> DofMap:
@@ -298,7 +297,8 @@ def build_dofmap(mesh, bc: Optional[BCSpec] = None) -> DofMap:
 
     Free columns follow the full layout block by block: u and M, the
     vertex uhat blocks, the edge (alpha, beta) blocks, then the gamma
-    corners that are not eliminated.
+    corners that are not eliminated.  R is written straight into
+    canonical CSR, each row at its offset, without a stable sort.
     """
     bc = bc or BCSpec()
     nT, nN, nE = mesh.num_triangles, mesh.num_vertices, mesh.num_edges
@@ -311,58 +311,64 @@ def build_dofmap(mesh, bc: Optional[BCSpec] = None) -> DofMap:
     x_p = np.zeros(full_dim)
 
     uhat_rows = off_uhat + np.arange(3 * nN).reshape(nN, 3)
-    uhat, x_p[uhat_rows], n_uhat_free = _reduce_blocks(
+    uhat_eye, uhat_nulls, x_p[uhat_rows], n_uhat_free = _reduce_blocks(
         uhat_rows, bc.vertex, "vertex", off_uhat)
     edge_rows = off_alpha + np.arange(nE)[:, None] + np.array([0, nE])
-    edge, x_p[edge_rows], n_edge_free = _reduce_blocks(
+    edge_eye, edge_nulls, x_p[edge_rows], n_edge_free = _reduce_blocks(
         edge_rows, bc.edge, "edge", off_uhat + n_uhat_free)
-    rows, cols, vals = (np.concatenate(part) for part in zip(uhat, edge))
-    del uhat, edge
+    constrained = uhat_nulls + edge_nulls
 
     # gamma: the patch triangle with the largest id carries the dependent
-    # corner at every interior vertex, minus the sum of the other corners
-    tris = mesh.tri_vertices
-    owner = np.full(nN, -1)
-    np.maximum.at(owner, tris, np.arange(nT)[:, None])
-    at_interior = ~mesh.vertex_on_boundary[tris]
-    dependent = at_interior & (owner[tris] == np.arange(nT)[:, None])
-    free = ~dependent
-    others = free & at_interior
-    n_others = np.bincount(tris[others], minlength=nN)
-    n_gamma_free = int(np.count_nonzero(free))
+    # corner at every interior vertex, minus the sum of the other corners.
+    # Sorted by (vertex, corner), the corners 3t + c list each vertex's
+    # corners in column order, the dependent one last.
+    corners = mesh.tri_vertices.ravel()
+    n_corner, size = corners.size, np.bincount(corners, minlength=nN)
+    corner = np.sort(corners * n_corner + np.arange(n_corner)) % n_corner
+    last = np.cumsum(size) - 1
+    interior = ~mesh.vertex_on_boundary
+    dependent = corner[last[interior]]
+    n_others = size[interior] - 1
+    free = np.ones(n_corner, dtype=bool)
+    free[dependent] = False
+    n_gamma_free = n_corner - dependent.size
     col0 = off_uhat + n_uhat_free + n_edge_free
     free_dim = col0 + n_gamma_free
 
-    # R straight into canonical CSR: indptr from the entries per row (one
-    # in each u, M and free corner row), then each part at its offsets
-    nnz = off_uhat + rows.size + n_gamma_free + int(n_others.sum())
+    # indptr from the entries per row: one in a u, M, free corner or
+    # identity block row, a constrained block row's basis nonzeros in order
+    nnz = (off_uhat + uhat_eye[0].size + edge_eye[0].size + n_gamma_free
+           + int(n_others.sum())
+           + sum(np.count_nonzero(null) for *_, null in constrained))
     itype = np.int32 if max(nnz, full_dim) < 2**31 else np.int64  # scipy's
     indptr = np.zeros(full_dim + 1, dtype=itype)
     counts = indptr[1:]
     counts[:] = 1
-    counts[off_uhat:off_gamma] = np.bincount(
-        rows - off_uhat, minlength=off_gamma - off_uhat)
-    counts[off_gamma:][dependent.ravel()] = n_others[tris[dependent]]
+    for rows, _, null in constrained:
+        counts[rows] = np.count_nonzero(null, axis=2)
+    counts[off_gamma + dependent] = n_others
     np.cumsum(indptr, out=indptr)
     indices = np.empty(nnz, dtype=itype)
     data = np.ones(nnz)
     indices[:off_uhat] = np.arange(off_uhat)
-    order = np.argsort(rows, kind="stable")
-    indices[off_uhat:indptr[off_gamma]] = cols[order]
-    data[off_uhat:indptr[off_gamma]] = vals[order]
-    del rows, cols, vals, order
-    col = (col0 + np.cumsum(free) - 1).reshape(nT, 3)
-    corner_at = indptr[off_gamma:-1].reshape(nT, 3)
+    for rows, start in (uhat_eye, edge_eye):
+        indices[indptr[rows]] = start[:, None] + np.arange(rows.shape[1])
+    for rows, start, null in constrained:
+        t, i, j = np.nonzero(null)
+        at = indptr[rows[t, i]] + (np.cumsum(null != 0, axis=2) - 1)[t, i, j]
+        indices[at] = start[t] + j
+        data[at] = null[t, i, j]
+    col = np.cumsum(free, dtype=itype) + (col0 - 1)
+    corner_at = indptr[off_gamma:-1]
     indices[corner_at[free]] = col[free]
-    # a dependent corner's row holds the other corners at its vertex in
-    # flat (t, c) order, their column order; after a stable sort by vertex
-    # the k-th lands at its row's start + k - k of the vertex's first one
-    v = tris[others]
-    order = np.argsort(v, kind="stable")
-    row = np.zeros(nN, dtype=np.int64)
-    row[tris[dependent]] = corner_at[dependent]
-    at = np.arange(v.size) + (row + n_others - np.cumsum(n_others))[v[order]]
-    indices[at] = col[others][order]
+    # the k-th other corner of an interior vertex, at sorted position
+    # last - n_others + k, lands at its dependent corner's row start + k
+    other = np.repeat(interior, size)
+    other[last] = False
+    i = np.flatnonzero(other)
+    at = i + np.repeat(corner_at[dependent] - last[interior] + n_others,
+                       n_others)
+    indices[at] = col[corner[i]]
     data[at] = -1.0
     R = sp.csr_matrix((data, indices, indptr), shape=(full_dim, free_dim))
 

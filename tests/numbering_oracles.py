@@ -1,13 +1,18 @@
-"""Reference constructions of the mesh's edge numbering and of the DOF
-map's reduction R, written the straightforward way: ``np.unique`` over
-vertex pairs for the topology, one SVD per constrained block, and R as
-COO triplets converted by scipy.  The library builds the same arrays
-with less memory; the tests compare them bit for bit."""
+"""Reference constructions of the mesh's edge numbering, of newest-vertex
+bisection and of the DOF map's reduction R, written the straightforward
+way: ``np.unique`` over vertex pairs for the topology, the closure with
+one ``split`` call per bisected triangle, one SVD per constrained block,
+and R as COO triplets converted by scipy.  The library builds the same
+arrays faster and with less memory; the tests compare them bit for
+bit."""
+
+from array import array
 
 import numpy as np
 import scipy.sparse as sp
 
-from platedpg.errors import ConfigurationError
+from platedpg.errors import ConfigurationError, MeshStructureError
+from platedpg.mesh import Mesh
 
 
 def unique_topology(tris, n_vert):
@@ -117,3 +122,87 @@ def coo_reduction(mesh, bc):
     free_dim = col0 + n_gamma_free
     R = sp.csr_matrix((vals, (rows, cols)), shape=(full_dim, free_dim))
     return R, x_p, free_dim, n_uhat_free, n_edge_free + n_gamma_free
+
+
+def nvb_refine(mesh, marked):
+    """Bisect every marked triangle at least once, with recursive
+    newest-vertex-bisection closure keeping the mesh conforming.  The
+    closure walks the mesh's own edges: a split appends two children and
+    three edges (two halves, the bisector) and re-points the old ones."""
+    marked = np.unique(np.asarray(
+        marked if isinstance(marked, np.ndarray) else list(marked)))
+    if marked.size == 0:
+        return mesh
+    if (marked.dtype.kind not in "iu" or marked[0] < 0  # not float or bool
+            or marked[-1] >= mesh.num_triangles):
+        raise MeshStructureError("marked set contains invalid triangle ids")
+
+    # flat int64 slot arrays, three per triangle, turned so that slot 0
+    # holds the newest vertex p0 and the refinement edge p1p2 opposite it
+    n0, ref0 = mesh.num_triangles, mesh.refinement_edge[:, None]
+    turn = (ref0 + np.arange(3)) % 3
+    verts, edges, side0, side1 = (array("q", a.tobytes()) for a in (
+        np.take_along_axis(mesh.tri_vertices, turn, 1),
+        np.take_along_axis(mesh.tri_edges, turn, 1),
+        *mesh.edge_triangles.T))
+    alive = bytearray(b"\1") * n0
+    ends = array("q")                   # the bisected edge of each new vertex
+
+    def split(t, m, h1, h2):
+        """Children [m, p0, p1] and [m, p2, p0] in slot order; h1 and h2
+        are the halves of the refinement edge at p1 and at p2."""
+        p0, p1, p2 = verts[3 * t:3 * t + 3]
+        e2, e1 = edges[3 * t + 1], edges[3 * t + 2]          # p2p0, p0p1
+        c, d = len(alive), len(side0)
+        verts.extend((m, p0, p1, m, p2, p0))
+        edges.extend((e1, h1, d, e2, d, h2))
+        side0.append(c)
+        side1.append(c + 1)
+        alive[t] = False
+        alive.extend((True, True))
+        (side0 if side0[e1] == t else side1)[e1] = c
+        (side0 if side0[h1] == -1 else side1)[h1] = c
+        (side0 if side0[e2] == t else side1)[e2] = c + 1
+        (side0 if side0[h2] == -1 else side1)[h2] = c + 1
+
+    budget = 200 * (n0 + marked.size)
+    for t0 in marked.tolist():
+        stack = [t0]
+        while stack:
+            budget -= 1
+            if budget <= 0:
+                raise MeshStructureError("NVB closure failed to terminate")
+            t = stack[-1]
+            if not alive[t]:
+                stack.pop()
+                continue
+            e = edges[3 * t]
+            nb = side1[e] if side0[e] == t else side0[e]
+            if nb >= 0 and edges[3 * nb] != e:
+                stack.append(nb)
+                continue
+            m = mesh.num_vertices + len(ends) // 2
+            ends += verts[3 * t + 1:3 * t + 3]
+            h = len(side0)
+            side0.extend((-1, -1))
+            side1.extend((-1, -1))
+            split(t, m, h, h + 1)
+            if nb >= 0:
+                split(nb, m, h + 1, h)
+            stack.pop()
+
+    # only edges of the given mesh are bisected: a child's refinement edge
+    # is one of its parent's edges, and a grandchild has no edge of the
+    # given mesh, so no refinement edge on the stack leads to it
+    coords = np.concatenate([mesh.coords, 0.5 * mesh.coords[
+        np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)].sum(axis=1)])
+    # undo the turn: the given triangles keep their layout, and children
+    # come out as [p1, m, p0] with ref 1 and [m, p2, p0] with ref 0
+    slots = np.frombuffer(verts, dtype=np.int64).reshape(-1, 3)
+    kids = slots[n0:].reshape(-1, 2, 3)
+    kids[:, 0] = kids[:, 0, [2, 0, 1]]
+    tris = np.concatenate([np.take_along_axis(
+        slots[:n0], (np.arange(3) - ref0) % 3, 1), kids.reshape(-1, 3)])
+    ref = np.concatenate([ref0[:, 0], np.tile([1, 0], len(kids))])
+    keep = np.flatnonzero(np.frombuffer(alive, dtype=np.bool_))
+    return Mesh(coords, tris[keep], ref[keep])

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 from conftest import reference_triangle_mesh, shape_ratio, vertex_patch
+import numbering_oracles
 from numbering_oracles import unique_topology
 
 from platedpg.errors import MeshStructureError
@@ -140,6 +141,35 @@ def test_topology_matches_unique_construction(initial, rounds, shuffle, seed):
         got = getattr(m, name)
         assert got.dtype == want.dtype, name
         np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(initial=st.sampled_from([unit_square_mesh, zshape_mesh]),
+       rounds=st.integers(0, 4), fraction=st.floats(0.05, 0.6),
+       seed=st.integers(0, 2**32 - 1))
+def test_nvb_refine_matches_split_oracle(initial, rounds, fraction, seed):
+    """Rounds of random marking, then a uniform refinement: each new mesh's
+    coordinates (bit for bit), triangles and refinement edges are those of
+    the closure that calls ``split`` once per bisected triangle."""
+    rng = np.random.default_rng(seed)
+    m = initial()
+    for step in range(rounds + 1):
+        n = m.num_triangles
+        if step < rounds:
+            marked = rng.choice(n, size=max(1, round(fraction * n)),
+                                replace=False)
+            got = nvb_refine(m, marked)
+            want = numbering_oracles.nvb_refine(m, marked)
+        else:
+            got = uniform_refine(m)
+            once = numbering_oracles.nvb_refine(m, range(n))
+            want = numbering_oracles.nvb_refine(
+                once, range(once.num_triangles))
+        for name in ("coords", "tri_vertices", "refinement_edge"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+        m = got
 
 
 def test_pinched_vertex_rejected():

@@ -1,12 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from scipy.special import roots_legendre
+from scipy.special import roots_jacobi, roots_legendre
 
+import platedpg
 from platedpg.errors import ConfigurationError
-from platedpg.polyquad import (EDGE_NODES, EDGE_WEIGHTS, EXP_I, EXP_J,
-                               p3_table, tri_rule)
+from platedpg.polyquad import (COLLAPSED_FACTORS, EDGE_NODES, EDGE_WEIGHTS,
+                               EXP_I, EXP_J, p3_table, tri_rule)
 from trace_oracles import TensorBasis
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -67,6 +71,32 @@ def test_tri_rule_examples():
     oracle = subdivision_oracle(lambda p: (p[:, 0] + p[:, 1]) ** 8, REF)
     assert abs(oracle - 0.1) < 1e-10          # analytic value is 1/10
     assert abs(w @ ((pts[:, 0] + pts[:, 1]) ** 8) - oracle) < 1e-10
+
+
+def test_collapsed_factors_keep_the_scipy_special_bits():
+    """Each literal factor of the 5- and 7-point collapsed rules is, bit
+    for bit, the Gauss-Legendre or Gauss-Jacobi(1, 0) rule of
+    scipy.special mapped to [0, 1] as the rule was built from it."""
+    assert sorted(COLLAPSED_FACTORS) == [5, 7]
+    for n, factors in COLLAPSED_FACTORS.items():
+        xu, wu = roots_legendre(n)
+        xv, wv = roots_jacobi(n, 1.0, 0.0)
+        want = (0.5 * (xu + 1.0), 0.5 * wu, 0.5 * (xv + 1.0), 0.25 * wv)
+        for got, w in zip(factors, want):
+            assert got.dtype == w.dtype and got.tobytes() == w.tobytes(), n
+
+
+def test_import_leaves_scipy_special_out():
+    """``import platedpg`` does not import scipy.special, whose import
+    costs tens of milliseconds of every process's set-up."""
+    src = os.path.dirname(os.path.dirname(platedpg.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, platedpg; "
+         "print(platedpg.__file__, 'scipy.special' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    assert out.stdout.split() == [platedpg.__file__, "False"]
 
 
 def test_tri_rule_degree_bounds():

@@ -386,8 +386,9 @@ def test_stacked_reduction_matches_per_block_oracle(vertex_k, edge_k, seed):
     """Random full-rank vertex (width 3) and edge (width 2) blocks with
     every constraint count, each kind's rows in shuffled order: the
     stacked reduction is bit for bit the per-block one.  The stacked one
-    lists the unconstrained blocks first, so both entry lists are
-    compared in (row, column) order."""
+    returns the identity blocks apart and the others by constraint count,
+    so the nonzero entries of every basis, as (row, column, value), are
+    compared with the per-block ones in (row, column) order."""
     rng = np.random.default_rng(seed)
     nV, nE = len(vertex_k), len(edge_k)
     for kind, ks, rows in (
@@ -400,7 +401,14 @@ def test_stacked_reduction_matches_per_block_oracle(vertex_k, edge_k, seed):
         shuffle = rng.permutation(len(index))
         cons = Constraints(index[shuffle], C[shuffle],
                            rng.standard_normal(len(index)))
-        (r, c, v), x_p, n_free = _reduce_blocks(rows, cons, kind, 11)
+        (id_rows, id_start), nulls, x_p, n_free = _reduce_blocks(
+            rows, cons, kind, 11)
+        eye = np.broadcast_to(np.eye(rows.shape[1]), id_rows.shape[:1]
+                              + (rows.shape[1],) * 2)
+        r, c, v = (np.concatenate(part) for part in zip(*(
+            (block_rows[t, i], start[t] + j, basis[t, i, j])
+            for block_rows, start, basis in [(id_rows, id_start, eye)] + nulls
+            for t, i, j in [np.nonzero(basis)])))
         (r0, c0, v0), x_p0, n_free0 = reduce_blocks_per_block(
             rows, cons, kind, 11)
         o, o0 = np.lexsort((c, r)), np.lexsort((c0, r0))
