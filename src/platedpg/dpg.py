@@ -218,7 +218,7 @@ class ElementSystems:
 def build_element_systems(mesh, dofmap, f):
     """B and G per congruence class, the load of every triangle (none for
     ``f = None``), condensed into :class:`ElementSystems`."""
-    P = mesh.coords[mesh.tri_vertices]
+    P = np.take(mesh.coords, mesh.tri_vertices, axis=0)
     Q, e = dyadic_shape(P - P[:, :1])
     key = np.column_stack([Q.reshape(-1, 6), e, mesh.edge_sign])
     # rows compared as bytes: exact values, and no -0.0 since x - x = +0.0

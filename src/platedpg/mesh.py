@@ -11,8 +11,6 @@ Orientation conventions used throughout the package:
   (:func:`edge_frame`).
 """
 
-from array import array
-
 import numpy as np
 
 from .errors import MeshStructureError
@@ -197,7 +195,7 @@ def mesh_from_arrays(vertex_coords, triangle_vertex_triples):
     """
     coords, tris = _checked_vertices(vertex_coords, triangle_vertex_triples)
     # squared length of local edge k, which joins local vertices k+1, k+2
-    p = coords[tris]
+    p = np.take(coords, tris, axis=0)
     len2 = np.sum((p[:, [1, 2, 0]] - p[:, [2, 0, 1]]) ** 2, axis=2)
     longest = len2 == len2.max(axis=1, keepdims=True)
     ref = np.argmin(np.where(longest, tris, np.iinfo(np.int64).max), axis=1)
@@ -206,10 +204,20 @@ def mesh_from_arrays(vertex_coords, triangle_vertex_triples):
 
 def nvb_refine(mesh, marked):
     """Bisect every marked triangle at least once, with recursive
-    newest-vertex-bisection closure keeping the mesh conforming.  The
-    closure walks the mesh's own edges: a bisection appends the edge's
-    halves, two children and a bisector per triangle on it, and re-points
-    those triangles' other edges."""
+    newest-vertex-bisection closure keeping the mesh conforming.
+
+    A triangle t, turned so that slot 0 holds its newest vertex p0 and its
+    refinement edge e = p1p2, ends a chain when its neighbour Y across e
+    is missing or has e as refinement edge too (a pair, bisected together
+    from the member of smaller cover); otherwise Y is bisected first.
+    Only edges of the given mesh are bisected, so the chains are static.
+    Sorted by cover (the smallest marked id whose chain passes t) and
+    depth (t's steps to its chain end), the bisections come in the order
+    of a depth-first closure over the marked ids, which numbers the new
+    vertices and the children: [m, p0, p1] and [m, p2, p0] of t, then
+    those of Y or of Y's child on e.  A marked chain that runs into a
+    cycle raises :class:`MeshStructureError`.
+    """
     marked = np.unique(np.asarray(
         marked if isinstance(marked, np.ndarray) else list(marked)))
     if marked.size == 0:
@@ -218,75 +226,78 @@ def nvb_refine(mesh, marked):
             or marked[-1] >= mesh.num_triangles):
         raise MeshStructureError("marked set contains invalid triangle ids")
 
-    # flat int64 slot arrays, three per triangle, turned so that slot 0
-    # holds the newest vertex p0 and the refinement edge p1p2 opposite it
-    n0, ref0 = mesh.num_triangles, mesh.refinement_edge[:, None]
-    turn = (ref0 + np.arange(3)) % 3
-    verts, edges, side0, side1 = (array("q", a.tobytes()) for a in (
-        np.take_along_axis(mesh.tri_vertices, turn, 1),
-        np.take_along_axis(mesh.tri_edges, turn, 1),
-        *mesh.edge_triangles.T))
-    alive = bytearray(b"\1") * n0
-    ends = array("q")                   # the bisected edge of each new vertex
+    n0, n_vert, ref0 = (mesh.num_triangles, mesh.num_vertices,
+                        mesh.refinement_edge)
+    verts = np.take_along_axis(mesh.tri_vertices,
+                               (ref0[:, None] + np.arange(3)) % 3, 1)
+    e = mesh.tri_edges[np.arange(n0), ref0]
+    # the neighbour across e, -1 on the boundary: t is one of the edge's
+    # one or two triangles
+    y = mesh.edge_triangles[e].sum(axis=1) - np.arange(n0)
+    pair = (y >= 0) & (e[y] == e)
+    after = np.where(pair, -1, y)       # the next triangle on t's chain
 
-    n_vert, budget = mesh.num_vertices, 200 * (n0 + marked.size)
-    for t0 in marked.tolist():
-        stack = [t0]
-        while stack:
-            budget -= 1
-            if budget <= 0:
-                raise MeshStructureError("NVB closure failed to terminate")
-            t = stack[-1]
-            if not alive[t]:
-                stack.pop()
-                continue
-            e = edges[3 * t]
-            nb = side1[e] if side0[e] == t else side0[e]
-            if nb >= 0 and edges[3 * nb] != e:
-                stack.append(nb)
-                continue
-            m, i = n_vert + len(ends) // 2, 3 * t
-            ends.extend((verts[i + 1], verts[i + 2]))
-            # children [m, p0, p1], [m, p2, p0] in slot order: c, c + 1 of
-            # t with bisector h + 2, c + 2, c + 3 of nb with h + 3; halves h
-            # at t's p1 (nb's p2) and h + 1 of the refinement edge
-            h, c = len(side0), len(alive)
-            for s, k, d, h1, h2 in ((t, c, h + 2, h, h + 1),
-                                    (nb, c + 2, h + 3, h + 1, h)):
-                if s < 0:
-                    break
-                i = 3 * s
-                p0, p1, p2 = verts[i], verts[i + 1], verts[i + 2]
-                e2, e1 = edges[i + 1], edges[i + 2]          # p2p0, p0p1
-                verts.extend((m, p0, p1, m, p2, p0))
-                edges.extend((e1, h1, d, e2, d, h2))
-                alive[s] = False
-                alive += b"\1\1"
-                (side0 if side0[e1] == s else side1)[e1] = k
-                (side0 if side0[e2] == s else side1)[e2] = k + 1
-            if nb < 0:
-                side0.extend((c, c + 1, c))
-                side1.extend((-1, -1, c + 1))
-            else:
-                side0.extend((c, c + 1, c, c + 2))
-                side1.extend((c + 3, c + 2, c + 1, c + 3))
-            stack.pop()
+    # walk the marked chains together, one step a pass: a walker stops
+    # where a smaller id has been, so each triangle keeps its cover and
+    # that walker's step there; a chain without a cycle ends within n0
+    cover = np.full(n0, n0)
+    step = np.empty(n0, dtype=np.int64)
+    walk = ids = marked.astype(np.int64)
+    for s in range(n0):
+        np.minimum.at(cover, walk, ids)
+        lead = cover[walk] == ids
+        walk, ids = walk[lead], ids[lead]
+        step[walk] = s
+        go = after[walk] >= 0
+        walk, ids = after[walk[go]], ids[go]
+        if not walk.size:
+            break
+    else:
+        raise MeshStructureError("NVB closure failed to terminate")
 
-    # only edges of the given mesh are bisected: a child's refinement edge
-    # is one of its parent's edges, and a grandchild has no edge of the
-    # given mesh, so no refinement edge on the stack leads to it
-    coords = np.concatenate([mesh.coords, 0.5 * mesh.coords[
-        np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)].sum(axis=1)])
-    # undo the turn: the given triangles keep their layout, and children
-    # come out as [p1, m, p0] with ref 1 and [m, p2, p0] with ref 0
-    slots = np.frombuffer(verts, dtype=np.int64).reshape(-1, 3)
-    kids = slots[n0:].reshape(-1, 2, 3)
-    kids[:, 0] = kids[:, 0, [2, 0, 1]]
-    tris = np.concatenate([np.take_along_axis(
-        slots[:n0], (np.arange(3) - ref0) % 3, 1), kids.reshape(-1, 3)])
-    ref = np.concatenate([ref0[:, 0], np.tile([1, 0], len(kids))])
-    keep = np.flatnonzero(np.frombuffer(alive, dtype=np.bool_))
-    return Mesh(coords, tris[keep], ref[keep])
+    # bisection j splits t[j], a pair once, from its member of smaller
+    # cover; within a cover, a later step is a smaller depth
+    t = np.flatnonzero(cover < n0)
+    t = t[~pair[t] | (cover[t] < cover[y[t]])]
+    t = t[np.argsort(cover[t] * n0 - step[t])]
+    y, partner = y[t], pair[t]
+    j_of = np.empty(n0, dtype=np.int64)     # the bisection that splits a
+    j_of[t] = np.arange(t.size)             # given triangle
+    j_of[y[partner]] = np.flatnonzero(partner)
+    del cover, step, pair, after
+
+    # t's first child; its neighbour's slots are Y's own for a pair, else
+    # those of Y's child on e, [mY, Y0, Y1] when e is Y's p0p1 and
+    # [mY, Y2, Y0] when it is p2p0, and that child is split in turn
+    has_nb = y >= 0
+    first = n0 + 2 * (np.cumsum(1 + has_nb) - 1 - has_nb)
+    nb = verts[np.maximum(y, 0)]
+    inner = np.flatnonzero(has_nb & ~partner)
+    yi = y[inner]
+    ji = j_of[yi]
+    on_p2p0 = mesh.tri_edges[yi, (ref0[yi] + 1) % 3] == e[t[inner]]
+    nb[inner] = np.take_along_axis(
+        np.column_stack([n_vert + ji, verts[yi]]),
+        np.where(on_p2p0[:, None], [0, 3, 1], [0, 1, 2]), 1)
+    nb_dead = first[ji] + 2 * (t[ji] != yi) + on_p2p0
+    del j_of, e
+
+    # children [m, p0, p1], [m, p2, p0] of t and then of its neighbour,
+    # written as [p1, m, p0] (refinement edge 1) and [m, p2, p0] (edge 0)
+    split = np.empty((t.size, 2, 4), dtype=np.int64)   # m and the slots
+    split[:, :, 0] = n_vert + np.arange(t.size)[:, None]
+    split[:, 0, 1:], split[:, 1, 1:] = verts[t], nb
+    del verts, nb
+    coords = np.concatenate([mesh.coords, 0.5 * np.take(
+        mesh.coords, split[:, 0, 2:], axis=0).sum(axis=1)])
+    split = split[np.column_stack([np.ones_like(has_nb), has_nb])]
+    kids = split[:, [[2, 0, 1], [0, 3, 1]]].reshape(-1, 3)
+    keep = np.ones(n0 + len(kids), dtype=bool)
+    keep[t] = keep[y[partner]] = keep[nb_dead] = False
+    tris = np.concatenate([mesh.tri_vertices, kids])[keep]
+    ref = np.concatenate([ref0, np.tile([1, 0], len(split))])[keep]
+    del split, kids, keep
+    return Mesh(coords, tris, ref)
 
 
 def uniform_refine(mesh):

@@ -276,13 +276,15 @@ def l2_errors(mesh, solution, exact):
     regular, singular = np.nonzero(~corner)[0], np.nonzero(corner)[0]
 
     eu2 = em2 = 0.0
-    for c, w, u, M in _cell_values(mesh.coords[mesh.tri_vertices[regular]],
-                                   exact.fields):
+    for c, w, u, M in _cell_values(
+            np.take(mesh.coords, mesh.tri_vertices[regular], axis=0),
+            exact.fields):
         eu2 += np.sum(w * (u - u_field[regular[c], None]) ** 2)
         em2 += np.sum(w * _frobenius_sq(M - M_field[regular[c], None]))
 
     if singular.size:
-        Q, e = dyadic_shape(mesh.coords[mesh.tri_vertices[singular]] - s)
+        Q, e = dyadic_shape(
+            np.take(mesh.coords, mesh.tri_vertices[singular], axis=0) - s)
         lam = np.ldexp(1.0, e)
         keys = [q.tobytes() for q in Q]
         cache = exact._corner_moments

@@ -57,7 +57,7 @@ class ElementGeometry:
     attribute gains a leading element axis."""
 
     def __init__(self, mesh: Mesh, t):
-        self.P = mesh.coords[mesh.tri_vertices[t]]
+        self.P = np.take(mesh.coords, mesh.tri_vertices[t], axis=0)
         self.centroid = self.P.mean(axis=-2)
         self.sign = mesh.edge_sign[t].astype(float)   # s_{T,E}
         # canonical ends of local edge k as local vertices: k+1 -> k+2 if s > 0

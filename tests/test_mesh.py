@@ -143,20 +143,35 @@ def test_topology_matches_unique_construction(initial, rounds, shuffle, seed):
         np.testing.assert_array_equal(got, want, err_msg=name)
 
 
-@settings(max_examples=40, deadline=None)
+def assert_same_mesh_arrays(got, want):
+    """Coordinates (bit for bit), triangles and refinement edges equal."""
+    for name in ("coords", "tri_vertices", "refinement_edge"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+@settings(max_examples=100, deadline=None)
 @given(initial=st.sampled_from([unit_square_mesh, zshape_mesh]),
-       rounds=st.integers(0, 4), fraction=st.floats(0.05, 0.6),
-       seed=st.integers(0, 2**32 - 1))
-def test_nvb_refine_matches_split_oracle(initial, rounds, fraction, seed):
-    """Rounds of random marking, then a uniform refinement: each new mesh's
-    coordinates (bit for bit), triangles and refinement edges are those of
-    the closure that calls ``split`` once per bisected triangle."""
+       rounds=st.integers(0, 4), shuffle=st.booleans(),
+       fraction=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_nvb_refine_matches_split_oracle(initial, rounds, shuffle, fraction,
+                                         seed):
+    """Rounds of random marking, from a single triangle up to all of them,
+    then a uniform refinement, on meshes with the triangles in their own
+    order or shuffled before each round (which changes the marked id that
+    covers each closure chain): each new mesh's coordinates (bit for bit),
+    triangles and refinement edges are those of the closure that calls
+    ``split`` once per bisected triangle."""
     rng = np.random.default_rng(seed)
     m = initial()
     for step in range(rounds + 1):
+        if shuffle:
+            p = rng.permutation(m.num_triangles)
+            m = Mesh(m.coords, m.tri_vertices[p], m.refinement_edge[p])
         n = m.num_triangles
         if step < rounds:
-            marked = rng.choice(n, size=max(1, round(fraction * n)),
+            marked = rng.choice(n, size=1 + round(fraction * (n - 1)),
                                 replace=False)
             got = nvb_refine(m, marked)
             want = numbering_oracles.nvb_refine(m, marked)
@@ -165,10 +180,7 @@ def test_nvb_refine_matches_split_oracle(initial, rounds, fraction, seed):
             once = numbering_oracles.nvb_refine(m, range(n))
             want = numbering_oracles.nvb_refine(
                 once, range(once.num_triangles))
-        for name in ("coords", "tri_vertices", "refinement_edge"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.shape == b.shape, name
-            assert a.tobytes() == b.tobytes(), name
+        assert_same_mesh_arrays(got, want)
         m = got
 
 
@@ -341,12 +353,30 @@ def test_refinement_edge_seeding_longest_edge():
 
 def test_nvb_closure_cycle_raises_typed_error():
     """Refinement edges that chase each other around a vertex never close;
-    the closure budget turns that into a MeshStructureError."""
+    the bound of one walk step per triangle turns that into a
+    MeshStructureError."""
     ring = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
     coords = np.array([(0.0, 0.0)] + ring)
     tris = np.array([(0, 1 + i, 1 + (i + 1) % 4) for i in range(4)])
     # local edge 1 of triangle i is the spoke it shares with triangle i+1
     mesh = Mesh(coords, tris, np.ones(4, dtype=np.int64))
+    with pytest.raises(MeshStructureError, match="terminate"):
+        nvb_refine(mesh, [0])
+
+
+def test_nvb_cycle_fails_only_the_chains_that_reach_it():
+    """The same ring with an outer triangle (1, 5, 2) whose refinement edge
+    is on the boundary: marking the outer triangle bisects it alone, as
+    the split oracle does, and no walk enters the ring; marking a ring
+    triangle still raises, after at most one step per triangle."""
+    ring = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
+    coords = np.array([(0.0, 0.0)] + ring + [(1.0, 1.0)])
+    tris = np.array([(0, 1 + i, 1 + (i + 1) % 4) for i in range(4)]
+                    + [(1, 5, 2)])
+    mesh = Mesh(coords, tris, np.array([1, 1, 1, 1, 0]))
+    got = nvb_refine(mesh, [4])
+    assert got.num_triangles == 6
+    assert_same_mesh_arrays(got, numbering_oracles.nvb_refine(mesh, [4]))
     with pytest.raises(MeshStructureError, match="terminate"):
         nvb_refine(mesh, [0])
 
