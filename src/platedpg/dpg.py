@@ -190,6 +190,7 @@ def condense(B, G, load, cls):
                                f"{f[k, k]:.3e}", pivot=k, index=(c,)) from None
         raise
     bounds = np.cumsum(np.bincount(cls, minlength=len(G)))[:-1]
+    # C-contiguous W and v: W^T W and W x pick matmul kernels by layout
     W, v, nb = np.empty_like(B), np.empty_like(load), B.shape[-1]
     for c, rows in enumerate(np.split(np.argsort(cls, kind="stable"),
                                       bounds)):

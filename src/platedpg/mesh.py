@@ -51,8 +51,12 @@ class Mesh:
             raise MeshStructureError("refinement edges in {0, 1, 2}, one per "
                                      "triangle, expected")
         self.refinement_edge = np.ascontiguousarray(ref, dtype=np.int64)
-        self._build_topology()
         self._build_geometry()
+        self._build_topology()
+        bad = np.nonzero(self.tri_area <= 0.0)[0]
+        if bad.size:
+            raise MeshStructureError(
+                f"triangles with nonpositive signed area: {bad.tolist()}")
 
     # -- construction helpers -------------------------------------------
 
@@ -61,35 +65,41 @@ class Mesh:
         local edge k), their vertices, triangles and signs, boundary flags.
         One sort of the slots by vertex-pair key, in any order within a
         pair, groups each edge's slots: the smallest of each group, in
-        slot order, are the edges, the largest give second triangles."""
+        slot order, are the edges, the largest give second triangles.
+        Keys, slot order and sums are int32 while keys fit, freed once used;
+        at the peak the outputs and six per-edge arrays are live."""
         coords, tris = self.coords, self.tri_vertices
         n_vert, n_tri = len(coords), len(tris)
+        itype = np.int32 if n_vert**2 < 2**31 else np.int64
         # local edge k joins local vertices k+1 and k+2, its slot 3t + k
-        a, b = tris[:, [1, 2, 0]].ravel(), tris[:, [2, 0, 1]].ravel()
+        a, b = (np.roll(tris, -k, 1).astype(itype).ravel() for k in (1, 2))
         degenerate = np.unique(np.flatnonzero(a == b) // 3)
         if degenerate.size:
             raise MeshStructureError("degenerate triangles (repeated vertex): "
                                      f"{degenerate.tolist()}")
 
-        key = np.minimum(a, b) * n_vert + np.maximum(a, b)
         # s[t, k] = +1 when triangle t traverses local edge k from v_lo to
         # v_hi (its outward normal there equals the canonical edge normal)
-        self.edge_sign = np.where(a < b, 1, -1).astype(np.int8).reshape(-1, 3)
+        self.edge_sign = (np.int8(2) * (a < b) - 1).reshape(-1, 3)
+        key = np.minimum(a, b) * n_vert + np.maximum(a, b)
         del a, b
-        order = np.argsort(key)
-        starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+        order = np.argsort(key).astype(itype)
+        starts = np.flatnonzero(np.diff(key[order], prepend=itype(-1)))
         size = np.diff(starts, append=key.size)
-        first_slot = np.minimum.reduceat(order, starts)
-        is_first = np.zeros(key.size, dtype=bool)
-        is_first[first_slot] = True
-        edge = (np.cumsum(is_first) - 1)[first_slot]      # each group's
+        edge = np.minimum.reduceat(order, starts)       # each group's first
+        is_first = np.zeros(key.size, dtype=bool)       # slot, then its id
+        is_first[edge] = True
+        edge = np.cumsum(is_first, dtype=itype)[edge] - 1
         self.tri_edges = np.empty((n_tri, 3), dtype=np.int64)
-        np.put(self.tri_edges, order, np.repeat(edge, size))
+        self.tri_edges.ravel()[order] = np.repeat(edge, size)
         first = np.flatnonzero(is_first)
-        last, count = np.empty_like(first), np.empty_like(first)
+        last, count = np.empty_like(edge), np.empty_like(edge)
         last[edge] = np.maximum.reduceat(order, starts)
         count[edge] = size
-        self.edge_vertices = np.stack(np.divmod(key[first], n_vert), 1)
+        del is_first, order, starts, size, edge
+        self.edge_vertices = np.stack(np.divmod(key[first], n_vert), 1,
+                                      dtype=np.int64)
+        del key
         if np.any(count > 2):
             e = int(np.argmax(count > 2))
             raise MeshStructureError(
@@ -120,16 +130,11 @@ class Mesh:
                 f"pinched vertex {v}: on {n_bedges[v]} boundary edges")
 
     def _build_geometry(self):
-        """Signed areas, checked positive; a triangle's frame is made from
-        its vertices where it is used (edge_frame)."""
+        """Signed areas, built before the topology and checked after it; a
+        triangle's frame is made from its vertices where used (edge_frame)."""
         p = np.take(self.coords, self.tri_vertices, axis=0)     # (nT, 3, 2)
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
+        d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
         self.tri_area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-        bad = np.nonzero(self.tri_area <= 0.0)[0]
-        if bad.size:
-            raise MeshStructureError(
-                f"triangles with nonpositive signed area: {bad.tolist()}")
 
     # -- counts and element access --------------------------------------
 

@@ -227,23 +227,21 @@ class DofMap:
         return self.R @ x_free + self.x_prescribed
 
 
-def _reduce_blocks(rows, constraints, kind, col0):
+def _reduce_blocks(x_p, constraints, kind):
     """Reduction of one family of small DOF blocks (vertex uhat triples or
-    edge (alpha, beta) pairs) whose full-vector indices are ``rows``, under
-    the :class:`Constraints` of that kind.
+    edge (alpha, beta) pairs) under the :class:`Constraints` of that kind,
+    writing their prescribed values into ``x_p`` (blocks, width).
 
     Every block has a basis of its free columns, the identity unless its
     constraints (grouped by block, in the order given) replace it by
-    their nullspace; the blocks' free columns are numbered consecutively
-    from ``col0``.  The blocks with k constraints are reduced by one
+    their nullspace.  The blocks with k constraints are reduced by one
     stacked SVD, whose LAPACK call per block is the one a single SVD
-    makes.  Returns the rows and first free columns of the identity
-    blocks; a list of the rows, first free columns and bases (blocks,
-    width, width - k) of the blocks with k constraints, one item per k;
-    the prescribed values of the rows and the number of free columns.
-    Dependent constraints raise for the lowest such block id.
+    makes.  Returns each block's number of free columns (int8) and a
+    list of the ids and bases (blocks, width, width - k) of the blocks
+    with k constraints, one item per k.  Dependent constraints raise for
+    the lowest such block id.
     """
-    n, width = rows.shape
+    n, width = x_p.shape
     index, C, d = (np.asarray(a) for a in constraints)
     if index.dtype.kind not in "iu":     # not float or bool
         raise ConfigurationError(f"{kind} constraint index is not integer")
@@ -263,8 +261,7 @@ def _reduce_blocks(rows, constraints, kind, col0):
     blocks, starts, counts = np.unique(index[order], return_index=True,
                                        return_counts=True)
 
-    n_free = np.full(n, width)
-    x_p = np.zeros((n, width))
+    n_free = np.full(n, width, dtype=np.int8)
     over, nulls = [], []
     for k in np.unique(counts).tolist():
         b = blocks[counts == k]
@@ -285,10 +282,7 @@ def _reduce_blocks(rows, constraints, kind, col0):
         raise ConfigurationError(
             f"over-constrained boundary block at {kind} {b}: "
             f"{k} constraints of rank {rank}")
-    start = col0 + np.cumsum(n_free) - n_free
-    b = np.flatnonzero(n_free == width)       # the identity blocks
-    nulls = [(rows[ids], start[ids], null) for ids, null in nulls]
-    return (np.take(rows, b, 0), start[b]), nulls, x_p, int(n_free.sum())
+    return n_free, nulls
 
 
 def build_dofmap(mesh, bc: Optional[BCSpec] = None) -> DofMap:
@@ -298,7 +292,10 @@ def build_dofmap(mesh, bc: Optional[BCSpec] = None) -> DofMap:
     Free columns follow the full layout block by block: u and M, the
     vertex uhat blocks, the edge (alpha, beta) blocks, then the gamma
     corners that are not eliminated.  R is written straight into
-    canonical CSR, each row at its offset, without a stable sort.
+    canonical CSR, each row at its offset, and x_prescribed through
+    views.  Index arrays are in R's index dtype and freed once used: at
+    the peak, beside the outputs, three index arrays of about one entry
+    per corner are live.
     """
     bc = bc or BCSpec()
     nT, nN, nE = mesh.num_triangles, mesh.num_vertices, mesh.num_edges
@@ -310,67 +307,74 @@ def build_dofmap(mesh, bc: Optional[BCSpec] = None) -> DofMap:
     full_dim = off_gamma + 3 * nT
     x_p = np.zeros(full_dim)
 
-    uhat_rows = off_uhat + np.arange(3 * nN).reshape(nN, 3)
-    uhat_eye, uhat_nulls, x_p[uhat_rows], n_uhat_free = _reduce_blocks(
-        uhat_rows, bc.vertex, "vertex", off_uhat)
-    edge_rows = off_alpha + np.arange(nE)[:, None] + np.array([0, nE])
-    edge_eye, edge_nulls, x_p[edge_rows], n_edge_free = _reduce_blocks(
-        edge_rows, bc.edge, "edge", off_uhat + n_uhat_free)
-    constrained = uhat_nulls + edge_nulls
+    def blocks(a):      # the vertex and edge blocks of a full-length array
+        return (a[off_uhat:off_alpha].reshape(nN, 3),
+                a[off_alpha:off_gamma].reshape(2, nE).T)
+    reduced = [_reduce_blocks(x, cons, kind) for x, cons, kind in zip(
+        blocks(x_p), (bc.vertex, bc.edge), ("vertex", "edge"))]
+    n_uhat_free, n_edge_free = (int(n_free.sum()) for n_free, _ in reduced)
 
     # gamma: the patch triangle with the largest id carries the dependent
-    # corner at every interior vertex, minus the sum of the other corners.
-    # Sorted by (vertex, corner), the corners 3t + c list each vertex's
-    # corners in column order, the dependent one last.
+    # corner at every interior vertex, minus the sum of the other corners
     corners = mesh.tri_vertices.ravel()
     n_corner, size = corners.size, np.bincount(corners, minlength=nN)
-    corner = np.sort(corners * n_corner + np.arange(n_corner)) % n_corner
-    last = np.cumsum(size) - 1
     interior = ~mesh.vertex_on_boundary
-    dependent = corner[last[interior]]
     n_others = size[interior] - 1
+    col0 = off_uhat + n_uhat_free + n_edge_free
+    free_dim = col0 + n_corner - n_others.size
+
+    # one entry a row, but n_others in a dependent corner row and the
+    # basis nonzeros in a constrained block row
+    nnz = full_dim + int(n_others.sum()) - n_others.size + sum(
+        np.count_nonzero(null) - null.shape[0] * null.shape[1]
+        for _, nulls in reduced for _, null in nulls)
+    itype = np.int32 if max(nnz, full_dim) < 2**31 else np.int64  # scipy's
+    # sorted keys (vertex, corner) list a vertex's corners 3t + c in column
+    # order, the dependent one last; the others' columns are read before R
+    corner = corners * n_corner + np.arange(n_corner)
+    corner.sort()
+    corner %= n_corner
+    dependent = corner[np.cumsum(size)[interior] - 1]
     free = np.ones(n_corner, dtype=bool)
     free[dependent] = False
-    n_gamma_free = n_corner - dependent.size
-    col0 = off_uhat + n_uhat_free + n_edge_free
-    free_dim = col0 + n_gamma_free
+    col = np.cumsum(free, dtype=itype) + (col0 - 1)
+    other_col = col[corner[np.repeat(interior, size) & free[corner]]]
+    del corner, free
 
-    # indptr from the entries per row: one in a u, M, free corner or
-    # identity block row, a constrained block row's basis nonzeros in order
-    nnz = (off_uhat + uhat_eye[0].size + edge_eye[0].size + n_gamma_free
-           + int(n_others.sum())
-           + sum(np.count_nonzero(null) for *_, null in constrained))
-    itype = np.int32 if max(nnz, full_dim) < 2**31 else np.int64  # scipy's
     indptr = np.zeros(full_dim + 1, dtype=itype)
     counts = indptr[1:]
     counts[:] = 1
-    for rows, _, null in constrained:
-        counts[rows] = np.count_nonzero(null, axis=2)
-    counts[off_gamma + dependent] = n_others
+    for rows, (_, nulls) in zip(blocks(counts), reduced):
+        for b, null in nulls:
+            rows[b] = np.count_nonzero(null, axis=2)
+    counts[off_gamma:][dependent] = n_others
     np.cumsum(indptr, out=indptr)
     indices = np.empty(nnz, dtype=itype)
     data = np.ones(nnz)
-    indices[:off_uhat] = np.arange(off_uhat)
-    for rows, start in (uhat_eye, edge_eye):
-        indices[indptr[rows]] = start[:, None] + np.arange(rows.shape[1])
-    for rows, start, null in constrained:
-        t, i, j = np.nonzero(null)
-        at = indptr[rows[t, i]] + (np.cumsum(null != 0, axis=2) - 1)[t, i, j]
-        indices[at] = start[t] + j
-        data[at] = null[t, i, j]
-    col = np.cumsum(free, dtype=itype) + (col0 - 1)
+    indices[:off_uhat] = indptr[:off_uhat]      # u and M: row r is column r
+    # a corner row's first entry is its own column; an interior vertex's
+    # k-th other corner (2+ of them) then lands at its dependent row start + k
     corner_at = indptr[off_gamma:-1]
-    indices[corner_at[free]] = col[free]
-    # the k-th other corner of an interior vertex, at sorted position
-    # last - n_others + k, lands at its dependent corner's row start + k
-    other = np.repeat(interior, size)
-    other[last] = False
-    i = np.flatnonzero(other)
-    at = i + np.repeat(corner_at[dependent] - last[interior] + n_others,
-                       n_others)
-    indices[at] = col[corner[i]]
+    indices[corner_at] = col
+    del col
+    at = np.repeat((corner_at[dependent] - np.cumsum(n_others) + n_others)
+                   .astype(itype), n_others)
+    at += np.arange(at.size, dtype=itype)
+    indices[at] = other_col
     data[at] = -1.0
+    del at, other_col
+    for rows, (n_free, nulls), c0 in zip(blocks(indptr[:-1]), reduced,
+                                         (off_uhat, off_uhat + n_uhat_free)):
+        start = np.cumsum(n_free, dtype=itype) - n_free + c0
+        eye = n_free == rows.shape[1]
+        for i in range(rows.shape[1]):
+            indices[rows[:, i][eye]] = start[eye] + i
+        for b, null in nulls:
+            t, i, j = np.nonzero(null)
+            at = rows[b[t], i] + (np.cumsum(null != 0, axis=2) - 1)[t, i, j]
+            indices[at] = start[b[t]] + j
+            data[at] = null[t, i, j]
     R = sp.csr_matrix((data, indices, indptr), shape=(full_dim, free_dim))
 
     return DofMap(off_m, off_uhat, off_alpha, off_beta, off_gamma, full_dim,
-                  free_dim, R, x_p, n_uhat_free, n_edge_free + n_gamma_free)
+                  free_dim, R, x_p, n_uhat_free, n_edge_free + free_dim - col0)

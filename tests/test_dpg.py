@@ -337,6 +337,20 @@ def test_without_load_v_is_zero_and_W_unchanged(graded_zshape):
     assert np.array_equal(none.W, zero.W)
 
 
+def test_element_systems_are_c_contiguous(graded_zshape):
+    """W and v come out C-contiguous, with and without a load.  Equal
+    values do not fix the DPG numbers: ``W^T W`` and ``W x`` pick their
+    matmul kernels by memory layout, so the same W with other strides
+    (one stacked ``solve_triangular`` gives strides (160, 8, 32) on a
+    (3, 4, 5) stack) moves the adaptive Z-shape's eta from level 2 on."""
+    prob, mesh = graded_zshape[:2]
+    dm = build_dofmap(mesh, prob.bc_builder(mesh))
+    for f in (None, lambda p: 1.0 + p[:, 0] ** 2):
+        systems = dpg.build_element_systems(mesh, dm, f)
+        assert systems.W.flags.c_contiguous
+        assert systems.v.flags.c_contiguous
+
+
 # ---------------------------------------------------------------------------
 # one element system per congruence class
 # ---------------------------------------------------------------------------

@@ -386,28 +386,32 @@ def test_stacked_reduction_matches_per_block_oracle(vertex_k, edge_k, seed):
     """Random full-rank vertex (width 3) and edge (width 2) blocks with
     every constraint count, each kind's rows in shuffled order: the
     stacked reduction is bit for bit the per-block one.  The stacked one
-    returns the identity blocks apart and the others by constraint count,
-    so the nonzero entries of every basis, as (row, column, value), are
-    compared with the per-block ones in (row, column) order."""
+    returns each block's free count and the constrained blocks by
+    constraint count, so the blocks' columns are numbered here in block
+    order from the same first column, and the nonzero entries of every
+    basis, as (row, column, value), are compared with the per-block ones
+    in (row, column) order."""
     rng = np.random.default_rng(seed)
     nV, nE = len(vertex_k), len(edge_k)
     for kind, ks, rows in (
             ("vertex", vertex_k, 5 + np.arange(3 * nV).reshape(nV, 3)),
             ("edge", edge_k, 7 + np.arange(nE)[:, None] + np.array([0, nE]))):
+        width = rows.shape[1]
         index = np.repeat(np.arange(len(ks)), ks)
         scale = 10.0 ** rng.uniform(-3, 3, len(ks))
-        C = rng.standard_normal((len(index), rows.shape[1]))
+        C = rng.standard_normal((len(index), width))
         C *= scale[index, None]
         shuffle = rng.permutation(len(index))
         cons = Constraints(index[shuffle], C[shuffle],
                            rng.standard_normal(len(index)))
-        (id_rows, id_start), nulls, x_p, n_free = _reduce_blocks(
-            rows, cons, kind, 11)
-        eye = np.broadcast_to(np.eye(rows.shape[1]), id_rows.shape[:1]
-                              + (rows.shape[1],) * 2)
+        x_p = np.zeros(rows.shape)
+        n_free, nulls = _reduce_blocks(x_p, cons, kind)
+        start = 11 + np.cumsum(n_free) - n_free
+        ids = np.flatnonzero(n_free == width)
+        eye = np.broadcast_to(np.eye(width), (ids.size, width, width))
         r, c, v = (np.concatenate(part) for part in zip(*(
-            (block_rows[t, i], start[t] + j, basis[t, i, j])
-            for block_rows, start, basis in [(id_rows, id_start, eye)] + nulls
+            (rows[b[t], i], start[b[t]] + j, basis[t, i, j])
+            for b, basis in [(ids, eye)] + nulls
             for t, i, j in [np.nonzero(basis)])))
         (r0, c0, v0), x_p0, n_free0 = reduce_blocks_per_block(
             rows, cons, kind, 11)
@@ -416,7 +420,7 @@ def test_stacked_reduction_matches_per_block_oracle(vertex_k, edge_k, seed):
                           (x_p, x_p0)):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
-        assert n_free == n_free0
+        assert int(n_free.sum()) == n_free0
 
 
 def test_overconstrained_error_names_lowest_block():
