@@ -7,14 +7,14 @@ number of degrees of freedom.  All three quantities converge at the
 optimal order 1/2 (order h in the mesh size).
 """
 
-from platedpg import ExperimentConfig, eoc, experiment_levels
+from platedpg import ExperimentConfig, experiment_levels
 
 levels = list(experiment_levels(ExperimentConfig("square", "uniform",
                                                  max_levels=6)))
 
 print(f"{'level':>5} {'#T':>6} {'N':>7} {'eta':>10} {'err_u':>10} "
       f"{'err_M':>10} {'EOC(eta)':>9} {'EOC(u)':>7} {'EOC(M)':>7}")
-for r in eoc([level.record for level in levels]):
+for r in (level.record for level in levels):
     fmt = lambda v: f"{v:7.3f}" if v is not None else "      -"
     print(f"{r.level:>5} {r.ntriangles:>6} {r.ndofs:>7} {r.eta:10.3e} "
           f"{r.err_u:10.3e} {r.err_M:10.3e} {fmt(r.eoc_eta):>9} "

@@ -8,7 +8,7 @@ built-in residual error estimator that drives adaptive refinement.
 """
 
 from .driver import (ConvergenceRecord, ExperimentConfig, Level, dorfler_mark,
-                     eoc, experiment_levels, run_experiment, solve_problem)
+                     experiment_levels, run_experiment, solve_problem)
 from .dpg import (ElementSystems, EstimatorField, GlobalSystem, Solution,
                   assemble, condense, element_matrices, estimate)
 from .errors import (ConfigurationError, MeshStructureError, SPDError,
@@ -16,7 +16,7 @@ from .errors import (ConfigurationError, MeshStructureError, SPDError,
 from .linalg import SolveReport, spd_solve
 from .mesh import (Mesh, mesh_from_arrays, mesh_to_text, nvb_refine,
                    uniform_refine, unit_square_mesh)
-from .polyquad import QuadRuleTri, p3_table, tri_rule
+from .polyquad import ASSEMBLY_RULE, ERROR_RULE, QuadRuleTri, p3_table
 from .problems import (ExactSolution, ProblemSpec, Singularity,
                        builtin_square_problem, builtin_zshape_problem,
                        fourier_eval, l2_errors, singular_eval, zshape_mesh)

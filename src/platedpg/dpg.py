@@ -42,15 +42,16 @@ import scipy.sparse as sp
 
 from .errors import SPDError
 from .mesh import dyadic_shape
-from .polyquad import (ASSEMBLY_DEGREE, EDGE_NODES, EDGE_WEIGHTS, p3_table,
-                       tri_rule)
+from .polyquad import ASSEMBLY_RULE, EDGE_NODES, EDGE_WEIGHTS, p3_table
 from .spaces import (ALPHA, BETA, GAMMA, M, N_TRIAL, U, UHAT, DofMap,
                      ElementGeometry, uhat_edge_traces)
 
 N_SCALAR = 10
 N_TENSOR = 18
 N_TEST = N_SCALAR + N_TENSOR
-CHUNK = 256        # triangles per gather of class data
+# triangles per gather of class data: W[cls] for all triangles at once is
+# a per-triangle copy of W, which would raise the peak memory
+CHUNK = 256
 
 # symmetric slot tensors, ordered like the moment unknowns (M11, M12, M22)
 SLOTS = np.array([[[1.0, 0.0], [0.0, 0.0]],
@@ -176,8 +177,9 @@ def condense(B, G, load, cls):
     Then ``B^T G^{-1} B = W^T W`` and ``B^T G^{-1} load = W^T v``.
 
     One LAPACK Cholesky factors the whole stack.  If it fails, the first
-    Gram that LAPACK cannot factor raises :class:`SPDError` naming its
-    stack index and pivot.
+    Gram c that LAPACK cannot factor raises :class:`SPDError` naming the
+    first triangle of its class, the smallest t with ``cls[t] == c``, and
+    the failed pivot with its value.
     """
     try:
         L = np.linalg.cholesky(G)
@@ -185,12 +187,14 @@ def condense(B, G, load, cls):
         for c, g in enumerate(G):
             f, info = scipy.linalg.lapack.dpotrf(g, lower=True)
             if info > 0:      # f[k, k] holds the failed pivot
-                k = info - 1
-                raise SPDError(f"matrix {c} is not SPD: pivot {k} = "
-                               f"{f[k, k]:.3e}", pivot=k, index=(c,)) from None
+                k, t = info - 1, int(np.argmax(cls == c))
+                raise SPDError(f"element Gram matrix {t} is not SPD: pivot "
+                               f"{k} = {f[k, k]:.3e}", pivot=k,
+                               index=(t,)) from None
         raise
     bounds = np.cumsum(np.bincount(cls, minlength=len(G)))[:-1]
-    # C-contiguous W and v: W^T W and W x pick matmul kernels by layout
+    # C-contiguous W and v: W^T W and W x pick matmul kernels by layout;
+    # the loads share B's solve, since v solved alone differs in its bits
     W, v, nb = np.empty_like(B), np.empty_like(load), B.shape[-1]
     for c, rows in enumerate(np.split(np.argsort(cls, kind="stable"),
                                       bounds)):
@@ -230,13 +234,8 @@ def build_element_systems(mesh, dofmap, f):
     load = np.zeros((len(cls), N_TEST))
     if f is not None:  # P3 values at (x_q - c) / h depend only on the class
         vals = reps.volume_table[2].values
-        load = _load(f, *tri_rule(ASSEMBLY_DEGREE).map_to(P), vals[cls])
-    try:
-        W, v = condense(B, G, load, cls)
-    except SPDError as exc:
-        t = first[exc.index[0]]
-        raise SPDError(f"element Gram matrix {t} is not SPD: pivot "
-                       f"{exc.pivot}", pivot=exc.pivot, index=(t,)) from None
+        load = _load(f, *ASSEMBLY_RULE.map_to(P), vals[cls])
+    W, v = condense(B, G, load, cls)
     G.flags.writeable = False
     scatter = dofmap.element_scatter(mesh, np.arange(len(cls)))
     return ElementSystems(W, v, scatter, G, cls)

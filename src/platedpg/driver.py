@@ -2,13 +2,13 @@
 
 import argparse
 import csv
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields
 from itertools import count
 import logging
 from numbers import Integral, Real
 import os
 import sys
-from typing import List, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -91,23 +91,14 @@ def dorfler_mark(etas, theta):
     return set(order[:k + 1].tolist())
 
 
-def eoc(records: List[ConvergenceRecord]):
-    """Fill empirical orders of convergence between consecutive records:
-    ``log(q_prev / q_cur) / log(N_cur / N_prev)``."""
-    out = [replace(records[0])] if records else []
-    for prev, cur in zip(records, records[1:]):
-        denom = np.log(cur.ndofs / prev.ndofs)
-
-        def rate(a, b):
-            if a <= 0.0 or b <= 0.0 or denom <= 0.0:
-                return None
-            return float(np.log(a / b) / denom)
-
-        out.append(replace(cur,
-                           eoc_eta=rate(prev.eta, cur.eta),
-                           eoc_u=rate(prev.err_u, cur.err_u),
-                           eoc_M=rate(prev.err_M, cur.err_M)))
-    return out
+def _rate(q_prev, q_cur, n_prev, n_cur):
+    """Empirical order of convergence ``log(q_prev / q_cur) / log(n_cur /
+    n_prev)`` against the DOF counts n; None unless both q are positive
+    and n grew."""
+    denom = np.log(n_cur / n_prev)
+    if q_prev <= 0.0 or q_cur <= 0.0 or denom <= 0.0:
+        return None
+    return float(np.log(q_prev / q_cur) / denom)
 
 
 def solve_problem(problem, mesh):
@@ -138,7 +129,7 @@ def write_records_csv(records, path):
 
 
 class Level(NamedTuple):
-    record: ConvergenceRecord          # without EOCs
+    record: ConvergenceRecord
     mesh: Mesh
     solution: dpg.Solution
     estimator: dpg.EstimatorField
@@ -147,20 +138,24 @@ class Level(NamedTuple):
 
 def experiment_levels(config: ExperimentConfig, problem=None):
     """The SOLVE -> ESTIMATE -> MARK -> REFINE loop, one :class:`Level`
-    per mesh.  Each level is logged as one INFO record; the next mesh is
-    refined only when the next level is asked for.  The loop stops after
-    ``config.max_levels`` levels, at ``config.max_dofs`` free DOFs, or
-    when adaptive marking marks nothing."""
+    per mesh, its record with the EOCs against the previous level (None
+    on the first).  Each level is logged as one INFO record; the next
+    mesh is refined only when the next level is asked for.  The loop
+    stops after ``config.max_levels`` levels, at ``config.max_dofs`` free
+    DOFs, or when adaptive marking marks nothing."""
     problem = problem or builtin_problem(config.problem)
     if problem.exact is None:
         raise ConfigurationError(
             f"problem {problem.name!r} has no exact solution for the errors")
-    mesh = problem.initial_mesh
+    mesh, prev = problem.initial_mesh, None
     for level in count():
         solution, estimator, report, ndofs = solve_problem(problem, mesh)
-        record = ConvergenceRecord(level, mesh.num_triangles, ndofs,
-                                   estimator.total,
-                                   *l2_errors(mesh, solution, problem.exact))
+        q = (estimator.total, *l2_errors(mesh, solution, problem.exact))
+        rates = [None] * 3 if prev is None else [
+            _rate(a, b, prev.ndofs, ndofs)
+            for a, b in zip((prev.eta, prev.err_u, prev.err_M), q)]
+        record = prev = ConvergenceRecord(level, mesh.num_triangles, ndofs,
+                                          *q, *rates)
         logger.info("level %d: #T=%d N=%d eta=%.3e err_u=%.3e err_M=%.3e",
                     *astuple(record)[:6])
         yield Level(record, mesh, solution, estimator, report)
@@ -179,9 +174,9 @@ def experiment_levels(config: ExperimentConfig, problem=None):
 def run_experiment(config: ExperimentConfig, problem=None):
     """Run :func:`experiment_levels` to its end, write the mesh dumps and
     the CSV (on :class:`SolverConvergenceError` or :class:`SPDError` too,
-    with the levels done) and return the records with EOCs.  Outputs
+    with the levels done) and return the records.  Outputs
     that cannot be written are refused before the first solve."""
-    records: List[ConvergenceRecord] = []
+    records = []
 
     def dump_path(level):
         return f"{config.dump_mesh}{level:03d}.txt"
@@ -196,10 +191,8 @@ def run_experiment(config: ExperimentConfig, problem=None):
             raise ConfigurationError(f"{name} {path!r} cannot be written")
 
     def flush():
-        done = eoc(records)
         if config.out:
-            write_records_csv(done, config.out)
-        return done
+            write_records_csv(records, config.out)
 
     try:
         for level in experiment_levels(config, problem):
@@ -210,7 +203,8 @@ def run_experiment(config: ExperimentConfig, problem=None):
     except (SolverConvergenceError, SPDError):
         flush()
         raise
-    return flush()
+    flush()
+    return records
 
 
 def _build_parser():

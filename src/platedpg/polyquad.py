@@ -3,21 +3,15 @@
 The scalar basis is the ten scaled monomials ``((x-x_T)/h_T)^i
 ((y-y_T)/h_T)^j`` of degree <= 3 in graded lexicographic order, evaluated
 with closed-form gradients and Hessians; the first six span P2.
-Triangle rules are built by the collapsed (Duffy) map with Gauss-Legendre
-x Gauss-Jacobi points, which gives a guaranteed exactness degree.
+The two triangle rules, :data:`ASSEMBLY_RULE` and :data:`ERROR_RULE`, are
+built by the collapsed (Duffy) map with Gauss-Legendre x Gauss-Jacobi
+points, which gives a guaranteed exactness degree.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-
-from .errors import ConfigurationError
-
-# quadrature degrees used by the rest of the package
-ASSEMBLY_DEGREE = 8      # volume terms of B, G and loads
-ERROR_DEGREE = 12        # L2 error integration
 
 # 5-point Gauss-Legendre rule on [0, 1], exact to degree 9: the bits of
 # 0.5 * (x + 1) and 0.5 * w for (x, w) = roots_legendre(5)
@@ -53,6 +47,16 @@ class QuadRuleTri:
         return pts, self.weights * (2.0 * area)[..., None]
 
 
+def _collapsed_rule(u, wu, v, wv):
+    """The collapsed rule of the 1-D rules (u, wu), (v, wv) on [0, 1]."""
+    U, V = np.meshgrid(u, v, indexing="ij")
+    x = (U * (1.0 - V)).ravel()
+    y = V.ravel()
+    w = np.outer(wu, wv).ravel()
+    bary = np.stack([1.0 - x - y, x, y], axis=1)
+    return QuadRuleTri(bary, w)
+
+
 # the 1-D factors (u, wu, v, wv) on [0, 1] of the n x n-point collapsed
 # rules: the bits of 0.5 * (x + 1), 0.5 * w for (x, w) = roots_legendre(n)
 # and of 0.5 * (x + 1), 0.25 * w for roots_jacobi(n, 1, 0) (scipy.special)
@@ -71,22 +75,10 @@ COLLAPSED_FACTORS = {5: (EDGE_NODES, EDGE_WEIGHTS, *np.reshape([
     0.1105092581908744, 0.12739089729958852, 0.10712506569587381,
     0.06638469646549157, 0.027408356721873486, 0.005214362202807391],
     (4, 7)))}
-
-
-@lru_cache(maxsize=None)
-def tri_rule(min_degree):
-    """Triangle rule with exactness at least ``min_degree`` (1..12): the
-    5 x 5-point collapsed rule to degree 9, the 7 x 7-point one above."""
-    if not 1 <= int(min_degree) <= 12:
-        raise ConfigurationError(
-            f"triangle quadrature degree {min_degree} outside 1..12")
-    u, wu, v, wv = COLLAPSED_FACTORS[5 if int(min_degree) <= 9 else 7]
-    U, V = np.meshgrid(u, v, indexing="ij")
-    x = (U * (1.0 - V)).ravel()
-    y = V.ravel()
-    w = np.outer(wu, wv).ravel()
-    bary = np.stack([1.0 - x - y, x, y], axis=1)
-    return QuadRuleTri(bary, w)
+# the two triangle rules: 5 x 5 points, exact to degree 9, for B, G and
+# the loads; 7 x 7 points, exact to degree 13, for the L2 errors
+ASSEMBLY_RULE = _collapsed_rule(*COLLAPSED_FACTORS[5])
+ERROR_RULE = _collapsed_rule(*COLLAPSED_FACTORS[7])
 
 
 class ScalarTable(NamedTuple):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .mesh import Mesh, dyadic_shape, mesh_from_arrays, unit_square_mesh
-from .polyquad import ERROR_DEGREE, tri_rule
+from .polyquad import ERROR_RULE
 from .spaces import BCSpec, interpolate_uhat_bc, simply_supported_bc
 
 # singular exponent and amplitude of the reentrant-corner solution; the
@@ -228,10 +228,9 @@ def _cell_values(cells, fields):
     """Quadrature weights (m, q) and the exact u (m, q) and moment
     components M_xx, M_xy, M_yy (m, q, 3), chunk by chunk of cells, with
     the slice of cells each chunk covers."""
-    rule = tri_rule(ERROR_DEGREE)
     for lo in range(0, len(cells), L2_CHUNK):
         c = slice(lo, lo + L2_CHUNK)
-        pts, w = rule.map_to(cells[c])                # (m, q, 2), (m, q)
+        pts, w = ERROR_RULE.map_to(cells[c])          # (m, q, 2), (m, q)
         u, _, M = fields(pts.reshape(-1, 2))
         yield (c, w, np.reshape(u, w.shape),
                np.reshape(M, w.shape + (4,))[..., [0, 1, 3]])

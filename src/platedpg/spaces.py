@@ -23,14 +23,14 @@ condensed system symmetric positive definite.
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigurationError
 from .mesh import Mesh, edge_frame
-from .polyquad import ASSEMBLY_DEGREE, p3_table, tri_rule
+from .polyquad import ASSEMBLY_RULE, p3_table
 
 
 # slots of the N_TRIAL local trial unknowns of a triangle, in the columns
@@ -79,7 +79,7 @@ class ElementGeometry:
     def volume_table(self):
         """Points and weights of the assembly rule and the P3 table there,
         evaluated once for the element matrices and the load."""
-        qpts, w = tri_rule(ASSEMBLY_DEGREE).map_to(self.P)
+        qpts, w = ASSEMBLY_RULE.map_to(self.P)
         return qpts, w, p3_table(self.centroid, self.diam, qpts)
 
 
@@ -285,7 +285,7 @@ def _reduce_blocks(x_p, constraints, kind):
     return n_free, nulls
 
 
-def build_dofmap(mesh, bc: Optional[BCSpec] = None) -> DofMap:
+def build_dofmap(mesh, bc: BCSpec) -> DofMap:
     """Number the four trial blocks and build the affine reduction for
     the essential constraints and the gamma patch sums.
 
@@ -297,7 +297,6 @@ def build_dofmap(mesh, bc: Optional[BCSpec] = None) -> DofMap:
     the peak, beside the outputs, three index arrays of about one entry
     per corner are live.
     """
-    bc = bc or BCSpec()
     nT, nN, nE = mesh.num_triangles, mesh.num_vertices, mesh.num_edges
     off_m = nT
     off_uhat = 4 * nT

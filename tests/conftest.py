@@ -19,7 +19,7 @@ import numpy as np  # noqa: E402
 import scipy.sparse as sp  # noqa: E402
 
 from platedpg.mesh import mesh_from_arrays  # noqa: E402
-from platedpg.polyquad import ASSEMBLY_DEGREE, tri_rule  # noqa: E402
+from platedpg.polyquad import ASSEMBLY_RULE  # noqa: E402
 
 ACCEPTANCE_LINES = []
 
@@ -134,10 +134,11 @@ def sparse_from_triplets(rows, cols, values, n):
     return A
 
 
-def project_fields(mesh, u_fn, M_fn, degree=ASSEMBLY_DEGREE):
+def project_fields(mesh, u_fn, M_fn):
     """Element means (the lowest-order L2 projections) of a deflection and
-    a moment field; the moment is returned as (nT, 3) components."""
-    rule = tri_rule(degree)
+    a moment field by the assembly rule; the moment is returned as (nT, 3)
+    components."""
+    rule = ASSEMBLY_RULE
     pts = np.einsum("qc,tcd->tqd", rule.bary, mesh.coords[mesh.tri_vertices])
     flat = pts.reshape(-1, 2)
     w = rule.weights / 0.5                     # mean weights on any triangle

@@ -16,11 +16,10 @@ from conftest import (manufactured_M, manufactured_divM, manufactured_f,
                       vertex_patch, zero_fields)
 
 from platedpg import dpg
-from platedpg.driver import (ExperimentConfig, dorfler_mark, eoc,
-                             experiment_levels)
+from platedpg.driver import ExperimentConfig, dorfler_mark, experiment_levels
 from platedpg.mesh import (mesh_from_arrays, nvb_refine, uniform_refine,
                            unit_square_mesh)
-from platedpg.polyquad import p3_table, tri_rule
+from platedpg.polyquad import ASSEMBLY_RULE, p3_table
 from platedpg.problems import (SINGULAR_ALPHA, ZSHAPE_OPENING,
                                builtin_square_problem, builtin_zshape_problem,
                                fourier_eval, singular_eval)
@@ -44,10 +43,6 @@ def run_levels(problem, mode, **stop):
                                   problem))
 
 
-def eoc_records(levels):
-    return eoc([level.record for level in levels])
-
-
 @pytest.fixture(scope="module")
 def square_uniform():
     t0 = time.perf_counter()
@@ -67,7 +62,7 @@ def zshape_adaptive():
 
 def test_criterion_1_smooth_benchmark_rates(square_uniform):
     levels, elapsed = square_uniform
-    records = eoc_records(levels)
+    records = [level.record for level in levels]
     assert len(records) >= 5
     assert records[-1].ndofs >= 20_000
     tail = records[-3:]
@@ -82,7 +77,7 @@ def test_criterion_1_smooth_benchmark_rates(square_uniform):
 
 
 def test_criterion_2_singular_uniform_rate(zshape_uniform):
-    records = eoc_records(zshape_uniform)
+    records = [level.record for level in zshape_uniform]
     assert len(records) >= 5
     tail = [r.eoc_eta for r in records[-3:]]
     lo, hi = SINGULAR_ALPHA / 2 - 0.07, SINGULAR_ALPHA / 2 + 0.07
@@ -93,7 +88,7 @@ def test_criterion_2_singular_uniform_rate(zshape_uniform):
 
 
 def test_criterion_3_adaptive_restores_rates(zshape_adaptive):
-    records = eoc_records(zshape_adaptive)
+    records = [level.record for level in zshape_adaptive]
     assert records[-1].ndofs >= 20_000
     half = records[len(records) // 2:]
     logN = np.log([r.ndofs for r in half])
@@ -177,7 +172,7 @@ def test_criterion_5_invariants(square_uniform, zshape_uniform,
     tri = mesh_from_arrays([(0.05, 0.1), (1.2, 0.3), (0.4, 1.1)], [(0, 1, 2)])
     geom = ElementGeometry(tri, 0)
     tb = element_tensor_basis(geom)
-    pts, w = tri_rule(8).map_to(geom.P)
+    pts, w = ASSEMBLY_RULE.map_to(geom.P)
     table = tb.eval(pts)
     c = rng.normal(size=6)
     v = lambda p: (c[0] + c[1] * p[:, 0] + c[2] * p[:, 1]

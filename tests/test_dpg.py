@@ -16,11 +16,13 @@ from platedpg.errors import SPDError
 from platedpg.linalg import spd_solve
 from platedpg.mesh import (Mesh, dyadic_shape, mesh_from_arrays, nvb_refine,
                            uniform_refine, unit_square_mesh)
-from platedpg.polyquad import EXP_I, EXP_J, p3_table, tri_rule
+from platedpg.polyquad import (ASSEMBLY_RULE, ERROR_RULE, EXP_I, EXP_J,
+                               p3_table)
 from platedpg.problems import (SINGULAR_ALPHA, ExactSolution, ProblemSpec,
                                Singularity, builtin_square_problem,
                                builtin_zshape_problem, l2_errors)
-from platedpg.spaces import ElementGeometry, build_dofmap, interpolate_uhat_bc
+from platedpg.spaces import (BCSpec, ElementGeometry, build_dofmap,
+                             interpolate_uhat_bc)
 from trace_oracles import element_tensor_basis
 
 
@@ -62,7 +64,7 @@ def test_gram_quadratic_entry_against_oracle():
     G = one_element(mesh, 0)[1]
     geom = ElementGeometry(mesh, 0)
     i = int(np.nonzero((EXP_I == 2) & (EXP_J == 0))[0][0])
-    pts, w = tri_rule(12).map_to(geom.P)
+    pts, w = ERROR_RULE.map_to(geom.P)
     xi = (pts[:, 0] - geom.centroid[0]) / geom.diam
     oracle = w @ xi ** 4 + (2.0 / geom.diam ** 2) ** 2 * mesh.tri_area[0]
     assert abs(G[i, i] - oracle) < 1e-13 * oracle
@@ -86,7 +88,7 @@ def test_tensor_block_against_a_dense_oracle_build(seed, log_scale):
     mesh = mesh_from_arrays(tri, [(0, 1, 2)])
     B, G, _ = one_element(mesh, 0)
     geom = ElementGeometry(mesh, 0)
-    pts, w = tri_rule(12).map_to(geom.P)
+    pts, w = ERROR_RULE.map_to(geom.P)
     theta = element_tensor_basis(geom).eval(pts)
     T = np.eye(18)
     T[9, [13, 17]] = -1.0
@@ -187,7 +189,7 @@ def test_local_load():
     np.testing.assert_allclose(load1[10:], 0.0)
     # against the test function x (fitted in the scaled basis):
     geom = ElementGeometry(mesh, 0)
-    pts, _ = tri_rule(8).map_to(geom.P)
+    pts, _ = ASSEMBLY_RULE.map_to(geom.P)
     table = p3_table(geom.centroid, geom.diam, pts)
     coeffs, *_ = np.linalg.lstsq(table.values, pts[:, 0], rcond=None)
     assert abs(load1[:10] @ coeffs - (-1.0 / 6.0)) < 1e-13
@@ -224,7 +226,7 @@ def test_condense_against_dense_inverse_oracle():
 def test_condense_stack_matches_single_and_names_the_first_failure():
     """One Cholesky call for the whole stack gives each Gram the same bits
     as a call for it alone; with two Grams that do not factor, the error
-    names the first and its pivot."""
+    names the first by the first triangle of its class, with its pivot."""
     rng = np.random.default_rng(7)
     X = rng.normal(size=(5, 28, 28))
     G = X @ np.swapaxes(X, 1, 2) + 28 * np.eye(28)
@@ -236,17 +238,20 @@ def test_condense_stack_matches_single_and_names_the_first_failure():
         np.testing.assert_array_equal(W[c], Wc[0])
         np.testing.assert_array_equal(v[c], vc[0])
     G[3:] = -G[3:]
+    cls = np.array([0, 4, 1, 2, 3, 3])     # class 3 starts at triangle 4
     with pytest.raises(SPDError,
-                       match=r"^matrix 3 is not SPD: pivot 0 = -") as err:
-        dpg.condense(B, G, load, np.arange(5))
-    assert err.value.index == (3,)
+                       match=r"^element Gram matrix 4 is not SPD: pivot 0 = -"
+                       ) as err:
+        dpg.condense(B, G, rng.normal(size=(6, 28)), cls)
+    assert err.value.index == (4,)
     assert err.value.pivot == 0
 
 
 def test_condense_propagates_spd_failure():
     G = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])])
     with pytest.raises(SPDError,
-                       match=r"^matrix 1 is not SPD: pivot 1 ") as err:
+                       match=r"^element Gram matrix 1 is not SPD: pivot 1 = "
+                       ) as err:
         dpg.condense(np.zeros((2, 2, 2)), G, np.zeros((2, 2)), np.arange(2))
     assert err.value.index == (1,)
     assert err.value.pivot == 1
@@ -472,7 +477,8 @@ def _classes_and_corner_shapes(mesh, corner):
     h of about 7e-4, so the factorization is skipped."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dpg, "condense", lambda B, G, load, cls: (B, load))
-        cls = dpg.build_element_systems(mesh, build_dofmap(mesh), None).cls
+        cls = dpg.build_element_systems(mesh, build_dofmap(mesh, BCSpec()),
+                                        None).cls
     exact = ExactSolution(lambda p: (np.zeros(len(p)), None,
                                      np.zeros((len(p), 2, 2))),
                           Singularity(tuple(corner), 2.0))
@@ -534,10 +540,11 @@ def test_gram_failure_names_a_triangle_of_the_class(monkeypatch):
 
     monkeypatch.setattr(dpg, "element_matrices", breaking)
     with pytest.raises(SPDError, match=r"element Gram matrix (\d+) is not "
-                       r"SPD: pivot 23") as err:
+                       r"SPD: pivot 23 = ") as err:
         dpg.build_element_systems(mesh, dm, prob.f)
     t = int(re.search(r"matrix (\d+)", str(err.value)).group(1))
-    assert cls[t] == bad
+    assert t == np.flatnonzero(cls == bad)[0]     # the first of its class
+    assert err.value.index == (t,)
     assert err.value.pivot == 23
 
 

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 import platedpg
-from platedpg.driver import (ConvergenceRecord, ExperimentConfig, dorfler_mark,
-                             eoc, experiment_levels, main, run_experiment,
-                             solve_problem, write_records_csv)
+from platedpg.driver import (ConvergenceRecord, ExperimentConfig, _rate,
+                             dorfler_mark, experiment_levels, main,
+                             run_experiment, solve_problem, write_records_csv)
 from platedpg.errors import ConfigurationError
 from platedpg.mesh import mesh_to_text
 from platedpg.problems import builtin_square_problem
@@ -113,18 +113,16 @@ def _rec(level, n, q):
 
 
 def test_eoc_examples():
-    out = eoc([_rec(0, 100, 1e-1), _rec(1, 400, 5e-2)])
-    assert out[0].eoc_eta is None
-    assert out[1].eoc_eta == pytest.approx(0.5)
-    out = eoc([_rec(0, 100, 1.0), _rec(1, 400, 1.0)])
-    assert out[1].eoc_eta == pytest.approx(0.0)
-    out = eoc([_rec(0, 100, 1.0), _rec(1, 400, 0.25)])
-    assert out[1].eoc_eta == pytest.approx(1.0)
+    assert _rate(1e-1, 5e-2, 100, 400) == pytest.approx(0.5)
+    assert _rate(1.0, 1.0, 100, 400) == pytest.approx(0.0)
+    assert _rate(1.0, 0.25, 100, 400) == pytest.approx(1.0)
 
 
 def test_eoc_zero_marked_unavailable():
-    out = eoc([_rec(0, 10, 1.0), _rec(1, 40, 0.0)])
-    assert out[1].eoc_eta is None
+    """No rate from a zero value or from a DOF count that did not grow."""
+    assert _rate(1.0, 0.0, 10, 40) is None
+    assert _rate(0.0, 1.0, 10, 40) is None
+    assert _rate(1.0, 0.5, 40, 40) is None
 
 
 def _seeded_records():
@@ -227,7 +225,14 @@ def test_run_experiment_square_smoke(tmp_path):
     assert len(records) == 3
     ndofs = [r.ndofs for r in records]
     assert ndofs == sorted(ndofs) and len(set(ndofs)) == 3
-    assert records[1].eoc_eta is not None
+    # the EOCs of each record against the previous one, none on the first
+    assert (records[0].eoc_eta, records[0].eoc_u, records[0].eoc_M) == (
+        None, None, None)
+    for prev, r in zip(records, records[1:]):
+        assert (r.eoc_eta, r.eoc_u, r.eoc_M) == tuple(
+            _rate(getattr(prev, q), getattr(r, q), prev.ndofs, r.ndofs)
+            for q in ("eta", "err_u", "err_M"))
+        assert r.eoc_eta is not None
     back = parse_csv(out)
     assert back == records
     meshes = [level.mesh for level in experiment_levels(cfg)]

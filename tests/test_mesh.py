@@ -136,11 +136,33 @@ def test_topology_matches_unique_construction(initial, rounds, shuffle, seed):
     if shuffle:
         p = rng.permutation(m.num_triangles)
         m = Mesh(m.coords, m.tri_vertices[p], m.refinement_edge[p])
+    assert_unique_topology(m)
+
+
+def assert_unique_topology(m):
+    """Edge numbering, the edges' vertices and triangles and the boundary
+    flags of m equal, dtype and bits, those of ``unique_topology``."""
     for name, want in unique_topology(m.tri_vertices,
                                       m.num_vertices).items():
         got = getattr(m, name)
         assert got.dtype == want.dtype, name
         np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+def test_topology_with_int64_keys_matches_unique_construction():
+    """A 2 x 23,171 vertex strip: 46,342 vertices, so the squared vertex
+    count passes 2**31 and the topology's keys are int64; its edges are
+    those of one ``np.unique`` over the vertex pairs."""
+    n = 23_171
+    x = np.arange(n, dtype=float)
+    coords = np.column_stack([np.tile(x, 2), np.repeat([0.0, 1.0], n)])
+    lo, hi = np.arange(n - 1), np.arange(n - 1) + n   # column i, bottom/top
+    tris = np.concatenate([np.column_stack([lo, lo + 1, hi + 1]),
+                           np.column_stack([lo, hi + 1, hi])])
+    assert len(coords) ** 2 >= 2**31
+    m = mesh_from_arrays(coords, tris)
+    assert (m.num_vertices, m.num_triangles) == (46_342, 46_340)
+    assert_unique_topology(m)
 
 
 def assert_same_mesh_arrays(got, want):
@@ -190,6 +212,22 @@ def test_pinched_vertex_rejected():
     with pytest.raises(MeshStructureError, match="pinched vertex 0"):
         mesh_from_arrays([(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)],
                          [(0, 1, 2), (0, 3, 4)])
+
+
+def test_unused_vertex_rejected():
+    """The unit square plus a vertex that no triangle uses."""
+    with pytest.raises(MeshStructureError, match=r"^unused vertices: \[4\]$"):
+        mesh_from_arrays([(0, 0), (1, 0), (1, 1), (0, 1), (2, 2)],
+                         [(0, 1, 2), (0, 2, 3)])
+
+
+def test_disconnected_mesh_rejected():
+    """Two disjoint triangles: Euler characteristic 6 - 6 + 2 = 2."""
+    with pytest.raises(MeshStructureError, match=(
+            r"^triangulation is not a simply connected polygon "
+            r"\(Euler characteristic 2 != 1\)$")):
+        mesh_from_arrays([(0, 0), (1, 0), (0, 1), (2, 0), (3, 0), (2, 1)],
+                         [(0, 1, 2), (3, 4, 5)])
 
 
 def test_degenerate_triangle_rejected():

@@ -8,9 +8,9 @@ import pytest
 from scipy.special import roots_jacobi, roots_legendre
 
 import platedpg
-from platedpg.errors import ConfigurationError
-from platedpg.polyquad import (COLLAPSED_FACTORS, EDGE_NODES, EDGE_WEIGHTS,
-                               EXP_I, EXP_J, p3_table, tri_rule)
+from platedpg.polyquad import (ASSEMBLY_RULE, COLLAPSED_FACTORS, EDGE_NODES,
+                               EDGE_WEIGHTS, ERROR_RULE, EXP_I, EXP_J,
+                               p3_table)
 from trace_oracles import TensorBasis
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -43,8 +43,10 @@ def subdivision_oracle(fn, tri, depth=8):
 
 
 def test_tri_rule_exactness_all_degrees():
-    for deg in range(1, 13):
-        rule = tri_rule(deg)
+    """Each rule is exact to its degree: the 25-point assembly rule to
+    degree 9, the 49-point error rule to degree 13."""
+    for rule, deg, npts in ((ASSEMBLY_RULE, 9, 25), (ERROR_RULE, 13, 49)):
+        assert rule.bary.shape == (npts, 3) and rule.weights.shape == (npts,)
         pts, w = rule.map_to(REF)
         for i in range(deg + 1):
             for j in range(deg + 1 - i):
@@ -56,18 +58,15 @@ def test_tri_rule_exactness_all_degrees():
 
 def test_tri_rule_exactness_on_mapped_triangle():
     tri = np.array([[0.2, -0.1], [1.4, 0.3], [0.5, 1.7]])
-    rule = tri_rule(8)
-    pts, w = rule.map_to(tri)
+    pts, w = ASSEMBLY_RULE.map_to(tri)
     oracle = subdivision_oracle(lambda p: p[:, 0] ** 5 * p[:, 1] ** 3, tri)
     assert abs(w @ (pts[:, 0] ** 5 * pts[:, 1] ** 3) - oracle) < 1e-10
 
 
 def test_tri_rule_examples():
-    pts, w = tri_rule(1).map_to(REF)
+    pts, w = ASSEMBLY_RULE.map_to(REF)
     assert abs(w.sum() - 0.5) < 1e-14
-    pts, w = tri_rule(4).map_to(REF)
     assert abs(w @ (pts[:, 0] ** 2 * pts[:, 1]) - 1.0 / 60.0) < 1e-15
-    pts, w = tri_rule(8).map_to(REF)
     oracle = subdivision_oracle(lambda p: (p[:, 0] + p[:, 1]) ** 8, REF)
     assert abs(oracle - 0.1) < 1e-10          # analytic value is 1/10
     assert abs(w @ ((pts[:, 0] + pts[:, 1]) ** 8) - oracle) < 1e-10
@@ -97,13 +96,6 @@ def test_import_leaves_scipy_special_out():
          "print(platedpg.__file__, 'scipy.special' in sys.modules)"],
         capture_output=True, text=True, env=env, timeout=120, check=True)
     assert out.stdout.split() == [platedpg.__file__, "False"]
-
-
-def test_tri_rule_degree_bounds():
-    with pytest.raises(ConfigurationError):
-        tri_rule(0)
-    with pytest.raises(ConfigurationError):
-        tri_rule(13)
 
 
 def test_edge_rule():
@@ -158,7 +150,7 @@ def fit_p2_on_triangle(centroid, scale, fn, tri):
     """Coefficients of fn in the P2 monomials, the first six columns of
     the P3 table, by least squares on dense quadrature points (exact for
     quadratic fn)."""
-    pts, _ = tri_rule(10).map_to(tri)
+    pts, _ = ERROR_RULE.map_to(tri)
     table = p3_table(centroid, scale, pts)
     coeffs, *_ = np.linalg.lstsq(table.values[:, :6], fn(pts), rcond=None)
     return coeffs
@@ -225,7 +217,7 @@ def test_mass_matrices_spd_and_conditioned(seed):
     centroid = tri.mean(axis=0)
     diam = max(np.linalg.norm(tri[i] - tri[j])
                for i in range(3) for j in range(i))
-    pts, w = tri_rule(8).map_to(tri)
+    pts, w = ASSEMBLY_RULE.map_to(tri)
     sb = p3_table(centroid, diam, pts)
     mass_s = np.einsum("q,qi,qj->ij", w, sb.values, sb.values)
     tb = TensorBasis(centroid, diam).eval(pts)

@@ -1,10 +1,12 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
+import pytest
 
 from conftest import project_fields
 from platedpg import problems
+from platedpg.errors import ConfigurationError
 from platedpg.problems import (L2_CHUNK, SINGULAR_ALPHA, SINGULAR_C,
-                               ZSHAPE_OPENING, ExactSolution,
+                               ZSHAPE_OPENING, ExactSolution, builtin_problem,
                                builtin_square_problem, builtin_zshape_problem,
                                fourier_eval, l2_errors, odd_harmonics,
                                singular_eval, zshape_mesh)
@@ -348,6 +350,11 @@ def test_square_problem_spec():
     assert len(bc.vertex.index) > 0 and len(bc.edge.index) > 0
 
 
+def test_unknown_builtin_problem_is_refused():
+    with pytest.raises(ConfigurationError, match=r"^unknown problem 'disk'$"):
+        builtin_problem("disk")
+
+
 def test_project_fields_means():
     mesh = zshape_mesh()
     u, M = project_fields(mesh, lambda p: np.full(len(p), 3.0),
@@ -405,8 +412,7 @@ def test_l2_errors_singular_subdivision_improves(monkeypatch):
 def _l2_errors_per_element(mesh, sol, exact, levels=4):
     """Reference: one triangle and one quadrisected cell at a time, with u
     and M evaluated by separate calls."""
-    from platedpg.polyquad import ERROR_DEGREE, tri_rule
-    rule = tri_rule(ERROR_DEGREE)
+    from platedpg.polyquad import ERROR_RULE as rule
     singular_point = exact.singularity and exact.singularity.point
     eu2 = em2 = 0.0
     for t in range(mesh.num_triangles):
@@ -469,7 +475,7 @@ def test_l2_errors_integrates_each_corner_shape_once():
     itself: its error pass evaluates the exact solution at the regular
     cells alone, and both passes match the per-element reference."""
     from platedpg.mesh import uniform_refine
-    from platedpg.polyquad import ERROR_DEGREE, tri_rule
+    from platedpg.polyquad import ERROR_RULE
     rng = np.random.default_rng(11)
     prob = builtin_zshape_problem()
     evaluated = []
@@ -480,7 +486,7 @@ def test_l2_errors_integrates_each_corner_shape_once():
 
     exact = ExactSolution(counting, prob.exact.singularity)
     coarse = _corner_refined_zshape()
-    q = len(tri_rule(ERROR_DEGREE).weights)
+    q = len(ERROR_RULE.weights)
     counts = []
     for mesh in (coarse, uniform_refine(coarse)):
         nT = mesh.num_triangles

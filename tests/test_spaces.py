@@ -11,7 +11,8 @@ from conftest import (manufactured_M, manufactured_divM,
 from platedpg.errors import ConfigurationError
 from platedpg.mesh import (edge_frame, mesh_from_arrays, nvb_refine,
                            uniform_refine, unit_square_mesh)
-from platedpg.polyquad import EDGE_NODES, EDGE_WEIGHTS, p3_table, tri_rule
+from platedpg.polyquad import (ASSEMBLY_RULE, EDGE_NODES, EDGE_WEIGHTS,
+                               ERROR_RULE, p3_table)
 from platedpg.spaces import (BCSpec, Constraints, ElementGeometry,
                              _reduce_blocks, build_dofmap,
                              interpolate_uhat_bc, simply_supported_bc,
@@ -29,7 +30,7 @@ SKEW_TRI = mesh_from_arrays([(0.1, 0.2), (1.3, 0.1), (0.4, 1.2)], [(0, 1, 2)])
 def fit_scalar(centroid, scale, fn, tri, ncols=10):
     """Least-squares coefficients of fn in the first ncols P3 monomials of
     the frame with ``centroid`` and ``scale``."""
-    pts, _ = tri_rule(10).map_to(tri)
+    pts, _ = ERROR_RULE.map_to(tri)
     table = p3_table(centroid, scale, pts)
     coeffs, *_ = np.linalg.lstsq(table.values[:, :ncols], fn(pts), rcond=None)
     return coeffs
@@ -151,7 +152,7 @@ def test_uhat_pairing_integration_by_parts(seed):
          c[2] + c[4] * p[:, 0] + 2 * c[5] * p[:, 1]], axis=1)
     hess = np.array([[2 * c[3], c[4]], [c[4], 2 * c[5]]])
     udofs = poly_udofs(geom, v, grad)
-    pts, w = tri_rule(8).map_to(geom.P)
+    pts, w = ASSEMBLY_RULE.map_to(geom.P)
     table = tb.eval(pts)
     for i in range(tb.dim):
         tc = np.zeros(tb.dim)
@@ -171,7 +172,7 @@ def test_uhat_pairing_cubic_correction():
     v = lambda p: p[:, 0] ** 3
     grad = lambda p: np.stack([3 * p[:, 0] ** 2, np.zeros(len(p))], axis=1)
     udofs = poly_udofs(geom, v, grad)
-    pts, w = tri_rule(8).map_to(geom.P)
+    pts, w = ASSEMBLY_RULE.map_to(geom.P)
     table = tb.eval(pts)
     rng = np.random.default_rng(1)
     tc = rng.normal(size=tb.dim)
@@ -252,7 +253,7 @@ def test_constant_tensor_extraction_identity():
     np.testing.assert_allclose(beta, expected_beta, rtol=1e-14)
     geom = ElementGeometry(SKEW_TRI, 0)
     qd = local_qhat(SKEW_TRI, 0, alpha, beta, gamma)
-    pts, w = tri_rule(8).map_to(geom.P)
+    pts, w = ASSEMBLY_RULE.map_to(geom.P)
     sv = p3_table(geom.centroid, geom.diam, pts)
     for i in range(10):
         zc = np.zeros(10)
