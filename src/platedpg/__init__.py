@@ -20,7 +20,7 @@ from .polyquad import ASSEMBLY_RULE, ERROR_RULE, QuadRuleTri, p3_table
 from .problems import (ExactSolution, ProblemSpec, Singularity,
                        builtin_square_problem, builtin_zshape_problem,
                        fourier_eval, l2_errors, singular_eval, zshape_mesh)
-from .spaces import (BCSpec, Constraints, DofMap, build_dofmap,
+from .spaces import (BCSpec, DofMap, Fixed, build_dofmap,
                      interpolate_uhat_bc, simply_supported_bc)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -306,11 +306,10 @@ def _symmetrize(A):
 def assemble(mesh, dofmap, problem):
     """Build the element systems of the mesh and assemble the condensed SPD
     system on the free DOFs; the right-hand side carries the essential-BC
-    shift ``-A x_prescribed``.  No per-triangle copy of class data is
-    held: ``W^T W`` is scattered per class, ``W^T v`` formed by chunks.
-    The peak is the product ``R^T A_full``, formed while ``A_full`` is
-    alive; ``A_full`` is freed before the product with R, and A is then
-    scaled and symmetrized in place."""
+    shift ``-A x_fixed``.  No per-triangle copy of class data is held:
+    ``W^T W`` is scattered per class, ``W^T v`` formed by chunks.  R^T
+    A_full R is the row reduction of A_full, transposed and reduced again
+    once A_full is freed; it is then scaled and symmetrized in place."""
     systems = build_element_systems(mesh, dofmap, problem.f)
     W, v, idx, cls = systems.W, systems.v, systems.scatter, systems.cls
     A_full = _class_block_csr(_sym(np.swapaxes(W, 1, 2) @ W), cls, idx,
@@ -320,17 +319,18 @@ def assemble(mesh, dofmap, problem):
                           for i in range(0, len(cls), CHUNK)])
     b_full = np.bincount(idx.ravel(), weights=b_T.ravel(),
                          minlength=dofmap.full_dim)
-    RT = dofmap.R.T.tocsr()        # CSR @ CSR: A_full is not converted
-    rhs = RT @ (b_full - A_full @ dofmap.x_prescribed)
-    A = RT @ A_full
+    rhs = dofmap.reduce(b_full - A_full @ dofmap.fixed_full())
+    A_full.eliminate_zeros()   # the u and uhat rows miss the qhat columns
+    A = dofmap.reduce(A_full)
     del A_full
-    A = A @ dofmap.R
-    A.sort_indices()               # _symmetrize needs canonical CSR
+    A = A.T.tocsr()
+    A = dofmap.reduce(A)
     diag = A.diagonal()
     scale = np.where(diag > 0.0, 1.0 / np.sqrt(np.maximum(diag, 1e-300)), 1.0)
-    # D A D in place, entry by entry (a_ij d_i) d_j
-    A.data *= np.repeat(scale, np.diff(A.indptr))
+    # D A D in place, entry by entry (a_ij d_i) d_j, where A holds the
+    # entry (i, j) of the sparse product R^T A_full R at (j, i)
     A.data *= scale[A.indices]
+    A.data *= np.repeat(scale, np.diff(A.indptr))
     _symmetrize(A)
     return GlobalSystem(A=A, rhs=scale * rhs, systems=systems, scale=scale)
 

@@ -21,6 +21,12 @@ from .spaces import build_dofmap
 
 logger = logging.getLogger(__name__)
 
+# a level whose eta is more than this many times the previous level's is
+# wrong: healthy levels shrink it, by 0.935 at most on the square and
+# 0.886 on the Z-shape, and the first wrong one (adaptive Z-shape level
+# 21) has 6.18
+ETA_GROWTH_LIMIT = 2.0
+
 @dataclass
 class ExperimentConfig:
     problem: str                       # a key of problems.PROBLEMS
@@ -142,7 +148,9 @@ def experiment_levels(config: ExperimentConfig, problem=None):
     on the first).  Each level is logged as one INFO record; the next
     mesh is refined only when the next level is asked for.  The loop
     stops after ``config.max_levels`` levels, at ``config.max_dofs`` free
-    DOFs, or when adaptive marking marks nothing."""
+    DOFs, or when adaptive marking marks nothing.  A level whose eta is
+    more than :data:`ETA_GROWTH_LIMIT` times the previous level's raises
+    :class:`SolverConvergenceError` instead of being yielded."""
     problem = problem or builtin_problem(config.problem)
     if problem.exact is None:
         raise ConfigurationError(
@@ -150,6 +158,10 @@ def experiment_levels(config: ExperimentConfig, problem=None):
     mesh, prev = problem.initial_mesh, None
     for level in count():
         solution, estimator, report, ndofs = solve_problem(problem, mesh)
+        if prev is not None and estimator.total > ETA_GROWTH_LIMIT * prev.eta:
+            raise SolverConvergenceError(f"level {level}: eta grew from "
+                                         f"{prev.eta:.3e} to "
+                                         f"{estimator.total:.3e}", report)
         q = (estimator.total, *l2_errors(mesh, solution, problem.exact))
         rates = [None] * 3 if prev is None else [
             _rate(a, b, prev.ndofs, ndofs)

@@ -7,8 +7,8 @@ class MeshStructureError(Exception):
 
 
 class ConfigurationError(Exception):
-    """Invalid user-facing configuration (unsupported quadrature degree,
-    over-constrained boundary conditions, bad experiment parameters)."""
+    """Invalid user-facing configuration (malformed or conflicting fixed
+    DOFs, bad experiment parameters or output paths)."""
 
 
 class SPDError(Exception):

@@ -16,12 +16,15 @@ Trial unknowns and their storage layout in the full coefficient vector:
   plus one corner jump ``gamma`` per triangle corner, constrained to sum
   to zero around every interior vertex.
 
-The patch-sum constraint is handled by elimination (the patch triangle
+The essential boundary conditions fix coordinates of uhat and qhat, and
+the patch-sum constraint is handled by elimination (the patch triangle
 with the largest id carries the dependent gamma), which keeps the global
-condensed system symmetric positive definite.
+condensed system symmetric positive definite.  A :class:`DofMap` numbers
+the free coordinates that remain, ``x_full = R x_free + x_fixed``, and
+applies R and R^T without forming R.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -119,25 +122,20 @@ def uhat_edge_traces(geom: ElementGeometry, k: int, s):
 # boundary conditions
 # ---------------------------------------------------------------------------
 
-class Constraints(NamedTuple):
-    """Affine constraints ``coeffs[i] . x_b = value[i]`` on the DOF block
-    ``b = index[i]`` of one kind: a vertex uhat triple (value, d/dx, d/dy)
-    or an edge (alpha, beta) pair.  A block's constraints apply in the
-    order given."""
-    index: np.ndarray          # (k,) int64
-    coeffs: np.ndarray         # (k, width)
-    value: np.ndarray          # (k,)
-
-
-def _no_constraints(width):
-    return Constraints(np.zeros(0, dtype=np.int64), np.zeros((0, width)),
-                       np.zeros(0))
+class Fixed(NamedTuple):
+    """Coordinates ``index`` of one DOF numbering held at ``value``."""
+    index: np.ndarray = np.zeros(0, dtype=np.int64)     # (k,) integer
+    value: np.ndarray = np.zeros(0)                     # (k,)
 
 
 @dataclass
 class BCSpec:
-    vertex: Constraints = field(default_factory=lambda: _no_constraints(3))
-    edge: Constraints = field(default_factory=lambda: _no_constraints(2))
+    """Essential conditions as fixed coordinates of the trace unknowns:
+    ``vertex`` fixes uhat DOFs ``3 v + c`` of vertices v (c = 0 the value,
+    1 d/dx, 2 d/dy), ``edge`` fixes DOFs ``2 e + j`` of edges e (j = 0
+    alpha, 1 beta)."""
+    vertex: Fixed = Fixed()
+    edge: Fixed = Fixed()
 
 
 def interpolate_uhat_bc(fields, mesh):
@@ -146,38 +144,33 @@ def interpolate_uhat_bc(fields, mesh):
     solution's :attr:`~platedpg.problems.ExactSolution.fields`."""
     bverts = mesh.boundary_vertices()
     u, grad, _ = fields(mesh.coords[bverts])
-    return BCSpec(vertex=Constraints(
-        np.repeat(bverts, 3), np.tile(np.eye(3), (len(bverts), 1)),
-        np.column_stack([u, grad]).ravel()))
+    return BCSpec(vertex=Fixed((3 * bverts[:, None] + np.arange(3)).ravel(),
+                               np.column_stack([u, grad]).ravel()))
 
 
 def simply_supported_bc(mesh):
-    """Essential constraints for ``u = 0`` and ``n.M n = 0`` on the whole
-    boundary: vertex values and boundary-tangential slopes vanish, corners
-    clamp the full gradient, and beta vanishes on boundary edges.
-
-    A boundary vertex's tangents are those of its two lowest-numbered
-    boundary edges; a straight-side vertex constrains its slope along the
-    lowest-numbered one."""
+    """Essential data for ``u = 0`` and ``n.M n = 0`` on the whole
+    boundary: vertex values and boundary-tangential slopes vanish, so
+    d/dx on a horizontal side, d/dy on a vertical one and both at a
+    corner, and beta vanishes on boundary edges.  A vertex inside a
+    straight side that is neither horizontal nor vertical is refused."""
     bedges = mesh.boundary_edges()
     ends = mesh.edge_vertices[bedges]
     tau = edge_frame(*mesh.coords[ends.T])[1]
-    order = np.argsort(ends.ravel(), kind="stable")   # by vertex, then edge
-    bverts, first = np.unique(ends.ravel()[order], return_index=True)
-    t0, t1 = tau[order[first] // 2], tau[order[first + 1] // 2]
-    # corner: two independent tangential directions pin the gradient
+    order = np.argsort(ends.ravel(), kind="stable")   # two sides a vertex
+    bverts = ends.ravel()[order[::2]]
+    t0, t1 = tau[order[::2] // 2], tau[order[1::2] // 2]
     corner = np.abs(t0[:, 0] * t1[:, 1] - t0[:, 1] * t1[:, 0]) > 1e-12
-    rows = np.zeros((len(bverts), 3, 3))      # value, slope(s) per vertex
-    rows[:, 0, 0] = 1.0
-    rows[:, 1, 1:] = np.where(corner[:, None], [1.0, 0.0], t0)
-    rows[:, 2, 2] = 1.0
-    used = np.ones((len(bverts), 3), dtype=bool)
-    used[:, 2] = corner
-    return BCSpec(
-        vertex=Constraints(np.repeat(bverts, 3).reshape(-1, 3)[used],
-                           rows[used], np.zeros(np.count_nonzero(used))),
-        edge=Constraints(bedges, np.tile([0.0, 1.0], (len(bedges), 1)),
-                         np.zeros(len(bedges))))
+    fixed = np.ones((len(bverts), 3), dtype=bool)   # value, d/dx, d/dy
+    fixed[:, 1:] = corner[:, None] | (t0[:, ::-1] == 0.0)
+    slanted = ~fixed[:, 1:].any(axis=1)
+    if slanted.any():
+        raise ConfigurationError(
+            f"simply supported side at vertex {bverts[slanted][0]} is "
+            f"neither horizontal nor vertical")
+    dofs = (3 * bverts[:, None] + np.arange(3))[fixed]
+    return BCSpec(vertex=Fixed(dofs, np.zeros(len(dofs))),
+                  edge=Fixed(2 * bedges + 1, np.zeros(len(bedges))))
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +180,10 @@ def simply_supported_bc(mesh):
 @dataclass
 class DofMap:
     """Numbering of one mesh, which it does not hold: the block offsets
-    of the full trial vector and the reduction ``x_full = R x_free +
-    x_prescribed`` for the essential BCs and the gamma patch sums."""
+    of the full trial vector and its free coordinates.  Free column j is
+    R's +1 at full row ``own[j]``; a free gamma column, the last
+    ``len(dep)``, also has -1 at the dependent corner row ``dep`` of its
+    vertex (none for -1, a boundary vertex).  R is never formed."""
     off_m: int
     off_uhat: int
     off_alpha: int
@@ -196,8 +191,9 @@ class DofMap:
     off_gamma: int
     full_dim: int
     free_dim: int
-    R: sp.csr_matrix
-    x_prescribed: np.ndarray
+    own: np.ndarray            # (free_dim,) full row of each free column
+    dep: np.ndarray            # (free gamma,) dependent corner row or -1
+    fixed: Fixed               # full rows and their values
     n_uhat_free: int
     n_qhat_free: int
 
@@ -223,80 +219,76 @@ class DofMap:
         out[..., GAMMA] = self.off_gamma + 3 * t[..., None] + c
         return out
 
+    def fixed_full(self):
+        """The full vector that is zero but at the fixed DOFs."""
+        x = np.zeros(self.full_dim)
+        x[self.fixed.index] = self.fixed.value
+        return x
+
+    def reduce(self, rows):
+        """``R^T rows`` for a vector, or canonical CSR for a canonical CSR
+        matrix with no stored zeros: row j is row ``own[j]``, on the gamma
+        tail minus row ``dep``.  Each entry is one term or the difference
+        of two, so it has the bits of the sparse product with R^T, whose
+        exact zeros it drops as well."""
+        head, at = self.free_dim - len(self.dep), self.dep >= 0
+        if not sp.issparse(rows):
+            out = rows[self.own]
+            out[head:][at] -= rows[self.dep[at]]
+            return out
+        # one gather of the rows own, then dep; the tail's differences are
+        # written over the gathered tail, which holds at least as many
+        G = rows[np.concatenate([self.own, self.dep[at]])]
+        n, a = self.free_dim, G.indptr[head]
+        sub = G[n:]
+        ptr = np.zeros(len(at) + 1, dtype=sub.indptr.dtype)
+        ptr[1:][at] = np.diff(sub.indptr)
+        tail = G[head:n] - sp.csr_matrix(
+            (sub.data, sub.indices, np.cumsum(ptr)), (len(at), G.shape[1]))
+        b = a + tail.nnz
+        G.data[a:b], G.indices[a:b] = tail.data, tail.indices
+        return sp.csr_matrix((G.data[:b], G.indices[:b], np.concatenate(
+            [G.indptr[:head], a + tail.indptr])), (n, G.shape[1]))
+
     def recover_full(self, x_free):
-        return self.R @ x_free + self.x_prescribed
+        """``R x_free + x_fixed``: each dependent corner row gets minus the
+        other corners of its vertex in column order, every sum starting
+        from +0.0."""
+        x, at = self.fixed_full(), self.dep >= 0
+        x[self.own] += x_free
+        np.subtract.at(x, self.dep[at], x_free[len(x_free) - len(at):][at])
+        return x
 
 
-def _reduce_blocks(x_p, constraints, kind):
-    """Reduction of one family of small DOF blocks (vertex uhat triples or
-    edge (alpha, beta) pairs) under the :class:`Constraints` of that kind,
-    writing their prescribed values into ``x_p`` (blocks, width).
-
-    Every block has a basis of its free columns, the identity unless its
-    constraints (grouped by block, in the order given) replace it by
-    their nullspace.  The blocks with k constraints are reduced by one
-    stacked SVD, whose LAPACK call per block is the one a single SVD
-    makes.  Returns each block's number of free columns (int8) and a
-    list of the ids and bases (blocks, width, width - k) of the blocks
-    with k constraints, one item per k.  Dependent constraints raise for
-    the lowest such block id.
-    """
-    n, width = x_p.shape
-    index, C, d = (np.asarray(a) for a in constraints)
+def _fixed_dofs(fixed, n, width, kind):
+    """The DOFs and values of one numbering (``width`` per vertex or edge,
+    n in all), checked; a DOF may be fixed twice, but to one value."""
+    index, value = np.asarray(fixed.index), np.asarray(fixed.value, float)
     if index.dtype.kind not in "iu":     # not float or bool
-        raise ConfigurationError(f"{kind} constraint index is not integer")
-    if C.ndim != 2 or C.shape[1] != width:
-        raise ConfigurationError(f"{kind} constraint coeffs have shape "
-                                 f"{C.shape}, not (k, {width})")
-    if not index.ndim == d.ndim == 1 or not len(index) == len(C) == len(d):
-        raise ConfigurationError(f"{kind} constraint index, coeffs and "
-                                 f"value differ in length")
-    if not (np.isfinite(C).all() and np.isfinite(d).all()):
-        raise ConfigurationError(f"{kind} constraints are not finite")
+        raise ConfigurationError(f"{kind} DOF index is not integer")
+    if not index.ndim == value.ndim == 1 or len(index) != len(value):
+        raise ConfigurationError(f"{kind} DOF index and value differ in "
+                                 f"length")
+    if not np.isfinite(value).all():
+        raise ConfigurationError(f"{kind} DOF values are not finite")
     bad = index[(index < 0) | (index >= n)]
     if bad.size:
-        raise ConfigurationError(
-            f"{kind} constraint on a nonexistent {kind}: {bad.tolist()}")
-    order = np.argsort(index, kind="stable")
-    blocks, starts, counts = np.unique(index[order], return_index=True,
-                                       return_counts=True)
-
-    n_free = np.full(n, width, dtype=np.int8)
-    over, nulls = [], []
-    for k in np.unique(counts).tolist():
-        b = blocks[counts == k]
-        at = order[starts[counts == k, None] + np.arange(k)]
-        U, s, Vt = np.linalg.svd(C[at], full_matrices=True)
-        tol = max(k, width) * np.finfo(float).eps * np.maximum(s[:, 0], 1.0)
-        rank = np.count_nonzero(s > tol[:, None], axis=1)
-        if np.any(rank < k):
-            i = np.argmax(rank < k)
-            over.append((int(b[i]), k, int(rank[i])))
-            continue
-        y = (np.swapaxes(U, 1, 2) @ d[at, None])[:, :, 0] / s[:, :k]
-        x_p[b] = (np.swapaxes(Vt[:, :k], 1, 2) @ y[:, :, None])[:, :, 0]
-        nulls.append((b, np.swapaxes(Vt[:, k:], 1, 2)))
-        n_free[b] = width - k
-    if over:
-        b, k, rank = min(over)
-        raise ConfigurationError(
-            f"over-constrained boundary block at {kind} {b}: "
-            f"{k} constraints of rank {rank}")
-    return n_free, nulls
+        raise ConfigurationError(f"{kind} DOF of a nonexistent {kind}: "
+                                 f"{(bad // width).tolist()}")
+    held = np.zeros(n)
+    held[index] = value           # one of the values of a DOF fixed twice
+    clash = index[held[index] != value]
+    if clash.size:
+        raise ConfigurationError(f"{kind} {clash.min() // width} DOF "
+                                 f"{clash.min() % width} fixed to two values")
+    return index, value
 
 
 def build_dofmap(mesh, bc: BCSpec) -> DofMap:
-    """Number the four trial blocks and build the affine reduction for
-    the essential constraints and the gamma patch sums.
-
-    Free columns follow the full layout block by block: u and M, the
-    vertex uhat blocks, the edge (alpha, beta) blocks, then the gamma
-    corners that are not eliminated.  R is written straight into
-    canonical CSR, each row at its offset, and x_prescribed through
-    views.  Index arrays are in R's index dtype and freed once used: at
-    the peak, beside the outputs, three index arrays of about one entry
-    per corner are live.
-    """
+    """Number the free coordinates of the full trial vector under the
+    fixed DOFs of ``bc`` and the gamma patch sums: u and M, the free uhat
+    DOFs vertex by vertex, the free (alpha, beta) DOFs edge by edge, then
+    the gamma corners that are not eliminated."""
     nT, nN, nE = mesh.num_triangles, mesh.num_vertices, mesh.num_edges
     off_m = nT
     off_uhat = 4 * nT
@@ -304,76 +296,31 @@ def build_dofmap(mesh, bc: BCSpec) -> DofMap:
     off_beta = off_alpha + nE
     off_gamma = off_beta + nE
     full_dim = off_gamma + 3 * nT
-    x_p = np.zeros(full_dim)
+    itype = np.int32 if full_dim < 2**31 else np.int64
 
-    def blocks(a):      # the vertex and edge blocks of a full-length array
-        return (a[off_uhat:off_alpha].reshape(nN, 3),
-                a[off_alpha:off_gamma].reshape(2, nE).T)
-    reduced = [_reduce_blocks(x, cons, kind) for x, cons, kind in zip(
-        blocks(x_p), (bc.vertex, bc.edge), ("vertex", "edge"))]
-    n_uhat_free, n_edge_free = (int(n_free.sum()) for n_free, _ in reduced)
-
-    # gamma: the patch triangle with the largest id carries the dependent
-    # corner at every interior vertex, minus the sum of the other corners
+    vertex, v_value = _fixed_dofs(bc.vertex, 3 * nN, 3, "vertex")
+    edge, e_value = _fixed_dofs(bc.edge, 2 * nE, 2, "edge")
+    # an interior vertex's dependent corner is its last, 3 t + c with the
+    # largest t
     corners = mesh.tri_vertices.ravel()
-    n_corner, size = corners.size, np.bincount(corners, minlength=nN)
+    last = np.full(nN, -1, dtype=itype)
+    np.maximum.at(last, corners, np.arange(corners.size, dtype=itype))
     interior = ~mesh.vertex_on_boundary
-    n_others = size[interior] - 1
-    col0 = off_uhat + n_uhat_free + n_edge_free
-    free_dim = col0 + n_corner - n_others.size
+    free = []
+    for n, out in ((3 * nN, vertex), (2 * nE, edge),
+                   (corners.size, last[interior])):
+        keep = np.ones(n, dtype=bool)
+        keep[out] = False
+        free.append(np.flatnonzero(keep).astype(itype))
+    v, e, g = free
 
-    # one entry a row, but n_others in a dependent corner row and the
-    # basis nonzeros in a constrained block row
-    nnz = full_dim + int(n_others.sum()) - n_others.size + sum(
-        np.count_nonzero(null) - null.shape[0] * null.shape[1]
-        for _, nulls in reduced for _, null in nulls)
-    itype = np.int32 if max(nnz, full_dim) < 2**31 else np.int64  # scipy's
-    # sorted keys (vertex, corner) list a vertex's corners 3t + c in column
-    # order, the dependent one last; the others' columns are read before R
-    corner = corners * n_corner + np.arange(n_corner)
-    corner.sort()
-    corner %= n_corner
-    dependent = corner[np.cumsum(size)[interior] - 1]
-    free = np.ones(n_corner, dtype=bool)
-    free[dependent] = False
-    col = np.cumsum(free, dtype=itype) + (col0 - 1)
-    other_col = col[corner[np.repeat(interior, size) & free[corner]]]
-    del corner, free
-
-    indptr = np.zeros(full_dim + 1, dtype=itype)
-    counts = indptr[1:]
-    counts[:] = 1
-    for rows, (_, nulls) in zip(blocks(counts), reduced):
-        for b, null in nulls:
-            rows[b] = np.count_nonzero(null, axis=2)
-    counts[off_gamma:][dependent] = n_others
-    np.cumsum(indptr, out=indptr)
-    indices = np.empty(nnz, dtype=itype)
-    data = np.ones(nnz)
-    indices[:off_uhat] = indptr[:off_uhat]      # u and M: row r is column r
-    # a corner row's first entry is its own column; an interior vertex's
-    # k-th other corner (2+ of them) then lands at its dependent row start + k
-    corner_at = indptr[off_gamma:-1]
-    indices[corner_at] = col
-    del col
-    at = np.repeat((corner_at[dependent] - np.cumsum(n_others) + n_others)
-                   .astype(itype), n_others)
-    at += np.arange(at.size, dtype=itype)
-    indices[at] = other_col
-    data[at] = -1.0
-    del at, other_col
-    for rows, (n_free, nulls), c0 in zip(blocks(indptr[:-1]), reduced,
-                                         (off_uhat, off_uhat + n_uhat_free)):
-        start = np.cumsum(n_free, dtype=itype) - n_free + c0
-        eye = n_free == rows.shape[1]
-        for i in range(rows.shape[1]):
-            indices[rows[:, i][eye]] = start[eye] + i
-        for b, null in nulls:
-            t, i, j = np.nonzero(null)
-            at = rows[b[t], i] + (np.cumsum(null != 0, axis=2) - 1)[t, i, j]
-            indices[at] = start[b[t]] + j
-            data[at] = null[t, i, j]
-    R = sp.csr_matrix((data, indices, indptr), shape=(full_dim, free_dim))
-
+    def edge_rows(k):           # edge DOFs 2 e + j as full rows
+        return off_alpha + k % 2 * nE + k // 2
+    own = np.concatenate([np.arange(off_uhat, dtype=itype), off_uhat + v,
+                          edge_rows(e), off_gamma + g])
+    dep = np.where(interior, off_gamma + last, -1)[corners[g]]
+    fixed = Fixed(np.concatenate([off_uhat + vertex, edge_rows(edge)]
+                                 ).astype(itype),
+                  np.concatenate([v_value, e_value]))
     return DofMap(off_m, off_uhat, off_alpha, off_beta, off_gamma, full_dim,
-                  free_dim, R, x_p, n_uhat_free, n_edge_free + free_dim - col0)
+                  len(own), own, dep, fixed, len(v), len(e) + len(g))

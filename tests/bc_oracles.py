@@ -1,5 +1,5 @@
-"""Object-based boundary-condition builders: one Python constraint object
-per row, turned into the array :class:`BCSpec` at the end.  They are the
+"""Object-based boundary-condition builders: one Python object per fixed
+DOF, turned into the array :class:`BCSpec` at the end.  They are the
 reference the vectorised builders of ``platedpg.spaces`` are compared
 against, byte for byte."""
 
@@ -7,84 +7,79 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from platedpg.errors import ConfigurationError
 from platedpg.mesh import edge_frame
-from platedpg.spaces import BCSpec, Constraints
+from platedpg.spaces import BCSpec, Fixed
 
 
 @dataclass(frozen=True)
-class BCConstraint:
-    """One affine constraint on a vertex uhat block (3 coefficients over
-    (value, d/dx, d/dy)) or an edge (alpha, beta) block (2 coefficients)."""
+class FixedDof:
+    """DOF ``component`` of a vertex uhat triple (0 value, 1 d/dx, 2 d/dy)
+    or of an edge (alpha, beta) pair (0 alpha, 1 beta), held at value."""
     kind: str                  # "vertex" or "edge"
     index: int
-    coeffs: tuple
+    component: int
     value: float
 
 
-def to_bcspec(constraints):
-    """The array form of a list of :class:`BCConstraint`, rows in list
-    order within each kind."""
-    def arrays(kind, width):
-        cons = [c for c in constraints if c.kind == kind]
-        return Constraints(
-            np.array([c.index for c in cons], dtype=np.int64),
-            np.array([c.coeffs for c in cons], dtype=float).reshape(-1, width),
-            np.array([c.value for c in cons], dtype=float))
-    return BCSpec(vertex=arrays("vertex", 3), edge=arrays("edge", 2))
+WIDTH = {"vertex": 3, "edge": 2}
 
 
-def fix_vertex(cons, v, coeffs, value):
-    cons.append(BCConstraint("vertex", int(v),
-                             tuple(float(c) for c in coeffs), float(value)))
-
-
-def fix_edge(cons, e, coeffs, value):
-    cons.append(BCConstraint("edge", int(e),
-                             tuple(float(c) for c in coeffs), float(value)))
+def to_bcspec(dofs):
+    """The array form of a list of :class:`FixedDof`, in list order within
+    each kind."""
+    def arrays(kind):
+        mine = [d for d in dofs if d.kind == kind]
+        return Fixed(np.array([WIDTH[kind] * d.index + d.component
+                               for d in mine], dtype=np.int64),
+                     np.array([d.value for d in mine], dtype=float))
+    return BCSpec(vertex=arrays("vertex"), edge=arrays("edge"))
 
 
 def interpolate_uhat_bc(fields, mesh):
     """Clamp (u, grad u) at every boundary vertex, one vertex at a time;
     ``fields`` maps points to (u, grad, M)."""
-    cons = []
+    dofs = []
     bverts = mesh.boundary_vertices()
     vals, grads, _ = fields(mesh.coords[bverts])
     for i, v in enumerate(bverts):
-        fix_vertex(cons, v, (1.0, 0.0, 0.0), vals[i])
-        fix_vertex(cons, v, (0.0, 1.0, 0.0), grads[i][0])
-        fix_vertex(cons, v, (0.0, 0.0, 1.0), grads[i][1])
-    return to_bcspec(cons)
+        for c, value in enumerate((vals[i], grads[i][0], grads[i][1])):
+            dofs.append(FixedDof("vertex", int(v), c, float(value)))
+    return to_bcspec(dofs)
 
 
 def simply_supported_bc(mesh):
-    """u = 0 and n.M n = 0, walking the boundary edges in id order."""
-    cons = []
+    """u = 0 and n.M n = 0, walking the boundary edges in id order: beta
+    on each, then per vertex its value and its slope along its first two
+    sides, d/dx along a horizontal one, d/dy along a vertical one."""
+    dofs = []
     btangents = {}
     tangent = edge_frame(*mesh.coords[mesh.edge_vertices.T])[1]
     for e in mesh.boundary_edges():
-        fix_edge(cons, e, (0.0, 1.0), 0.0)
+        dofs.append(FixedDof("edge", int(e), 1, 0.0))
         for v in mesh.edge_vertices[e]:
             btangents.setdefault(int(v), []).append(tangent[e])
-    for v, tans in btangents.items():
-        fix_vertex(cons, v, (1.0, 0.0, 0.0), 0.0)
+    for v, tans in sorted(btangents.items()):
+        dofs.append(FixedDof("vertex", v, 0, 0.0))
         cross = abs(tans[0][0] * tans[1][1] - tans[0][1] * tans[1][0])
-        if cross > 1e-12:
-            fix_vertex(cons, v, (0.0, 1.0, 0.0), 0.0)
-            fix_vertex(cons, v, (0.0, 0.0, 1.0), 0.0)
-        else:
-            t = tans[0]
-            fix_vertex(cons, v, (0.0, t[0], t[1]), 0.0)
-    return to_bcspec(cons)
+        slopes = [c for c, along in ((1, tans[0][1] == 0.0),
+                                     (2, tans[0][0] == 0.0))
+                  if along or cross > 1e-12]
+        if not slopes:
+            raise ConfigurationError(
+                f"simply supported side at vertex {v} is neither "
+                f"horizontal nor vertical")
+        dofs.extend(FixedDof("vertex", v, c, 0.0) for c in slopes)
+    return to_bcspec(dofs)
 
 
 def constraint_residuals(bc, dofmap, x):
-    """``coeffs . block - value`` of every vertex and edge constraint of
-    ``bc`` on the full vector ``x``."""
-    index, coeffs, value = bc.vertex
-    vertex = x[dofmap.off_uhat + 3 * index[:, None] + np.arange(3)]
-    out = [np.sum(coeffs * vertex, axis=1) - value]
-    index, coeffs, value = bc.edge
-    edge = x[np.stack([dofmap.off_alpha + index, dofmap.off_beta + index],
-                      axis=1)]
-    out.append(np.sum(coeffs * edge, axis=1) - value)
+    """``x - value`` at every fixed vertex and edge DOF of ``bc`` on the
+    full vector ``x``."""
+    index, value = bc.vertex
+    out = [x[dofmap.off_uhat + index] - value]
+    index, value = bc.edge
+    out.append(x[dofmap.off_alpha + index % 2 * (dofmap.off_beta
+                                                 - dofmap.off_alpha)
+                 + index // 2] - value)
     return np.concatenate(out)

@@ -1,17 +1,17 @@
 """Reference constructions of the mesh's edge numbering, of newest-vertex
 bisection and of the DOF map's reduction R, written the straightforward
 way: ``np.unique`` over vertex pairs for the topology, the closure with
-one ``split`` call per bisected triangle, one SVD per constrained block,
-and R as COO triplets converted by scipy.  The library builds the same
-arrays faster and with less memory; the tests compare them bit for
-bit."""
+one ``split`` call per bisected triangle, and R as COO triplets
+converted by scipy.  The library builds the same arrays faster and with
+less memory, and holds R only as its numbering; the tests compare them
+bit for bit."""
 
 from array import array
 
 import numpy as np
 import scipy.sparse as sp
 
-from platedpg.errors import ConfigurationError, MeshStructureError
+from platedpg.errors import MeshStructureError
 from platedpg.mesh import Mesh
 
 
@@ -41,64 +41,29 @@ def unique_topology(tris, n_vert):
                                        minlength=n_vert) > 0)
 
 
-def reduce_block(C, d, tag):
-    """One SVD per constraint block: the block's prescribed values and
-    the basis of its nullspace."""
-    C = np.asarray(C, dtype=float)
-    d = np.asarray(d, dtype=float)
-    n = C.shape[1]
-    U, s, Vt = np.linalg.svd(C, full_matrices=True)
-    tol = max(C.shape) * np.finfo(float).eps * max(s[0], 1.0)
-    rank = int(np.count_nonzero(s > tol))
-    if rank < C.shape[0]:
-        raise ConfigurationError(
-            f"over-constrained boundary block at {tag}: "
-            f"{C.shape[0]} constraints of rank {rank}")
-    x_p = Vt[:rank].T @ ((U.T @ d)[:rank] / s[:rank])
-    null = Vt[rank:].T.copy() if rank < n else np.zeros((n, 0))
-    return x_p, null
-
-
-def reduce_blocks_per_block(rows, constraints, kind, col0):
-    """The reduction of one family of DOF blocks, in ascending block id,
-    one :func:`reduce_block` each: COO entries of R in (block, row,
-    column) order, prescribed values and number of free columns."""
-    n, width = rows.shape
-    index, C, d = constraints
-    order = np.argsort(index, kind="stable")
-    blocks, starts = np.unique(index[order], return_index=True)
-    basis = np.tile(np.eye(width), (n, 1, 1))
-    n_free = np.full(n, width)
-    x_p = np.zeros((n, width))
-    for b, Cb, db in zip(blocks.tolist(), np.split(C[order], starts[1:]),
-                         np.split(d[order], starts[1:])):
-        x_p[b], null = reduce_block(Cb, db, f"{kind} {b}")
-        basis[b] = 0.0
-        basis[b, :, :null.shape[1]] = null
-        n_free[b] = null.shape[1]
-    start = col0 + np.cumsum(n_free) - n_free
-    b, i, j = np.nonzero(basis)
-    return (rows[b, i], start[b] + j, basis[b, i, j]), x_p, int(n_free.sum())
-
-
 def coo_reduction(mesh, bc):
     """R, x_prescribed, free_dim, n_uhat_free and n_qhat_free of
-    ``build_dofmap(mesh, bc)``, with R built from concatenated int64
-    COO triplets and converted to CSR by scipy."""
+    ``build_dofmap(mesh, bc)``: one +1 per free u, M, uhat and (alpha,
+    beta) DOF, uhat vertex by vertex and (alpha, beta) edge by edge, the
+    gamma corners by owner elimination, and R built from concatenated
+    int64 COO triplets and converted to CSR by scipy."""
     nT, nN, nE = mesh.num_triangles, mesh.num_vertices, mesh.num_edges
     off_uhat = 4 * nT
     off_alpha = off_uhat + 3 * nN
     off_gamma = off_alpha + 2 * nE
     full_dim = off_gamma + 3 * nT
     x_p = np.zeros(full_dim)
-
-    u_m = np.arange(off_uhat)
-    uhat_rows = off_uhat + np.arange(3 * nN).reshape(nN, 3)
-    uhat, x_p[uhat_rows], n_uhat_free = reduce_blocks_per_block(
-        uhat_rows, bc.vertex, "vertex", off_uhat)
-    edge_rows = off_alpha + np.arange(nE)[:, None] + np.array([0, nE])
-    edge, x_p[edge_rows], n_edge_free = reduce_blocks_per_block(
-        edge_rows, bc.edge, "edge", off_uhat + n_uhat_free)
+    fixed = np.zeros(full_dim, dtype=bool)
+    vertex_rows = off_uhat + np.arange(3 * nN)
+    edge_rows = (off_alpha + np.arange(nE)[:, None] + np.array([0, nE])).ravel()
+    for rows, (index, value) in ((vertex_rows, bc.vertex),
+                                 (edge_rows, bc.edge)):
+        fixed[rows[index]] = True
+        x_p[rows[index]] = value
+    vertex_rows = vertex_rows[~fixed[vertex_rows]]
+    edge_rows = edge_rows[~fixed[edge_rows]]
+    n_uhat_free, n_edge_free = len(vertex_rows), len(edge_rows)
+    trace_rows = np.concatenate([vertex_rows, edge_rows])
 
     tris = mesh.tri_vertices
     owner = np.full(nN, -1)
@@ -114,7 +79,10 @@ def coo_reduction(mesh, bc):
     dependent_row[tris[dependent]] = corner[dependent]
     others = free & at_interior
 
-    entries = [(u_m, u_m, np.ones(off_uhat)), uhat, edge,
+    u_m = np.arange(off_uhat)
+    entries = [(u_m, u_m, np.ones(off_uhat)),
+               (trace_rows, off_uhat + np.arange(len(trace_rows)),
+                np.ones(len(trace_rows))),
                (corner[free], col[free], np.ones(n_gamma_free)),
                (dependent_row[tris[others]], col[others],
                 np.full(np.count_nonzero(others), -1.0))]
@@ -122,6 +90,20 @@ def coo_reduction(mesh, bc):
     free_dim = col0 + n_gamma_free
     R = sp.csr_matrix((vals, (rows, cols)), shape=(full_dim, free_dim))
     return R, x_p, free_dim, n_uhat_free, n_edge_free + n_gamma_free
+
+
+def reduction_matrix(dofmap):
+    """The R that a :class:`~platedpg.spaces.DofMap` stands for, built
+    from COO triplets and converted to CSR by scipy: +1 at row ``own[j]``
+    of each free column j, -1 at row ``dep[k]`` of the k-th free gamma
+    column where ``dep[k] >= 0``."""
+    head = dofmap.free_dim - len(dofmap.dep)
+    at = np.flatnonzero(dofmap.dep >= 0)
+    rows = np.concatenate([dofmap.own, dofmap.dep[at]])
+    cols = np.concatenate([np.arange(dofmap.free_dim), head + at])
+    vals = np.concatenate([np.ones(dofmap.free_dim), np.full(len(at), -1.0)])
+    return sp.csr_matrix((vals, (rows, cols)),
+                         shape=(dofmap.full_dim, dofmap.free_dim))
 
 
 def nvb_refine(mesh, marked):

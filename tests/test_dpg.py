@@ -23,6 +23,7 @@ from platedpg.problems import (SINGULAR_ALPHA, ExactSolution, ProblemSpec,
                                builtin_zshape_problem, l2_errors)
 from platedpg.spaces import (BCSpec, ElementGeometry, build_dofmap,
                              interpolate_uhat_bc)
+from numbering_oracles import reduction_matrix
 from trace_oracles import element_tensor_basis
 
 
@@ -586,10 +587,10 @@ def test_assemble_symmetry_on_square_problem():
 
 
 def diagonal_product_reference(dm, systems):
-    """A and rhs of the condensed system formed with explicit diagonal
-    matrices, ``sym(D (R^T A_full R) D)`` and ``D R^T (b - A_full x_p)``,
-    and the number of entries of ``D (R^T A_full R) D`` whose transposed
-    position it does not hold."""
+    """A and rhs of the condensed system formed with R built as a sparse
+    matrix and explicit diagonal matrices, ``sym(D (R^T A_full R) D)`` and
+    ``D R^T (b - A_full x_p)``, and the number of entries of ``D (R^T
+    A_full R) D`` whose transposed position it does not hold."""
     W, idx, cls = systems.W, systems.scatter, systems.cls
     A_T = dpg._sym(np.swapaxes(W, 1, 2) @ W)[cls]
     b_T = np.einsum("tij,ti->tj", W[cls], systems.v)
@@ -598,8 +599,9 @@ def diagonal_product_reference(dm, systems):
                                   A_T.ravel(), dm.full_dim)
     b_full = np.bincount(idx.ravel(), weights=b_T.ravel(),
                          minlength=dm.full_dim)
-    A = (dm.R.T @ A_full @ dm.R).tocsr()
-    rhs = np.asarray(dm.R.T @ (b_full - A_full @ dm.x_prescribed)).ravel()
+    R = reduction_matrix(dm)
+    A = (R.T @ A_full @ R).tocsr()
+    rhs = np.asarray(R.T @ (b_full - A_full @ dm.fixed_full())).ravel()
     diag = A.diagonal()
     scale = np.where(diag > 0.0, 1.0 / np.sqrt(np.maximum(diag, 1e-300)), 1.0)
     D = sp.diags(scale)
@@ -698,10 +700,14 @@ def test_class_block_csr_equals_triplet_path_bitwise(seed, n, nT, nC):
 def test_assemble_holds_no_per_triangle_copy_of_the_blocks(zshape_1000):
     """The traced peak of assembly stays below 3.5 times the nT 22 x 22
     float64 blocks that a per-triangle copy of the class blocks takes:
-    about 3.3 on this mesh, reached in ``R^T A_full``.  It was 4.1 while
-    A_full stayed alive through the second reduction product and A + A.T
-    was formed as new matrices, and 8.6 when A_T, its triplets and their
-    COO and CSR matrices were all held at once."""
+    3.16 on this mesh, reached in the in-place symmetrization, with the
+    row reduction of A_full at 3.11.  It was 3.26 with ``R^T A_full``
+    formed as a sparse product with R, 3.86 with the reduced rows
+    gathered into new matrices and stacked while A_full or the first
+    reduction was alive, 4.1 while A_full stayed alive through the second
+    reduction product and A + A.T was formed as new matrices, and 8.6
+    when A_T, its triplets and their COO and CSR matrices were all held
+    at once."""
     prob, mesh = builtin_zshape_problem(), zshape_1000
     dm = build_dofmap(mesh, prob.bc_builder(mesh))
     tracemalloc.start()

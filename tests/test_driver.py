@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 import platedpg
+from platedpg import dpg
 from platedpg.driver import (ConvergenceRecord, ExperimentConfig, _rate,
                              dorfler_mark, experiment_levels, main,
                              run_experiment, solve_problem, write_records_csv)
 from platedpg.errors import ConfigurationError
-from platedpg.mesh import mesh_to_text
+from platedpg.mesh import mesh_from_arrays, mesh_to_text
 from platedpg.problems import builtin_square_problem
 
 
@@ -249,6 +250,53 @@ def test_run_experiment_adaptive_smoke(tmp_path):
     assert records[-1].ndofs >= 400
     assert all(b.ndofs > a.ndofs for a, b in zip(records, records[1:]))
     assert all(r.eta > 0 for r in records)
+
+
+def test_rotated_square_with_swapped_triangles_agrees():
+    """The unit square turned by 90 degrees, (x, y) -> (1 - y, x), which
+    is exact on its dyadic coordinates, with its two initial triangles
+    swapped: the same plate, whose horizontal sides are now the vertical
+    ones.  On L0-L3 #T and N are exact and eta agrees to 1e-9 relative
+    (1.3e-15 measured); err_u and err_M agree to 1e-9 as well (3.9e-13
+    and 9.2e-12 measured, growing with the level: 7.1e-12 and 1.1e-10
+    at L4)."""
+    problem = builtin_square_problem()
+    c, tris = problem.initial_mesh.coords, problem.initial_mesh.tri_vertices
+    turned = replace(problem, initial_mesh=mesh_from_arrays(
+        np.column_stack([1.0 - c[:, 1], c[:, 0]]), tris[::-1]))
+    cfg = ExperimentConfig(problem="square", mode="uniform", max_levels=4)
+    for a, b in zip(experiment_levels(cfg), experiment_levels(cfg, turned),
+                    strict=True):
+        a, b = a.record, b.record
+        assert (b.ntriangles, b.ndofs) == (a.ntriangles, a.ndofs)
+        for q in ("eta", "err_u", "err_M"):
+            assert getattr(b, q) == pytest.approx(getattr(a, q), rel=1e-9)
+
+
+@pytest.mark.parametrize("factor, code, written", [(4.0, 0, 4),
+                                                  (5.0, 3, 2)])
+def test_estimator_growth_stops_the_run(tmp_path, monkeypatch, capsys,
+                                        factor, code, written):
+    """Level 2 of the uniform square has 0.455 times the eta of level 1.
+    A stubbed estimator scaled by 4 there gives 1.82 times, and the run
+    goes on; scaled by 5, 2.27 times, more than twice: level 2 is not
+    yielded, levels 0 and 1 are written and the CLI exits 3."""
+    real = dpg.estimate
+    calls = {"n": 0}
+
+    def grown(systems, x_full):
+        est = real(systems, x_full)
+        calls["n"] += 1
+        if calls["n"] == 3:
+            est = dpg.EstimatorField(factor * est.per_element)
+        return est
+
+    monkeypatch.setattr(dpg, "estimate", grown)
+    out = tmp_path / "grown.csv"
+    assert main(["run", "--problem", "square", "--mode", "uniform",
+                 "--levels", "4", "--out", str(out)]) == code
+    assert len(parse_csv(out)) == written
+    assert ("level 2: eta" in capsys.readouterr().err) == (code == 3)
 
 
 def test_problem_without_exact_solution_is_refused_before_solving(

@@ -1,6 +1,6 @@
 """Memory guards for the REFINE half of the adaptive loop: newest-vertex
 bisection, the mesh constructor and the DOF map allocate close to what
-they return.
+they return, and the DOF map holds its numbering only.
 
 The mesh is the Z-shape refined uniformly four times (1,280 triangles),
 then by seeded rounds of 20 % random marking, as in the benchmark's
@@ -86,20 +86,53 @@ def test_mesh_constructor_peak_bounded_by_its_arrays(last_round):
     assert peak <= 1.15 * size, peak / size
 
 
-def test_build_dofmap_peak_bounded_by_its_output(last_round):
-    """R is written straight into CSR, row by row at its offsets, and
-    x_prescribed through views, with int32 index arrays freed once used,
-    so the peak stays within 1.25 times R's three arrays plus
-    x_prescribed (1.15 times here; with int64 block rows and index arrays
-    kept to the end it was 1.73, through sorted block triplets 1.79,
-    through COO triplets 3.76)."""
+def held_bytes(obj):
+    """Bytes of the numpy arrays an object holds, through its attributes,
+    tuples and lists."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, (tuple, list)):
+        return sum(held_bytes(item) for item in obj)
+    if hasattr(obj, "__dict__"):
+        return sum(held_bytes(item) for item in vars(obj).values())
+    return 0
+
+
+@pytest.fixture(scope="module")
+def last_dofmap(last_round):
+    """The seventh round's mesh, DOF map and the traced peak of building
+    the map."""
     problem, mesh, marked = last_round
     mesh = nvb_refine(mesh, marked)
     bc = problem.bc_builder(mesh)
     dm, peak = traced_peak(build_dofmap, mesh, bc)
-    size = (dm.R.indptr.nbytes + dm.R.indices.nbytes + dm.R.data.nbytes
-            + dm.x_prescribed.nbytes)
-    assert peak <= 1.25 * size, peak / size
+    return mesh, dm, peak
+
+
+def test_build_dofmap_peak_bounded_by_its_output(last_dofmap):
+    """The numbering is built from int32 index arrays, the dependent
+    corners from one ``np.maximum.at`` over the corners, so the peak
+    stays within 2.5 times the DOF map's arrays (2.28 times here: 2.4 MB
+    for a map of 1.1 MB; with int64 index arrays it was 2.59).  A map
+    that held R in CSR and x_prescribed took 5.8 MB and peaked at 6.7 MB
+    (1.15 times), and at 1.79 times through sorted block triplets and
+    3.76 times through COO triplets."""
+    _, dm, peak = last_dofmap
+    size = held_bytes(dm)
+    assert peak <= 2.5 * size, peak / size
+
+
+def test_dofmap_holds_about_one_int32_per_free_dof(last_dofmap):
+    """A DOF map holds the full row of each free column, the dependent
+    corner row of each free gamma column and the fixed (row, value)
+    pairs: at most 1.25 int32 per free DOF besides the pairs (1.23 here),
+    so a full-length R or prescribed-value vector, 8 bytes or more per
+    full DOF, cannot come back unnoticed."""
+    mesh, dm, _ = last_dofmap
+    n_fixed = len(dm.fixed.index)
+    assert dm.own.dtype == dm.dep.dtype == dm.fixed.index.dtype == np.int32
+    assert mesh.num_triangles == 19437 and n_fixed == 915
+    assert held_bytes(dm) <= 1.25 * 4 * dm.free_dim + 12 * n_fixed
 
 
 def test_dofmap_does_not_keep_its_mesh_alive():
@@ -112,4 +145,4 @@ def test_dofmap_does_not_keep_its_mesh_alive():
     del mesh
     gc.collect()
     assert ref() is None
-    assert dm.R.shape == (dm.full_dim, dm.free_dim)
+    assert len(dm.own) == dm.free_dim

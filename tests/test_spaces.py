@@ -13,12 +13,11 @@ from platedpg.mesh import (edge_frame, mesh_from_arrays, nvb_refine,
                            uniform_refine, unit_square_mesh)
 from platedpg.polyquad import (ASSEMBLY_RULE, EDGE_NODES, EDGE_WEIGHTS,
                                ERROR_RULE, p3_table)
-from platedpg.spaces import (BCSpec, Constraints, ElementGeometry,
-                             _reduce_blocks, build_dofmap,
+from platedpg.spaces import (BCSpec, ElementGeometry, Fixed, build_dofmap,
                              interpolate_uhat_bc, simply_supported_bc,
                              uhat_edge_traces)
-from bc_oracles import BCConstraint, constraint_residuals, to_bcspec
-from numbering_oracles import coo_reduction, reduce_blocks_per_block
+from bc_oracles import FixedDof, constraint_residuals, to_bcspec
+from numbering_oracles import coo_reduction, reduction_matrix
 from trace_oracles import (element_tensor_basis, extract_qhat,
                            extract_qhat_local, extract_uhat, local_qhat,
                            qhat_pair_local, uhat_pair_local,
@@ -317,8 +316,8 @@ def test_interpolate_uhat_bc_values():
         lambda p: (p[:, 0], np.stack([np.ones(len(p)), np.zeros(len(p))],
                                      axis=1), np.zeros((len(p), 2, 2))), mesh)
     vid = int(np.nonzero((mesh.coords == [1.0, 0.0]).all(axis=1))[0][0])
-    at = bc.vertex.index == vid
-    np.testing.assert_array_equal(bc.vertex.coeffs[at], np.eye(3))
+    at = bc.vertex.index // 3 == vid
+    np.testing.assert_array_equal(bc.vertex.index[at], 3 * vid + np.arange(3))
     np.testing.assert_array_equal(bc.vertex.value[at], [1.0, 1.0, 0.0])
 
 
@@ -379,64 +378,16 @@ def test_element_scatter_refuses_a_mesh_of_other_counts():
             dm.element_scatter(other, t)
 
 
-@settings(max_examples=60, deadline=None)
-@given(vertex_k=st.lists(st.integers(0, 3), min_size=1, max_size=8),
-       edge_k=st.lists(st.integers(0, 2), min_size=1, max_size=8),
-       seed=st.integers(0, 2**32 - 1))
-def test_stacked_reduction_matches_per_block_oracle(vertex_k, edge_k, seed):
-    """Random full-rank vertex (width 3) and edge (width 2) blocks with
-    every constraint count, each kind's rows in shuffled order: the
-    stacked reduction is bit for bit the per-block one.  The stacked one
-    returns each block's free count and the constrained blocks by
-    constraint count, so the blocks' columns are numbered here in block
-    order from the same first column, and the nonzero entries of every
-    basis, as (row, column, value), are compared with the per-block ones
-    in (row, column) order."""
-    rng = np.random.default_rng(seed)
-    nV, nE = len(vertex_k), len(edge_k)
-    for kind, ks, rows in (
-            ("vertex", vertex_k, 5 + np.arange(3 * nV).reshape(nV, 3)),
-            ("edge", edge_k, 7 + np.arange(nE)[:, None] + np.array([0, nE]))):
-        width = rows.shape[1]
-        index = np.repeat(np.arange(len(ks)), ks)
-        scale = 10.0 ** rng.uniform(-3, 3, len(ks))
-        C = rng.standard_normal((len(index), width))
-        C *= scale[index, None]
-        shuffle = rng.permutation(len(index))
-        cons = Constraints(index[shuffle], C[shuffle],
-                           rng.standard_normal(len(index)))
-        x_p = np.zeros(rows.shape)
-        n_free, nulls = _reduce_blocks(x_p, cons, kind)
-        start = 11 + np.cumsum(n_free) - n_free
-        ids = np.flatnonzero(n_free == width)
-        eye = np.broadcast_to(np.eye(width), (ids.size, width, width))
-        r, c, v = (np.concatenate(part) for part in zip(*(
-            (rows[b[t], i], start[b[t]] + j, basis[t, i, j])
-            for b, basis in [(ids, eye)] + nulls
-            for t, i, j in [np.nonzero(basis)])))
-        (r0, c0, v0), x_p0, n_free0 = reduce_blocks_per_block(
-            rows, cons, kind, 11)
-        o, o0 = np.lexsort((c, r)), np.lexsort((c0, r0))
-        for got, want in ((r[o], r0[o0]), (c[o], c0[o0]), (v[o], v0[o0]),
-                          (x_p, x_p0)):
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
-        assert int(n_free.sum()) == n_free0
-
-
 def test_overconstrained_error_names_lowest_block():
-    """Vertex 1 fails with 3 constraints and vertex 2 with 2: the error
-    names vertex 1, as a walk over the blocks in id order would."""
+    """Vertex 1 has d/dx fixed to 0 and to 2, vertex 2 its value to 0 and
+    to 1, in that order: the error names vertex 1 and its two values, as
+    a walk over the DOFs in id order would."""
     mesh = unit_square_mesh()
-    bc = to_bcspec([BCConstraint("vertex", v, coeffs, value)
-                    for v, coeffs, value in (
-                        (1, (0.0, 1.0, 0.0), 0.0), (1, (0.0, 0.0, 1.0), 0.0),
-                        (1, (0.0, 2.0, 0.0), 0.0), (2, (1.0, 0.0, 0.0), 0.0),
-                        (2, (-1.0, 0.0, 0.0), 1.0),
-                        (3, (1.0, 0.0, 0.0), 0.0))])
+    bc = to_bcspec([FixedDof("vertex", v, c, value) for v, c, value in (
+        (2, 0, 0.0), (1, 1, 0.0), (1, 2, 0.0), (1, 1, 0.0), (3, 0, 0.0),
+        (2, 0, 1.0), (1, 1, 2.0))])
     with pytest.raises(ConfigurationError, match=(
-            "over-constrained boundary block at vertex 1: "
-            "3 constraints of rank 2")):
+            "vertex 1 DOF 1 fixed to two values")):
         build_dofmap(mesh, bc)
 
 
@@ -444,37 +395,44 @@ def _sha256(a):
     return hashlib.sha256(a.tobytes()).hexdigest()
 
 
-def _random_constraints(rng, ids, width, fraction):
-    """Full-rank constraints, 1 to width of them, on a random ``fraction``
-    of the blocks ``ids``, with coefficients scaled over six decades and
-    listed in shuffled order."""
+def _random_fixed(rng, ids, width, fraction):
+    """Random DOFs, 1 to width of them, of a random ``fraction`` of the
+    vertices or edges ``ids``, with values over six decades, listed in
+    shuffled order and some twice with their value."""
     blocks = ids[rng.random(len(ids)) < fraction]
-    index = np.repeat(blocks, rng.integers(1, width + 1, len(blocks)))
-    C = rng.standard_normal((len(index), width))
-    C *= 10.0 ** rng.uniform(-3, 3, (len(index), 1))
+    k = rng.integers(1, width + 1, len(blocks))
+    index = np.concatenate([width * b + rng.choice(width, n, replace=False)
+                            for b, n in zip(blocks, k)] + [[]]).astype(int)
+    value = rng.standard_normal(len(index)) * 10.0 ** rng.uniform(
+        -3, 3, len(index))
+    again = rng.random(len(index)) < 0.2
+    index = np.concatenate([index, index[again]])
+    value = np.concatenate([value, value[again]])
     shuffle = rng.permutation(len(index))
-    return Constraints(index[shuffle], C[shuffle],
-                       rng.standard_normal(len(index)))
+    return Fixed(index[shuffle], value[shuffle])
 
 
 def _join(a, b):
-    return Constraints(*(np.concatenate(pair) for pair in zip(a, b)))
+    return Fixed(*(np.concatenate(pair) for pair in zip(a, b)))
 
 
 @settings(max_examples=40, deadline=None)
-@given(shape=st.sampled_from(["square", "zshape"]),
+@given(case=st.sampled_from([("square", "none"), ("square", "clamped"),
+                             ("square", "supported"), ("zshape", "none"),
+                             ("zshape", "clamped")]),
        rounds=st.integers(0, 4), fraction=st.floats(0.05, 0.6),
-       bc=st.sampled_from(["none", "clamped", "supported"]),
        extra=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_dofmap_matches_coo_construction(shape, rounds, fraction, bc, extra,
+def test_dofmap_matches_coo_construction(case, rounds, fraction, extra,
                                          seed):
-    """On randomly refined meshes, with no, clamped or simply supported
-    boundary conditions and random extra constraints on the blocks they
-    leave free, R (indptr, indices, data and their dtypes), x_prescribed
-    and the free counts are bit for bit those of R built from COO
-    triplets."""
+    """On randomly refined meshes, with no, clamped or (on the square)
+    simply supported boundary conditions and random extra fixed DOFs on
+    the vertices and edges they leave free, the R that ``own`` and
+    ``dep`` stand for (indptr, indices, data and their dtypes), the
+    fixed values and the free counts are bit for bit those of R built
+    from COO triplets."""
     from platedpg.mesh import nvb_refine
     from platedpg.problems import zshape_mesh
+    shape, bc = case
     rng = np.random.default_rng(seed)
     mesh = uniform_refine(unit_square_mesh() if shape == "square"
                           else zshape_mesh())
@@ -482,9 +440,9 @@ def test_dofmap_matches_coo_construction(shape, rounds, fraction, bc, extra,
         n = mesh.num_triangles
         mesh = nvb_refine(mesh, rng.choice(
             n, size=max(1, round(fraction * n)), replace=False))
-    spec = {"none": BCSpec(),
-            "clamped": interpolate_uhat_bc(zero_fields, mesh),
-            "supported": simply_supported_bc(mesh)}[bc]
+    spec = {"none": BCSpec,
+            "clamped": lambda: interpolate_uhat_bc(zero_fields, mesh),
+            "supported": lambda: simply_supported_bc(mesh)}[bc]()
     if extra:
         vertex_ids, edge_ids = (
             np.flatnonzero(~mesh.vertex_on_boundary),
@@ -494,26 +452,49 @@ def test_dofmap_matches_coo_construction(shape, rounds, fraction, bc, extra,
             edge_ids = np.arange(mesh.num_edges)
         spec = BCSpec(
             vertex=_join(spec.vertex,
-                         _random_constraints(rng, vertex_ids, 3, fraction)),
-            edge=_join(spec.edge,
-                       _random_constraints(rng, edge_ids, 2, fraction)))
+                         _random_fixed(rng, vertex_ids, 3, fraction)),
+            edge=_join(spec.edge, _random_fixed(rng, edge_ids, 2, fraction)))
     dm = build_dofmap(mesh, spec)
     R, x_p, free_dim, n_uhat_free, n_qhat_free = coo_reduction(mesh, spec)
-    for got, want in ((dm.R.indptr, R.indptr), (dm.R.indices, R.indices),
-                      (dm.R.data, R.data), (dm.x_prescribed, x_p)):
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
-    assert dm.R.shape == R.shape
+    got = reduction_matrix(dm)
+    for a, b in ((got.indptr, R.indptr), (got.indices, R.indices),
+                 (got.data, R.data), (dm.fixed_full(), x_p)):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+    assert got.shape == R.shape
     assert (dm.free_dim, dm.n_uhat_free, dm.n_qhat_free) == (
         free_dim, n_uhat_free, n_qhat_free)
+    assert dm.own.dtype == dm.dep.dtype == dm.fixed.index.dtype == np.int32
+
+
+def test_free_columns_outside_gamma_have_one_plus_one():
+    """Every free column of R before the gamma tail has exactly one
+    entry, +1, and every row at most one such entry; the gamma columns
+    hold +1 at their own corner and -1 at the dependent corner of an
+    interior vertex."""
+    mesh = uniform_refine(uniform_refine(unit_square_mesh()))
+    for bc in (simply_supported_bc(mesh), interpolate_uhat_bc(zero_fields,
+                                                              mesh)):
+        dm = build_dofmap(mesh, bc)
+        R = reduction_matrix(dm).tocsc()
+        head = dm.free_dim - len(dm.dep)
+        counts = np.diff(R.indptr)
+        assert np.all(counts[:head] == 1)
+        assert np.all(R.data[R.indptr[:head]] == 1.0)
+        assert np.all(counts[head:] == np.where(dm.dep >= 0, 2, 1))
+        assert np.unique(dm.own).size == dm.free_dim
+        assert np.sum(R.data == -1.0) == np.count_nonzero(dm.dep >= 0)
 
 
 @pytest.mark.parametrize("case", ["zshape-clamped", "square-supported"])
 def test_dofmap_pinned(case):
-    """The reduction R and the prescribed values are pinned byte for byte
-    on two meshes: the clamped Z-shape after the five seeded NVB rounds of
-    ``test_nvb_triangle_and_vertex_order_pinned`` and the simply supported
-    square refined uniformly three times."""
+    """The reduction R that the numbering stands for and the fixed values
+    are pinned byte for byte on two meshes: the clamped Z-shape after the
+    five seeded NVB rounds of ``test_nvb_triangle_and_vertex_order_pinned``
+    and the simply supported square refined uniformly three times.  The
+    square's free slope columns are +1 where an SVD of the constraints
+    once gave -1, so its data digest is that of R S for a diagonal S of
+    signs; the other digests are unchanged."""
     if case == "zshape-clamped":
         from platedpg.mesh import nvb_refine
         from platedpg.problems import builtin_problem
@@ -530,9 +511,10 @@ def test_dofmap_pinned(case):
         for _ in range(3):
             mesh = uniform_refine(mesh)
         dm = build_dofmap(mesh, simply_supported_bc(mesh))
+    R = reduction_matrix(dm)
     digests = {name: _sha256(a) for name, a in (
-        ("indptr", dm.R.indptr), ("indices", dm.R.indices),
-        ("data", dm.R.data), ("x_prescribed", dm.x_prescribed))}
+        ("indptr", R.indptr), ("indices", R.indices),
+        ("data", R.data), ("x_prescribed", dm.fixed_full()))}
     assert digests == {
         "zshape-clamped": {
             "indptr": "6d3cd27a183aa185f074cc819b4628e6"
@@ -548,8 +530,8 @@ def test_dofmap_pinned(case):
                       "f4d2063559b2ef9b657459cceecd6abd",
             "indices": "c609f293b065d64d1c6e72ddeb262e22"
                        "6e115ca3411662eadca9ba81fe5e5228",
-            "data": "9268c1bf5ded04406882b09ec11caede"
-                    "2ba5727f61a6128bc38837f00c974bd5",
+            "data": "9c6a301900d7a7dee5ff8c43f57b5427"
+                    "b398b2846df65da7af6ea769509156e6",
             "x_prescribed": "efd48581206f117c01247d249962e11e"
                             "7e50f17c9ee14956373dc66e8a2da3d3"},
     }[case]
@@ -557,9 +539,9 @@ def test_dofmap_pinned(case):
 
 def test_overconstrained_vertex_rejected():
     mesh = unit_square_mesh()
-    bc = to_bcspec([BCConstraint("vertex", 0, (1.0, 0.0, 0.0), 0.0),
-                    BCConstraint("vertex", 0, (1.0, 0.0, 0.0), 1.0)])
-    with pytest.raises(ConfigurationError):
+    bc = to_bcspec([FixedDof("vertex", 0, 0, 0.0),
+                    FixedDof("vertex", 0, 0, 1.0)])
+    with pytest.raises(ConfigurationError, match="fixed to two values"):
         build_dofmap(mesh, bc)
 
 
@@ -567,33 +549,43 @@ def test_overconstrained_vertex_rejected():
                                          ("edge", 5)])
 def test_constraint_on_nonexistent_block_rejected(kind, index):
     mesh = unit_square_mesh()          # 4 vertices, 5 edges
-    coeffs = (1.0, 0.0, 0.0) if kind == "vertex" else (0.0, 1.0)
-    bc = to_bcspec([BCConstraint(kind, index, coeffs, 0.0)])
-    with pytest.raises(ConfigurationError, match="nonexistent"):
+    bc = to_bcspec([FixedDof(kind, index, 0, 0.0)])
+    with pytest.raises(ConfigurationError,
+                       match=f"nonexistent {kind}: \\[{index}\\]"):
         build_dofmap(mesh, bc)
 
 
-@pytest.mark.parametrize("kind, index, coeffs, value, match", [
-    ("vertex", [0], np.ones((1, 2)), [0.0], "not \\(k, 3\\)"),
-    ("edge", [0], np.ones((1, 3)), [0.0], "not \\(k, 2\\)"),
-    ("edge", [0, 1], np.ones((1, 2)), [0.0], "differ in length"),
-    ("vertex", [0], np.ones((1, 3)), [0.0, 1.0], "differ in length"),
-    ("vertex", np.array([0.0]), np.ones((1, 3)), [0.0], "integer"),
-    ("edge", np.array([True]), np.ones((1, 2)), [0.0], "integer"),
-    ("vertex", [0], [[np.nan, 1.0, 0.0]], [0.0], "finite"),
-    ("edge", [0], [[0.0, np.inf]], [0.0], "finite"),
-    ("vertex", [0], np.eye(3)[:1], [np.nan], "finite"),
-], ids=["vertex-width", "edge-width", "index-length", "value-length",
-        "float-index", "bool-index", "nan-coeffs", "inf-coeffs", "nan-value"])
-def test_malformed_constraints_rejected(kind, index, coeffs, value, match):
-    """Malformed constraint arrays raise a ConfigurationError naming their
-    kind, not a numpy error from inside the reduction and not NaN in the
-    prescribed values."""
+@pytest.mark.parametrize("kind, index, value, match", [
+    ("edge", [0, 1], [0.0], "differ in length"),
+    ("vertex", [0], [0.0, 1.0], "differ in length"),
+    ("vertex", np.array([0.0]), [0.0], "integer"),
+    ("edge", np.array([True]), [0.0], "integer"),
+    ("vertex", [0], [np.nan], "finite"),
+], ids=["index-length", "value-length", "float-index", "bool-index",
+        "nan-value"])
+def test_malformed_constraints_rejected(kind, index, value, match):
+    """Malformed fixed-DOF arrays raise a ConfigurationError naming their
+    kind, not a numpy error from inside the numbering and not NaN in the
+    fixed values."""
     mesh = uniform_refine(unit_square_mesh())
-    bc = BCSpec(**{kind: Constraints(np.asarray(index), np.asarray(coeffs),
-                                     np.asarray(value))})
-    with pytest.raises(ConfigurationError, match=f"{kind} constraint.*{match}"):
+    bc = BCSpec(**{kind: Fixed(np.asarray(index), np.asarray(value))})
+    with pytest.raises(ConfigurationError, match=f"{kind} DOF.*{match}"):
         build_dofmap(mesh, bc)
+
+
+def test_slanted_simply_supported_side_rejected():
+    """The Z-shape's reentrant side runs from (-1, -1) to (0, 0): once
+    bisected, the simply supported builder refuses its midpoint, a vertex
+    inside a straight side that is neither horizontal nor vertical.  Its
+    five triangles alone have corners only."""
+    from platedpg.problems import zshape_mesh
+    mesh = zshape_mesh()
+    simply_supported_bc(mesh)
+    mesh = uniform_refine(mesh)
+    v = int(np.flatnonzero((mesh.coords == [-0.5, -0.5]).all(axis=1))[0])
+    with pytest.raises(ConfigurationError, match=(
+            f"side at vertex {v} is neither horizontal nor vertical")):
+        simply_supported_bc(mesh)
 
 
 def test_reconstruction_satisfies_constraints():
