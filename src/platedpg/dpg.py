@@ -263,7 +263,7 @@ def _class_block_csr(blocks, cls, scatter, n):
     k = scatter.shape[1]
     t, a = np.divmod(np.argsort(scatter.ravel(), kind="stable"), k)
     indptr = np.cumsum(np.r_[0, k * np.bincount(scatter.ravel(), minlength=n)])
-    data, cols = blocks[cls[t], a].ravel(), scatter.astype(np.int32)[t].ravel()
+    data, cols = blocks[cls[t], a].ravel(), scatter[t].ravel()
     A = sp.csr_matrix((data, cols, indptr), shape=(n, n))
     A.sum_duplicates()
     return A

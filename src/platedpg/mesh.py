@@ -40,6 +40,8 @@ class Mesh:
     repeated vertex in a triangle, an edge of three triangles, unused
     vertices, an Euler characteristic other than 1, pinched vertices or
     a triangle that is not counterclockwise (nonpositive signed area).
+    Ids are stored as int32, refinement edges and edge signs as int8, so
+    n + m above 2**31 (a valid mesh has n + m - 1 edges) raises it too.
     """
 
     def __init__(self, coords, tri_vertices, refinement_edge):
@@ -50,7 +52,7 @@ class Mesh:
                 or ref.min(initial=0) < 0 or ref.max(initial=0) > 2):
             raise MeshStructureError("refinement edges in {0, 1, 2}, one per "
                                      "triangle, expected")
-        self.refinement_edge = np.ascontiguousarray(ref, dtype=np.int64)
+        self.refinement_edge = np.ascontiguousarray(ref, dtype=np.int8)
         self._build_geometry()
         self._build_topology()
         bad = np.nonzero(self.tri_area <= 0.0)[0]
@@ -90,7 +92,7 @@ class Mesh:
         is_first = np.zeros(key.size, dtype=bool)       # slot, then its id
         is_first[edge] = True
         edge = np.cumsum(is_first, dtype=itype)[edge] - 1
-        self.tri_edges = np.empty((n_tri, 3), dtype=np.int64)
+        self.tri_edges = np.empty((n_tri, 3), dtype=np.int32)
         self.tri_edges.ravel()[order] = np.repeat(edge, size)
         first = np.flatnonzero(is_first)
         last, count = np.empty_like(edge), np.empty_like(edge)
@@ -98,7 +100,7 @@ class Mesh:
         count[edge] = size
         del is_first, order, starts, size, edge
         self.edge_vertices = np.stack(np.divmod(key[first], n_vert), 1,
-                                      dtype=np.int64)
+                                      dtype=np.int32)
         del key
         if np.any(count > 2):
             e = int(np.argmax(count > 2))
@@ -108,8 +110,8 @@ class Mesh:
                 f"{np.nonzero((self.tri_edges == e).any(axis=1))[0].tolist()}")
         n_edge = count.size
         # the one or two triangles on each edge, -1 off the boundary
-        self.edge_triangles = np.stack(
-            [first // 3, np.where(count == 2, last // 3, -1)], axis=1)
+        self.edge_triangles = np.stack([first // 3, np.where(
+            count == 2, last // 3, -1)], 1, dtype=np.int32)
 
         self.edge_on_boundary = count == 1
         n_bedges = np.bincount(self.edge_vertices[count == 1].ravel(),
@@ -174,21 +176,22 @@ def dyadic_shape(D):
 
 
 def _checked_vertices(coords, tri_vertices):
-    """Coordinates and triples as contiguous float and int64 arrays,
+    """Coordinates and triples as contiguous float and int32 arrays,
     checked as :class:`Mesh` states."""
-    coords = np.ascontiguousarray(coords, dtype=float)
-    tris = np.asarray(tri_vertices)
+    coords, tris = np.asarray(coords, dtype=float), np.asarray(tri_vertices)
     if tris.dtype.kind not in "iu":     # not float or bool
         raise MeshStructureError("triangle vertex ids must be integers")
     if coords.ndim != 2 or coords.shape[1] != 2:
         raise MeshStructureError("vertex coordinates must have shape (n, 2)")
-    if not np.all(np.isfinite(coords)):
-        raise MeshStructureError("non-finite vertex coordinates")
     if tris.ndim != 2 or tris.shape[1] != 3:
         raise MeshStructureError("triangle triples must have shape (m, 3)")
+    if len(coords) + len(tris) > 2**31:     # #E = #N + #T - 1 ids in int32
+        raise MeshStructureError("too many vertices and triangles for int32")
+    if not np.all(np.isfinite(coords)):
+        raise MeshStructureError("non-finite vertex coordinates")
     if tris.size and (tris.min() < 0 or tris.max() >= len(coords)):
         raise MeshStructureError("triangle references an invalid vertex id")
-    return coords, np.ascontiguousarray(tris, dtype=np.int64)
+    return np.ascontiguousarray(coords), np.ascontiguousarray(tris, np.int32)
 
 
 def mesh_from_arrays(vertex_coords, triangle_vertex_triples):
@@ -203,7 +206,7 @@ def mesh_from_arrays(vertex_coords, triangle_vertex_triples):
     p = np.take(coords, tris, axis=0)
     len2 = np.sum((p[:, [1, 2, 0]] - p[:, [2, 0, 1]]) ** 2, axis=2)
     longest = len2 == len2.max(axis=1, keepdims=True)
-    ref = np.argmin(np.where(longest, tris, np.iinfo(np.int64).max), axis=1)
+    ref = np.argmin(np.where(longest, tris, np.iinfo(tris.dtype).max), axis=1)
     return Mesh(coords, tris, ref)
 
 
@@ -245,9 +248,9 @@ def nvb_refine(mesh, marked):
     # walk the marked chains together, one step a pass: a walker stops
     # where a smaller id has been, so each triangle keeps its cover and
     # that walker's step there; a chain without a cycle ends within n0
-    cover = np.full(n0, n0)
-    step = np.empty(n0, dtype=np.int64)
-    walk = ids = marked.astype(np.int64)
+    cover = np.full(n0, n0, dtype=np.int32)
+    step = np.empty(n0, dtype=np.int32)
+    walk = ids = marked.astype(np.int32)
     for s in range(n0):
         np.minimum.at(cover, walk, ids)
         lead = cover[walk] == ids
@@ -261,12 +264,12 @@ def nvb_refine(mesh, marked):
         raise MeshStructureError("NVB closure failed to terminate")
 
     # bisection j splits t[j], a pair once, from its member of smaller
-    # cover; within a cover, a later step is a smaller depth
+    # cover; within a cover, a later step is a smaller depth (int64 keys)
     t = np.flatnonzero(cover < n0)
     t = t[~pair[t] | (cover[t] < cover[y[t]])]
-    t = t[np.argsort(cover[t] * n0 - step[t])]
+    t = t[np.argsort(cover[t].astype(np.int64) * n0 - step[t])]
     y, partner = y[t], pair[t]
-    j_of = np.empty(n0, dtype=np.int64)     # the bisection that splits a
+    j_of = np.empty(n0, dtype=np.int32)     # the bisection that splits a
     j_of[t] = np.arange(t.size)             # given triangle
     j_of[y[partner]] = np.flatnonzero(partner)
     del cover, step, pair, after
@@ -289,7 +292,7 @@ def nvb_refine(mesh, marked):
 
     # children [m, p0, p1], [m, p2, p0] of t and then of its neighbour,
     # written as [p1, m, p0] (refinement edge 1) and [m, p2, p0] (edge 0)
-    split = np.empty((t.size, 2, 4), dtype=np.int64)   # m and the slots
+    split = np.empty((t.size, 2, 4), dtype=np.int32)   # m and the slots
     split[:, :, 0] = n_vert + np.arange(t.size)[:, None]
     split[:, 0, 1:], split[:, 1, 1:] = verts[t], nb
     del verts, nb
@@ -300,7 +303,7 @@ def nvb_refine(mesh, marked):
     keep = np.ones(n0 + len(kids), dtype=bool)
     keep[t] = keep[y[partner]] = keep[nb_dead] = False
     tris = np.concatenate([mesh.tri_vertices, kids])[keep]
-    ref = np.concatenate([ref0, np.tile([1, 0], len(split))])[keep]
+    ref = np.concatenate([ref0, np.tile(np.int8([1, 0]), len(split))])[keep]
     del split, kids, keep
     return Mesh(coords, tris, ref)
 

@@ -124,7 +124,7 @@ def uhat_edge_traces(geom: ElementGeometry, k: int, s):
 
 class Fixed(NamedTuple):
     """Coordinates ``index`` of one DOF numbering held at ``value``."""
-    index: np.ndarray = np.zeros(0, dtype=np.int64)     # (k,) integer
+    index: np.ndarray = np.zeros(0, dtype=np.int32)     # (k,) integer
     value: np.ndarray = np.zeros(0)                     # (k,)
 
 
@@ -155,7 +155,7 @@ def simply_supported_bc(mesh):
     corner, and beta vanishes on boundary edges.  A vertex inside a
     straight side that is neither horizontal nor vertical is refused."""
     bedges = mesh.boundary_edges()
-    ends = mesh.edge_vertices[bedges]
+    ends = mesh.edge_vertices[bedges].astype(np.int64)     # DOFs 3 v + c
     tau = edge_frame(*mesh.coords[ends.T])[1]
     order = np.argsort(ends.ravel(), kind="stable")   # two sides a vertex
     bverts = ends.ravel()[order[::2]]
@@ -198,21 +198,23 @@ class DofMap:
     n_qhat_free: int
 
     def element_scatter(self, mesh, t):
-        """Full-vector indices of the trial DOFs of triangle t of the mesh
-        this map numbers, in the slots :data:`U`, :data:`M`, :data:`UHAT`,
-        :data:`ALPHA`, :data:`BETA` and :data:`GAMMA`; one row per id of an
-        index array t.  Other mesh counts raise :class:`ConfigurationError`."""
+        """Full-vector indices, in ``own``'s dtype, of the trial DOFs of
+        triangle t of the mesh this map numbers, in the slots :data:`U`,
+        :data:`M`, :data:`UHAT`, :data:`ALPHA`, :data:`BETA`, :data:`GAMMA`;
+        one row per id of an index array t.  Other mesh counts raise
+        :class:`ConfigurationError`."""
         counts = mesh.num_triangles, mesh.num_vertices, mesh.num_edges
         if counts != (self.off_m, (self.off_alpha - self.off_uhat) // 3,
                       self.off_beta - self.off_alpha):
             raise ConfigurationError(
                 f"(#T, #N, #E) = {counts} is not the DOF map's mesh")
         t = np.asarray(t, dtype=np.int64)
-        c, e = np.arange(3), mesh.tri_edges[t]
-        out = np.empty(t.shape + (N_TRIAL,), dtype=np.int64)
+        out = np.empty(t.shape + (N_TRIAL,), dtype=self.own.dtype)
+        c, v, e = (np.arange(3), mesh.tri_vertices[t].astype(out.dtype),
+                   mesh.tri_edges[t].astype(out.dtype))     # 3 v + c exact
         out[..., U] = t
         out[..., M] = self.off_m + 3 * t[..., None] + c
-        uhat = self.off_uhat + 3 * mesh.tri_vertices[t][..., None] + c
+        uhat = self.off_uhat + 3 * v[..., None] + c
         out[..., UHAT] = uhat.reshape(t.shape + (9,))
         out[..., ALPHA] = self.off_alpha + e
         out[..., BETA] = self.off_beta + e
@@ -281,7 +283,7 @@ def _fixed_dofs(fixed, n, width, kind):
     if clash.size:
         raise ConfigurationError(f"{kind} {clash.min() // width} DOF "
                                  f"{clash.min() % width} fixed to two values")
-    return index, value
+    return index.astype(np.int64), value   # the offsets added cannot wrap
 
 
 def build_dofmap(mesh, bc: BCSpec) -> DofMap:

@@ -17,9 +17,10 @@ from platedpg.mesh import Mesh
 
 def unique_topology(tris, n_vert):
     """Edge numbering of triangles ``tris`` (nT, 3) over ``n_vert``
-    vertices by one ``np.unique`` over the vertex pairs: edges in the
-    order they are first met, with their one or two triangles."""
-    ends = tris[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2)
+    vertices by one ``np.unique`` over int64 vertex pairs: edges in the
+    order they are first met, with their one or two triangles, as int32
+    ids like the mesh's."""
+    ends = tris[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2).astype(np.int64)
     lo, hi = ends.min(axis=1), ends.max(axis=1)
     _, first, inverse, count = np.unique(
         lo * n_vert + hi, return_index=True, return_inverse=True,
@@ -32,10 +33,11 @@ def unique_topology(tris, n_vert):
     first, last, count = first[order], last[order], count[order]
     edge_vertices = np.stack([lo[first], hi[first]], axis=1)
     return dict(
-        tri_edges=rank[inverse].reshape(len(tris), 3),
-        edge_vertices=edge_vertices,
+        tri_edges=rank[inverse].reshape(len(tris), 3).astype(np.int32),
+        edge_vertices=edge_vertices.astype(np.int32),
         edge_triangles=np.stack(
-            [first // 3, np.where(count == 2, last // 3, -1)], axis=1),
+            [first // 3, np.where(count == 2, last // 3, -1)],
+            axis=1).astype(np.int32),
         edge_on_boundary=count == 1,
         vertex_on_boundary=np.bincount(edge_vertices[count == 1].ravel(),
                                        minlength=n_vert) > 0)
@@ -123,10 +125,11 @@ def nvb_refine(mesh, marked):
     # holds the newest vertex p0 and the refinement edge p1p2 opposite it
     n0, ref0 = mesh.num_triangles, mesh.refinement_edge[:, None]
     turn = (ref0 + np.arange(3)) % 3
-    verts, edges, side0, side1 = (array("q", a.tobytes()) for a in (
-        np.take_along_axis(mesh.tri_vertices, turn, 1),
-        np.take_along_axis(mesh.tri_edges, turn, 1),
-        *mesh.edge_triangles.T))
+    turned = (np.take_along_axis(mesh.tri_vertices, turn, 1),
+              np.take_along_axis(mesh.tri_edges, turn, 1),
+              *mesh.edge_triangles.T)
+    verts, edges, side0, side1 = (array("q", a.astype(np.int64).tobytes())
+                                  for a in turned)
     alive = bytearray(b"\1") * n0
     ends = array("q")                   # the bisected edge of each new vertex
 

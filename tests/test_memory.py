@@ -57,33 +57,48 @@ def last_round():
 
 
 def test_nvb_refine_peak_bounded_by_the_new_mesh(last_round):
-    """The closure works on arrays of one entry per given triangle or per
-    bisection, and the new mesh's constructor holds little beside its
-    arrays, so the peak stays within 1.5 times the new mesh's arrays
-    (1.39 times here; with the constructor's int64 slot keys, order and
-    sums kept to its end it was 2.26, with the closure as a loop over
-    int64 slot arrays 3.51, with the pairs kept beside their keys 3.77,
-    with Python-int lists and ``np.unique`` 6.05)."""
+    """The closure works on int32 arrays of one entry per given triangle
+    or per bisection, and the new mesh's constructor holds little beside
+    its arrays, so the peak stays within 150 bytes per new triangle (143
+    here, 2.04 times the mesh's int32 arrays).  With int64 mesh ids it
+    was 174 (1.39 times that mesh's arrays), with the constructor's int64
+    slot keys, order and sums kept to its end 2.26 times, with the
+    closure as a loop over int64 slot arrays 3.51, with the pairs kept
+    beside their keys 3.77, with Python-int lists and ``np.unique``
+    6.05."""
     _, mesh, marked = last_round
     new, peak = traced_peak(nvb_refine, mesh, marked)
     assert new.num_triangles == 19437
-    size = sum(getattr(new, name).nbytes for name in MESH_ARRAYS)
-    assert peak <= 1.5 * size, peak / size
+    assert peak <= 150 * new.num_triangles, peak / new.num_triangles
 
 
 def test_mesh_constructor_peak_bounded_by_its_arrays(last_round):
     """``Mesh(coords, tri_vertices, refinement_edge)`` alone, given
     arrays it need not copy: the signed areas are built before the
     topology, and the topology's slot keys, order and sums are int32 and
-    freed once used, so the peak stays within 1.15 times the mesh's
-    arrays (1.00 times here; with the areas built last and int64 slot
-    arrays kept to the end it was 1.87)."""
+    freed once used, so the peak stays within 120 bytes per triangle
+    (114 here, 1.62 times the mesh's int32 arrays).  With int64 mesh ids
+    it was 126 (1.00 times that mesh's arrays); with the areas built last
+    and int64 slot arrays kept to the end 1.87 times."""
     _, mesh, marked = last_round
     new = nvb_refine(mesh, marked)
     built, peak = traced_peak(Mesh, new.coords, new.tri_vertices,
                               new.refinement_edge)
-    size = sum(getattr(built, name).nbytes for name in MESH_ARRAYS)
-    assert peak <= 1.15 * size, peak / size
+    assert peak <= 120 * built.num_triangles, peak / built.num_triangles
+
+
+def test_mesh_holds_about_70_bytes_per_triangle(last_round):
+    """Vertex, edge and triangle ids are int32, refinement edges and edge
+    signs int8: a mesh holds at most 72 bytes per triangle (70.3 here;
+    125.4 with int64 ids and refinement edges)."""
+    _, mesh, marked = last_round
+    new = nvb_refine(mesh, marked)
+    for name in ("tri_vertices", "tri_edges", "edge_vertices",
+                 "edge_triangles"):
+        assert getattr(new, name).dtype == np.int32, name
+    assert new.refinement_edge.dtype == new.edge_sign.dtype == np.int8
+    size = sum(getattr(new, name).nbytes for name in MESH_ARRAYS)
+    assert size <= 72 * new.num_triangles, size / new.num_triangles
 
 
 def held_bytes(obj):

@@ -64,12 +64,42 @@ def test_non_integer_vertex_ids_rejected(tris):
         mesh_from_arrays([(0, 0), (1, 0), (0, 1)], tris)
 
 
-@pytest.mark.parametrize("tris", [[(0, 1, 2)], np.array([[0, 1, 2]]),
-                                  np.array([[0, 1, 2]], dtype=np.uint8)],
-                         ids=["int-tuple", "int64-array", "uint8-array"])
-def test_integer_vertex_ids_accepted(tris):
-    m = mesh_from_arrays([(0, 0), (1, 0), (0, 1)], tris)
-    np.testing.assert_array_equal(m.tri_vertices, [[0, 1, 2]])
+@pytest.mark.parametrize("dtype", [None, np.int64, np.uint8, np.int32],
+                         ids=["int-tuple", "int64-array", "uint8-array",
+                              "int32-array"])
+def test_integer_vertex_ids_accepted(dtype):
+    """Triples of any integer type give the same int32 triples and the
+    same refinement edges: the longest edge, ties broken by the smallest
+    opposite vertex id.  A tie-break sentinel of the wrong width (the
+    int64 maximum cast to int32 is -1) would pick edge 0 of every
+    triangle."""
+    def mesh(coords, tris):
+        m = mesh_from_arrays(coords, tris if dtype is None
+                             else np.array(tris, dtype=dtype))
+        assert m.tri_vertices.dtype == np.int32
+        np.testing.assert_array_equal(m.tri_vertices, tris)
+        return m.refinement_edge.tolist()
+    square = mesh([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1, 2), (0, 2, 3)])
+    assert square == [1, 2]
+    isosceles = [(0.0, 0.0), (2.0, 0.0), (1.0, 3.0)]  # edges 0 and 1 tie
+    for tris, ref in (([(0, 1, 2)], [0]), ([(1, 2, 0)], [2]),
+                      ([(2, 0, 1)], [1])):
+        assert mesh(isosceles, tris) == ref
+
+
+@pytest.mark.parametrize("n_vert, n_tri", [(3, 2**31 - 2), (2**31 - 2, 3)],
+                         ids=["triangles", "vertices"])
+def test_mesh_too_large_for_int32_ids_refused(n_vert, n_tri):
+    """#N + #T - 1, the edge count of a valid mesh, must fit int32 (here
+    it is 2**31).  The arrays are broadcast views of a few bytes, refused
+    before they are read."""
+    coords = np.broadcast_to(np.zeros(2), (n_vert, 2))
+    tris = np.broadcast_to(np.arange(3), (n_tri, 3))
+    ref = np.broadcast_to(np.int8(0), (n_tri,))
+    with pytest.raises(MeshStructureError, match="too many"):
+        Mesh(coords, tris, ref)
+    with pytest.raises(MeshStructureError, match="too many"):
+        mesh_from_arrays(coords, tris)
 
 
 def test_edge_shared_three_times_rejected():
@@ -204,6 +234,23 @@ def test_nvb_refine_matches_split_oracle(initial, rounds, shuffle, fraction,
                 once, range(once.num_triangles))
         assert_same_mesh_arrays(got, want)
         m = got
+
+
+def test_nvb_refine_past_46340_triangles_matches_split_oracle():
+    """The closure sorts its bisections by cover * n0 - depth, which
+    passes 2**31 once n0 >= 46,342 and a large id is marked: on the
+    Z-shape refined uniformly 7 times (81,920 triangles) with 2 % random
+    marking, the new mesh is still that of the split oracle, so the key
+    did not wrap."""
+    m = zshape_mesh()
+    for _ in range(7):
+        m = uniform_refine(m)
+    n = m.num_triangles
+    marked = np.random.default_rng(46341).choice(n, size=n // 50,
+                                                  replace=False)
+    assert n == 81_920 and marked.max() * n >= 2**31
+    assert_same_mesh_arrays(nvb_refine(m, marked),
+                            numbering_oracles.nvb_refine(m, marked))
 
 
 def test_pinched_vertex_rejected():
@@ -378,6 +425,11 @@ def test_dump_writes_every_vertex_and_triangle_exactly(initial, rounds, seed):
 
 def test_refinement_edge_seeding_longest_edge():
     m = unit_square_mesh()
+    # the hypotenuses of the built-in right isosceles triangles, as int8
+    z = zshape_mesh()
+    assert m.refinement_edge.dtype == z.refinement_edge.dtype == np.int8
+    assert m.refinement_edge.tolist() == [1, 2]
+    assert z.refinement_edge.tolist() == [1, 2, 1, 2, 1]
     for t in range(2):
         k = m.refinement_edge[t]
         lengths = ElementGeometry(m, t).length
@@ -473,6 +525,9 @@ def test_nvb_triangle_and_vertex_order_pinned(uniform, rounds, counts,
         n = m.num_triangles
         m = nvb_refine(m, rng.choice(n, size=round(0.2 * n), replace=False))
     assert (m.num_triangles, m.num_vertices) == counts
-    digests = {name: hashlib.sha256(getattr(m, name).tobytes()).hexdigest()
+    # the ids as int64, the width they were pinned in
+    digests = {name: hashlib.sha256(getattr(m, name).astype(
+                   float if name == "coords" else np.int64).tobytes()
+               ).hexdigest()
                for name in ("coords", "tri_vertices", "refinement_edge")}
     assert digests == pinned
