@@ -269,36 +269,23 @@ def _class_block_csr(blocks, cls, scatter, n):
     return A
 
 
-def _insert_zeros(M, rows, cols):
-    """Store explicit zeros in canonical CSR ``M`` at positions it does not
-    hold, listed by row, then column; M stays canonical."""
-    ptr = M.indptr
-    pos = np.array([ptr[r] + np.searchsorted(M.indices[ptr[r]:ptr[r + 1]], c)
-                    for r, c in zip(rows, cols)], dtype=np.intp)
-    M.indices = np.insert(M.indices, pos, cols)
-    M.data = np.insert(M.data, pos, 0.0)
-    M.indptr = ptr + np.searchsorted(rows, np.arange(len(ptr))).astype(
-        ptr.dtype)
-
-
 def _symmetrize(A):
     """Replace canonical CSR ``A`` by ``0.5 * (A + A.T)`` in place, to the
-    bit and to the stored entry: each sum is formed on the union of the
-    two patterns, its exact zeros are dropped, then it is halved (a half
-    that underflows stays stored).  Besides A it holds only A.T and, when
-    the two patterns differ, their int8 difference."""
-    AT = A.T.tocsr()
-    if not (np.array_equal(A.indptr, AT.indptr)
-            and np.array_equal(A.indices, AT.indices)):
-        ones = [sp.csr_matrix((np.ones(M.nnz, np.int8), M.indices, M.indptr),
-                              shape=M.shape) for M in (A, AT)]
-        only = (ones[0] - ones[1]).tocoo()   # 1: only A holds it, -1: A.T
-        del ones
-        in_A = only.data > 0
-        _insert_zeros(A, only.row[~in_A], only.col[~in_A])
-        _insert_zeros(AT, only.row[in_A], only.col[in_A])
-    A.data += AT.data
-    del AT
+    bit and to the stored entry.  A is first laid on the union of its
+    pattern P and its transpose's, the pattern of the int8 ``2 P + P.T``
+    (entries 2 and 3 are A's); then each sum, ``a + b``, ``a + 0.0`` or
+    ``0.0 + b``, is formed, exact zeros dropped and the rest halved (a
+    half that underflows stays stored).  The union is built before A.T
+    and A's arrays are rebound to it, so no second copy of A is alive."""
+    P = sp.csr_matrix((np.ones(A.nnz, np.int8), A.indices, A.indptr),
+                      shape=A.shape)
+    U = 2 * P + P.T.tocsr()
+    del P
+    data = np.zeros(U.nnz)
+    data[U.data >= 2] = A.data
+    A.data, A.indices, A.indptr = data, U.indices, U.indptr
+    del U, data
+    A.data += A.T.tocsr().data
     A.eliminate_zeros()
     A.data *= 0.5
 

@@ -187,7 +187,8 @@ def run_experiment(config: ExperimentConfig, problem=None):
     """Run :func:`experiment_levels` to its end, write the mesh dumps and
     the CSV (on :class:`SolverConvergenceError` or :class:`SPDError` too,
     with the levels done) and return the records.  Outputs
-    that cannot be written are refused before the first solve."""
+    that cannot be written are refused before the first solve: an
+    existing entry too that is not writable, such as a dangling link."""
     records = []
 
     def dump_path(level):
@@ -199,7 +200,9 @@ def run_experiment(config: ExperimentConfig, problem=None):
             raise ConfigurationError(f"{name} '' names no file")
         folder = os.path.dirname(path or "") or "."
         if path and (os.path.isdir(path) or not os.path.isdir(folder)
-                     or not os.access(folder, os.W_OK)):
+                     or not os.access(folder, os.W_OK)
+                     or (os.path.lexists(path)
+                         and not os.access(path, os.W_OK))):
             raise ConfigurationError(f"{name} {path!r} cannot be written")
 
     def flush():

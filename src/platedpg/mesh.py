@@ -68,8 +68,9 @@ class Mesh:
         One sort of the slots by vertex-pair key, in any order within a
         pair, groups each edge's slots: the smallest of each group, in
         slot order, are the edges, the largest give second triangles.
-        Keys, slot order and sums are int32 while keys fit, freed once used;
-        at the peak the outputs and six per-edge arrays are live."""
+        Keys, slot order, sums and per-edge arrays are int32 while keys
+        fit, freed once used; at the peak the outputs and six per-edge
+        arrays are live."""
         coords, tris = self.coords, self.tri_vertices
         n_vert, n_tri = len(coords), len(tris)
         itype = np.int32 if n_vert**2 < 2**31 else np.int64
@@ -87,14 +88,15 @@ class Mesh:
         del a, b
         order = np.argsort(key).astype(itype)
         starts = np.flatnonzero(np.diff(key[order], prepend=itype(-1)))
-        size = np.diff(starts, append=key.size)
+        starts = starts.astype(itype)
+        size = np.diff(starts, append=itype(key.size))
         edge = np.minimum.reduceat(order, starts)       # each group's first
         is_first = np.zeros(key.size, dtype=bool)       # slot, then its id
         is_first[edge] = True
         edge = np.cumsum(is_first, dtype=itype)[edge] - 1
         self.tri_edges = np.empty((n_tri, 3), dtype=np.int32)
         self.tri_edges.ravel()[order] = np.repeat(edge, size)
-        first = np.flatnonzero(is_first)
+        first = np.flatnonzero(is_first).astype(itype)
         last, count = np.empty_like(edge), np.empty_like(edge)
         last[edge] = np.maximum.reduceat(order, starts)
         count[edge] = size

@@ -512,25 +512,32 @@ def test_cli_bad_limits_exit_2_before_solving(tmp_path, monkeypatch, flags):
 @pytest.mark.parametrize("flag, path", [
     ("--out", "missing/x.csv"), ("--out", "."), ("--out", ""),
     ("--out", "file/x.csv"), ("--dump-mesh", "missing/mesh"),
-    ("--dump-mesh", ""), ("--dump-mesh", "file/mesh")])
+    ("--dump-mesh", ""), ("--dump-mesh", "file/mesh"),
+    ("--out", "dangling.csv"), ("--dump-mesh", "dangling")])
 def test_cli_unwritable_output_exits_2_before_solving(tmp_path, monkeypatch,
                                                       flag, path):
     """An output in a directory that does not exist, in a folder that is
-    a regular file, one that is a directory, or an empty --out or
-    --dump-mesh, which names no file, is refused with exit 2 before the
-    first solve, and nothing is written."""
+    a regular file, one that is a directory, a link into a directory that
+    does not exist, or an empty --out or --dump-mesh, which names no file,
+    is refused with exit 2 before the first solve, and nothing is
+    written."""
     _refuse_to_solve(monkeypatch)
     monkeypatch.chdir(tmp_path)
     given = ["file"] if path.startswith("file/") else []
     for name in given:
         (tmp_path / name).write_text("")
+    links = []
+    if path.startswith("dangling"):   # the first file --dump-mesh writes
+        links = [path + ("000.txt" if flag == "--dump-mesh" else "")]
+        (tmp_path / links[0]).symlink_to("no_such_dir/x")
     args = {"--out": str(tmp_path / "x.csv"),
             flag: path and str(tmp_path / path)}
     code = main(["run", "--problem", "square", "--mode", "uniform",
                  "--levels", "2", *(x for kv in args.items() for x in kv)])
     assert code == 2
-    assert sorted(p.name for p in tmp_path.iterdir()) == given
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(given + links)
     assert all((tmp_path / name).read_text() == "" for name in given)
+    assert not any((tmp_path / name).exists() for name in links)
 
 
 def test_cli_bad_choice_exits_2(tmp_path):

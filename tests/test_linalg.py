@@ -112,6 +112,24 @@ def test_spd_solve_meets_backward_error_above_residual_floor():
     assert np.linalg.norm(x - x_true) <= 1e-10 * np.linalg.norm(x_true)
 
 
+@pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-10])
+def test_spd_solve_accepts_a_refinement_step(eps):
+    """50 blocks ``[[eps, 1], [1, eps]]``: symmetric but indefinite, so
+    the diagonal pivots of SuperLU's symmetric mode grow like 1/eps and
+    the first solve misses TOL; one refinement step reaches it, and the
+    x returned is the refined one."""
+    import scipy.sparse as sp
+    A = sp.block_diag([np.array([[eps, 1.0], [1.0, eps]])] * 50,
+                      format="csr")
+    b = np.random.default_rng(0).normal(size=100)
+    x, report = spd_solve(A, b)
+    assert report.iterations == 1
+    assert report.backward_error <= TOL
+    norm_A = np.abs(A).sum(axis=1).max()
+    assert (np.abs(A @ x - b).max()
+            <= TOL * (norm_A * np.abs(x).max() + np.abs(b).max()))
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(2, 40), density=st.floats(0.05, 0.5),
        seed=st.integers(0, 2 ** 32 - 1),

@@ -59,32 +59,35 @@ def last_round():
 def test_nvb_refine_peak_bounded_by_the_new_mesh(last_round):
     """The closure works on int32 arrays of one entry per given triangle
     or per bisection, and the new mesh's constructor holds little beside
-    its arrays, so the peak stays within 150 bytes per new triangle (143
-    here, 2.04 times the mesh's int32 arrays).  With int64 mesh ids it
-    was 174 (1.39 times that mesh's arrays), with the constructor's int64
-    slot keys, order and sums kept to its end 2.26 times, with the
-    closure as a loop over int64 slot arrays 3.51, with the pairs kept
-    beside their keys 3.77, with Python-int lists and ``np.unique``
-    6.05."""
+    its arrays, so the peak stays within 140 bytes per new triangle (133.5
+    here, 1.90 times the mesh's int32 arrays).  With the constructor's
+    per-edge group starts, sizes and first slots int64 it was 143 (2.04
+    times), with int64 mesh ids 174 (1.39 times that mesh's arrays), with
+    the constructor's int64 slot keys, order and sums kept to its end 2.26
+    times, with the closure as a loop over int64 slot arrays 3.51, with
+    the pairs kept beside their keys 3.77, with Python-int lists and
+    ``np.unique`` 6.05."""
     _, mesh, marked = last_round
     new, peak = traced_peak(nvb_refine, mesh, marked)
     assert new.num_triangles == 19437
-    assert peak <= 150 * new.num_triangles, peak / new.num_triangles
+    assert peak <= 140 * new.num_triangles, peak / new.num_triangles
 
 
 def test_mesh_constructor_peak_bounded_by_its_arrays(last_round):
     """``Mesh(coords, tri_vertices, refinement_edge)`` alone, given
     arrays it need not copy: the signed areas are built before the
-    topology, and the topology's slot keys, order and sums are int32 and
-    freed once used, so the peak stays within 120 bytes per triangle
-    (114 here, 1.62 times the mesh's int32 arrays).  With int64 mesh ids
-    it was 126 (1.00 times that mesh's arrays); with the areas built last
-    and int64 slot arrays kept to the end 1.87 times."""
+    topology, and the topology's slot keys, order, sums and per-edge
+    group starts, sizes and first slots are int32 and freed once used, so
+    the peak stays within 110 bytes per triangle (104.4 here, 1.49 times
+    the mesh's int32 arrays).  With those per-edge arrays int64 it was
+    114 (1.62 times), with int64 mesh ids 126 (1.00 times that mesh's
+    arrays); with the areas built last and int64 slot arrays kept to the
+    end 1.87 times."""
     _, mesh, marked = last_round
     new = nvb_refine(mesh, marked)
     built, peak = traced_peak(Mesh, new.coords, new.tri_vertices,
                               new.refinement_edge)
-    assert peak <= 120 * built.num_triangles, peak / built.num_triangles
+    assert peak <= 110 * built.num_triangles, peak / built.num_triangles
 
 
 def test_mesh_holds_about_70_bytes_per_triangle(last_round):
