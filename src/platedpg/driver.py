@@ -186,9 +186,10 @@ def experiment_levels(config: ExperimentConfig, problem=None):
 def run_experiment(config: ExperimentConfig, problem=None):
     """Run :func:`experiment_levels` to its end, write the mesh dumps and
     the CSV (on :class:`SolverConvergenceError` or :class:`SPDError` too,
-    with the levels done) and return the records.  Outputs
-    that cannot be written are refused before the first solve: an
-    existing entry too that is not writable, such as a dangling link."""
+    with the levels done) and return the records.  Outputs that cannot be
+    written are refused before the first solve, an existing entry too
+    that is not writable, such as a dangling link; one that fails later
+    raises :class:`ConfigurationError` naming it, after the CSV."""
     records = []
 
     def dump_path(level):
@@ -210,15 +211,19 @@ def run_experiment(config: ExperimentConfig, problem=None):
             write_records_csv(records, config.out)
 
     try:
-        for level in experiment_levels(config, problem):
-            records.append(level.record)
-            if config.dump_mesh:
-                with open(dump_path(level.record.level), "w") as handle:
-                    handle.write(mesh_to_text(level.mesh))
-    except (SolverConvergenceError, SPDError):
+        try:
+            for level in experiment_levels(config, problem):
+                records.append(level.record)
+                if config.dump_mesh:
+                    with open(dump_path(level.record.level), "w") as handle:
+                        handle.write(mesh_to_text(level.mesh))
+        except (SolverConvergenceError, SPDError, OSError):
+            flush()
+            raise
         flush()
-        raise
-    flush()
+    except OSError as exc:
+        raise ConfigurationError(f"{exc.filename!r} cannot be written: "
+                                 f"{exc.strerror or exc}") from None
     return records
 
 

@@ -21,7 +21,7 @@ the patch-sum constraint is handled by elimination (the patch triangle
 with the largest id carries the dependent gamma), which keeps the global
 condensed system symmetric positive definite.  A :class:`DofMap` numbers
 the free coordinates that remain, ``x_full = R x_free + x_fixed``, and
-applies R and R^T without forming R.
+forms R^T as one sparse matrix from its numbering arrays.
 """
 
 from dataclasses import dataclass
@@ -183,7 +183,7 @@ class DofMap:
     of the full trial vector and its free coordinates.  Free column j is
     R's +1 at full row ``own[j]``; a free gamma column, the last
     ``len(dep)``, also has -1 at the dependent corner row ``dep`` of its
-    vertex (none for -1, a boundary vertex).  R is never formed."""
+    vertex (none for -1, a boundary vertex); :meth:`rt` forms R^T."""
     off_m: int
     off_uhat: int
     off_alpha: int
@@ -227,39 +227,22 @@ class DofMap:
         x[self.fixed.index] = self.fixed.value
         return x
 
-    def reduce(self, rows):
-        """``R^T rows`` for a vector, or canonical CSR for a canonical CSR
-        matrix with no stored zeros: row j is row ``own[j]``, on the gamma
-        tail minus row ``dep``.  Each entry is one term or the difference
-        of two, so it has the bits of the sparse product with R^T, whose
-        exact zeros it drops as well."""
+    def rt(self):
+        """R^T as canonical CSR, free_dim x full_dim; ``dep`` is a later
+        corner of its vertex than ``own``, so each row is sorted as built."""
         head, at = self.free_dim - len(self.dep), self.dep >= 0
-        if not sp.issparse(rows):
-            out = rows[self.own]
-            out[head:][at] -= rows[self.dep[at]]
-            return out
-        # one gather of the rows own, then dep; the tail's differences are
-        # written over the gathered tail, which holds at least as many
-        G = rows[np.concatenate([self.own, self.dep[at]])]
-        n, a = self.free_dim, G.indptr[head]
-        sub = G[n:]
-        ptr = np.zeros(len(at) + 1, dtype=sub.indptr.dtype)
-        ptr[1:][at] = np.diff(sub.indptr)
-        tail = G[head:n] - sp.csr_matrix(
-            (sub.data, sub.indices, np.cumsum(ptr)), (len(at), G.shape[1]))
-        b = a + tail.nnz
-        G.data[a:b], G.indices[a:b] = tail.data, tail.indices
-        return sp.csr_matrix((G.data[:b], G.indices[:b], np.concatenate(
-            [G.indptr[:head], a + tail.indptr])), (n, G.shape[1]))
+        n = np.ones(self.free_dim, dtype=self.own.dtype)
+        n[head:] += at
+        indptr = np.r_[0, np.cumsum(n)]
+        cols, data = np.repeat(self.own, n), np.ones(indptr[-1])
+        last = indptr[head + 1:][at] - 1
+        cols[last], data[last] = self.dep[at], -1.0
+        return sp.csr_matrix((data, cols, indptr),
+                             (self.free_dim, self.full_dim))
 
     def recover_full(self, x_free):
-        """``R x_free + x_fixed``: each dependent corner row gets minus the
-        other corners of its vertex in column order, every sum starting
-        from +0.0."""
-        x, at = self.fixed_full(), self.dep >= 0
-        x[self.own] += x_free
-        np.subtract.at(x, self.dep[at], x_free[len(x_free) - len(at):][at])
-        return x
+        """``R x_free + x_fixed``."""
+        return self.rt().T @ x_free + self.fixed_full()
 
 
 def _fixed_dofs(fixed, n, width, kind):
@@ -267,7 +250,9 @@ def _fixed_dofs(fixed, n, width, kind):
     n in all), checked; a DOF may be fixed twice, but to one value."""
     index, value = np.asarray(fixed.index), np.asarray(fixed.value, float)
     if index.dtype.kind not in "iu":     # not float or bool
-        raise ConfigurationError(f"{kind} DOF index is not integer")
+        if index.size:
+            raise ConfigurationError(f"{kind} DOF index is not integer")
+        index = index.astype(np.int64)   # empty: [] is float64
     if not index.ndim == value.ndim == 1 or len(index) != len(value):
         raise ConfigurationError(f"{kind} DOF index and value differ in "
                                  f"length")

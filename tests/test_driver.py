@@ -540,6 +540,44 @@ def test_cli_unwritable_output_exits_2_before_solving(tmp_path, monkeypatch,
     assert not any((tmp_path / name).exists() for name in links)
 
 
+@pytest.mark.parametrize("output", ["dump_mesh", "out"])
+def test_cli_output_failing_after_a_solve_exits_2_with_the_levels_done(
+        tmp_path, monkeypatch, capsys, output):
+    """An output that passes the pre-flight checks but cannot be written
+    after a solve, a directory at the level-1 mesh dump or one made at
+    --out during the first solve, stops the run with exit 2 and one error
+    line naming it, not a traceback.  A failed dump still writes the CSV
+    of the levels solved, 0 and 1, and keeps the level-0 dump."""
+    import platedpg.driver as driver
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "r.csv"
+    if output == "dump_mesh":
+        bad = tmp_path / "m001.txt"
+        bad.mkdir()
+    else:
+        real = driver.solve_problem
+
+        def solve_then_block(problem, mesh):
+            out.mkdir(exist_ok=True)
+            return real(problem, mesh)
+
+        monkeypatch.setattr(driver, "solve_problem", solve_then_block)
+        bad = out
+    code = main(["run", "--problem", "square", "--mode", "uniform",
+                 "--levels", "3", "--out", str(out), "--dump-mesh",
+                 str(tmp_path / "m")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines()
+            if line.startswith("configuration error")] == [
+        f"configuration error: {str(bad)!r} cannot be written: "
+        f"Is a directory"]
+    if output == "dump_mesh":
+        assert [r.level for r in parse_csv(out)] == [0, 1]
+        assert (tmp_path / "m000.txt").read_text().startswith("4 5 2")
+
+
 def test_cli_bad_choice_exits_2(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["run", "--problem", "pentagon", "--mode", "uniform",

@@ -416,21 +416,12 @@ def _join(a, b):
     return Fixed(*(np.concatenate(pair) for pair in zip(a, b)))
 
 
-@settings(max_examples=40, deadline=None)
-@given(case=st.sampled_from([("square", "none"), ("square", "clamped"),
-                             ("square", "supported"), ("zshape", "none"),
-                             ("zshape", "clamped")]),
-       rounds=st.integers(0, 4), fraction=st.floats(0.05, 0.6),
-       extra=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_dofmap_matches_coo_construction(case, rounds, fraction, extra,
-                                         seed):
-    """On randomly refined meshes, with no, clamped or (on the square)
-    simply supported boundary conditions and random extra fixed DOFs on
-    the vertices and edges they leave free, the R that ``own`` and
-    ``dep`` stand for (indptr, indices, data and their dtypes), the
-    fixed values and the free counts are bit for bit those of R built
-    from COO triplets."""
-    from platedpg.mesh import nvb_refine
+def _random_dofmap_case(case, rounds, fraction, extra, seed):
+    """A uniformly refined square or Z-shape, NVB-refined ``rounds`` times
+    at a random ``fraction`` of its triangles, with no, clamped or simply
+    supported boundary conditions and, if ``extra``, random extra fixed
+    DOFs on the vertices and edges they leave free; returns the mesh, the
+    :class:`BCSpec` and the generator for further draws."""
     from platedpg.problems import zshape_mesh
     shape, bc = case
     rng = np.random.default_rng(seed)
@@ -454,6 +445,28 @@ def test_dofmap_matches_coo_construction(case, rounds, fraction, extra,
             vertex=_join(spec.vertex,
                          _random_fixed(rng, vertex_ids, 3, fraction)),
             edge=_join(spec.edge, _random_fixed(rng, edge_ids, 2, fraction)))
+    return mesh, spec, rng
+
+
+random_dofmap_cases = given(
+    case=st.sampled_from([("square", "none"), ("square", "clamped"),
+                          ("square", "supported"), ("zshape", "none"),
+                          ("zshape", "clamped")]),
+    rounds=st.integers(0, 4), fraction=st.floats(0.05, 0.6),
+    extra=st.booleans(), seed=st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@random_dofmap_cases
+def test_dofmap_matches_coo_construction(case, rounds, fraction, extra,
+                                         seed):
+    """On randomly refined meshes, with no, clamped or (on the square)
+    simply supported boundary conditions and random extra fixed DOFs on
+    the vertices and edges they leave free, the R that ``own`` and
+    ``dep`` stand for (indptr, indices, data and their dtypes), the
+    fixed values and the free counts are bit for bit those of R built
+    from COO triplets."""
+    mesh, spec, _ = _random_dofmap_case(case, rounds, fraction, extra, seed)
     dm = build_dofmap(mesh, spec)
     R, x_p, free_dim, n_uhat_free, n_qhat_free = coo_reduction(mesh, spec)
     got = reduction_matrix(dm)
@@ -465,6 +478,31 @@ def test_dofmap_matches_coo_construction(case, rounds, fraction, extra,
     assert (dm.free_dim, dm.n_uhat_free, dm.n_qhat_free) == (
         free_dim, n_uhat_free, n_qhat_free)
     assert dm.own.dtype == dm.dep.dtype == dm.fixed.index.dtype == np.int32
+
+
+@settings(max_examples=30, deadline=None)
+@random_dofmap_cases
+def test_rt_and_recover_full_are_the_products_with_r(case, rounds, fraction,
+                                                     extra, seed):
+    """On the meshes and boundary conditions of
+    :func:`test_dofmap_matches_coo_construction`, ``rt()`` is byte for
+    byte scipy's canonical CSR of the transposed oracle R (indptr,
+    indices, data and their dtypes), and ``recover_full(y)`` has the bits
+    of ``R @ y + x_fixed``, signed zeros included, for a y that holds
+    +0.0 and -0.0 among values over six decades."""
+    mesh, spec, rng = _random_dofmap_case(case, rounds, fraction, extra, seed)
+    dm = build_dofmap(mesh, spec)
+    R = reduction_matrix(dm)
+    got, want = dm.rt(), R.T.tocsr()
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    y = rng.standard_normal(dm.free_dim) * 10.0 ** rng.uniform(
+        -3, 3, dm.free_dim)
+    y[rng.random(dm.free_dim) < 0.2] = -0.0
+    y[rng.random(dm.free_dim) < 0.1] = 0.0
+    assert dm.recover_full(y).tobytes() == (R @ y + dm.fixed_full()).tobytes()
 
 
 def test_free_columns_outside_gamma_have_one_plus_one():
@@ -571,6 +609,29 @@ def test_malformed_constraints_rejected(kind, index, value, match):
     bc = BCSpec(**{kind: Fixed(np.asarray(index), np.asarray(value))})
     with pytest.raises(ConfigurationError, match=f"{kind} DOF.*{match}"):
         build_dofmap(mesh, bc)
+
+
+@pytest.mark.parametrize("empty", [[], np.zeros(0), np.zeros(0, bool),
+                                   np.zeros(0, np.uint8)],
+                         ids=["list", "float", "bool", "uint8"])
+def test_empty_fixed_index_of_any_dtype_fixes_nothing(empty):
+    """An empty fixed-DOF index, such as a Python list whose array is
+    float64, gives the map of ``BCSpec()`` byte for byte; a non-empty
+    float index is still refused."""
+    mesh = uniform_refine(unit_square_mesh())
+    want = build_dofmap(mesh, BCSpec())
+    got = build_dofmap(mesh, BCSpec(vertex=Fixed(empty, []),
+                                    edge=Fixed(empty, [])))
+    for name in ("off_m", "off_uhat", "off_alpha", "off_beta", "off_gamma",
+                 "full_dim", "free_dim", "n_uhat_free", "n_qhat_free"):
+        assert getattr(got, name) == getattr(want, name), name
+    for a, b in ((got.own, want.own), (got.dep, want.dep),
+                 (got.fixed.index, want.fixed.index),
+                 (got.fixed.value, want.fixed.value)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    with pytest.raises(ConfigurationError, match="vertex DOF index is not "
+                                                 "integer"):
+        build_dofmap(mesh, BCSpec(vertex=Fixed([0.0], [0.0])))
 
 
 def test_slanted_simply_supported_side_rejected():
