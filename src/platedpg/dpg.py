@@ -40,7 +40,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .errors import SPDError
+from .errors import ConfigurationError, SPDError
 from .mesh import dyadic_shape
 from .polyquad import ASSEMBLY_RULE, EDGE_NODES, EDGE_WEIGHTS, p3_table
 from .spaces import (ALPHA, BETA, GAMMA, M, N_TRIAL, U, UHAT, DofMap,
@@ -116,8 +116,11 @@ def _load(f, qpts, w, vals):
     """Load rows ``-(f, z_i)_T`` (n, 28) from the P3 value table (n, nq,
     10) at the quadrature points; zero in the tensor rows."""
     load = np.zeros(w.shape[:1] + (N_TEST,))
-    fq = np.asarray(f(qpts.reshape(-1, 2)), dtype=float).reshape(w.shape)
-    load[:, :N_SCALAR] = -np.einsum("tq,tq,tqi->ti", w, fq, vals)
+    fq = np.asarray(f(qpts.reshape(-1, 2)), dtype=float)
+    if fq.size != w.size or not np.isfinite(fq).all():
+        raise ConfigurationError("load f is not one finite value per point")
+    load[:, :N_SCALAR] = -np.einsum("tq,tq,tqi->ti", w, fq.reshape(w.shape),
+                                    vals)
     return load
 
 
@@ -177,9 +180,10 @@ def condense(B, G, load, cls):
     Then ``B^T G^{-1} B = W^T W`` and ``B^T G^{-1} load = W^T v``.
 
     One LAPACK Cholesky factors the whole stack.  If it fails, the first
-    Gram c that LAPACK cannot factor raises :class:`SPDError` naming the
-    first triangle of its class, the smallest t with ``cls[t] == c``, and
-    the failed pivot with its value.
+    Gram c that LAPACK cannot factor alone raises :class:`SPDError`
+    naming the first triangle of its class, the smallest t with
+    ``cls[t] == c``, and the failed pivot with its value; if none, a
+    plain :class:`SPDError` says so.
     """
     try:
         L = np.linalg.cholesky(G)
@@ -191,7 +195,8 @@ def condense(B, G, load, cls):
                 raise SPDError(f"element Gram matrix {t} is not SPD: pivot "
                                f"{k} = {f[k, k]:.3e}", pivot=k,
                                index=(t,)) from None
-        raise
+        raise SPDError("the stacked Cholesky failed, but every element "
+                       "Gram matrix factors alone") from None
     bounds = np.cumsum(np.bincount(cls, minlength=len(G)))[:-1]
     # C-contiguous W and v: W^T W and W x pick matmul kernels by layout;
     # the loads share B's solve, since v solved alone differs in its bits

@@ -185,11 +185,11 @@ def experiment_levels(config: ExperimentConfig, problem=None):
 
 def run_experiment(config: ExperimentConfig, problem=None):
     """Run :func:`experiment_levels` to its end, write the mesh dumps and
-    the CSV (on :class:`SolverConvergenceError` or :class:`SPDError` too,
-    with the levels done) and return the records.  Outputs that cannot be
-    written are refused before the first solve, an existing entry too
-    that is not writable, such as a dangling link; one that fails later
-    raises :class:`ConfigurationError` naming it, after the CSV."""
+    the CSV and return the records.  Outputs that cannot be written are
+    refused before the first solve, an unwritable entry such as a
+    dangling link too.  After that the CSV gets the levels done however
+    the run ends, on an error or an interrupt too; an output that fails
+    later raises :class:`ConfigurationError` naming it, after the CSV."""
     records = []
 
     def dump_path(level):
@@ -206,10 +206,6 @@ def run_experiment(config: ExperimentConfig, problem=None):
                          and not os.access(path, os.W_OK))):
             raise ConfigurationError(f"{name} {path!r} cannot be written")
 
-    def flush():
-        if config.out:
-            write_records_csv(records, config.out)
-
     try:
         try:
             for level in experiment_levels(config, problem):
@@ -217,10 +213,9 @@ def run_experiment(config: ExperimentConfig, problem=None):
                 if config.dump_mesh:
                     with open(dump_path(level.record.level), "w") as handle:
                         handle.write(mesh_to_text(level.mesh))
-        except (SolverConvergenceError, SPDError, OSError):
-            flush()
-            raise
-        flush()
+        finally:
+            if config.out:
+                write_records_csv(records, config.out)
     except OSError as exc:
         raise ConfigurationError(f"{exc.filename!r} cannot be written: "
                                  f"{exc.strerror or exc}") from None

@@ -8,7 +8,7 @@ class MeshStructureError(Exception):
 
 class ConfigurationError(Exception):
     """Invalid user-facing configuration (malformed or conflicting fixed
-    DOFs, bad experiment parameters or output paths)."""
+    DOFs, a malformed load, bad experiment parameters or output paths)."""
 
 
 class SPDError(Exception):

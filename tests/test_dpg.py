@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 import re
 import tracemalloc
@@ -12,7 +13,7 @@ from conftest import (random_shape_regular_triangle, reference_triangle_mesh,
 
 from platedpg import dpg
 from platedpg.driver import ExperimentConfig, experiment_levels, solve_problem
-from platedpg.errors import SPDError
+from platedpg.errors import ConfigurationError, SPDError
 from platedpg.linalg import spd_solve
 from platedpg.mesh import (Mesh, dyadic_shape, mesh_from_arrays, nvb_refine,
                            uniform_refine, unit_square_mesh)
@@ -256,6 +257,31 @@ def test_condense_propagates_spd_failure():
         dpg.condense(np.zeros((2, 2, 2)), G, np.zeros((2, 2)), np.arange(2))
     assert err.value.index == (1,)
     assert err.value.pivot == 1
+
+
+def test_condense_types_a_stack_failure_no_gram_explains(monkeypatch):
+    """The stacked Cholesky and the class-by-class refactoring use
+    different LAPACK builds, so the stack may fail where every Gram
+    factors alone; that is an SPDError too, not a bare LinAlgError."""
+    def failing(G):
+        raise np.linalg.LinAlgError("synthetic failure")
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    with pytest.raises(SPDError, match="every element Gram matrix factors "
+                       "alone") as err:
+        dpg.condense(np.zeros((2, 2, 2)), np.stack([np.eye(2)] * 2),
+                     np.zeros((2, 2)), np.arange(2))
+    assert (err.value.pivot, err.value.index) == (None, None)
+
+
+@pytest.mark.parametrize("f", [
+    lambda p: np.where(p[:, 0] > 0.5, np.nan, 1.0),
+    lambda p: 1.0], ids=["nan", "scalar"])
+def test_a_load_not_one_finite_value_per_point_is_refused(f):
+    problem = replace(builtin_square_problem(), f=f)
+    with pytest.raises(ConfigurationError,
+                       match="load f is not one finite value per point"):
+        solve_problem(problem, problem.initial_mesh)
 
 
 # ---------------------------------------------------------------------------
